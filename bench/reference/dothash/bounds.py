@@ -1,0 +1,209 @@
+"""Analytic error bounds for the DotHash intersection estimator.
+
+For sets of sizes ``|A|``, ``|B|`` with intersection ``i`` and sketch
+dimension ``d``, the estimator's variance is::
+
+    Var = (|A| * |B| + i**2 - 2 * i) / d
+
+From it this module derives the Chebyshev tail bound on the relative-error
+event ``|X - i| >= eps * i``, the CLT approximation of the same
+probability, and the dimension required to hit a target error probability.
+A seed-driven Monte-Carlo sampler produces the matching empirical
+exceedance curves (the dashed lines next to the solid CLT ones).
+
+The normal CDF is ``0.5 * (1 + erf(x / sqrt(2)))`` via the C-library
+``math.erf`` (accurate to double precision).  The quantile uses Acklam's
+rational approximation refined with one Halley step of the exact CDF,
+giving roughly 1e-14 accuracy with no statistics dependency.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
+
+from .encoding import sign_sums
+
+_SEED_CHUNK = 64
+
+
+@dataclass(frozen=True)
+class BoundsQuery:
+    """Set sizes, sketch dimension, and error target for a bounds question."""
+
+    size_a: int
+    size_b: int
+    size_int: int
+    dims: int
+    epsilon: float = 0.1
+    prob: float = 0.05
+
+    def __post_init__(self) -> None:
+        if self.size_a < 0 or self.size_b < 0 or self.size_int < 0:
+            raise ValueError("set sizes must be nonnegative")
+        if self.size_int > min(self.size_a, self.size_b):
+            raise ValueError("intersection cannot exceed the smaller set")
+        if self.dims < 1:
+            raise ValueError("dims must be >= 1")
+
+
+def normal_cdf(x: float) -> float:
+    """Standard normal CDF via math.erf."""
+    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+
+
+# Acklam's coefficients for the initial inverse-CDF estimate.
+_PPF_A = (-3.969683028665376e01, 2.209460984245205e02, -2.759285104469687e02,
+          1.383577518672690e02, -3.066479806614716e01, 2.506628277459239e00)
+_PPF_B = (-5.447609879822406e01, 1.615858368580409e02, -1.556989798598866e02,
+          6.680131188771972e01, -1.328068155288572e01)
+_PPF_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e00,
+          -2.549732539343734e00, 4.374664141464968e00, 2.938163982698783e00)
+_PPF_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e00,
+          3.754408661907416e00)
+
+
+def normal_ppf(p: float) -> float:
+    """Standard normal quantile: rational estimate plus one Halley refinement."""
+    if not 0.0 < p < 1.0:
+        raise ValueError("quantile argument must lie strictly in (0, 1)")
+    a, b, c, d = _PPF_A, _PPF_B, _PPF_C, _PPF_D
+    p_low, p_high = 0.02425, 1.0 - 0.02425
+    if p < p_low:
+        q = math.sqrt(-2.0 * math.log(p))
+        x = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
+            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
+    elif p <= p_high:
+        q = p - 0.5
+        r = q * q
+        x = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
+            (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
+    else:
+        q = math.sqrt(-2.0 * math.log(1.0 - p))
+        x = -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
+            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
+    # One Halley step against the erf-exact CDF.
+    err = normal_cdf(x) - p
+    u = err * math.sqrt(2.0 * math.pi) * math.exp(0.5 * x * x)
+    return x - u / (1.0 + 0.5 * x * u)
+
+
+def _variance_numerator(q: BoundsQuery) -> float:
+    return float(q.size_a) * q.size_b + float(q.size_int) ** 2 - 2.0 * q.size_int
+
+
+def variance(q: BoundsQuery) -> float:
+    """(|A||B| + i^2 - 2i) / d, the estimator variance."""
+    return _variance_numerator(q) / q.dims
+
+
+def chebyshev_tail(q: BoundsQuery) -> float:
+    """Chebyshev bound on P(|X - i| >= eps * i), capped at 1."""
+    if q.size_int == 0:
+        raise ValueError("relative error undefined for empty intersection")
+    if q.epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    return float(min(1.0, variance(q) / (q.epsilon * q.size_int) ** 2))
+
+
+def clt_tail(q: BoundsQuery) -> float:
+    """CLT approximation 2 * (1 - Phi(eps * i / sqrt(Var))) of the same event."""
+    if q.size_int == 0:
+        raise ValueError("relative error undefined for empty intersection")
+    if q.epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    z = q.epsilon * q.size_int / math.sqrt(variance(q))
+    return 2.0 * (1.0 - normal_cdf(z))
+
+
+def required_dims(q: BoundsQuery) -> int:
+    """Smallest whole d with CLT error probability at most ``prob``.
+
+    Substitutes Var = numerator / d into the CLT bound and solves for d.
+    """
+    if q.size_int == 0:
+        raise ValueError("relative error undefined for empty intersection")
+    if q.epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    if not 0.0 < q.prob < 1.0:
+        raise ValueError("target probability must lie strictly in (0, 1)")
+    z = normal_ppf(1.0 - q.prob / 2.0)
+    d = math.ceil(_variance_numerator(q) * (z / (q.epsilon * q.size_int)) ** 2)
+    return max(1, d)
+
+
+def sample_intersection_estimates(
+    size_a: int,
+    size_b: int,
+    size_int: int,
+    dims: int,
+    trials: int,
+    seed0: int = 0,
+) -> np.ndarray:
+    """DotHash intersection estimates over ``trials`` independent codebooks.
+
+    Trial ``t`` uses codebook seed ``seed0 + t`` (the declared seed
+    schedule), with fixed sets ``A = {0..|A|-1}`` and ``B`` overlapping A in
+    its last ``size_int`` elements.  Per-seed results equal building the two
+    unit-weight sketches and taking their dot product; this path just
+    batches the PRF over seeds.
+    """
+    if size_int > min(size_a, size_b):
+        raise ValueError("intersection cannot exceed the smaller set")
+    union = size_a + size_b - size_int
+    elements = np.arange(union, dtype=np.uint64)
+    idx_a = np.arange(size_a)
+    idx_b = np.arange(size_a - size_int, union)
+    out = np.empty(trials, dtype=np.float64)
+    for start in range(0, trials, _SEED_CHUNK):
+        seeds = np.arange(seed0 + start, seed0 + min(start + _SEED_CHUNK, trials), dtype=np.uint64)
+        sums_a = sign_sums(seeds, elements[idx_a], dims)
+        sums_b = sign_sums(seeds, elements[idx_b], dims)
+        out[start : start + len(seeds)] = (sums_a * sums_b).sum(axis=1) / dims
+    return out
+
+
+def empirical_exceedance(estimates: np.ndarray, mu: float, epsilons: Sequence[float]) -> np.ndarray:
+    """Fraction of estimates with |X - mu| >= eps * mu, per epsilon."""
+    deviations = np.abs(np.asarray(estimates) - mu)
+    return np.array([np.mean(deviations >= eps * mu) for eps in epsilons])
+
+
+@dataclass(frozen=True)
+class BoundsRow:
+    """One (d, epsilon) grid point of the error-curve sweep."""
+
+    dims: int
+    epsilon: float
+    chebyshev: float
+    clt: float
+    empirical: float
+
+
+def bounds_sweep(
+    size_a: int,
+    size_b: int,
+    size_int: int,
+    dims_list: Sequence[int],
+    epsilons: Sequence[float],
+    trials: int,
+    seed0: int = 0,
+) -> list[BoundsRow]:
+    """Chebyshev / CLT / empirical exceedance curves over a (d, eps) grid.
+
+    One batch of ``trials`` estimates is drawn per dimension (seed schedule
+    ``seed0 + arange(trials)``) and reused across the epsilon grid.
+    """
+    rows: list[BoundsRow] = []
+    for dims in dims_list:
+        estimates = sample_intersection_estimates(size_a, size_b, size_int, dims, trials, seed0)
+        empirical = empirical_exceedance(estimates, size_int, epsilons)
+        for eps, emp in zip(epsilons, empirical):
+            q = BoundsQuery(size_a=size_a, size_b=size_b, size_int=size_int, dims=dims,
+                            epsilon=float(eps))
+            rows.append(BoundsRow(dims=dims, epsilon=float(eps), chebyshev=chebyshev_tail(q),
+                                  clt=clt_tail(q), empirical=float(emp)))
+    return rows

@@ -1,0 +1,344 @@
+"""Command-line entry point: one subcommand per pipeline.
+
+Subcommands: ``sketch`` (build a binary sketch from element tokens),
+``compare`` (score two sketch files), ``bounds`` (error-curve CSV),
+``linkpred`` (link-prediction benchmark CSV), ``dedup`` (document
+deduplication benchmark CSV).
+
+Every run is fully determined by its flags: pass the same arguments and
+seed and the primary output file is byte-identical.  Wall-clock columns
+in benchmark CSVs are written as 0.000000 unless --timings is given,
+because measured times are inherently not reproducible.
+
+Exit codes: 0 success, 1 usage error, 2 data/format error, 3 internal
+error.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import json
+import sys
+from typing import IO, Sequence
+
+import numpy as np
+
+from . import bounds as bounds_mod
+from . import dedup as dedup_mod
+from . import linkpred as linkpred_mod
+from .encoding import Codebook, MinwiseFamily, element_id
+from .sketches import (
+    DotHashSketch,
+    MinHashSketch,
+    SimHashSketch,
+    dothash_build,
+    dothash_intersection,
+    dothash_jaccard,
+    minhash_build,
+    minhash_jaccard,
+    read_sketch,
+    simhash_build,
+    simhash_similarity,
+    sketch_kind,
+    write_sketch,
+)
+
+
+class _UsageError(Exception):
+    """Bad flag combination; reported like an argparse usage error."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str) -> None:  # exit 1 on usage errors, not argparse's 2
+        self.print_usage(sys.stderr)
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        raise SystemExit(1)
+
+
+def _read_elements(path: str) -> list[int]:
+    """One element token per line; blank lines are skipped."""
+    if path == "-":
+        lines = sys.stdin.read().splitlines()
+    else:
+        with open(path, "r", encoding="utf-8") as fp:
+            lines = fp.read().splitlines()
+    return [element_id(token) for token in (line.strip() for line in lines) if token]
+
+
+def _resolve_size(args: argparse.Namespace) -> int | None:
+    estimator = args.estimator
+    if estimator == "minhash":
+        if args.k is None:
+            raise _UsageError("minhash requires --k")
+        return args.k
+    if estimator in ("dothash", "simhash"):
+        if args.dims is None:
+            raise _UsageError(f"{estimator} requires --dims")
+        return args.dims
+    return None
+
+
+def _cmd_sketch(args: argparse.Namespace) -> int:
+    size = _resolve_size(args)
+    elements = _read_elements(args.input)
+    if args.estimator == "dothash":
+        sketch = dothash_build(Codebook(seed=args.seed, dims=size), elements)
+    elif args.estimator == "minhash":
+        sketch = minhash_build(MinwiseFamily(seed=args.seed, k=size), elements)
+    else:
+        sketch = simhash_build(Codebook(seed=args.seed, dims=size), elements)
+    with open(args.out, "wb") as fp:
+        write_sketch(sketch, fp)
+    summary = {
+        "kind": sketch_kind(sketch),
+        "dims_or_k": size,
+        "cardinality": sketch.cardinality,
+        "seed": args.seed,
+    }
+    print(json.dumps(summary, sort_keys=True))
+    return 0
+
+
+def _cmd_compare(args: argparse.Namespace) -> int:
+    with open(args.sketch_a, "rb") as fp:
+        a = read_sketch(fp)
+    with open(args.sketch_b, "rb") as fp:
+        b = read_sketch(fp)
+    kind_a, kind_b = sketch_kind(a), sketch_kind(b)
+    if kind_a != kind_b:
+        raise ValueError(f"incompatible sketches: kind mismatch ({kind_a} vs {kind_b})")
+    record: dict = {
+        "kind": kind_a,
+        "cardinalities": [a.cardinality, b.cardinality],
+    }
+    if isinstance(a, DotHashSketch) and isinstance(b, DotHashSketch):
+        record["dims_or_k"] = a.dims
+        record["metric"] = "intersection"
+        record["estimate"] = dothash_intersection(a, b)
+        both_empty = a.cardinality == 0 and b.cardinality == 0
+        record["jaccard"] = None if both_empty else dothash_jaccard(a, b)
+    elif isinstance(a, MinHashSketch) and isinstance(b, MinHashSketch):
+        record["dims_or_k"] = a.k
+        record["metric"] = "jaccard"
+        both_empty = a.cardinality == 0 and b.cardinality == 0
+        record["estimate"] = None if both_empty else minhash_jaccard(a, b)
+    else:
+        assert isinstance(a, SimHashSketch) and isinstance(b, SimHashSketch)
+        record["dims_or_k"] = a.dims
+        record["metric"] = "similarity"
+        record["estimate"] = simhash_similarity(a, b)
+    print(json.dumps(record, sort_keys=True))
+    return 0
+
+
+def _open_out(path: str) -> IO[str]:
+    if path == "-":
+        return sys.stdout
+    return open(path, "w", encoding="utf-8", newline="")
+
+
+def _cmd_bounds(args: argparse.Namespace) -> int:
+    epsilons = np.linspace(args.eps_min, args.eps_max, args.eps_points)
+    rows = bounds_mod.bounds_sweep(
+        args.size_a, args.size_b, args.size_int,
+        dims_list=args.dims, epsilons=epsilons, trials=args.trials, seed0=args.seed,
+    )
+    out = _open_out(args.out)
+    try:
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["d", "epsilon", "chebyshev", "clt", "empirical"])
+        for row in rows:
+            writer.writerow([row.dims, repr(row.epsilon), repr(row.chebyshev),
+                             repr(row.clt), repr(row.empirical)])
+    finally:
+        if out is not sys.stdout:
+            out.close()
+    return 0
+
+
+def _fmt_seconds(value: float, timings: bool) -> str:
+    return f"{value:.6f}" if timings else "0.000000"
+
+
+def _cmd_linkpred(args: argparse.Namespace) -> int:
+    size = _resolve_size(args)
+    graph = linkpred_mod.load_edge_list(args.edges)
+    point = linkpred_mod.SweepPoint(
+        estimator=linkpred_mod.Estimator(args.estimator),
+        metric=linkpred_mod.Metric(args.metric),
+        dims_or_k=size,
+    )
+    rows = linkpred_mod.run_linkpred_benchmark(
+        graph, [point], k_values=args.k_at,
+        test_fraction=args.test_fraction, neg_per_pos=args.neg_per_pos,
+        repeats=args.repeats, seed=args.seed,
+    )
+    out = _open_out(args.out)
+    try:
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["estimator", "metric", "dims_or_k", "K", "hits_mean", "hits_ci95",
+                         "build_seconds", "compare_seconds", "repeats"])
+        for row in rows:
+            writer.writerow([
+                row.estimator, row.metric, row.dims_or_k, row.k,
+                repr(row.hits_mean), repr(row.hits_ci95),
+                _fmt_seconds(row.build_seconds, args.timings),
+                _fmt_seconds(row.compare_seconds, args.timings),
+                row.repeats,
+            ])
+    finally:
+        if out is not sys.stdout:
+            out.close()
+    return 0
+
+
+def _cmd_dedup(args: argparse.Namespace) -> int:
+    size = _resolve_size(args)
+    corpus = dedup_mod.load_corpus_jsonl(args.corpus)
+    pairs = dedup_mod.load_pairs_csv(args.labels)
+    config = dedup_mod.DedupConfig(
+        estimator=linkpred_mod.Estimator(args.estimator),
+        metric=dedup_mod.DedupMetric(args.metric),
+        dims_or_k=size,
+        shingle_width=args.shingle_width,
+        hits_k=args.k_at,
+        negatives=args.negatives,
+        seed=args.seed,
+    )
+    result = dedup_mod.run_dedup_benchmark(corpus, pairs, config)
+    out = _open_out(args.out)
+    try:
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["estimator", "metric", "dims_or_k", "shingle_width", "K", "hits",
+                         "build_seconds", "compare_seconds"])
+        writer.writerow([
+            result.estimator, result.metric, result.dims_or_k, result.shingle_width,
+            result.k, repr(result.hits),
+            _fmt_seconds(result.build_seconds, args.timings),
+            _fmt_seconds(result.compare_seconds, args.timings),
+        ])
+    finally:
+        if out is not sys.stdout:
+            out.close()
+    return 0
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="dothash",
+        description="Set-similarity sketching: build and compare sketches, "
+                    "compute error bounds, and run the link-prediction and "
+                    "deduplication benchmarks.",
+    )
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+
+    p_sketch = sub.add_parser(
+        "sketch", help="build a sketch from element tokens (one per line)",
+        description="Read one element token per line (blank lines skipped), hash "
+                    "each to a 64-bit element id, and write the binary sketch. "
+                    "Prints a JSON summary to stdout.")
+    p_sketch.add_argument("--estimator", required=True, choices=["dothash", "minhash", "simhash"])
+    p_sketch.add_argument("--input", default="-", help="token file, or '-' for stdin (default)")
+    p_sketch.add_argument("--out", required=True, help="output sketch file")
+    p_sketch.add_argument("--dims", type=int, help="sketch dimensions (dothash/simhash)")
+    p_sketch.add_argument("--k", type=int, help="number of hash functions (minhash)")
+    p_sketch.add_argument("--seed", type=int, default=0, help="codebook / hash seed (default 0)")
+    p_sketch.set_defaults(func=_cmd_sketch)
+
+    p_compare = sub.add_parser(
+        "compare", help="compare two sketch files",
+        description="Print a JSON record with the similarity estimate of two "
+                    "sketch files of the same kind, seed, and size. DotHash "
+                    "reports the intersection estimate plus a Jaccard view; "
+                    "MinHash reports Jaccard; SimHash reports its Hamming "
+                    "similarity ranking score.")
+    p_compare.add_argument("sketch_a")
+    p_compare.add_argument("sketch_b")
+    p_compare.set_defaults(func=_cmd_compare)
+
+    p_bounds = sub.add_parser(
+        "bounds", help="error-bound curves as CSV",
+        description="Emit CSV rows (d, epsilon, chebyshev, clt, empirical) for "
+                    "the estimator error probability P(|X - i| >= eps*i) at the "
+                    "given set sizes, over an epsilon grid. The empirical column "
+                    "is a Monte-Carlo over codebook seeds seed..seed+trials-1.")
+    p_bounds.add_argument("--size-a", type=int, required=True, help="|A|")
+    p_bounds.add_argument("--size-b", type=int, required=True, help="|B|")
+    p_bounds.add_argument("--size-int", type=int, required=True, help="|A intersect B|")
+    p_bounds.add_argument("--dims", type=int, nargs="+", required=True, help="sketch dimensions")
+    p_bounds.add_argument("--eps-min", type=float, default=0.05)
+    p_bounds.add_argument("--eps-max", type=float, default=0.5)
+    p_bounds.add_argument("--eps-points", type=int, default=20)
+    p_bounds.add_argument("--trials", type=int, default=1000, help="Monte-Carlo seeds per d")
+    p_bounds.add_argument("--seed", type=int, default=0)
+    p_bounds.add_argument("--out", default="-", help="CSV path, or '-' for stdout (default)")
+    p_bounds.set_defaults(func=_cmd_bounds)
+
+    p_link = sub.add_parser(
+        "linkpred", help="link-prediction benchmark",
+        description="Load a '#'-commented whitespace edge list, hold out a "
+                    "fraction of edges, sample negative non-edges, score pairs "
+                    "by neighborhood similarity, and write Hits@K rows as CSV.")
+    p_link.add_argument("--edges", required=True, help="edge-list file: two labels per line")
+    p_link.add_argument("--estimator", required=True,
+                        choices=["dothash", "minhash", "simhash", "exact"])
+    p_link.add_argument("--metric", required=True,
+                        choices=["jaccard", "common_neighbors", "adamic_adar", "resource_allocation"])
+    p_link.add_argument("--dims", type=int, help="sketch dimensions (dothash/simhash)")
+    p_link.add_argument("--k", type=int, help="number of hash functions (minhash)")
+    p_link.add_argument("--test-fraction", type=float, default=0.1)
+    p_link.add_argument("--neg-per-pos", type=int, default=2)
+    p_link.add_argument("--k-at", type=int, nargs="+", default=[50], help="Hits@K cutoffs")
+    p_link.add_argument("--repeats", type=int, default=3)
+    p_link.add_argument("--seed", type=int, default=0)
+    p_link.add_argument("--out", default="-", help="CSV path, or '-' for stdout (default)")
+    p_link.add_argument("--timings", action="store_true",
+                        help="write measured wall-clock columns (not reproducible)")
+    p_link.set_defaults(func=_cmd_linkpred)
+
+    p_dedup = sub.add_parser(
+        "dedup", help="document deduplication benchmark",
+        description="Load a JSON-lines corpus ({'id','text'} per line) and an "
+                    "'id_a,id_b' CSV of duplicate pairs; shingle, sketch, and "
+                    "rank the labeled pairs against sampled negatives; write a "
+                    "Hits@K CSV row.")
+    p_dedup.add_argument("--corpus", required=True, help="JSON-lines corpus file")
+    p_dedup.add_argument("--labels", required=True, help="CSV of duplicate pairs")
+    p_dedup.add_argument("--estimator", required=True,
+                         choices=["dothash", "minhash", "simhash", "exact"])
+    p_dedup.add_argument("--metric", required=True, choices=["jaccard", "idf"])
+    p_dedup.add_argument("--dims", type=int, help="sketch dimensions (dothash/simhash)")
+    p_dedup.add_argument("--k", type=int, help="number of hash functions (minhash)")
+    p_dedup.add_argument("--shingle-width", type=int, default=3)
+    p_dedup.add_argument("--k-at", type=int, default=25, help="Hits@K cutoff (default 25)")
+    p_dedup.add_argument("--negatives", type=int, default=1000)
+    p_dedup.add_argument("--seed", type=int, default=0)
+    p_dedup.add_argument("--out", default="-", help="CSV path, or '-' for stdout (default)")
+    p_dedup.add_argument("--timings", action="store_true",
+                         help="write measured wall-clock columns (not reproducible)")
+    p_dedup.set_defaults(func=_cmd_dedup)
+    return parser
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return int(exc.code or 0)
+    try:
+        return args.func(args)
+    except _UsageError as exc:
+        print(f"dothash: error: {exc}", file=sys.stderr)
+        return 1
+    except (ValueError, OSError) as exc:
+        print(f"dothash: error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # invariant violations and bugs
+        print(f"dothash: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -1,0 +1,338 @@
+"""Near-duplicate document detection over shingled text.
+
+Documents are normalized (lowercase, punctuation to spaces, collapsed
+whitespace), tokenized on whitespace, and turned into sets of hashed
+w-word shingles.  Corpus-level inverse document frequency supplies the
+weights for the weighted similarity sum(idf(x)) over shared shingles,
+which DotHash estimates directly; MinHash and SimHash provide unweighted
+Jaccard baselines.  The benchmark scores labeled duplicate pairs against
+sampled non-duplicate pairs and reports Hits@K.
+"""
+
+from __future__ import annotations
+
+import enum
+import json
+import math
+import re
+import time
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Iterable, Sequence, Union
+
+import numpy as np
+
+from .encoding import Codebook, MinwiseFamily, element_id
+from .exact import SortedSet, exact_jaccard, exact_weighted
+from .linkpred import Estimator, hits_at_k
+from .sketches import (
+    WeightFn,
+    WeightKind,
+    dothash_build,
+    dothash_intersection,
+    dothash_jaccard,
+    minhash_build,
+    minhash_jaccard,
+    simhash_build,
+    simhash_similarity,
+)
+
+_NON_WORD = re.compile(r"[\W_]+", re.UNICODE)
+
+
+class DedupMetric(enum.Enum):
+    JACCARD = "jaccard"
+    IDF = "idf"
+
+
+@dataclass(frozen=True)
+class Document:
+    doc_id: str
+    text: str
+
+
+@dataclass(frozen=True)
+class ShingleSet:
+    """A document's distinct hashed w-word shingles."""
+
+    doc_id: str
+    shingles: SortedSet
+
+
+@dataclass(frozen=True)
+class IdfTable:
+    """Document frequencies for every shingle seen in a corpus."""
+
+    corpus_size: int
+    doc_freq: dict[int, int]
+
+    def weight(self, element: int) -> float:
+        """ln(|D| / doc_freq); unseen shingles use doc_freq = 1."""
+        return math.log(self.corpus_size / self.doc_freq.get(element, 1))
+
+    def weight_fn(self) -> WeightFn:
+        return WeightFn(WeightKind.IDF, self.weight)
+
+
+def normalize_text(text: str) -> str:
+    """Lowercase, replace punctuation runs with one space, trim the ends."""
+    return _NON_WORD.sub(" ", text.lower()).strip()
+
+
+def shingle(doc: Document, w: int = 3) -> ShingleSet:
+    """All consecutive w-token sequences of the normalized text, hashed.
+
+    Documents shorter than w tokens yield the empty set.
+    """
+    if w < 1:
+        raise ValueError("shingle width must be >= 1")
+    tokens = normalize_text(doc.text).split()
+    ids = (element_id(" ".join(tokens[i : i + w])) for i in range(len(tokens) - w + 1))
+    return ShingleSet(doc_id=doc.doc_id, shingles=SortedSet.from_iterable(ids))
+
+
+def build_idf(corpus: Iterable[ShingleSet]) -> IdfTable:
+    """Count, per shingle, the number of documents containing it."""
+    doc_freq: dict[int, int] = {}
+    size = 0
+    for shingle_set in corpus:
+        size += 1
+        for element in shingle_set.shingles:
+            doc_freq[element] = doc_freq.get(element, 0) + 1
+    if size == 0:
+        raise ValueError("cannot build IDF table from an empty corpus")
+    return IdfTable(corpus_size=size, doc_freq=doc_freq)
+
+
+def idf_weight(t: IdfTable, x: int) -> float:
+    """Convenience alias for :meth:`IdfTable.weight`."""
+    return t.weight(x)
+
+
+def load_corpus_jsonl(source: Union[str, Path]) -> list[Document]:
+    """Read a JSON-lines corpus with one {"id": ..., "text": ...} per line."""
+    docs: list[Document] = []
+    seen: set[str] = set()
+    with open(source, "r", encoding="utf-8") as fp:
+        for lineno, line in enumerate(fp, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+                doc_id, text = str(record["id"]), str(record["text"])
+            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                raise ValueError(f"line {lineno}: invalid corpus record ({exc})") from None
+            if doc_id in seen:
+                raise ValueError(f"line {lineno}: duplicate doc_id {doc_id!r}")
+            seen.add(doc_id)
+            docs.append(Document(doc_id=doc_id, text=text))
+    if not docs:
+        raise ValueError("corpus has no documents")
+    return docs
+
+
+def load_pairs_csv(source: Union[str, Path]) -> list[tuple[str, str]]:
+    """Read duplicate-pair labels from a CSV with header id_a,id_b."""
+    pairs: list[tuple[str, str]] = []
+    with open(source, "r", encoding="utf-8") as fp:
+        header = fp.readline().strip()
+        if header != "id_a,id_b":
+            raise ValueError(f"labels file must start with header 'id_a,id_b', got {header!r}")
+        for lineno, line in enumerate(fp, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            fields = line.split(",")
+            if len(fields) != 2:
+                raise ValueError(f"line {lineno}: expected 2 fields, got {len(fields)}")
+            pairs.append((fields[0], fields[1]))
+    return pairs
+
+
+def make_planted_corpus(
+    n_docs: int = 200,
+    n_dup_pairs: int = 50,
+    words_per_doc: int = 120,
+    vocab_size: int = 2000,
+    edit_rate: float = 0.10,
+    seed: int = 0,
+) -> tuple[list[Document], list[tuple[str, str]]]:
+    """Synthetic corpus with planted near-duplicates for benchmarking.
+
+    Generates ``n_docs - n_dup_pairs`` base documents of random vocabulary
+    words, then copies the first ``n_dup_pairs`` of them with
+    ``edit_rate`` of the word positions rewritten to random words.
+    Returns the documents plus the labeled (original, copy) pairs.
+    """
+    if n_dup_pairs * 2 > n_docs:
+        raise ValueError("need n_docs >= 2 * n_dup_pairs")
+    rng = np.random.default_rng(seed)
+    vocab = [f"w{i:05d}" for i in range(vocab_size)]
+    n_base = n_docs - n_dup_pairs
+    docs: list[Document] = []
+    for i in range(n_base):
+        words = [vocab[j] for j in rng.integers(0, vocab_size, size=words_per_doc)]
+        docs.append(Document(doc_id=f"doc{i:04d}", text=" ".join(words)))
+    pairs: list[tuple[str, str]] = []
+    n_edits = math.ceil(edit_rate * words_per_doc)
+    for i in range(n_dup_pairs):
+        words = docs[i].text.split()
+        positions = rng.choice(words_per_doc, size=n_edits, replace=False)
+        for pos in positions:
+            words[int(pos)] = vocab[int(rng.integers(0, vocab_size))]
+        dup_id = f"doc{i:04d}-dup"
+        docs.append(Document(doc_id=dup_id, text=" ".join(words)))
+        pairs.append((docs[i].doc_id, dup_id))
+    return docs, pairs
+
+
+@dataclass(frozen=True)
+class DedupConfig:
+    estimator: Estimator
+    metric: DedupMetric
+    dims_or_k: int | None = None
+    shingle_width: int = 3
+    hits_k: int = 25
+    negatives: int = 1000
+    seed: int = 0
+
+
+@dataclass(frozen=True)
+class DedupResult:
+    estimator: str
+    metric: str
+    dims_or_k: int
+    shingle_width: int
+    k: int
+    hits: float
+    build_seconds: float
+    compare_seconds: float
+
+
+class _DocScorer:
+    """Per-document sketches (or exact sets) with a pairwise score."""
+
+    def __init__(
+        self,
+        shingle_sets: dict[str, ShingleSet],
+        idf: IdfTable,
+        estimator: Estimator,
+        metric: DedupMetric,
+        dims_or_k: int | None,
+        seed: int,
+    ) -> None:
+        if metric is DedupMetric.IDF and estimator in (Estimator.MINHASH, Estimator.SIMHASH):
+            raise ValueError(f"estimator cannot express metric: {estimator.value} / idf")
+        self.estimator = estimator
+        self.metric = metric
+        weights = idf.weight_fn() if metric is DedupMetric.IDF else WeightFn.unit()
+        if estimator is Estimator.EXACT:
+            self._sets = {doc_id: ss.shingles for doc_id, ss in shingle_sets.items()}
+            self._weights = weights
+            return
+        if dims_or_k is None or dims_or_k < 1:
+            raise ValueError("sketch estimators need a positive dims_or_k")
+        if estimator is Estimator.DOTHASH:
+            cb = Codebook(seed=seed, dims=dims_or_k)
+            self._sketches = {
+                doc_id: dothash_build(cb, ss.shingles.as_array(), weights)
+                for doc_id, ss in shingle_sets.items()
+            }
+        elif estimator is Estimator.MINHASH:
+            family = MinwiseFamily(seed=seed, k=dims_or_k)
+            self._sketches = {
+                doc_id: minhash_build(family, ss.shingles.as_array())
+                for doc_id, ss in shingle_sets.items()
+            }
+        else:
+            cb = Codebook(seed=seed, dims=dims_or_k)
+            self._sketches = {
+                doc_id: simhash_build(cb, ss.shingles.as_array())
+                for doc_id, ss in shingle_sets.items()
+            }
+
+    def score(self, id_a: str, id_b: str) -> float:
+        if self.estimator is Estimator.EXACT:
+            a, b = self._sets[id_a], self._sets[id_b]
+            if len(a) == 0 and len(b) == 0:
+                return 0.0
+            if self.metric is DedupMetric.IDF:
+                return exact_weighted(a, b, self._weights)
+            return exact_jaccard(a, b)
+        a, b = self._sketches[id_a], self._sketches[id_b]
+        if a.cardinality == 0 and b.cardinality == 0:
+            return 0.0
+        if self.estimator is Estimator.DOTHASH:
+            if self.metric is DedupMetric.IDF:
+                return dothash_intersection(a, b)
+            return dothash_jaccard(a, b)
+        if self.estimator is Estimator.MINHASH:
+            return minhash_jaccard(a, b)
+        return simhash_similarity(a, b)
+
+
+def sample_negative_pairs(
+    doc_ids: Sequence[str],
+    positive_pairs: Sequence[tuple[str, str]],
+    count: int,
+    seed: int,
+) -> list[tuple[str, str]]:
+    """Uniform distinct document pairs that are not labeled duplicates."""
+    forbidden = {frozenset(p) for p in positive_pairs}
+    rng = np.random.default_rng(seed)
+    n = len(doc_ids)
+    max_pairs = n * (n - 1) // 2 - len(forbidden)
+    if count > max_pairs:
+        raise ValueError(f"cannot sample {count} negative pairs from {max_pairs} available")
+    chosen: set[frozenset[str]] = set()
+    negatives: list[tuple[str, str]] = []
+    while len(negatives) < count:
+        i, j = rng.integers(0, n, size=2)
+        if i == j:
+            continue
+        a, b = doc_ids[int(i)], doc_ids[int(j)]
+        key = frozenset((a, b))
+        if key in forbidden or key in chosen:
+            continue
+        chosen.add(key)
+        negatives.append((a, b))
+    return negatives
+
+
+def run_dedup_benchmark(
+    corpus: Sequence[Document],
+    duplicate_pairs: Sequence[tuple[str, str]],
+    config: DedupConfig,
+) -> DedupResult:
+    """Shingle, weight, sketch, and rank labeled duplicates against negatives."""
+    doc_ids = [doc.doc_id for doc in corpus]
+    known = set(doc_ids)
+    for a, b in duplicate_pairs:
+        if a not in known or b not in known:
+            raise ValueError(f"unknown doc_id in labels: {a if a not in known else b!r}")
+    if config.negatives < config.hits_k:
+        raise ValueError(
+            f"fewer negatives available than K ({config.negatives} < {config.hits_k})"
+        )
+    t0 = time.perf_counter()
+    shingle_sets = {doc.doc_id: shingle(doc, config.shingle_width) for doc in corpus}
+    idf = build_idf(shingle_sets.values())
+    scorer = _DocScorer(
+        shingle_sets, idf, config.estimator, config.metric, config.dims_or_k, config.seed
+    )
+    t1 = time.perf_counter()
+    negatives = sample_negative_pairs(doc_ids, duplicate_pairs, config.negatives, config.seed)
+    pos_scores = [scorer.score(a, b) for a, b in duplicate_pairs]
+    neg_scores = [scorer.score(a, b) for a, b in negatives]
+    t2 = time.perf_counter()
+    return DedupResult(
+        estimator=config.estimator.value,
+        metric=config.metric.value,
+        dims_or_k=config.dims_or_k or 0,
+        shingle_width=config.shingle_width,
+        k=config.hits_k,
+        hits=hits_at_k(pos_scores, neg_scores, config.hits_k),
+        build_seconds=t1 - t0,
+        compare_seconds=t2 - t1,
+    )
