@@ -24,6 +24,7 @@ from .sketches import (
     WeightFn,
     WeightKind,
     dothash_build,
+    dothash_build_many,
     dothash_intersection,
     dothash_jaccard,
     minhash_build,
@@ -50,6 +51,7 @@ __all__ = [
     "chebyshev_tail",
     "clt_tail",
     "dothash_build",
+    "dothash_build_many",
     "dothash_intersection",
     "dothash_jaccard",
     "element_id",

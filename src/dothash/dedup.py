@@ -71,7 +71,29 @@ class IdfTable:
         return math.log(self.corpus_size / self.doc_freq.get(element, 1))
 
     def weight_fn(self) -> WeightFn:
-        return WeightFn(WeightKind.IDF, self.weight)
+        """IDF as a WeightFn whose batch path equals :meth:`weight` bit for bit.
+
+        The batch path finds each element's doc_freq in sorted key arrays,
+        then reads ``math.log`` of it from a table over the distinct
+        doc_freq values.
+        """
+        keys = np.fromiter(self.doc_freq.keys(), dtype=np.uint64, count=len(self.doc_freq))
+        freqs = np.fromiter(self.doc_freq.values(), dtype=np.int64, count=len(self.doc_freq))
+        order = np.argsort(keys)
+        # The leading doc_freq = 1 is the unseen shingles' level.
+        levels, slots = np.unique(np.concatenate(([1], freqs[order])), return_inverse=True)
+        logs = np.array([math.log(self.corpus_size / int(df)) for df in levels])
+        unseen = slots[0]
+        # A sentinel past the last key maps to the unseen level, whatever it matches.
+        keys = np.append(keys[order], np.uint64(0))
+        slots = np.append(slots[1:], unseen)
+
+        def batch(elements: np.ndarray) -> np.ndarray:
+            elements = np.asarray(elements, dtype=np.uint64)
+            at = np.searchsorted(keys[:-1], elements)
+            return logs[np.where(keys[at] == elements, slots[at], unseen)]
+
+        return WeightFn(WeightKind.IDF, self.weight, batch)
 
 
 def normalize_text(text: str) -> str:

@@ -126,15 +126,23 @@ class Codebook:
     def _element_keys(self, elements: np.ndarray) -> np.ndarray:
         return _splitmix64_np(np.uint64(self._root) ^ elements)
 
+    def sign_words(self, elements: Iterable[int] | np.ndarray) -> np.ndarray:
+        """Packed PRF output for a batch of elements, shape (n, blocks), uint64.
+
+        Bit ``i`` of word ``j`` is the sign bit of coordinate ``64*j + i``;
+        bits at or past ``dims`` in the last word are unused PRF output.
+        """
+        arr = as_element_array(elements)
+        offsets = (np.arange(1, self.blocks + 1, dtype=np.uint64)) * _U64_GOLDEN
+        keys = self._element_keys(arr)[:, None] + offsets[None, :]
+        return _splitmix64_np(keys)
+
     def sign_bits(self, elements: Iterable[int] | np.ndarray) -> np.ndarray:
         """Raw sign bits for a batch of elements, shape (n, dims), uint8 in {0, 1}.
 
         Bit 1 means coordinate +1/sqrt(dims), bit 0 means -1/sqrt(dims).
         """
-        arr = as_element_array(elements)
-        offsets = (np.arange(1, self.blocks + 1, dtype=np.uint64)) * _U64_GOLDEN
-        keys = self._element_keys(arr)[:, None] + offsets[None, :]
-        return _bits_from_words(_splitmix64_np(keys), self.dims)
+        return _bits_from_words(self.sign_words(elements), self.dims)
 
     def sign_rows(self, elements: Iterable[int] | np.ndarray) -> np.ndarray:
         """Sign matrix for a batch of elements, shape (n, dims), int8 in {-1, +1}."""

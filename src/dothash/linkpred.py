@@ -25,10 +25,12 @@ import numpy as np
 
 from .encoding import Codebook, MinwiseFamily
 from .exact import SortedSet, exact_intersection, exact_jaccard, exact_weighted
-from .sketches import (
+from .sketches import (  # dothash_build is no longer called here but stays importable
+    DotHashSketch,
     WeightFn,
     WeightKind,
     dothash_build,
+    dothash_build_many,
     dothash_intersection,
     dothash_jaccard,
     minhash_build,
@@ -81,6 +83,12 @@ class Graph:
 
     def degrees(self) -> np.ndarray:
         return np.array([len(nbrs) for nbrs in self.adjacency], dtype=np.int64)
+
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """(indptr, neighbors): node v's neighbors are ``neighbors[indptr[v]:indptr[v+1]]``."""
+        indptr = np.zeros(self.node_count + 1, dtype=np.int64)
+        np.cumsum(self.degrees(), out=indptr[1:])
+        return indptr, np.concatenate([np.zeros(0, np.uint64), *self.adjacency])
 
     def has_edge(self, u: int, v: int) -> bool:
         nbrs = self.adjacency[u]
@@ -315,9 +323,15 @@ class ExactScorer(NeighborhoodScorer):
 class DotHashScorer(NeighborhoodScorer):
     def __init__(self, g: Graph, metric: Metric, dims: int, seed: int) -> None:
         self.metric = metric
-        cb = Codebook(seed=seed, dims=dims)
-        weights = _metric_weights(g, metric)
-        self._sketches = [dothash_build(cb, g.neighbors(v), weights) for v in range(g.node_count)]
+        indptr, neighbors = g.csr()
+        # One (n, dims) matrix; each node's sketch is a view of its row.
+        values = dothash_build_many(
+            Codebook(seed=seed, dims=dims), indptr, neighbors, _metric_weights(g, metric)
+        )
+        self._sketches = [
+            DotHashSketch(values=row, dims=dims, seed=seed, cardinality=int(degree))
+            for row, degree in zip(values, np.diff(indptr))
+        ]
 
     def score(self, u: int, v: int) -> float:
         a, b = self._sketches[u], self._sketches[v]
@@ -449,6 +463,7 @@ def run_linkpred_benchmark(
             t2 = time.perf_counter()
             build_times.append(t1 - t0)
             compare_times.append(t2 - t1)
+            del scorer  # free this repeat's sketches before the next repeat builds its own
             for k in k_values:
                 hits[k].append(hits_at_k(pos_scores, neg_scores, k))
         for k in k_values:

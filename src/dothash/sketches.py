@@ -42,9 +42,19 @@ from .encoding import Codebook, MinwiseFamily, as_element_array
 
 MINHASH_EMPTY_SENTINEL = (1 << 64) - 1
 
-# Elements per slab when accumulating large builds, sized to keep the
-# unpacked sign matrix around 16 MiB.
-_BUILD_SLAB_BITS = 1 << 27
+# Bytes of gathered float64 table values per accumulation chunk, the largest
+# temporary of a build.  About 1 MiB measured fastest; 256 KiB and 16 MiB
+# were both slower.
+_CHUNK_BYTES = 1 << 20
+
+# Elements per lookup group: eight sign bits make one byte per coordinate.
+_GROUP = 8
+
+# (shift, mask) of the three delta swaps of an 8x8 bit transpose.
+_TRANSPOSE8_ROUNDS = tuple(
+    (np.uint64(shift), np.uint64(mask))
+    for shift, mask in ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
+)
 
 
 class WeightKind(enum.Enum):
@@ -166,25 +176,168 @@ def _distinct_elements(elements: Iterable[int] | np.ndarray) -> np.ndarray:
     return np.unique(arr)
 
 
+def _transpose8(x: np.ndarray) -> None:
+    """Transpose the 8x8 bit matrix held in every uint64 of ``x``, in place.
+
+    Bit ``8*i + j`` trades places with bit ``8*j + i`` (Hacker's Delight,
+    section 7-3), so byte ``j`` of the result holds bit ``j`` of input byte
+    ``i`` as its bit ``i``.
+    """
+    t = np.empty_like(x)
+    for shift, mask in _TRANSPOSE8_ROUNDS:
+        np.right_shift(x, shift, out=t)
+        t ^= x
+        t &= mask
+        x ^= t
+        t <<= shift
+        x ^= t
+
+
+def _sign_tables(roots: np.ndarray) -> np.ndarray:
+    """Lookup tables of signed root sums, shape (groups, 256), from (8, groups) roots.
+
+    Entry ``b`` of a group's table is ``±r_0 ± r_1 ... ± r_7`` added left to
+    right, with ``+r_i`` where bit ``i`` of ``b`` is set.
+    """
+    tables = np.empty((256, roots.shape[1]))
+    np.negative(roots[0], out=tables[0])
+    tables[1] = roots[0]
+    for i in range(1, _GROUP):
+        half = 1 << i
+        np.add(tables[:half], roots[i], out=tables[half : 2 * half])
+        tables[:half] -= roots[i]
+    return tables.T.copy()
+
+
+def _unsort_rows(a: np.ndarray, order: np.ndarray) -> None:
+    """Move row ``q`` of ``a`` to row ``order[q]`` in place, one cycle at a time."""
+    source = np.empty_like(order)
+    source[order] = np.arange(order.size)
+    for start in np.flatnonzero(source != np.arange(order.size)):
+        if source[start] == start:
+            continue
+        held = a[start].copy()
+        row = start
+        while True:
+            take, source[row] = source[row], row
+            if take == start:
+                a[row] = held
+                break
+            a[row] = a[take]
+            row = take
+
+
+def _root_sums(cb: Codebook, indptr: np.ndarray, elements: np.ndarray, w: WeightFn) -> np.ndarray:
+    """Unscaled sums ``Σ sqrt(w(e)) * sign(e)`` over each CSR set, shape (nsets, dims).
+
+    Set ``s`` is ``elements[indptr[s]:indptr[s+1]]``; duplicates in a set
+    are skipped and the rest taken in ascending order.  Each set's elements
+    are taken 8 at a time, the last group padded with zero weight.  An 8x8
+    bit transpose turns a group's sign words into one byte per coordinate,
+    and the coordinate adds ``table[byte]`` from the group's 256-entry table
+    of signed root sums.  Groups are added in order, starting from +0.0,
+    with elementwise float64 operations only, so the result does not depend
+    on the CPU or BLAS, a set of zero weights sums to +0.0, and unit weights
+    give exact integers.
+    """
+    indptr = np.asarray(indptr, dtype=np.int64)
+    elements = as_element_array(elements)
+    if (
+        indptr.ndim != 1
+        or indptr.size < 1
+        or indptr[0] != 0
+        or indptr[-1] != elements.size
+        or np.any(np.diff(indptr) < 0)
+    ):
+        raise ValueError("indptr must rise from 0 to len(elements)")
+    nsets = indptr.size - 1
+    # Distinct elements overall, then distinct (set, element) pairs in order.
+    distinct, inverse = np.unique(elements, return_inverse=True)
+    set_of = np.repeat(np.arange(nsets, dtype=np.int64), np.diff(indptr))
+    pairs = np.unique(set_of * distinct.size + inverse)
+    members = pairs % max(distinct.size, 1)
+    indptr = np.searchsorted(pairs, np.arange(nsets + 1, dtype=np.int64) * distinct.size)
+
+    weights = w.weights_for(distinct)
+    if not np.all(np.isfinite(weights)):
+        raise ValueError("weight function must be finite")
+    if np.any(weights < 0):
+        raise ValueError("weight function must be nonnegative")
+    roots = np.sqrt(weights)
+
+    # Groups in rank-major order over sets sorted by group count, descending:
+    # rank r's groups form one block that adds to rows [0, k_r) of the output.
+    groups = -(-np.diff(indptr) // _GROUP)
+    order = np.argsort(-groups, kind="stable")
+    # per_rank[r] = k_r, the number of sets with more than r groups.
+    per_rank = np.cumsum(np.bincount(groups, minlength=1)[::-1])[::-1][1:]
+    bounds = np.concatenate(([0], np.cumsum(per_rank)))
+    rank = np.repeat(np.arange(per_rank.size), per_rank)
+    owner = order[np.arange(rank.size) - bounds[rank]]
+    slots = (indptr[owner] + _GROUP * rank)[:, None] + np.arange(_GROUP)
+    real = slots < indptr[owner + 1][:, None]
+    member = np.where(real, members[np.minimum(slots, max(members.size - 1, 0))], 0)
+    group_roots = np.ascontiguousarray(np.where(real, roots[member], 0.0).T)
+
+    dims, blocks = cb.dims, cb.blocks
+    width = 64 * blocks
+    out = np.zeros((nsets, dims))
+    # Words of every distinct element up front while that table is no larger
+    # than the output; otherwise per chunk, so build memory stays bounded.
+    shared = cb.sign_words(distinct) if distinct.size * blocks <= nsets * dims else None
+    step = max(1, _CHUNK_BYTES // (8 * width))
+    for lo in range(0, rank.size, step):
+        hi = min(rank.size, lo + step)
+        ids = member[lo:hi].ravel()
+        words = shared[ids] if shared is not None else cb.sign_words(distinct[ids])
+        # Little-endian words, so byte k of block j holds coordinates 64j+8k..64j+8k+7.
+        # (group, row, block, byte) -> (group, block, byte, row): one uint64 per byte position.
+        words = words.astype("<u8", copy=False).view(np.uint8).reshape(hi - lo, _GROUP, blocks, 8)
+        packed = np.ascontiguousarray(words.transpose(0, 2, 3, 1)).view("<u8").reshape(hi - lo, -1)
+        _transpose8(packed)
+        codes = packed.astype("<u8", copy=False).view(np.uint8).reshape(hi - lo, width)
+        index = np.empty(codes.shape, dtype=np.intp)
+        index[...] = codes
+        index += (256 * np.arange(hi - lo, dtype=np.intp))[:, None]
+        values = _sign_tables(group_roots[:, lo:hi]).take(index)
+        start = lo
+        while start < hi:
+            r = rank[start]
+            stop = min(hi, bounds[r + 1])
+            out[start - bounds[r] : stop - bounds[r]] += values[start - lo : stop - lo, :dims]
+            start = stop
+    _unsort_rows(out, order)
+    return out
+
+
+def dothash_build_many(
+    cb: Codebook,
+    indptr: np.ndarray,
+    elements: Iterable[int] | np.ndarray,
+    w: WeightFn | None = None,
+) -> np.ndarray:
+    """DotHash sketch values of many sets at once, shape (nsets, dims), float64.
+
+    The sets are CSR slices: set ``s`` is ``elements[indptr[s]:indptr[s+1]]``.
+    Row ``s`` equals ``dothash_build(cb, set s, w).values`` bit for bit.
+    Weights, and codebook words while their table is no larger than the
+    output, are computed once per distinct element, not once per
+    occurrence.  Raises ValueError on a malformed ``indptr`` and on any
+    negative or non-finite weight.
+    """
+    values = _root_sums(cb, indptr, elements, WeightFn.unit() if w is None else w)
+    values /= np.sqrt(cb.dims)
+    return values
+
+
 def dothash_build(cb: Codebook, elements: Iterable[int] | np.ndarray, w: WeightFn | None = None) -> DotHashSketch:
     """Build a DotHash sketch of the distinct elements under weight ``w``.
 
     Duplicates in the stream are skipped (set semantics).  Raises if any
-    weight is negative.
+    weight is negative or not finite.
     """
-    if w is None:
-        w = WeightFn.unit()
     distinct = _distinct_elements(elements)
-    values = np.zeros(cb.dims, dtype=np.float64)
-    slab = max(1, _BUILD_SLAB_BITS // cb.dims)
-    for start in range(0, distinct.size, slab):
-        chunk = distinct[start : start + slab]
-        weights = w.weights_for(chunk)
-        if np.any(weights < 0):
-            raise ValueError("weight function must be nonnegative")
-        signs = cb.sign_rows(chunk)
-        values += np.sqrt(weights) @ signs.astype(np.float64)
-    values /= np.sqrt(cb.dims)
+    values = dothash_build_many(cb, np.array([0, distinct.size]), distinct, w)[0]
     return DotHashSketch(values=values, dims=cb.dims, seed=cb.seed, cardinality=int(distinct.size))
 
 
@@ -239,12 +392,7 @@ def simhash_build(cb: Codebook, elements: Iterable[int] | np.ndarray) -> SimHash
     all-zero bits.
     """
     distinct = _distinct_elements(elements)
-    sums = np.zeros(cb.dims, dtype=np.int64)
-    slab = max(1, _BUILD_SLAB_BITS // cb.dims)
-    for start in range(0, distinct.size, slab):
-        chunk = distinct[start : start + slab]
-        bits = cb.sign_bits(chunk)
-        sums += 2 * bits.sum(axis=0, dtype=np.int64) - len(chunk)
+    sums = _root_sums(cb, np.array([0, distinct.size]), distinct, WeightFn.unit())[0]
     packed = np.packbits((sums > 0).astype(np.uint8), bitorder="little")
     packed.setflags(write=False)
     return SimHashSketch(bits=packed, dims=cb.dims, seed=cb.seed, cardinality=int(distinct.size))
@@ -299,7 +447,10 @@ def write_sketch(sketch: Sketch, fp: BinaryIO) -> None:
 
 
 def read_sketch(fp: BinaryIO) -> Sketch:
-    """Inverse of :func:`write_sketch`; raises ValueError on malformed input."""
+    """Inverse of :func:`write_sketch`; raises ValueError on malformed input.
+
+    The stream must end with the payload, and DotHash values must be finite.
+    """
     raw = fp.read(_HEADER.size)
     if len(raw) != _HEADER.size:
         raise ValueError("truncated sketch file: header too short")
@@ -311,23 +462,21 @@ def read_sketch(fp: BinaryIO) -> Sketch:
     kind = _KIND_NAMES.get(kind_code)
     if kind is None:
         raise ValueError(f"unknown sketch kind code {kind_code}")
-    if kind == "dothash":
-        payload = fp.read(8 * size)
-        if len(payload) != 8 * size:
-            raise ValueError("truncated sketch file: payload too short")
-        values = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-        return DotHashSketch(values=values, dims=size, seed=seed, cardinality=cardinality)
-    if kind == "minhash":
-        payload = fp.read(8 * size)
-        if len(payload) != 8 * size:
-            raise ValueError("truncated sketch file: payload too short")
-        minima = np.frombuffer(payload, dtype="<u8").astype(np.uint64)
-        minima.setflags(write=False)
-        return MinHashSketch(minima=minima, k=size, seed=seed, cardinality=cardinality)
-    nbytes = (size + 7) // 8
+    nbytes = 8 * size if kind in ("dothash", "minhash") else (size + 7) // 8
     payload = fp.read(nbytes)
     if len(payload) != nbytes:
         raise ValueError("truncated sketch file: payload too short")
+    if fp.read(1):
+        raise ValueError("malformed sketch file: trailing bytes after the payload")
+    if kind == "dothash":
+        values = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+        if not np.all(np.isfinite(values)):
+            raise ValueError("malformed sketch file: non-finite dothash values")
+        return DotHashSketch(values=values, dims=size, seed=seed, cardinality=cardinality)
+    if kind == "minhash":
+        minima = np.frombuffer(payload, dtype="<u8").astype(np.uint64)
+        minima.setflags(write=False)
+        return MinHashSketch(minima=minima, k=size, seed=seed, cardinality=cardinality)
     bits = np.frombuffer(payload, dtype=np.uint8).copy()
     bits.setflags(write=False)
     return SimHashSketch(bits=bits, dims=size, seed=seed, cardinality=cardinality)

@@ -1,0 +1,190 @@
+"""The byte-table sign accumulator against a slow scalar reference.
+
+The reference recomputes every sign bit from the documented SplitMix64
+construction with Python integers and sums coordinate by coordinate, so it
+shares no code with the vectorized build.
+"""
+
+import hashlib
+import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dothash.encoding import _CODEBOOK_DOMAIN, _GOLDEN, _MASK64, Codebook, splitmix64
+from dothash.linkpred import DotHashScorer, Metric, preferential_attachment_graph
+from dothash.sketches import WeightFn, dothash_build, dothash_build_many, simhash_build
+
+DIMS = (1, 7, 63, 64, 65, 500)
+
+element_lists = st.lists(st.integers(min_value=0, max_value=_MASK64), max_size=20)
+weights = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=4.0))
+
+
+def reference_signs(seed: int, dims: int, element: int) -> list[int]:
+    """Coordinate signs (+1/-1) of one element, straight from the documented PRF."""
+    root = splitmix64((seed & _MASK64) ^ _CODEBOOK_DOMAIN)
+    key = splitmix64(root ^ element)
+    signs = []
+    for j in range(dims):
+        word = splitmix64((key + (j // 64 + 1) * _GOLDEN) & _MASK64)
+        signs.append(1 if (word >> (j % 64)) & 1 else -1)
+    return signs
+
+
+def reference_unit_sums(seed: int, dims: int, elements) -> list[int]:
+    sums = [0] * dims
+    for e in sorted(set(elements)):
+        for j, sign in enumerate(reference_signs(seed, dims, e)):
+            sums[j] += sign
+    return sums
+
+
+def reference_weighted(seed: int, dims: int, elements, weight) -> list[float]:
+    """sum over the distinct elements of sqrt(w(e)) * vector_of(e), in Python floats."""
+    values = [0.0] * dims
+    for e in sorted(set(elements)):
+        root = math.sqrt(weight[e])
+        for j, sign in enumerate(reference_signs(seed, dims, e)):
+            values[j] += root * (sign / math.sqrt(dims))
+    return values
+
+
+def has_negative_zero(values: np.ndarray) -> bool:
+    return bool(np.any((values == 0.0) & np.signbit(values)))
+
+
+@given(st.sampled_from(DIMS), st.lists(st.integers(min_value=0, max_value=_MASK64), max_size=5))
+@settings(max_examples=30, deadline=None)
+def test_sign_words_match_reference(dims, elements):
+    cb = Codebook(seed=11, dims=dims)
+    words = cb.sign_words(np.array(elements, dtype=np.uint64))
+    assert words.shape == (len(elements), cb.blocks)
+    bits = cb.sign_bits(np.array(elements, dtype=np.uint64))
+    for e, row in zip(elements, bits):
+        assert [1 if b else -1 for b in row] == reference_signs(11, dims, e)
+
+
+@given(st.sampled_from(DIMS), element_lists, st.integers(min_value=0, max_value=_MASK64))
+@settings(max_examples=60, deadline=None)
+def test_unit_builds_equal_reference_exactly(dims, elements, seed):
+    cb = Codebook(seed=seed, dims=dims)
+    sums = reference_unit_sums(seed, dims, elements)
+    sketch = dothash_build(cb, np.array(elements, dtype=np.uint64))
+    assert sketch.values.tolist() == [s / math.sqrt(dims) for s in sums]
+    assert not has_negative_zero(sketch.values)
+    bits = np.unpackbits(simhash_build(cb, elements).bits, bitorder="little")
+    assert bits[:dims].tolist() == [1 if s > 0 else 0 for s in sums]
+    assert not bits[dims:].any()
+
+
+@given(st.sampled_from(DIMS), st.lists(st.tuples(st.integers(0, 10_000), weights), max_size=20))
+@settings(max_examples=60, deadline=None)
+def test_weighted_builds_match_reference(dims, pairs):
+    weight = dict(pairs)
+    elements = [e for e, _ in pairs]
+    cb = Codebook(seed=5, dims=dims)
+    sketch = dothash_build(cb, elements, WeightFn.from_table(weight))
+    expected = reference_weighted(5, dims, elements, weight)
+    np.testing.assert_allclose(sketch.values, expected, rtol=0, atol=1e-12)
+    assert not has_negative_zero(sketch.values)
+
+
+@pytest.mark.parametrize("dims", DIMS)
+def test_zero_weights_give_positive_zero(dims):
+    cb = Codebook(seed=3, dims=dims)
+    for size in range(21):
+        elements = np.arange(size, dtype=np.uint64)
+        sketch = dothash_build(cb, elements, WeightFn.from_array(np.zeros(size)))
+        assert np.array_equal(sketch.values, np.zeros(dims))
+        assert not has_negative_zero(sketch.values)
+
+
+@given(
+    st.sampled_from(DIMS),
+    st.lists(st.lists(st.integers(0, 60), max_size=20), max_size=8),
+    st.lists(weights, min_size=61, max_size=61),
+    st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_build_many_rows_equal_single_builds(dims, sets, table, unit):
+    cb = Codebook(seed=9, dims=dims)
+    w = None if unit else WeightFn.from_array(np.array(table))
+    indptr = np.cumsum([0] + [len(s) for s in sets])
+    elements = np.array([e for s in sets for e in s], dtype=np.uint64)
+    many = dothash_build_many(cb, indptr, elements, w)
+    assert many.shape == (len(sets), dims)
+    for row, members in zip(many, sets):
+        single = dothash_build(cb, np.array(members, dtype=np.uint64), w).values
+        assert row.tobytes() == single.tobytes()
+
+
+def test_build_many_rejects_malformed_indptr():
+    cb = Codebook(seed=0, dims=8)
+    elements = np.arange(4, dtype=np.uint64)
+    for indptr in ([1, 4], [0, 3], [0, 3, 2, 4], []):
+        with pytest.raises(ValueError, match="indptr"):
+            dothash_build_many(cb, np.array(indptr), elements)
+
+
+def test_scorer_rows_equal_per_node_builds():
+    g = preferential_attachment_graph(60, 3, seed=4)
+    scorer = DotHashScorer(g, Metric.ADAMIC_ADAR, dims=257, seed=8)
+    degrees = g.degrees().astype(np.float64)
+    weight = WeightFn.from_array(np.where(degrees > 1, 1.0 / np.log(np.maximum(degrees, 2.0)), 0.0))
+    for v in range(g.node_count):
+        single = dothash_build(Codebook(seed=8, dims=257), g.neighbors(v), weight)
+        assert scorer._sketches[v].values.tobytes() == single.values.tobytes()
+        assert scorer._sketches[v].cardinality == single.cardinality
+
+
+def _digest(values: np.ndarray) -> str:
+    return hashlib.sha256(values.astype("<f8").tobytes()).hexdigest()
+
+
+def test_pinned_unit_sketch():
+    # Unit sums are exact integers, so this digest is the same on every machine.
+    sketch = dothash_build(Codebook(seed=2305, dims=1000), range(0, 3000, 3))
+    assert _digest(sketch.values) == "e53d3e64e5234820daf481c9c56e5ef6f802e16e0304a8c1a0d3b74201758fb7"
+
+
+def test_pinned_weighted_sketch():
+    # The reduction order is fixed and elementwise, so weighted sketches are
+    # reproducible bit for bit as well.
+    weight = WeightFn.from_array(1.0 / np.log(np.arange(300) + 2.0))
+    sketch = dothash_build(Codebook(seed=2305, dims=1000), range(0, 300, 3), weight)
+    assert _digest(sketch.values) == "705e592f8af5d6246adf05a57bade92b498cccb07c2f3f4aece6c96305a06246"
+
+
+def test_large_build_memory_is_bounded():
+    pytest.importorskip("resource")
+    script = textwrap.dedent(
+        """
+        import resource
+        import sys
+        import numpy as np
+        from dothash.encoding import Codebook
+        from dothash.sketches import dothash_build
+
+        elements = np.arange(200_000, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+        cb = Codebook(seed=1, dims=1024)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        dothash_build(cb, elements)
+        after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        print((after - before) * (1 if sys.platform == "darwin" else 1024))
+        """
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True, env=env, timeout=300
+    )
+    added = int(result.stdout)
+    assert added < 64 * 2**20, f"build added {added / 2**20:.1f} MiB of peak RSS"

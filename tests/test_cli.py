@@ -94,6 +94,19 @@ class TestCompareCommand:
         assert main(["compare", str(a), str(b)]) == 2
         assert "kind mismatch" in capsys.readouterr().err
 
+    def test_malformed_sketch_files_exit_two(self, tmp_path, element_file, capsys):
+        good = tmp_path / "d.bin"
+        main(["sketch", "--estimator", "dothash", "--dims", "8", "--input", str(element_file),
+              "--out", str(good)])
+        trailing, non_finite = tmp_path / "trailing.bin", tmp_path / "nan.bin"
+        trailing.write_bytes(good.read_bytes() + b"\x00")
+        non_finite.write_bytes(good.read_bytes()[:-8] + np.float64("nan").tobytes())
+        capsys.readouterr()
+        assert main(["compare", str(good), str(trailing)]) == 2
+        assert "trailing bytes" in capsys.readouterr().err
+        assert main(["compare", str(non_finite), str(good)]) == 2
+        assert "non-finite" in capsys.readouterr().err
+
     def test_matches_library_intersection(self, tmp_path, element_file, capsys):
         out = tmp_path / "d.bin"
         main(["sketch", "--estimator", "dothash", "--dims", "2048", "--seed", "5",

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -84,6 +85,21 @@ class TestIdf:
     def test_unseen_shingle_uses_unit_frequency(self):
         table = IdfTable(corpus_size=100, doc_freq={})
         assert idf_weight(table, 12345) == pytest.approx(math.log(100))
+
+    def test_batch_weights_equal_scalar_path(self):
+        docs, _ = make_planted_corpus(n_docs=60, n_dup_pairs=15, words_per_doc=40, vocab_size=50, seed=7)
+        table = build_idf([shingle(doc) for doc in docs])
+        seen = np.array(sorted(table.doc_freq), dtype=np.uint64)
+        unseen = np.array([0, 1, 2**64 - 1, element_id("never in the corpus")], dtype=np.uint64)
+        probe = np.concatenate([seen[::-1], unseen, seen + np.uint64(1)])
+        batch = table.weight_fn().weights_for(probe)
+        scalar = np.array([table.weight(int(e)) for e in probe])
+        assert batch.tobytes() == scalar.tobytes()
+
+    def test_batch_weights_on_empty_table(self):
+        table = IdfTable(corpus_size=7, doc_freq={})
+        probe = np.array([0, 5, 2**64 - 1], dtype=np.uint64)
+        assert table.weight_fn().weights_for(probe).tolist() == [math.log(7)] * 3
 
     def test_weights_never_negative(self):
         table = build_idf(self._corpus())

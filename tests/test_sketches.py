@@ -74,6 +74,12 @@ class TestDotHash:
         with pytest.raises(ValueError, match="weight function must be nonnegative"):
             dothash_build(cb, [1, 2], WeightFn.from_table({1: 1.0, 2: -0.5}))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_weight_rejected(self, bad):
+        cb = Codebook(seed=0, dims=8)
+        with pytest.raises(ValueError, match="weight function must be finite"):
+            dothash_build(cb, [1, 2], WeightFn.from_table({1: 1.0, 2: bad}))
+
     def test_norm_squared_estimates_cardinality(self):
         # E ||a||^2 = |A|: mean over 1000 codebook seeds within 3 standard errors.
         estimates = sample_intersection_estimates(200, 200, 200, 1024, 1000, seed0=123)
@@ -340,3 +346,27 @@ class TestSerialization:
         write_sketch(sketch, buf)
         with pytest.raises(ValueError, match="payload too short"):
             read_sketch(io.BytesIO(buf.getvalue()[:-3]))
+
+    @pytest.mark.parametrize(
+        "sketch",
+        [
+            dothash_build(Codebook(seed=0, dims=4), [1]),
+            minhash_build(MinwiseFamily(seed=0, k=4), [1]),
+            simhash_build(Codebook(seed=0, dims=12), [1]),
+        ],
+        ids=["dothash", "minhash", "simhash"],
+    )
+    def test_trailing_bytes_rejected(self, sketch):
+        buf = io.BytesIO()
+        write_sketch(sketch, buf)
+        with pytest.raises(ValueError, match="trailing bytes"):
+            read_sketch(io.BytesIO(buf.getvalue() + b"\x00"))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_dothash_payload_rejected(self, bad):
+        values = np.array([0.5, bad, -0.5, 1.0])
+        sketch = DotHashSketch(values=values, dims=4, seed=0, cardinality=2)
+        buf = io.BytesIO()
+        write_sketch(sketch, buf)
+        with pytest.raises(ValueError, match="non-finite"):
+            read_sketch(io.BytesIO(buf.getvalue()))
