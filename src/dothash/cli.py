@@ -17,32 +17,33 @@ error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
-from typing import IO, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
 from . import bounds as bounds_mod
 from . import dedup as dedup_mod
 from . import linkpred as linkpred_mod
-from .encoding import Codebook, MinwiseFamily, element_id
+from .encoding import element_id
 from .sketches import (
     DotHashSketch,
     MinHashSketch,
-    SimHashSketch,
-    dothash_build,
+    WeightFn,
     dothash_intersection,
     dothash_jaccard,
-    minhash_build,
     minhash_jaccard,
     read_sketch,
-    simhash_build,
     simhash_similarity,
     sketch_kind,
     write_sketch,
 )
+
+# Not called here; bench/spans.py wraps these names until ROADMAP item 6 moves its probes.
+from .sketches import dothash_build, minhash_build, simhash_build  # noqa: F401
 
 
 class _UsageError(Exception):
@@ -56,14 +57,15 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _read_elements(path: str) -> list[int]:
-    """One element token per line; blank lines are skipped."""
+def _read_elements(path: str) -> np.ndarray:
+    """The distinct element ids of the tokens, one per line; blank lines are skipped."""
     if path == "-":
         lines = sys.stdin.read().splitlines()
     else:
         with open(path, "r", encoding="utf-8") as fp:
             lines = fp.read().splitlines()
-    return [element_id(token) for token in (line.strip() for line in lines) if token]
+    tokens = (line.strip() for line in lines)
+    return np.unique(np.fromiter((element_id(token) for token in tokens if token), dtype=np.uint64))
 
 
 def _resolve_size(args: argparse.Namespace) -> int | None:
@@ -82,12 +84,8 @@ def _resolve_size(args: argparse.Namespace) -> int | None:
 def _cmd_sketch(args: argparse.Namespace) -> int:
     size = _resolve_size(args)
     elements = _read_elements(args.input)
-    if args.estimator == "dothash":
-        sketch = dothash_build(Codebook(seed=args.seed, dims=size), elements)
-    elif args.estimator == "minhash":
-        sketch = minhash_build(MinwiseFamily(seed=args.seed, k=size), elements)
-    else:
-        sketch = simhash_build(Codebook(seed=args.seed, dims=size), elements)
+    [sketch] = linkpred_mod.build_sets(linkpred_mod.Estimator(args.estimator), size, args.seed,
+                                       np.array([0, elements.size]), elements, WeightFn.unit())
     with open(args.out, "wb") as fp:
         write_sketch(sketch, fp)
     summary = {
@@ -112,19 +110,18 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         "kind": kind_a,
         "cardinalities": [a.cardinality, b.cardinality],
     }
-    if isinstance(a, DotHashSketch) and isinstance(b, DotHashSketch):
+    # Jaccard is undefined for two empty sets; compare reports it as null.
+    both_empty = a.cardinality == 0 and b.cardinality == 0
+    if isinstance(a, DotHashSketch):
         record["dims_or_k"] = a.dims
         record["metric"] = "intersection"
         record["estimate"] = dothash_intersection(a, b)
-        both_empty = a.cardinality == 0 and b.cardinality == 0
         record["jaccard"] = None if both_empty else dothash_jaccard(a, b)
-    elif isinstance(a, MinHashSketch) and isinstance(b, MinHashSketch):
+    elif isinstance(a, MinHashSketch):
         record["dims_or_k"] = a.k
         record["metric"] = "jaccard"
-        both_empty = a.cardinality == 0 and b.cardinality == 0
         record["estimate"] = None if both_empty else minhash_jaccard(a, b)
     else:
-        assert isinstance(a, SimHashSketch) and isinstance(b, SimHashSketch)
         record["dims_or_k"] = a.dims
         record["metric"] = "similarity"
         record["estimate"] = simhash_similarity(a, b)
@@ -132,10 +129,15 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _open_out(path: str) -> IO[str]:
-    if path == "-":
-        return sys.stdout
-    return open(path, "w", encoding="utf-8", newline="")
+@contextlib.contextmanager
+def _csv_out(path: str) -> Iterator[Any]:
+    """A CSV writer on the file at ``path``, or on stdout for '-'."""
+    out = sys.stdout if path == "-" else open(path, "w", encoding="utf-8", newline="")
+    try:
+        yield csv.writer(out, lineterminator="\n")
+    finally:
+        if out is not sys.stdout:
+            out.close()
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
@@ -144,16 +146,11 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         args.size_a, args.size_b, args.size_int,
         dims_list=args.dims, epsilons=epsilons, trials=args.trials, seed0=args.seed,
     )
-    out = _open_out(args.out)
-    try:
-        writer = csv.writer(out, lineterminator="\n")
+    with _csv_out(args.out) as writer:
         writer.writerow(["d", "epsilon", "chebyshev", "clt", "empirical"])
         for row in rows:
             writer.writerow([row.dims, repr(row.epsilon), repr(row.chebyshev),
                              repr(row.clt), repr(row.empirical)])
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -174,9 +171,7 @@ def _cmd_linkpred(args: argparse.Namespace) -> int:
         test_fraction=args.test_fraction, neg_per_pos=args.neg_per_pos,
         repeats=args.repeats, seed=args.seed,
     )
-    out = _open_out(args.out)
-    try:
-        writer = csv.writer(out, lineterminator="\n")
+    with _csv_out(args.out) as writer:
         writer.writerow(["estimator", "metric", "dims_or_k", "K", "hits_mean", "hits_ci95",
                          "build_seconds", "compare_seconds", "repeats"])
         for row in rows:
@@ -187,9 +182,6 @@ def _cmd_linkpred(args: argparse.Namespace) -> int:
                 _fmt_seconds(row.compare_seconds, args.timings),
                 row.repeats,
             ])
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -207,9 +199,7 @@ def _cmd_dedup(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     result = dedup_mod.run_dedup_benchmark(corpus, pairs, config)
-    out = _open_out(args.out)
-    try:
-        writer = csv.writer(out, lineterminator="\n")
+    with _csv_out(args.out) as writer:
         writer.writerow(["estimator", "metric", "dims_or_k", "shingle_width", "K", "hits",
                          "build_seconds", "compare_seconds"])
         writer.writerow([
@@ -218,9 +208,6 @@ def _cmd_dedup(args: argparse.Namespace) -> int:
             _fmt_seconds(result.build_seconds, args.timings),
             _fmt_seconds(result.compare_seconds, args.timings),
         ])
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 

@@ -22,20 +22,15 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .encoding import Codebook, MinwiseFamily, element_id
-from .exact import SortedSet, exact_jaccard, exact_weighted
-from .linkpred import Estimator, hits_at_k
-from .sketches import (
-    WeightFn,
-    WeightKind,
-    dothash_build,
-    dothash_intersection,
-    dothash_jaccard,
-    minhash_build,
-    minhash_jaccard,
-    simhash_build,
-    simhash_similarity,
-)
+from .encoding import element_id
+from .exact import SortedSet
+from .linkpred import Estimator, Metric, hits_at_k, sketch_neighborhoods
+from .sketches import WeightFn, WeightKind
+
+# Not called here; bench/spans.py wraps these names until ROADMAP item 6 moves its probes.
+from .exact import exact_jaccard, exact_weighted  # noqa: F401
+from .sketches import dothash_build, dothash_intersection, dothash_jaccard  # noqa: F401
+from .sketches import minhash_build, minhash_jaccard, simhash_build, simhash_similarity  # noqa: F401
 
 _NON_WORD = re.compile(r"[\W_]+", re.UNICODE)
 
@@ -124,11 +119,6 @@ def build_idf(corpus: Iterable[ShingleSet]) -> IdfTable:
     if size == 0:
         raise ValueError("cannot build IDF table from an empty corpus")
     return IdfTable(corpus_size=size, doc_freq=doc_freq)
-
-
-def idf_weight(t: IdfTable, x: int) -> float:
-    """Convenience alias for :meth:`IdfTable.weight`."""
-    return t.weight(x)
 
 
 def load_corpus_jsonl(source: Union[str, Path]) -> list[Document]:
@@ -232,68 +222,6 @@ class DedupResult:
     compare_seconds: float
 
 
-class _DocScorer:
-    """Per-document sketches (or exact sets) with a pairwise score."""
-
-    def __init__(
-        self,
-        shingle_sets: dict[str, ShingleSet],
-        idf: IdfTable,
-        estimator: Estimator,
-        metric: DedupMetric,
-        dims_or_k: int | None,
-        seed: int,
-    ) -> None:
-        if metric is DedupMetric.IDF and estimator in (Estimator.MINHASH, Estimator.SIMHASH):
-            raise ValueError(f"estimator cannot express metric: {estimator.value} / idf")
-        self.estimator = estimator
-        self.metric = metric
-        weights = idf.weight_fn() if metric is DedupMetric.IDF else WeightFn.unit()
-        if estimator is Estimator.EXACT:
-            self._sets = {doc_id: ss.shingles for doc_id, ss in shingle_sets.items()}
-            self._weights = weights
-            return
-        if dims_or_k is None or dims_or_k < 1:
-            raise ValueError("sketch estimators need a positive dims_or_k")
-        if estimator is Estimator.DOTHASH:
-            cb = Codebook(seed=seed, dims=dims_or_k)
-            self._sketches = {
-                doc_id: dothash_build(cb, ss.shingles.as_array(), weights)
-                for doc_id, ss in shingle_sets.items()
-            }
-        elif estimator is Estimator.MINHASH:
-            family = MinwiseFamily(seed=seed, k=dims_or_k)
-            self._sketches = {
-                doc_id: minhash_build(family, ss.shingles.as_array())
-                for doc_id, ss in shingle_sets.items()
-            }
-        else:
-            cb = Codebook(seed=seed, dims=dims_or_k)
-            self._sketches = {
-                doc_id: simhash_build(cb, ss.shingles.as_array())
-                for doc_id, ss in shingle_sets.items()
-            }
-
-    def score(self, id_a: str, id_b: str) -> float:
-        if self.estimator is Estimator.EXACT:
-            a, b = self._sets[id_a], self._sets[id_b]
-            if len(a) == 0 and len(b) == 0:
-                return 0.0
-            if self.metric is DedupMetric.IDF:
-                return exact_weighted(a, b, self._weights)
-            return exact_jaccard(a, b)
-        a, b = self._sketches[id_a], self._sketches[id_b]
-        if a.cardinality == 0 and b.cardinality == 0:
-            return 0.0
-        if self.estimator is Estimator.DOTHASH:
-            if self.metric is DedupMetric.IDF:
-                return dothash_intersection(a, b)
-            return dothash_jaccard(a, b)
-        if self.estimator is Estimator.MINHASH:
-            return minhash_jaccard(a, b)
-        return simhash_similarity(a, b)
-
-
 def sample_negative_pairs(
     doc_ids: Sequence[str],
     positive_pairs: Sequence[tuple[str, str]],
@@ -340,13 +268,14 @@ def run_dedup_benchmark(
     t0 = time.perf_counter()
     shingle_sets = {doc.doc_id: shingle(doc, config.shingle_width) for doc in corpus}
     idf = build_idf(shingle_sets.values())
-    scorer = _DocScorer(
-        shingle_sets, idf, config.estimator, config.metric, config.dims_or_k, config.seed
-    )
+    metric = idf.weight_fn() if config.metric is DedupMetric.IDF else Metric.JACCARD
+    row = {doc_id: i for i, doc_id in enumerate(shingle_sets)}
+    sets = [s.shingles.elements for s in shingle_sets.values()]
+    scorer = sketch_neighborhoods(sets, metric, config.estimator, config.dims_or_k, config.seed)
     t1 = time.perf_counter()
     negatives = sample_negative_pairs(doc_ids, duplicate_pairs, config.negatives, config.seed)
-    pos_scores = [scorer.score(a, b) for a, b in duplicate_pairs]
-    neg_scores = [scorer.score(a, b) for a, b in negatives]
+    pos_scores = scorer.score_pairs(np.array([(row[a], row[b]) for a, b in duplicate_pairs]))
+    neg_scores = scorer.score_pairs(np.array([(row[a], row[b]) for a, b in negatives]))
     t2 = time.perf_counter()
     return DedupResult(
         estimator=config.estimator.value,

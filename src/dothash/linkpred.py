@@ -15,21 +15,21 @@ into the scores.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Sequence, Union
+from typing import IO, Sequence, Union
 
 import numpy as np
 
 from .encoding import Codebook, MinwiseFamily
-from .exact import SortedSet, exact_intersection, exact_jaccard, exact_weighted
-from .sketches import (  # dothash_build is no longer called here but stays importable
+from .exact import SortedSet, exact_jaccard, exact_weighted
+from .sketches import (
     DotHashSketch,
     WeightFn,
     WeightKind,
-    dothash_build,
     dothash_build_many,
     dothash_intersection,
     dothash_jaccard,
@@ -38,6 +38,10 @@ from .sketches import (  # dothash_build is no longer called here but stays impo
     simhash_build,
     simhash_similarity,
 )
+
+# Not called here; bench/spans.py wraps these names until ROADMAP item 6 moves its probes.
+from .exact import exact_intersection  # noqa: F401
+from .sketches import dothash_build  # noqa: F401
 
 
 class Metric(enum.Enum):
@@ -56,72 +60,75 @@ class Estimator(enum.Enum):
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected graph with sorted per-node neighbor arrays.
+    """Undirected graph held as CSR arrays.
 
-    No self-loops, no parallel edges; ``v in neighbors(u)`` iff
+    Node ``v``'s neighbors are ``indices[indptr[v]:indptr[v+1]]``, sorted
+    ascending.  No self-loops, no parallel edges; ``v in neighbors(u)`` iff
     ``u in neighbors(v)``.  Node ids are dense indices ``0..n-1`` and double
     as the element ids fed to the sketch encodings.
     """
 
-    adjacency: tuple[np.ndarray, ...]
+    indptr: np.ndarray
+    indices: np.ndarray
     labels: tuple[str, ...] | None = None
     self_loops_dropped: int = 0
 
     @property
     def node_count(self) -> int:
-        return len(self.adjacency)
+        return len(self.indptr) - 1
 
     @property
     def edge_count(self) -> int:
-        return sum(len(nbrs) for nbrs in self.adjacency) // 2
+        return len(self.indices) // 2
 
     def neighbors(self, v: int) -> np.ndarray:
-        return self.adjacency[v]
+        return self.indices[self.indptr[v] : self.indptr[v + 1]]
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        return int(self.indptr[v + 1] - self.indptr[v])
 
     def degrees(self) -> np.ndarray:
-        return np.array([len(nbrs) for nbrs in self.adjacency], dtype=np.int64)
+        return np.diff(self.indptr)
 
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """(indptr, neighbors): node v's neighbors are ``neighbors[indptr[v]:indptr[v+1]]``."""
-        indptr = np.zeros(self.node_count + 1, dtype=np.int64)
-        np.cumsum(self.degrees(), out=indptr[1:])
-        return indptr, np.concatenate([np.zeros(0, np.uint64), *self.adjacency])
+        """(indptr, indices): node v's neighbors are ``indices[indptr[v]:indptr[v+1]]``."""
+        return self.indptr, self.indices
 
     def has_edge(self, u: int, v: int) -> bool:
-        nbrs = self.adjacency[u]
+        nbrs = self.neighbors(u)
         pos = np.searchsorted(nbrs, v)
         return pos < len(nbrs) and nbrs[pos] == v
 
     def edges(self) -> np.ndarray:
         """Canonical (u, v) edge array with u < v, lexicographically sorted."""
-        pairs = [
-            (u, int(v))
-            for u in range(self.node_count)
-            for v in self.adjacency[u]
-            if u < v
-        ]
-        return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        u = np.repeat(np.arange(self.node_count, dtype=np.int64), self.degrees())
+        v = self.indices.astype(np.int64)
+        upper = u < v
+        return np.stack([u[upper], v[upper]], axis=1)
 
 
 def graph_from_edges(
     node_count: int,
-    edges: Iterable[tuple[int, int]],
+    edges: Sequence[tuple[int, int]] | np.ndarray,
     labels: Sequence[str] | None = None,
     self_loops_dropped: int = 0,
 ) -> Graph:
-    """Build a Graph from an edge list, symmetrizing and deduplicating."""
-    neighbor_sets: list[set[int]] = [set() for _ in range(node_count)]
-    for u, v in edges:
-        if u == v:
-            continue
-        neighbor_sets[u].add(v)
-        neighbor_sets[v].add(u)
-    adjacency = tuple(np.array(sorted(s), dtype=np.uint64) for s in neighbor_sets)
+    """Build a Graph from an edge list, symmetrizing and deduplicating.
+
+    Self-loops are skipped; an endpoint outside ``0..node_count-1`` raises.
+    """
+    pairs = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    if pairs.size and (pairs.min() < 0 or pairs.max() >= node_count):
+        raise ValueError(f"edge endpoint outside 0..{node_count - 1}")
+    u, v = pairs[pairs[:, 0] != pairs[:, 1]].T
+    # Both directions of every edge as packed (row, column) keys, sorted and distinct.
+    keys = np.unique(np.concatenate([u * node_count + v, v * node_count + u]))
+    rows, columns = np.divmod(keys, max(node_count, 1))
+    indptr = np.zeros(node_count + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=node_count), out=indptr[1:])
     return Graph(
-        adjacency=adjacency,
+        indptr=indptr,
+        indices=columns.astype(np.uint64),
         labels=tuple(labels) if labels is not None else None,
         self_loops_dropped=self_loops_dropped,
     )
@@ -139,7 +146,7 @@ def load_edge_list(source: Union[str, Path, IO[bytes], IO[str]]) -> Graph:
         with open(source, "rb") as fp:
             return load_edge_list(fp)
     label_index: dict[str, int] = {}
-    edges: set[tuple[int, int]] = set()
+    edges: list[tuple[int, int]] = []
     self_loops = 0
     for lineno, raw in enumerate(source, start=1):
         line = raw.decode("utf-8") if isinstance(raw, bytes) else raw
@@ -158,7 +165,7 @@ def load_edge_list(source: Union[str, Path, IO[bytes], IO[str]]) -> Graph:
         if u == v:
             self_loops += 1
             continue
-        edges.add((min(u, v), max(u, v)))
+        edges.append((u, v))
     if not edges:
         raise ValueError("graph has no edges")
     labels = sorted(label_index, key=label_index.__getitem__)
@@ -174,7 +181,7 @@ def erdos_renyi_graph(n: int, p: float, seed: int = 0) -> Graph:
     rng = np.random.default_rng(seed)
     rows, cols = np.triu_indices(n, k=1)
     mask = rng.random(len(rows)) < p
-    return graph_from_edges(n, zip(rows[mask].tolist(), cols[mask].tolist()))
+    return graph_from_edges(n, np.stack([rows[mask], cols[mask]], axis=1))
 
 
 def preferential_attachment_graph(n: int, m: int, seed: int = 0) -> Graph:
@@ -226,8 +233,7 @@ def split_edges(g: Graph, test_fraction: float, neg_per_pos: int, seed: int = 0)
     n_pos = math.ceil(test_fraction * len(edges))
     chosen = rng.choice(len(edges), size=n_pos, replace=False)
     positives = edges[np.sort(chosen)]
-    held_out = {(int(u), int(v)) for u, v in positives}
-    train_edges = [(int(u), int(v)) for u, v in edges if (int(u), int(v)) not in held_out]
+    train_edges = np.delete(edges, chosen, axis=0)
     train_graph = graph_from_edges(g.node_count, train_edges, labels=g.labels)
 
     n_neg = neg_per_pos * n_pos
@@ -243,8 +249,7 @@ def split_edges(g: Graph, test_fraction: float, neg_per_pos: int, seed: int = 0)
         batch = min(4096, budget - draws)
         pairs = rng.integers(0, g.node_count, size=(batch, 2))
         draws += batch
-        for u, v in pairs:
-            u, v = int(u), int(v)
+        for u, v in pairs.tolist():
             if u == v:
                 continue
             pair = (min(u, v), max(u, v))
@@ -280,115 +285,111 @@ def resource_allocation_weights(g: Graph) -> WeightFn:
     return WeightFn.from_array(w, kind=WeightKind.RESOURCE_ALLOCATION)
 
 
-def _metric_weights(g: Graph, metric: Metric) -> WeightFn:
-    if metric is Metric.ADAMIC_ADAR:
-        return adamic_adar_weights(g)
-    if metric is Metric.RESOURCE_ALLOCATION:
-        return resource_allocation_weights(g)
-    return WeightFn.unit()
+def _metric_weights(g: Graph | None, metric: Metric | WeightFn) -> WeightFn:
+    if isinstance(metric, WeightFn):
+        return metric
+    if metric in (Metric.JACCARD, Metric.COMMON_NEIGHBORS):
+        return WeightFn.unit()
+    if g is None:
+        raise ValueError(f"{metric.value} weights need a graph's degrees")
+    return adamic_adar_weights(g) if metric is Metric.ADAMIC_ADAR else resource_allocation_weights(g)
 
 
+def build_sets(estimator: Estimator, dims_or_k: int | None, seed: int, indptr: np.ndarray,
+               elements: np.ndarray | Sequence[int], w: WeightFn) -> list:
+    """One built set per CSR row: set ``s`` is ``elements[indptr[s]:indptr[s+1]]``.
+
+    Each set holds distinct element ids.  DotHash sketches are the rows of one
+    ``dothash_build_many`` matrix under weight ``w``; MinHash and SimHash
+    sketches are built slice by slice; the exact oracle gets a SortedSet
+    per slice.
+    """
+    if estimator is Estimator.DOTHASH:
+        values = dothash_build_many(Codebook(seed=seed, dims=dims_or_k), indptr, elements, w)
+        return [
+            DotHashSketch(values=row, dims=dims_or_k, seed=seed, cardinality=size)
+            for row, size in zip(values, np.diff(indptr).tolist())
+        ]
+    bounds = indptr.tolist()
+    slices = [elements[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    if estimator is Estimator.MINHASH:
+        family = MinwiseFamily(seed=seed, k=dims_or_k)
+        return [minhash_build(family, members) for members in slices]
+    if estimator is Estimator.SIMHASH:
+        cb = Codebook(seed=seed, dims=dims_or_k)
+        return [simhash_build(cb, members) for members in slices]
+    return [SortedSet(tuple(int(e) for e in members)) for members in slices]
+
+
+@dataclass(frozen=True, eq=False)
 class NeighborhoodScorer:
-    """score(u, v): similarity of the two nodes' train-graph neighborhoods.
+    """Similarity of pairs of sets, each built once by :func:`build_sets`.
 
-    Pairs where both neighborhoods are empty score 0.0 for every estimator:
-    isolated nodes carry no similarity evidence, and a uniform convention
-    keeps the rankings comparable.
+    ``sets[i]`` is set ``i`` as its estimator built it, and ``sizes[i]`` its
+    number of elements.  Pairs where both sets are empty score 0.0 for every
+    estimator: empty sets carry no similarity evidence, and a uniform
+    convention keeps the rankings comparable.
     """
 
+    estimator: Estimator
+    metric: Metric | WeightFn
+    weights: WeightFn
+    sets: list
+    sizes: list[int]
+
     def score(self, u: int, v: int) -> float:
-        raise NotImplementedError
+        return float(self.score_pairs(np.array([(u, v)]))[0])
 
     def score_pairs(self, pairs: np.ndarray) -> np.ndarray:
-        return np.array([self.score(int(u), int(v)) for u, v in pairs], dtype=np.float64)
-
-
-class ExactScorer(NeighborhoodScorer):
-    def __init__(self, g: Graph, metric: Metric) -> None:
-        self.metric = metric
-        self._sets = [SortedSet(tuple(int(x) for x in g.neighbors(v))) for v in range(g.node_count)]
-        self._weights = _metric_weights(g, metric)
-
-    def score(self, u: int, v: int) -> float:
-        a, b = self._sets[u], self._sets[v]
-        if len(a) == 0 and len(b) == 0:
-            return 0.0
+        """Scores of the (u, v) rows of ``pairs``, as float64."""
         if self.metric is Metric.JACCARD:
-            return exact_jaccard(a, b)
-        if self.metric is Metric.COMMON_NEIGHBORS:
-            return float(exact_intersection(a, b))
-        return exact_weighted(a, b, self._weights)
-
-
-class DotHashScorer(NeighborhoodScorer):
-    def __init__(self, g: Graph, metric: Metric, dims: int, seed: int) -> None:
-        self.metric = metric
-        indptr, neighbors = g.csr()
-        # One (n, dims) matrix; each node's sketch is a view of its row.
-        values = dothash_build_many(
-            Codebook(seed=seed, dims=dims), indptr, neighbors, _metric_weights(g, metric)
+            compare = {
+                Estimator.EXACT: exact_jaccard,
+                Estimator.DOTHASH: dothash_jaccard,
+                Estimator.MINHASH: minhash_jaccard,
+                Estimator.SIMHASH: simhash_similarity,
+            }[self.estimator]
+        elif self.estimator is Estimator.EXACT:
+            compare = functools.partial(exact_weighted, w=self.weights)
+        else:
+            compare = dothash_intersection
+        sets, empty = self.sets, [size == 0 for size in self.sizes]
+        return np.array(
+            [0.0 if empty[u] and empty[v] else compare(sets[u], sets[v]) for u, v in pairs.tolist()],
+            dtype=np.float64,
         )
-        self._sketches = [
-            DotHashSketch(values=row, dims=dims, seed=seed, cardinality=int(degree))
-            for row, degree in zip(values, np.diff(indptr))
-        ]
-
-    def score(self, u: int, v: int) -> float:
-        a, b = self._sketches[u], self._sketches[v]
-        if a.cardinality == 0 and b.cardinality == 0:
-            return 0.0
-        if self.metric is Metric.JACCARD:
-            return dothash_jaccard(a, b)
-        return dothash_intersection(a, b)
-
-
-class MinHashScorer(NeighborhoodScorer):
-    def __init__(self, g: Graph, k: int, seed: int) -> None:
-        family = MinwiseFamily(seed=seed, k=k)
-        self._sketches = [minhash_build(family, g.neighbors(v)) for v in range(g.node_count)]
-
-    def score(self, u: int, v: int) -> float:
-        a, b = self._sketches[u], self._sketches[v]
-        if a.cardinality == 0 and b.cardinality == 0:
-            return 0.0
-        return minhash_jaccard(a, b)
-
-
-class SimHashScorer(NeighborhoodScorer):
-    def __init__(self, g: Graph, dims: int, seed: int) -> None:
-        cb = Codebook(seed=seed, dims=dims)
-        self._sketches = [simhash_build(cb, g.neighbors(v)) for v in range(g.node_count)]
-
-    def score(self, u: int, v: int) -> float:
-        a, b = self._sketches[u], self._sketches[v]
-        if a.cardinality == 0 and b.cardinality == 0:
-            return 0.0
-        return simhash_similarity(a, b)
 
 
 def sketch_neighborhoods(
-    g: Graph,
-    metric: Metric,
+    sets: Graph | Sequence[Sequence[int]],
+    metric: Metric | WeightFn,
     estimator: Estimator,
     dims_or_k: int | None = None,
     seed: int = 0,
 ) -> NeighborhoodScorer:
-    """Build a per-node scorer for the (estimator, metric) combination.
+    """Build every set once for the (estimator, metric) combination.
 
-    MinHash and SimHash can only rank by Jaccard; DotHash and the exact
-    oracle support all four metrics.
+    ``sets`` is a Graph, whose node neighborhoods are built in one batch, or
+    a sequence of sets of distinct element ids, built one set at a time so
+    that build memory stays that of one set.  ``metric`` is a Metric, or the
+    WeightFn of a weighted intersection such as IDF; degree weights come
+    from the graph.  MinHash and SimHash can only rank by Jaccard; DotHash
+    and the exact oracle support every metric.
     """
+    name = metric.kind.value if isinstance(metric, WeightFn) else metric.value
     if estimator in (Estimator.MINHASH, Estimator.SIMHASH) and metric is not Metric.JACCARD:
-        raise ValueError(f"estimator cannot express metric: {estimator.value} / {metric.value}")
-    if estimator is Estimator.EXACT:
-        return ExactScorer(g, metric)
-    if dims_or_k is None or dims_or_k < 1:
+        raise ValueError(f"estimator cannot express metric: {estimator.value} / {name}")
+    if estimator is not Estimator.EXACT and (dims_or_k is None or dims_or_k < 1):
         raise ValueError("sketch estimators need a positive dims_or_k")
-    if estimator is Estimator.DOTHASH:
-        return DotHashScorer(g, metric, dims_or_k, seed)
-    if estimator is Estimator.MINHASH:
-        return MinHashScorer(g, dims_or_k, seed)
-    return SimHashScorer(g, dims_or_k, seed)
+    graph = sets if isinstance(sets, Graph) else None
+    weights = _metric_weights(graph, metric)
+    blocks = [graph.csr()] if graph is not None else [(np.array([0, len(m)]), m) for m in sets]
+    built = [
+        s for indptr, elements in blocks
+        for s in build_sets(estimator, dims_or_k, seed, indptr, elements, weights)
+    ]
+    sizes = [size for indptr, _ in blocks for size in np.diff(indptr).tolist()]
+    return NeighborhoodScorer(estimator, metric, weights, built, sizes)
 
 
 def hits_at_k(positive_scores: Sequence[float], negative_scores: Sequence[float], k: int) -> float:

@@ -282,9 +282,15 @@ def _root_sums(cb: Codebook, indptr: np.ndarray, elements: np.ndarray, w: Weight
     dims, blocks = cb.dims, cb.blocks
     width = 64 * blocks
     out = np.zeros((nsets, dims))
-    # Words of every distinct element up front while that table is no larger
-    # than the output; otherwise per chunk, so build memory stays bounded.
-    shared = cb.sign_words(distinct) if distinct.size * blocks <= nsets * dims else None
+    # Words of every distinct element up front, filled a chunk at a time,
+    # while that table is no larger than the output; otherwise per chunk, so
+    # build memory stays bounded.
+    shared = None
+    if distinct.size * blocks <= nsets * dims:
+        shared = np.empty((distinct.size, blocks), dtype=np.uint64)
+        rows = max(1, _CHUNK_BYTES // (8 * blocks))
+        for lo in range(0, distinct.size, rows):
+            shared[lo : lo + rows] = cb.sign_words(distinct[lo : lo + rows])
     step = max(1, _CHUNK_BYTES // (8 * width))
     for lo in range(0, rank.size, step):
         hi = min(rank.size, lo + step)
@@ -449,7 +455,8 @@ def write_sketch(sketch: Sketch, fp: BinaryIO) -> None:
 def read_sketch(fp: BinaryIO) -> Sketch:
     """Inverse of :func:`write_sketch`; raises ValueError on malformed input.
 
-    The stream must end with the payload, and DotHash values must be finite.
+    The stream must end with the payload, DotHash values must be finite,
+    and the padding bits of a SimHash payload must be zero.
     """
     raw = fp.read(_HEADER.size)
     if len(raw) != _HEADER.size:
@@ -463,9 +470,16 @@ def read_sketch(fp: BinaryIO) -> Sketch:
     if kind is None:
         raise ValueError(f"unknown sketch kind code {kind_code}")
     nbytes = 8 * size if kind in ("dothash", "minhash") else (size + 7) // 8
-    payload = fp.read(nbytes)
-    if len(payload) != nbytes:
-        raise ValueError("truncated sketch file: payload too short")
+    # The size comes from the file: read in bounded pieces, so a header that
+    # declares more than the file holds fails without allocating that much.
+    pieces = []
+    while nbytes:
+        piece = fp.read(min(nbytes, _CHUNK_BYTES))
+        if not piece:
+            raise ValueError("truncated sketch file: payload too short")
+        pieces.append(piece)
+        nbytes -= len(piece)
+    payload = b"".join(pieces)
     if fp.read(1):
         raise ValueError("malformed sketch file: trailing bytes after the payload")
     if kind == "dothash":
@@ -477,6 +491,8 @@ def read_sketch(fp: BinaryIO) -> Sketch:
         minima = np.frombuffer(payload, dtype="<u8").astype(np.uint64)
         minima.setflags(write=False)
         return MinHashSketch(minima=minima, k=size, seed=seed, cardinality=cardinality)
+    if size % 8 and payload[-1] >> (size % 8):
+        raise ValueError("malformed sketch file: simhash padding bits are set")
     bits = np.frombuffer(payload, dtype=np.uint8).copy()
     bits.setflags(write=False)
     return SimHashSketch(bits=bits, dims=size, seed=seed, cardinality=cardinality)

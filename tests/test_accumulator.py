@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dothash.encoding import _CODEBOOK_DOMAIN, _GOLDEN, _MASK64, Codebook, splitmix64
-from dothash.linkpred import DotHashScorer, Metric, preferential_attachment_graph
+from dothash.linkpred import Estimator, Metric, preferential_attachment_graph, sketch_neighborhoods
 from dothash.sketches import WeightFn, dothash_build, dothash_build_many, simhash_build
 
 DIMS = (1, 7, 63, 64, 65, 500)
@@ -136,13 +136,13 @@ def test_build_many_rejects_malformed_indptr():
 
 def test_scorer_rows_equal_per_node_builds():
     g = preferential_attachment_graph(60, 3, seed=4)
-    scorer = DotHashScorer(g, Metric.ADAMIC_ADAR, dims=257, seed=8)
+    scorer = sketch_neighborhoods(g, Metric.ADAMIC_ADAR, Estimator.DOTHASH, 257, seed=8)
     degrees = g.degrees().astype(np.float64)
     weight = WeightFn.from_array(np.where(degrees > 1, 1.0 / np.log(np.maximum(degrees, 2.0)), 0.0))
     for v in range(g.node_count):
         single = dothash_build(Codebook(seed=8, dims=257), g.neighbors(v), weight)
-        assert scorer._sketches[v].values.tobytes() == single.values.tobytes()
-        assert scorer._sketches[v].cardinality == single.cardinality
+        assert scorer.sets[v].values.tobytes() == single.values.tobytes()
+        assert scorer.sets[v].cardinality == single.cardinality
 
 
 def _digest(values: np.ndarray) -> str:
@@ -163,28 +163,44 @@ def test_pinned_weighted_sketch():
     assert _digest(sketch.values) == "705e592f8af5d6246adf05a57bade92b498cccb07c2f3f4aece6c96305a06246"
 
 
-def test_large_build_memory_is_bounded():
-    pytest.importorskip("resource")
+def _added_peak_rss(setup: str, build: str) -> int:
+    """Bytes of peak RSS that the statement ``build`` adds, in a fresh interpreter."""
     script = textwrap.dedent(
         """
         import resource
         import sys
         import numpy as np
         from dothash.encoding import Codebook
-        from dothash.sketches import dothash_build
+        from dothash.sketches import dothash_build, dothash_build_many
 
-        elements = np.arange(200_000, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-        cb = Codebook(seed=1, dims=1024)
+        {setup}
         before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        dothash_build(cb, elements)
+        {build}
         after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         print((after - before) * (1 if sys.platform == "darwin" else 1024))
         """
-    )
+    ).format(setup=setup, build=build)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     result = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, check=True, env=env, timeout=300
     )
-    added = int(result.stdout)
+    return int(result.stdout)
+
+
+def test_large_build_memory_is_bounded():
+    pytest.importorskip("resource")
+    added = _added_peak_rss(
+        "elements = np.arange(200_000, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)",
+        "dothash_build(Codebook(seed=1, dims=1024), elements)",
+    )
     assert added < 64 * 2**20, f"build added {added / 2**20:.1f} MiB of peak RSS"
+    # 2000 sets of 64 distinct elements at d=4096: the output and the shared
+    # word table are 62.5 MiB each, and the rest stays bounded.  Filling the
+    # table in one piece added about 60 MiB of temporaries on top.
+    added = _added_peak_rss(
+        "elements = np.arange(2000 * 64, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)",
+        "dothash_build_many(Codebook(seed=1, dims=4096), np.arange(2001) * 64, elements)",
+    )
+    output = table = 2000 * 4096 * 8
+    assert added < output + table + 32 * 2**20, f"batch build added {added / 2**20:.1f} MiB of peak RSS"

@@ -2,6 +2,11 @@
 
 import json
 import math
+import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -106,6 +111,36 @@ class TestCompareCommand:
         assert "trailing bytes" in capsys.readouterr().err
         assert main(["compare", str(non_finite), str(good)]) == 2
         assert "non-finite" in capsys.readouterr().err
+
+    def test_simhash_padding_bits_exit_two(self, tmp_path, element_file, capsys):
+        good = tmp_path / "s.bin"
+        main(["sketch", "--estimator", "simhash", "--dims", "3", "--input", str(element_file),
+              "--out", str(good)])
+        padded = tmp_path / "padded.bin"
+        padded.write_bytes(good.read_bytes()[:-1] + bytes([good.read_bytes()[-1] | 0b1111_1000]))
+        capsys.readouterr()
+        assert main(["compare", str(good), str(padded)]) == 2
+        assert "padding bits" in capsys.readouterr().err
+
+    def test_oversized_header_exits_two_without_allocating(self, tmp_path):
+        pytest.importorskip("resource")
+        # 26 header bytes that declare 2**32 - 1 DotHash dims, a 32 GiB payload.
+        sketch = tmp_path / "huge.bin"
+        sketch.write_bytes(struct.pack("<4sBBQIQ", b"SKCH", 1, 1, 0, 2**32 - 1, 0))
+        # Under a 2 GiB address-space limit, allocating the declared size fails.
+        script = (
+            "import resource, sys\n"
+            "from dothash.cli import main\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))\n"
+            "sys.exit(main(['compare', sys.argv[1], sys.argv[1]]))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        result = subprocess.run([sys.executable, "-c", script, str(sketch)], capture_output=True,
+                                text=True, env=env, timeout=120)
+        assert result.returncode == 2, result.stderr
+        assert "payload too short" in result.stderr
 
     def test_matches_library_intersection(self, tmp_path, element_file, capsys):
         out = tmp_path / "d.bin"

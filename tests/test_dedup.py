@@ -13,7 +13,6 @@ from dothash.dedup import (
     Document,
     IdfTable,
     build_idf,
-    idf_weight,
     load_corpus_jsonl,
     load_pairs_csv,
     make_planted_corpus,
@@ -84,7 +83,7 @@ class TestIdf:
 
     def test_unseen_shingle_uses_unit_frequency(self):
         table = IdfTable(corpus_size=100, doc_freq={})
-        assert idf_weight(table, 12345) == pytest.approx(math.log(100))
+        assert table.weight(12345) == pytest.approx(math.log(100))
 
     def test_batch_weights_equal_scalar_path(self):
         docs, _ = make_planted_corpus(n_docs=60, n_dup_pairs=15, words_per_doc=40, vocab_size=50, seed=7)

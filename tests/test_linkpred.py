@@ -69,12 +69,20 @@ class TestLoadEdgeList:
                 assert g.has_edge(int(v), u)
 
 
+def test_graph_from_edges_rejects_out_of_range_endpoints():
+    # These used to raise IndexError and OverflowError.
+    for edges in ([(0, 3)], [(-1, 0)]):
+        with pytest.raises(ValueError, match="edge endpoint outside"):
+            graph_from_edges(3, edges)
+
+
 class TestGenerators:
     def test_erdos_renyi_deterministic(self):
         g1 = erdos_renyi_graph(60, 0.1, seed=5)
         g2 = erdos_renyi_graph(60, 0.1, seed=5)
         assert g1.edge_count == g2.edge_count
-        assert all(np.array_equal(a, b) for a, b in zip(g1.adjacency, g2.adjacency))
+        assert np.array_equal(g1.indptr, g2.indptr)
+        assert np.array_equal(g1.indices, g2.indices)
 
     def test_erdos_renyi_edge_count_plausible(self):
         g = erdos_renyi_graph(100, 0.2, seed=1)

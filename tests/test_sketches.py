@@ -370,3 +370,13 @@ class TestSerialization:
         write_sketch(sketch, buf)
         with pytest.raises(ValueError, match="non-finite"):
             read_sketch(io.BytesIO(buf.getvalue()))
+
+    def test_simhash_padding_bits_rejected(self):
+        # With padding bits set, a dims=3 sketch compared with itself scored -0.667.
+        buf = io.BytesIO()
+        write_sketch(simhash_build(Codebook(seed=0, dims=3), [1, 2]), buf)
+        for padding in (0b1000, 0b1000_0000):
+            payload = bytearray(buf.getvalue())
+            payload[-1] |= padding
+            with pytest.raises(ValueError, match="padding bits"):
+                read_sketch(io.BytesIO(bytes(payload)))
