@@ -196,7 +196,10 @@ def bounds_sweep(
 
     One batch of ``trials`` estimates is drawn per dimension (seed schedule
     ``seed0 + arange(trials)``) and reused across the epsilon grid.
+    Raises ValueError unless ``trials`` is at least 1.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     rows: list[BoundsRow] = []
     for dims in dims_list:
         estimates = sample_intersection_estimates(size_a, size_b, size_int, dims, trials, seed0)

@@ -133,7 +133,7 @@ def load_corpus_jsonl(source: Union[str, Path]) -> list[Document]:
             try:
                 record = json.loads(line)
                 doc_id, text = str(record["id"]), str(record["text"])
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            except (json.JSONDecodeError, KeyError, TypeError, RecursionError) as exc:
                 raise ValueError(f"line {lineno}: invalid corpus record ({exc})") from None
             if doc_id in seen:
                 raise ValueError(f"line {lineno}: duplicate doc_id {doc_id!r}")

@@ -9,6 +9,7 @@ sparse standard-basis encodings as a dot product.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
@@ -25,9 +26,8 @@ class SortedSet:
     elements: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        for prev, cur in zip(self.elements, self.elements[1:]):
-            if cur <= prev:
-                raise ValueError("SortedSet elements must be strictly increasing")
+        if any(map(operator.ge, self.elements, self.elements[1:])):
+            raise ValueError("SortedSet elements must be strictly increasing")
 
     @classmethod
     def from_iterable(cls, elements: Iterable[int]) -> "SortedSet":

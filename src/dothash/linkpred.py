@@ -445,8 +445,11 @@ def run_linkpred_benchmark(
     The split is drawn once from ``seed``; repeat ``r`` reseeds only the
     sketch construction with ``seed + r``, so exact-estimator rows are
     identical across repeats.  hits_ci95 is the normal-approximation 95%
-    half-width over repeats (0 when repeats == 1).
+    half-width over repeats (0 when repeats == 1).  Raises ValueError
+    unless ``repeats`` is at least 1.
     """
+    if repeats < 1:
+        raise ValueError(f"repeats must be at least 1, got {repeats}")
     split = split_edges(g, test_fraction, neg_per_pos, seed)
     rows: list[BenchmarkRow] = []
     for point in points:

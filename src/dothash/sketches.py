@@ -16,8 +16,9 @@ Serialized sketch files use a little-endian binary layout::
     version u8       1
     kind    u8       1=dothash, 2=minhash, 3=simhash
     seed    u64
-    size    u32      dims (dothash/simhash) or k (minhash)
-    card    u64      number of distinct elements consumed at build time
+    size    u32      dims (dothash/simhash) or k (minhash), at least 1
+    card    u64      number of distinct elements consumed at build time;
+                     0 only with the empty set's payload
     payload          dothash: size float64 values
                      minhash: size uint64 minima
                      simhash: ceil(size / 8) bytes, bit j of the sketch is
@@ -42,9 +43,9 @@ from .encoding import Codebook, MinwiseFamily, as_element_array
 
 MINHASH_EMPTY_SENTINEL = (1 << 64) - 1
 
-# Bytes of gathered float64 table values per accumulation chunk, the largest
-# temporary of a build.  About 1 MiB measured fastest; 256 KiB and 16 MiB
-# were both slower.
+# Bytes of float64 table values that one accumulation chunk looks up (8 per
+# group and coordinate), which sizes the chunk's word and code temporaries.
+# About 1 MiB measured fastest; 256 KiB and 16 MiB were both slower.
 _CHUNK_BYTES = 1 << 20
 
 # Elements per lookup group: eight sign bits make one byte per coordinate.
@@ -209,24 +210,6 @@ def _sign_tables(roots: np.ndarray) -> np.ndarray:
     return tables.T.copy()
 
 
-def _unsort_rows(a: np.ndarray, order: np.ndarray) -> None:
-    """Move row ``q`` of ``a`` to row ``order[q]`` in place, one cycle at a time."""
-    source = np.empty_like(order)
-    source[order] = np.arange(order.size)
-    for start in np.flatnonzero(source != np.arange(order.size)):
-        if source[start] == start:
-            continue
-        held = a[start].copy()
-        row = start
-        while True:
-            take, source[row] = source[row], row
-            if take == start:
-                a[row] = held
-                break
-            a[row] = a[take]
-            row = take
-
-
 def _root_sums(cb: Codebook, indptr: np.ndarray, elements: np.ndarray, w: WeightFn) -> np.ndarray:
     """Unscaled sums ``Σ sqrt(w(e)) * sign(e)`` over each CSR set, shape (nsets, dims).
 
@@ -265,16 +248,12 @@ def _root_sums(cb: Codebook, indptr: np.ndarray, elements: np.ndarray, w: Weight
         raise ValueError("weight function must be nonnegative")
     roots = np.sqrt(weights)
 
-    # Groups in rank-major order over sets sorted by group count, descending:
-    # rank r's groups form one block that adds to rows [0, k_r) of the output.
+    # Groups in set-major order: set s's groups are consecutive and in
+    # element order, so adding them in turn keeps each row's group order.
     groups = -(-np.diff(indptr) // _GROUP)
-    order = np.argsort(-groups, kind="stable")
-    # per_rank[r] = k_r, the number of sets with more than r groups.
-    per_rank = np.cumsum(np.bincount(groups, minlength=1)[::-1])[::-1][1:]
-    bounds = np.concatenate(([0], np.cumsum(per_rank)))
-    rank = np.repeat(np.arange(per_rank.size), per_rank)
-    owner = order[np.arange(rank.size) - bounds[rank]]
-    slots = (indptr[owner] + _GROUP * rank)[:, None] + np.arange(_GROUP)
+    owner = np.repeat(np.arange(nsets), groups)
+    first = np.cumsum(groups) - groups
+    slots = (indptr[owner] + _GROUP * (np.arange(owner.size) - first[owner]))[:, None] + np.arange(_GROUP)
     real = slots < indptr[owner + 1][:, None]
     member = np.where(real, members[np.minimum(slots, max(members.size - 1, 0))], 0)
     group_roots = np.ascontiguousarray(np.where(real, roots[member], 0.0).T)
@@ -292,8 +271,8 @@ def _root_sums(cb: Codebook, indptr: np.ndarray, elements: np.ndarray, w: Weight
         for lo in range(0, distinct.size, rows):
             shared[lo : lo + rows] = cb.sign_words(distinct[lo : lo + rows])
     step = max(1, _CHUNK_BYTES // (8 * width))
-    for lo in range(0, rank.size, step):
-        hi = min(rank.size, lo + step)
+    for lo in range(0, owner.size, step):
+        hi = min(owner.size, lo + step)
         ids = member[lo:hi].ravel()
         words = shared[ids] if shared is not None else cb.sign_words(distinct[ids])
         # Little-endian words, so byte k of block j holds coordinates 64j+8k..64j+8k+7.
@@ -302,17 +281,9 @@ def _root_sums(cb: Codebook, indptr: np.ndarray, elements: np.ndarray, w: Weight
         packed = np.ascontiguousarray(words.transpose(0, 2, 3, 1)).view("<u8").reshape(hi - lo, -1)
         _transpose8(packed)
         codes = packed.astype("<u8", copy=False).view(np.uint8).reshape(hi - lo, width)
-        index = np.empty(codes.shape, dtype=np.intp)
-        index[...] = codes
-        index += (256 * np.arange(hi - lo, dtype=np.intp))[:, None]
-        values = _sign_tables(group_roots[:, lo:hi]).take(index)
-        start = lo
-        while start < hi:
-            r = rank[start]
-            stop = min(hi, bounds[r + 1])
-            out[start - bounds[r] : stop - bounds[r]] += values[start - lo : stop - lo, :dims]
-            start = stop
-    _unsort_rows(out, order)
+        tables = _sign_tables(group_roots[:, lo:hi])
+        for g in range(hi - lo):
+            out[owner[lo + g]] += tables[g].take(codes[g, :dims])
     return out
 
 
@@ -455,8 +426,9 @@ def write_sketch(sketch: Sketch, fp: BinaryIO) -> None:
 def read_sketch(fp: BinaryIO) -> Sketch:
     """Inverse of :func:`write_sketch`; raises ValueError on malformed input.
 
-    The stream must end with the payload, DotHash values must be finite,
-    and the padding bits of a SimHash payload must be zero.
+    The size must be positive, the stream must end with the payload, DotHash
+    values must be finite, and the padding bits of a SimHash payload must be
+    zero.  A cardinality of 0 must carry the empty set's payload.
     """
     raw = fp.read(_HEADER.size)
     if len(raw) != _HEADER.size:
@@ -469,6 +441,8 @@ def read_sketch(fp: BinaryIO) -> Sketch:
     kind = _KIND_NAMES.get(kind_code)
     if kind is None:
         raise ValueError(f"unknown sketch kind code {kind_code}")
+    if size == 0:
+        raise ValueError("malformed sketch file: size 0")
     nbytes = 8 * size if kind in ("dothash", "minhash") else (size + 7) // 8
     # The size comes from the file: read in bounded pieces, so a header that
     # declares more than the file holds fails without allocating that much.
@@ -482,6 +456,9 @@ def read_sketch(fp: BinaryIO) -> Sketch:
     payload = b"".join(pieces)
     if fp.read(1):
         raise ValueError("malformed sketch file: trailing bytes after the payload")
+    # The empty set's payload is all +0.0 values, all-ones minima or all-zero bits.
+    if cardinality == 0 and payload != (b"\xff" if kind == "minhash" else b"\0") * len(payload):
+        raise ValueError("malformed sketch file: cardinality 0 with a non-empty payload")
     if kind == "dothash":
         values = np.frombuffer(payload, dtype="<f8").astype(np.float64)
         if not np.all(np.isfinite(values)):

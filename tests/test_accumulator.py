@@ -57,6 +57,28 @@ def reference_weighted(seed: int, dims: int, elements, weight) -> list[float]:
     return values
 
 
+def reference_in_order(seed: int, dims: int, elements, weight) -> list[float]:
+    """The README's reduction order, step by step in Python floats.
+
+    The distinct elements are taken in ascending order, 8 at a time, the
+    last group padded with weight 0.  Each group's entry is
+    ``±r_0 ± r_1 ... ± r_7`` added left to right; the entries are added
+    from +0.0 in group order, and the sum is then divided by ``sqrt(d)``.
+    """
+    distinct = sorted(set(elements))
+    values = [0.0] * dims
+    for lo in range(0, len(distinct), 8):
+        group = distinct[lo : lo + 8]
+        terms = [(math.sqrt(weight[e]), reference_signs(seed, dims, e)) for e in group]
+        terms += [(0.0, [1] * dims)] * (8 - len(group))
+        for j in range(dims):
+            entry = terms[0][0] * terms[0][1][j]
+            for root, signs in terms[1:]:
+                entry += root * signs[j]
+            values[j] += entry
+    return [v / math.sqrt(dims) for v in values]
+
+
 def has_negative_zero(values: np.ndarray) -> bool:
     return bool(np.any((values == 0.0) & np.signbit(values)))
 
@@ -124,6 +146,35 @@ def test_build_many_rows_equal_single_builds(dims, sets, table, unit):
     for row, members in zip(many, sets):
         single = dothash_build(cb, np.array(members, dtype=np.uint64), w).values
         assert row.tobytes() == single.tobytes()
+
+
+def _assert_rows_in_order(cb: Codebook, sets, weight) -> None:
+    indptr = np.cumsum([0] + [len(s) for s in sets])
+    elements = np.array([e for s in sets for e in s], dtype=np.uint64)
+    many = dothash_build_many(cb, indptr, elements, WeightFn.from_array(np.array(weight)))
+    for row, members in zip(many, sets):
+        expected = np.array(reference_in_order(cb.seed, cb.dims, members, weight))
+        assert row.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("dims", (65, 500))
+def test_build_many_follows_documented_order_bit_for_bit(dims):
+    # Group counts 3, 0, 1, 5, 1, 2: rows must not depend on where a set sits.
+    rng = np.random.default_rng(12)
+    weight = (1.0 / np.log(np.arange(100) + 2.0)).tolist()
+    sets = [rng.choice(100, size, replace=False).tolist() for size in (17, 0, 3, 40, 8, 9)]
+    sets[3] += sets[3][:5]  # duplicates are skipped
+    _assert_rows_in_order(Codebook(seed=31, dims=dims), sets, weight)
+
+
+@given(
+    st.sampled_from(DIMS),
+    st.lists(st.lists(st.integers(0, 60), max_size=60), max_size=6),
+    st.lists(weights, min_size=61, max_size=61),
+)
+@settings(max_examples=40, deadline=None)
+def test_build_many_follows_documented_order_on_any_batch(dims, sets, weight):
+    _assert_rows_in_order(Codebook(seed=13, dims=dims), sets, weight)
 
 
 def test_build_many_rejects_malformed_indptr():

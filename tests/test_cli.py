@@ -122,6 +122,21 @@ class TestCompareCommand:
         assert main(["compare", str(good), str(padded)]) == 2
         assert "padding bits" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", [1, 2, 3], ids=["dothash", "minhash", "simhash"])
+    def test_size_zero_exits_two(self, tmp_path, capsys, kind):
+        a, b = tmp_path / "a.bin", tmp_path / "b.bin"
+        a.write_bytes(struct.pack("<4sBBQIQ", b"SKCH", 1, kind, 0, 0, 5))
+        b.write_bytes(struct.pack("<4sBBQIQ", b"SKCH", 1, kind, 0, 0, 3))
+        assert main(["compare", str(a), str(b)]) == 2
+        assert "size 0" in capsys.readouterr().err
+
+    def test_cardinality_zero_with_payload_exits_two(self, tmp_path, capsys):
+        # Read as is, this file compared with itself as estimate 4.0.
+        forged = tmp_path / "forged.bin"
+        forged.write_bytes(struct.pack("<4sBBQIQ", b"SKCH", 1, 1, 0, 4, 0) + np.ones(4, "<f8").tobytes())
+        assert main(["compare", str(forged), str(forged)]) == 2
+        assert "cardinality 0" in capsys.readouterr().err
+
     def test_oversized_header_exits_two_without_allocating(self, tmp_path):
         pytest.importorskip("resource")
         # 26 header bytes that declare 2**32 - 1 DotHash dims, a 32 GiB payload.
@@ -182,6 +197,12 @@ class TestBoundsCommand:
             assert float(clt) == pytest.approx(clt_tail(q), abs=1e-6)
             assert 0.0 <= float(emp) <= 1.0
 
+    def test_zero_trials_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "bounds.csv"
+        assert main(["bounds", "--size-a", "10", "--size-b", "10", "--size-int", "5",
+                     "--dims", "64", "--trials", "0", "--out", str(out)]) == 2
+        assert "trials" in capsys.readouterr().err
+
     def test_byte_identical_reruns(self, tmp_path):
         args = ["bounds", "--size-a", "50", "--size-b", "50", "--size-int", "20",
                 "--dims", "128", "--trials", "100", "--seed", "7"]
@@ -221,6 +242,12 @@ class TestLinkpredCommand:
         row = out.read_text().strip().splitlines()[1].split(",")
         assert row[0] == "dothash" and row[2] == "256"
 
+    def test_zero_repeats_exits_two(self, tmp_path, capsys):
+        edges = _write_graph(tmp_path, erdos_renyi_graph(20, 0.3, seed=34))
+        assert main(["linkpred", "--edges", str(edges), "--estimator", "exact",
+                     "--metric", "jaccard", "--repeats", "0", "--out", str(tmp_path / "x.csv")]) == 2
+        assert "repeats" in capsys.readouterr().err
+
     def test_minhash_requires_k(self, tmp_path):
         graph = erdos_renyi_graph(20, 0.3, seed=32)
         edges = _write_graph(tmp_path, graph)
@@ -251,6 +278,14 @@ class TestDedupCommand:
         fields = row.split(",")
         assert fields[0] == "dothash" and fields[1] == "idf"
         assert 0.0 <= float(fields[5]) <= 1.0
+
+    def test_deeply_nested_corpus_line_exits_two(self, tmp_path, capsys):
+        corpus, labels = _write_corpus(tmp_path)
+        corpus.write_text(corpus.read_text() + "[" * 200_000 + "\n")
+        assert main(["dedup", "--corpus", str(corpus), "--labels", str(labels),
+                     "--estimator", "exact", "--metric", "jaccard",
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        assert "line 41" in capsys.readouterr().err
 
     def test_missing_labels_file(self, tmp_path):
         corpus, _ = _write_corpus(tmp_path)

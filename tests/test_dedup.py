@@ -140,6 +140,13 @@ class TestLoaders:
         with pytest.raises(ValueError, match="line 1"):
             load_corpus_jsonl(path)
 
+    def test_corpus_deeply_nested_record(self, tmp_path):
+        # json.loads raises RecursionError here; the loader reports the line.
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"id": "a", "text": "x"}\n' + "[" * 200_000 + "\n")
+        with pytest.raises(ValueError, match="line 2"):
+            load_corpus_jsonl(path)
+
     def test_corpus_duplicate_id(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         path.write_text('{"id": "a", "text": "x"}\n{"id": "a", "text": "y"}\n')

@@ -1,6 +1,7 @@
 """Tests for sketch construction, comparison, and serialization."""
 
 import io
+import struct
 
 import numpy as np
 import pytest
@@ -28,6 +29,16 @@ from dothash.sketches import (
 )
 
 small_sets = st.frozensets(st.integers(min_value=0, max_value=500), max_size=40)
+
+one_element_sketches = pytest.mark.parametrize(
+    "sketch",
+    [
+        dothash_build(Codebook(seed=0, dims=4), [1]),
+        minhash_build(MinwiseFamily(seed=0, k=4), [1]),
+        simhash_build(Codebook(seed=0, dims=12), [1]),
+    ],
+    ids=["dothash", "minhash", "simhash"],
+)
 
 
 class TestWeightFn:
@@ -347,15 +358,7 @@ class TestSerialization:
         with pytest.raises(ValueError, match="payload too short"):
             read_sketch(io.BytesIO(buf.getvalue()[:-3]))
 
-    @pytest.mark.parametrize(
-        "sketch",
-        [
-            dothash_build(Codebook(seed=0, dims=4), [1]),
-            minhash_build(MinwiseFamily(seed=0, k=4), [1]),
-            simhash_build(Codebook(seed=0, dims=12), [1]),
-        ],
-        ids=["dothash", "minhash", "simhash"],
-    )
+    @one_element_sketches
     def test_trailing_bytes_rejected(self, sketch):
         buf = io.BytesIO()
         write_sketch(sketch, buf)
@@ -380,3 +383,26 @@ class TestSerialization:
             payload[-1] |= padding
             with pytest.raises(ValueError, match="padding bits"):
                 read_sketch(io.BytesIO(bytes(payload)))
+
+    @pytest.mark.parametrize("kind", [1, 2, 3], ids=["dothash", "minhash", "simhash"])
+    def test_size_zero_rejected(self, kind):
+        # No builder writes size 0; two such MinHash or SimHash files made compare divide by zero.
+        with pytest.raises(ValueError, match="size 0"):
+            read_sketch(io.BytesIO(struct.pack("<4sBBQIQ", b"SKCH", 1, kind, 0, 0, 5)))
+
+    @one_element_sketches
+    def test_cardinality_zero_needs_the_empty_payload(self, sketch):
+        buf = io.BytesIO()
+        write_sketch(sketch, buf)
+        raw = buf.getvalue()
+        forged = raw[:18] + struct.pack("<Q", 0) + raw[26:]
+        with pytest.raises(ValueError, match="cardinality 0"):
+            read_sketch(io.BytesIO(forged))
+
+    def test_empty_set_sketches_read_back(self):
+        for sketch in (
+            dothash_build(Codebook(seed=0, dims=4), []),
+            minhash_build(MinwiseFamily(seed=0, k=4), []),
+            simhash_build(Codebook(seed=0, dims=12), []),
+        ):
+            assert self._roundtrip(sketch).cardinality == 0
