@@ -28,7 +28,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import dedup as dedup_mod
 from . import linkpred as linkpred_mod
-from .encoding import element_id
+from .encoding import element_ids, sorted_distinct
 from .sketches import (
     DotHashSketch,
     MinHashSketch,
@@ -43,6 +43,7 @@ from .sketches import (
 )
 
 # Not called here; bench/spans.py wraps these names until ROADMAP item 6 moves its probes.
+from .encoding import element_id  # noqa: F401
 from .sketches import dothash_build, minhash_build, simhash_build  # noqa: F401
 
 
@@ -64,8 +65,7 @@ def _read_elements(path: str) -> np.ndarray:
     else:
         with open(path, "r", encoding="utf-8") as fp:
             lines = fp.read().splitlines()
-    tokens = (line.strip() for line in lines)
-    return np.unique(np.fromiter((element_id(token) for token in tokens if token), dtype=np.uint64))
+    return sorted_distinct(element_ids(token for token in map(str.strip, lines) if token))
 
 
 def _resolve_size(args: argparse.Namespace) -> int | None:

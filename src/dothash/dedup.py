@@ -22,12 +22,13 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .encoding import element_id
+from .encoding import _CHUNK_BYTES, slice_ids
 from .exact import SortedSet
-from .linkpred import Estimator, Metric, hits_at_k, sketch_neighborhoods
+from .linkpred import Estimator, Metric, decode_line, hits_at_k, sketch_neighborhoods
 from .sketches import WeightFn, WeightKind
 
 # Not called here; bench/spans.py wraps these names until ROADMAP item 6 moves its probes.
+from .encoding import element_id  # noqa: F401
 from .exact import exact_jaccard, exact_weighted  # noqa: F401
 from .sketches import dothash_build, dothash_intersection, dothash_jaccard  # noqa: F401
 from .sketches import minhash_build, minhash_jaccard, simhash_build, simhash_similarity  # noqa: F401
@@ -99,13 +100,54 @@ def normalize_text(text: str) -> str:
 def shingle(doc: Document, w: int = 3) -> ShingleSet:
     """All consecutive w-token sequences of the normalized text, hashed.
 
-    Documents shorter than w tokens yield the empty set.
+    Shingle ``i`` hashes ``" ".join(tokens[i : i + w])`` with
+    :func:`~dothash.encoding.element_id`.  Documents shorter than w tokens
+    yield the empty set.
+    """
+    return shingle_many([doc], w)[0]
+
+
+def shingle_many(docs: Sequence[Document], w: int = 3) -> list[ShingleSet]:
+    """:func:`shingle` of every document, hashed in batches.
+
+    A batch holds documents up to ``_CHUNK_BYTES`` of shingle text (w times
+    their normalized UTF-8 bytes), so its temporaries stay bounded.
     """
     if w < 1:
         raise ValueError("shingle width must be >= 1")
-    tokens = normalize_text(doc.text).split()
-    ids = (element_id(" ".join(tokens[i : i + w])) for i in range(len(tokens) - w + 1))
-    return ShingleSet(doc_id=doc.doc_id, shingles=SortedSet.from_iterable(ids))
+    sets: list[SortedSet] = []
+    batch: list[bytes] = []
+    size = 0
+    for doc in docs:
+        batch.append(normalize_text(doc.text).encode("utf-8"))
+        size += w * len(batch[-1])
+        if size >= _CHUNK_BYTES:
+            sets += _shingle_batch(batch, w)
+            batch, size = [], 0
+    sets += _shingle_batch(batch, w)
+    return [ShingleSet(doc_id=doc.doc_id, shingles=s) for doc, s in zip(docs, sets)]
+
+
+def _shingle_batch(texts: list[bytes], w: int) -> list[SortedSet]:
+    """The shingle sets of normalized UTF-8 texts, hashed in one call.
+
+    A normalized text is its tokens joined by single spaces, so shingle
+    ``i`` is the byte range from the start of token ``i`` to the end of
+    token ``i + w - 1``.  The texts are joined by spaces too (empty ones
+    left out), which makes every token the run between two spaces.
+    """
+    buffer = b" ".join(text for text in texts if text)
+    spaces = np.flatnonzero(np.frombuffer(buffer, dtype=np.uint8) == ord(" "))
+    token_starts = np.concatenate(([0], spaces + 1))
+    token_stops = np.append(spaces, len(buffer))
+    tokens = np.array([text.count(b" ") + 1 if text else 0 for text in texts], dtype=np.int64)
+    counts = np.maximum(tokens - w + 1, 0)
+    # First token of every shingle, text by text.
+    offsets = np.cumsum(tokens) - tokens - (np.cumsum(counts) - counts)
+    first = np.arange(counts.sum()) + np.repeat(offsets, counts)
+    ids = slice_ids(buffer, token_starts[first], token_stops[first + w - 1]).tolist()
+    bounds = np.cumsum(counts).tolist()
+    return [SortedSet(tuple(sorted(set(ids[hi - n : hi])))) for n, hi in zip(counts.tolist(), bounds)]
 
 
 def build_idf(corpus: Iterable[ShingleSet]) -> IdfTable:
@@ -125,15 +167,15 @@ def load_corpus_jsonl(source: Union[str, Path]) -> list[Document]:
     """Read a JSON-lines corpus with one {"id": ..., "text": ...} per line."""
     docs: list[Document] = []
     seen: set[str] = set()
-    with open(source, "r", encoding="utf-8") as fp:
+    with open(source, "r", encoding="utf-8", errors="surrogateescape") as fp:
         for lineno, line in enumerate(fp, start=1):
-            line = line.strip()
+            line = decode_line(line, lineno).strip()
             if not line:
                 continue
             try:
                 record = json.loads(line)
                 doc_id, text = str(record["id"]), str(record["text"])
-            except (json.JSONDecodeError, KeyError, TypeError, RecursionError) as exc:
+            except (ValueError, KeyError, TypeError, RecursionError) as exc:
                 raise ValueError(f"line {lineno}: invalid corpus record ({exc})") from None
             if doc_id in seen:
                 raise ValueError(f"line {lineno}: duplicate doc_id {doc_id!r}")
@@ -147,12 +189,12 @@ def load_corpus_jsonl(source: Union[str, Path]) -> list[Document]:
 def load_pairs_csv(source: Union[str, Path]) -> list[tuple[str, str]]:
     """Read duplicate-pair labels from a CSV with header id_a,id_b."""
     pairs: list[tuple[str, str]] = []
-    with open(source, "r", encoding="utf-8") as fp:
-        header = fp.readline().strip()
+    with open(source, "r", encoding="utf-8", errors="surrogateescape") as fp:
+        header = decode_line(fp.readline(), 1).strip()
         if header != "id_a,id_b":
             raise ValueError(f"labels file must start with header 'id_a,id_b', got {header!r}")
         for lineno, line in enumerate(fp, start=2):
-            line = line.strip()
+            line = decode_line(line, lineno).strip()
             if not line:
                 continue
             fields = line.split(",")
@@ -266,7 +308,7 @@ def run_dedup_benchmark(
             f"fewer negatives available than K ({config.negatives} < {config.hits_k})"
         )
     t0 = time.perf_counter()
-    shingle_sets = {doc.doc_id: shingle(doc, config.shingle_width) for doc in corpus}
+    shingle_sets = {s.doc_id: s for s in shingle_many(corpus, config.shingle_width)}
     idf = build_idf(shingle_sets.values())
     metric = idf.weight_fn() if config.metric is DedupMetric.IDF else Metric.JACCARD
     row = {doc_id: i for i, doc_id in enumerate(shingle_sets)}

@@ -10,7 +10,8 @@ element_id
     and absorbs the input in 8-byte little-endian words (the final word is
     zero-padded), ``state = splitmix64(state ^ word)``.  SplitMix64 is the
     public-domain mixing function of Steele, Lea and Flood; it is fast,
-    non-cryptographic, and has full 64-bit avalanche.
+    non-cryptographic, and has full 64-bit avalanche.  ``element_ids`` and
+    ``slice_ids`` run the same chain for many inputs at once, bit for bit.
 
 Codebook
     Maps an element ``e`` to a d-dimensional vector with entries in
@@ -29,6 +30,7 @@ MinwiseFamily
 
 from __future__ import annotations
 
+import struct
 import sys
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -46,6 +48,23 @@ _MINWISE_DOMAIN = 0x4D17B7A5E6F0C821
 _U64_GOLDEN = np.uint64(_GOLDEN)
 _U64_C1 = np.uint64(0xBF58476D1CE4E5B9)
 _U64_C2 = np.uint64(0x94D049BB133111EB)
+
+# Bytes of temporaries that one chunk of a batched computation may hold: the
+# text and per-input arrays of one batch of element ids here, the looked-up
+# table values of one accumulation chunk in ``sketches._root_sums``.
+_CHUNK_BYTES = 1 << 20
+
+# Per-input arrays of a batched element-id chain, in bytes per input.
+_PER_INPUT_BYTES = 64
+
+# A numpy round of the batched chain costs about as much as this many scalar
+# SplitMix64 steps (about 20 us against 1.3 us on a 2-vCPU Xeon with numpy
+# 2.4), so once this few chains are still running they are finished one word
+# at a time in Python ints.
+_SCALAR_TAIL = 16
+
+# Mask of the bytes kept from the word at a slice's end, by length % 8.
+_TAIL_MASKS = np.array([_MASK64] + [(1 << (8 * r)) - 1 for r in range(1, 8)], dtype=np.uint64)
 
 
 def splitmix64(x: int) -> int:
@@ -85,11 +104,114 @@ def element_id(data: bytes | bytearray | memoryview | str) -> int:
     return state
 
 
+def slice_ids(buffer: bytes, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """``element_id(buffer[starts[i]:stops[i]])`` for every i, as a uint64 array.
+
+    Runs the documented chain for all slices at once and matches
+    :func:`element_id` bit for bit.  Slices are taken longest first, so the
+    chains that absorb word ``j`` are a prefix; one round reads their
+    ``j``-th words straight from the buffer, through an unaligned
+    little-endian view with the bytes past a slice's end masked off its last
+    word, and mixes them with a few array operations.  Once at most
+    ``_SCALAR_TAIL`` chains are left, they finish in Python ints, so a few
+    long inputs cost no numpy call per word.  Memory is O(len(buffer) +
+    len(starts)).
+    """
+    starts = np.asarray(starts, dtype=np.int64)
+    stops = np.asarray(stops, dtype=np.int64)
+    if starts.ndim != 1 or stops.shape != starts.shape:
+        raise ValueError("starts and stops must be 1-D arrays of one length")
+    lengths = stops - starts
+    if starts.size and (starts.min() < 0 or lengths.min() < 0 or stops.max() > len(buffer)):
+        raise ValueError("every slice must lie within the buffer")
+    data = np.zeros(len(buffer) + 7, dtype=np.uint8)
+    data[: len(buffer)] = np.frombuffer(buffer, dtype=np.uint8)
+    # words[p] is the little-endian word that starts at byte p.
+    words = np.ndarray((len(buffer),), dtype="<u8", buffer=data, strides=(1,))
+
+    nwords = (lengths + 7) // 8
+    order = np.argsort(-nwords, kind="stable")
+    lengths, pos, stops = lengths[order], starts[order], stops[order]
+    state = _splitmix64_np(np.uint64(_ELEMENT_DOMAIN) ^ lengths.astype(np.uint64))
+    last = _TAIL_MASKS[lengths % 8]
+    # running[j] chains have more than j words: the ones that absorb word j.
+    running = (lengths.size - np.cumsum(np.bincount(nwords, minlength=1))).tolist()
+    t = np.empty_like(state)
+    j = 0
+    while running[j] > _SCALAR_TAIL:
+        c, ending = running[j], running[j + 1]
+        x = words[pos[:c]]
+        x[ending:] &= last[ending:c]
+        x ^= state[:c]
+        # splitmix64, in place.
+        x += _U64_GOLDEN
+        for shift, factor in ((30, _U64_C1), (27, _U64_C2)):
+            np.right_shift(x, np.uint64(shift), out=t[:c])
+            x ^= t[:c]
+            x *= factor
+        np.right_shift(x, np.uint64(31), out=t[:c])
+        np.bitwise_xor(x, t[:c], out=state[:c])
+        pos[:c] += 8
+        j += 1
+    for i in range(running[j]):
+        tail = data[pos[i] : stops[i]].tobytes()
+        word_state = int(state[i])
+        for (word,) in struct.iter_unpack("<Q", tail + bytes(-len(tail) % 8)):
+            word_state = splitmix64(word_state ^ word)
+        state[i] = word_state
+    out = np.empty_like(state)
+    out[order] = state
+    return out
+
+
+def element_ids(items: Iterable[bytes | bytearray | memoryview | str]) -> np.ndarray:
+    """``element_id`` of every item, as a uint64 array, bit for bit.
+
+    Items are encoded as :func:`element_id` encodes them and hashed by
+    :func:`slice_ids` in batches of about ``_CHUNK_BYTES`` of bytes and
+    per-item arrays, so the temporaries stay bounded whatever the count.
+    """
+    pieces = []
+    batch: list[bytes] = []
+    size = 0
+    for item in items:
+        data = item.encode("utf-8") if isinstance(item, str) else bytes(item)
+        batch.append(data)
+        size += len(data) + _PER_INPUT_BYTES
+        if size >= _CHUNK_BYTES:
+            pieces.append(_batch_ids(batch))
+            batch, size = [], 0
+    pieces.append(_batch_ids(batch))
+    return np.concatenate(pieces)
+
+
+def _batch_ids(batch: list[bytes]) -> np.ndarray:
+    lengths = np.fromiter(map(len, batch), dtype=np.int64, count=len(batch))
+    stops = np.cumsum(lengths)
+    return slice_ids(b"".join(batch), stops - lengths, stops)
+
+
 def as_element_array(elements: Iterable[int] | np.ndarray) -> np.ndarray:
     """Coerce element ids to a uint64 array without copying when possible."""
     if isinstance(elements, np.ndarray):
         return elements.astype(np.uint64, copy=False)
     return np.fromiter((e & _MASK64 for e in elements), dtype=np.uint64)
+
+
+def sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """``np.unique`` of a 1-D integer array, by one sort and a neighbour mask.
+
+    numpy 2.4 sends ``np.unique`` of integer arrays down a hash path that
+    measured about 10x slower than sorting (12.8 ms against 1.1 ms for 60k
+    uint64 keys on a 2-vCPU Xeon).
+    """
+    out = np.sort(values)
+    if out.size > 1:
+        keep = np.empty(out.size, dtype=bool)
+        keep[0] = True
+        np.not_equal(out[1:], out[:-1], out=keep[1:])
+        out = out[keep]
+    return out
 
 
 def _bits_from_words(words: np.ndarray, dims: int) -> np.ndarray:

@@ -24,7 +24,7 @@ from typing import IO, Sequence, Union
 
 import numpy as np
 
-from .encoding import Codebook, MinwiseFamily
+from .encoding import Codebook, MinwiseFamily, sorted_distinct
 from .exact import SortedSet, exact_jaccard, exact_weighted
 from .sketches import (
     DotHashSketch,
@@ -122,7 +122,7 @@ def graph_from_edges(
         raise ValueError(f"edge endpoint outside 0..{node_count - 1}")
     u, v = pairs[pairs[:, 0] != pairs[:, 1]].T
     # Both directions of every edge as packed (row, column) keys, sorted and distinct.
-    keys = np.unique(np.concatenate([u * node_count + v, v * node_count + u]))
+    keys = sorted_distinct(np.concatenate([u * node_count + v, v * node_count + u]))
     rows, columns = np.divmod(keys, max(node_count, 1))
     indptr = np.zeros(node_count + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=node_count), out=indptr[1:])
@@ -132,6 +132,21 @@ def graph_from_edges(
         labels=tuple(labels) if labels is not None else None,
         self_loops_dropped=self_loops_dropped,
     )
+
+
+def decode_line(raw: bytes | str, lineno: int) -> str:
+    """One line of an input file as text, or ValueError naming the line.
+
+    ``raw`` is the line's bytes, or its text as read with
+    ``errors="surrogateescape"``, which keeps bytes that are not UTF-8 as
+    lone surrogates until this check finds them.
+    """
+    try:
+        if isinstance(raw, str):
+            raw = raw.encode("utf-8", "surrogateescape")
+        return raw.decode("utf-8")
+    except UnicodeError as exc:
+        raise ValueError(f"line {lineno}: {exc}") from None
 
 
 def load_edge_list(source: Union[str, Path, IO[bytes], IO[str]]) -> Graph:
@@ -149,8 +164,7 @@ def load_edge_list(source: Union[str, Path, IO[bytes], IO[str]]) -> Graph:
     edges: list[tuple[int, int]] = []
     self_loops = 0
     for lineno, raw in enumerate(source, start=1):
-        line = raw.decode("utf-8") if isinstance(raw, bytes) else raw
-        line = line.strip()
+        line = decode_line(raw, lineno).strip()
         if not line or line.startswith("#"):
             continue
         tokens = line.split()

@@ -39,14 +39,9 @@ from typing import BinaryIO, Callable, Iterable, Mapping, Union
 
 import numpy as np
 
-from .encoding import Codebook, MinwiseFamily, as_element_array
+from .encoding import _CHUNK_BYTES, Codebook, MinwiseFamily, as_element_array, sorted_distinct
 
 MINHASH_EMPTY_SENTINEL = (1 << 64) - 1
-
-# Bytes of float64 table values that one accumulation chunk looks up (8 per
-# group and coordinate), which sizes the chunk's word and code temporaries.
-# About 1 MiB measured fastest; 256 KiB and 16 MiB were both slower.
-_CHUNK_BYTES = 1 << 20
 
 # Elements per lookup group: eight sign bits make one byte per coordinate.
 _GROUP = 8
@@ -171,10 +166,7 @@ def _require_compatible(size_a: int, size_b: int, seed_a: int, seed_b: int, size
 
 
 def _distinct_elements(elements: Iterable[int] | np.ndarray) -> np.ndarray:
-    arr = as_element_array(elements)
-    if arr.size == 0:
-        return arr
-    return np.unique(arr)
+    return sorted_distinct(as_element_array(elements))
 
 
 def _transpose8(x: np.ndarray) -> None:
@@ -237,7 +229,7 @@ def _root_sums(cb: Codebook, indptr: np.ndarray, elements: np.ndarray, w: Weight
     # Distinct elements overall, then distinct (set, element) pairs in order.
     distinct, inverse = np.unique(elements, return_inverse=True)
     set_of = np.repeat(np.arange(nsets, dtype=np.int64), np.diff(indptr))
-    pairs = np.unique(set_of * distinct.size + inverse)
+    pairs = sorted_distinct(set_of * distinct.size + inverse)
     members = pairs % max(distinct.size, 1)
     indptr = np.searchsorted(pairs, np.arange(nsets + 1, dtype=np.int64) * distinct.size)
 
@@ -270,6 +262,9 @@ def _root_sums(cb: Codebook, indptr: np.ndarray, elements: np.ndarray, w: Weight
         rows = max(1, _CHUNK_BYTES // (8 * blocks))
         for lo in range(0, distinct.size, rows):
             shared[lo : lo + rows] = cb.sign_words(distinct[lo : lo + rows])
+    # _CHUNK_BYTES of float64 table values looked up per chunk (8 per group
+    # and coordinate) sizes the chunk's word and code temporaries.  About
+    # 1 MiB measured fastest; 256 KiB and 16 MiB were both slower.
     step = max(1, _CHUNK_BYTES // (8 * width))
     for lo in range(0, owner.size, step):
         hi = min(owner.size, lo + step)

@@ -1,5 +1,11 @@
 """Shared fixtures: the expensive Monte-Carlo samples are drawn once per session."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -39,3 +45,35 @@ def minhash_half_jaccard_counts() -> np.ndarray:
         sk_b = minhash_build(family, set_b)
         counts[trial] = int(np.count_nonzero(sk_a.minima == sk_b.minima))
     return counts
+
+
+def _added_peak_rss(setup: str, build: str) -> int:
+    """Bytes of peak RSS that the statement ``build`` adds, in a fresh interpreter."""
+    script = textwrap.dedent(
+        """
+        import resource
+        import sys
+        import numpy as np
+        from dothash.encoding import Codebook, element_ids
+        from dothash.sketches import dothash_build, dothash_build_many
+
+        {setup}
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        {build}
+        after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        print((after - before) * (1 if sys.platform == "darwin" else 1024))
+        """
+    ).format(setup=setup, build=build)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True, env=env, timeout=300
+    )
+    return int(result.stdout)
+
+
+@pytest.fixture
+def added_peak_rss():
+    """``added_peak_rss(setup, build)``: bytes of peak RSS that ``build`` adds after ``setup``."""
+    pytest.importorskip("resource")
+    return _added_peak_rss

@@ -7,11 +7,6 @@ shares no code with the vectorized build.
 
 import hashlib
 import math
-import os
-import subprocess
-import sys
-import textwrap
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -214,34 +209,8 @@ def test_pinned_weighted_sketch():
     assert _digest(sketch.values) == "705e592f8af5d6246adf05a57bade92b498cccb07c2f3f4aece6c96305a06246"
 
 
-def _added_peak_rss(setup: str, build: str) -> int:
-    """Bytes of peak RSS that the statement ``build`` adds, in a fresh interpreter."""
-    script = textwrap.dedent(
-        """
-        import resource
-        import sys
-        import numpy as np
-        from dothash.encoding import Codebook
-        from dothash.sketches import dothash_build, dothash_build_many
-
-        {setup}
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        {build}
-        after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        print((after - before) * (1 if sys.platform == "darwin" else 1024))
-        """
-    ).format(setup=setup, build=build)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    result = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, check=True, env=env, timeout=300
-    )
-    return int(result.stdout)
-
-
-def test_large_build_memory_is_bounded():
-    pytest.importorskip("resource")
-    added = _added_peak_rss(
+def test_large_build_memory_is_bounded(added_peak_rss):
+    added = added_peak_rss(
         "elements = np.arange(200_000, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)",
         "dothash_build(Codebook(seed=1, dims=1024), elements)",
     )
@@ -249,7 +218,7 @@ def test_large_build_memory_is_bounded():
     # 2000 sets of 64 distinct elements at d=4096: the output and the shared
     # word table are 62.5 MiB each, and the rest stays bounded.  Filling the
     # table in one piece added about 60 MiB of temporaries on top.
-    added = _added_peak_rss(
+    added = added_peak_rss(
         "elements = np.arange(2000 * 64, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)",
         "dothash_build_many(Codebook(seed=1, dims=4096), np.arange(2001) * 64, elements)",
     )

@@ -248,6 +248,13 @@ class TestLinkpredCommand:
                      "--metric", "jaccard", "--repeats", "0", "--out", str(tmp_path / "x.csv")]) == 2
         assert "repeats" in capsys.readouterr().err
 
+    def test_undecodable_edge_list_exits_two(self, tmp_path, capsys):
+        edges = tmp_path / "edges.txt"
+        edges.write_bytes(b"1 2\n\xff 3\n")
+        assert main(["linkpred", "--edges", str(edges), "--estimator", "exact",
+                     "--metric", "jaccard", "--out", str(tmp_path / "x.csv")]) == 2
+        assert "dothash: error: line 2: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
+
     def test_minhash_requires_k(self, tmp_path):
         graph = erdos_renyi_graph(20, 0.3, seed=32)
         edges = _write_graph(tmp_path, graph)
@@ -286,6 +293,14 @@ class TestDedupCommand:
                      "--estimator", "exact", "--metric", "jaccard",
                      "--out", str(tmp_path / "x.csv")]) == 2
         assert "line 41" in capsys.readouterr().err
+
+    def test_undecodable_corpus_exits_two(self, tmp_path, capsys):
+        corpus, labels = _write_corpus(tmp_path)
+        corpus.write_bytes(corpus.read_bytes() + b'{"id": "z", "text": "\xff"}\n')
+        assert main(["dedup", "--corpus", str(corpus), "--labels", str(labels),
+                     "--estimator", "exact", "--metric", "jaccard",
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        assert "dothash: error: line 41: 'utf-8' codec" in capsys.readouterr().err
 
     def test_missing_labels_file(self, tmp_path):
         corpus, _ = _write_corpus(tmp_path)

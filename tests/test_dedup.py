@@ -20,6 +20,7 @@ from dothash.dedup import (
     run_dedup_benchmark,
     sample_negative_pairs,
     shingle,
+    shingle_many,
 )
 from dothash.encoding import element_id
 from dothash.exact import exact_weighted
@@ -60,6 +61,34 @@ class TestShingle:
         doc = Document("d", text)
         renorm = Document("d", normalize_text(text))
         assert set(shingle(doc, 2).shingles) == set(shingle(renorm, 2).shingles)
+
+
+    @given(st.text(max_size=120), st.integers(min_value=1, max_value=4))
+    @settings(max_examples=200)
+    def test_matches_scalar_shingling(self, text, w):
+        tokens = normalize_text(text).split()
+        expected = {element_id(" ".join(tokens[i : i + w])) for i in range(len(tokens) - w + 1)}
+        assert shingle(Document("d", text), w).shingles.elements == tuple(sorted(expected))
+
+    @given(st.lists(st.text(alphabet="ab é,\n", max_size=30), max_size=25), st.integers(1, 3))
+    @settings(max_examples=100)
+    def test_batches_equal_single_documents(self, texts, w):
+        docs = [Document(f"d{i}", text) for i, text in enumerate(texts)]
+        assert shingle_many(docs, w) == [shingle(doc, w) for doc in docs]
+
+    def test_corpus_larger_than_one_batch(self):
+        # About 3 MiB of shingle text at w=3, so several batches.
+        docs, _ = make_planted_corpus(n_docs=2000, n_dup_pairs=10, words_per_doc=200, seed=3)
+        many = shingle_many(docs, 3)
+        assert [s.doc_id for s in many] == [d.doc_id for d in docs]
+        for doc in docs[::97] + docs[-3:]:
+            tokens = normalize_text(doc.text).split()
+            expected = {element_id(" ".join(tokens[i : i + 3])) for i in range(len(tokens) - 2)}
+            assert many[docs.index(doc)].shingles.elements == tuple(sorted(expected))
+
+    def test_many_width_validation(self):
+        with pytest.raises(ValueError):
+            shingle_many([], w=0)
 
 
 class TestIdf:
@@ -147,11 +176,33 @@ class TestLoaders:
         with pytest.raises(ValueError, match="line 2"):
             load_corpus_jsonl(path)
 
+    def test_corpus_overlong_integer_reports_line(self, tmp_path):
+        # json.loads refuses integers of more than 4300 digits with a bare ValueError.
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"id": "a", "text": "x"}\n{"id": ' + "9" * 5000 + ', "text": "y"}\n')
+        with pytest.raises(ValueError, match="^line 2: invalid corpus record"):
+            load_corpus_jsonl(path)
+
     def test_corpus_duplicate_id(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         path.write_text('{"id": "a", "text": "x"}\n{"id": "a", "text": "y"}\n')
         with pytest.raises(ValueError, match="duplicate doc_id"):
             load_corpus_jsonl(path)
+
+    def test_corpus_undecodable_utf8_reports_line(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(b'{"id": "a", "text": "x"}\n{"id": "b", "text": "\xff"}\n')
+        with pytest.raises(ValueError, match="^line 2: 'utf-8' codec can't decode byte 0xff"):
+            load_corpus_jsonl(path)
+
+    def test_pairs_undecodable_utf8_reports_line(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_bytes(b"id_a,id_b\na,b\n\xfe,c\n")
+        with pytest.raises(ValueError, match="^line 3: 'utf-8' codec can't decode byte 0xfe"):
+            load_pairs_csv(path)
+        path.write_bytes(b"id_a,\xffid_b\n")
+        with pytest.raises(ValueError, match="^line 1: "):
+            load_pairs_csv(path)
 
     def test_pairs_csv(self, tmp_path):
         path = tmp_path / "labels.csv"

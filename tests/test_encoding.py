@@ -1,5 +1,7 @@
 """Tests for the element hash, codebook PRF, and minwise hash family."""
 
+import time
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -7,15 +9,43 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dothash.encoding import (
+    _ELEMENT_DOMAIN,
     Codebook,
     MinwiseFamily,
     _splitmix64_np,
     element_id,
+    element_ids,
     sign_sums,
+    slice_ids,
+    sorted_distinct,
     splitmix64,
 )
 
 U64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
+
+
+def reference_chain(data: bytes | bytearray | memoryview | str) -> int:
+    """The documented element-id chain, one word at a time in Python ints."""
+    data = data.encode("utf-8") if isinstance(data, str) else bytes(data)
+    state = splitmix64(_ELEMENT_DOMAIN ^ len(data))
+    padded = data + bytes(-len(data) % 8)
+    for i in range(0, len(padded), 8):
+        state = splitmix64(state ^ int.from_bytes(padded[i : i + 8], "little"))
+    return state
+
+
+# Lengths around the word size, plus longer strings, bytes and non-ASCII text.
+edge_bytes = st.sampled_from([0, 1, 7, 8, 9, 15, 16, 17, 24]).flatmap(
+    lambda n: st.binary(min_size=n, max_size=n)
+)
+items = st.one_of(
+    edge_bytes,
+    st.binary(max_size=80),
+    st.text(max_size=30),
+    st.text(alphabet="é数\U0001f600a ", max_size=12),
+    st.binary(max_size=20).map(bytearray),
+    st.binary(max_size=20).map(memoryview),
+)
 
 
 class TestSplitMix64:
@@ -68,6 +98,99 @@ class TestElementId:
         # so any shortfall here would be a hash collision
         distinct_inputs = len({row.tobytes() for row in chars})
         assert len(seen) == distinct_inputs
+
+
+class TestElementIds:
+    @given(st.lists(items, max_size=40))
+    @settings(max_examples=200)
+    def test_matches_scalar_chain(self, batch):
+        # Repeated 17 times, the batch also runs the array rounds, not only
+        # the scalar finish that takes over once 16 chains are left.
+        for run in (batch, batch * 17):
+            assert element_ids(run).tolist() == [reference_chain(x) for x in run]
+
+    def test_empty_batch(self):
+        ids = element_ids([])
+        assert ids.dtype == np.uint64 and ids.size == 0
+
+    @pytest.mark.parametrize("length", [0, 7, 8, 9, 16])
+    def test_word_boundary_lengths(self, length):
+        rng = np.random.default_rng(length)
+        batch = [rng.bytes(length) for _ in range(40)]
+        assert element_ids(batch).tolist() == [element_id(x) for x in batch]
+
+    def test_str_and_bytes_agree(self):
+        batch = ["héllo", "héllo".encode("utf-8"), "数字", "", b"", "a" * 9]
+        ids = element_ids(batch * 5).tolist()
+        assert ids == [element_id(x) for x in batch * 5]
+        assert ids[0] == ids[1] and ids[3] == ids[4]
+
+    def test_batches_larger_than_one_chunk(self):
+        tokens = [f"tok-{i:016x}" for i in range(40_000)]
+        assert element_ids(tokens).tolist() == [element_id(t) for t in tokens]
+
+    def test_one_mebibyte_token_among_short_ones(self):
+        big = np.random.default_rng(3).bytes((1 << 20) + 5)
+        batch = ["a", big, b"12345678", "tok"] * 2 + [f"t{i}" for i in range(30)]
+        assert element_ids(batch).tolist() == [element_id(x) for x in batch]
+
+    def test_one_mebibyte_token_costs_about_one_scalar_chain(self):
+        # Finishing the long chain one array round per word took 10x the
+        # scalar time; the Python-int finish makes it about 1x.
+        big = np.random.default_rng(4).bytes(1 << 20)
+
+        def best(fn):
+            times = []
+            for _ in range(3):
+                start = time.perf_counter()
+                fn()
+                times.append(time.perf_counter() - start)
+            return min(times)
+
+        assert best(lambda: element_ids([big])) < 3 * best(lambda: element_id(big))
+
+    def test_slices_of_one_buffer(self):
+        buffer = "the quick brown fox — jumps".encode("utf-8")
+        end = len(buffer)
+        starts = np.array([0, 4, 10, 0, end, 16])
+        stops = np.array([3, 9, 19, end, end, end])
+        expected = [element_id(buffer[a:b]) for a, b in zip(starts, stops)]
+        assert slice_ids(buffer, starts, stops).tolist() == expected
+
+    @pytest.mark.parametrize("starts, stops", [([0], [40]), ([-1], [2]), ([3], [2]), ([0, 1], [2])])
+    def test_slices_outside_the_buffer_rejected(self, starts, stops):
+        with pytest.raises(ValueError):
+            slice_ids(b"x" * 31, np.array(starts), np.array(stops))
+
+    def test_hashing_many_tokens_adds_bounded_memory(self, added_peak_rss):
+        # 200k 20-byte tokens: the ids are 1.6 MiB.  Batches of about 1 MiB
+        # added 6 MiB in all; one batch of every token at once added 42 MiB.
+        added = added_peak_rss(
+            "tokens = [f'tok-{i:016x}' for i in range(200_000)]",
+            "ids = element_ids(tokens)",
+        )
+        assert added < 12 * 2**20, f"hashing added {added / 2**20:.1f} MiB of peak RSS"
+
+
+class TestSortedDistinct:
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.array([], dtype=np.uint64),
+            np.array([], dtype=np.int64),
+            np.full(100, 7, dtype=np.uint64),
+            np.array([2**64 - 1, 0, 2**64 - 2, 2**64 - 1, 2**63], dtype=np.uint64),
+            np.array([-3, 5, -3, 0, 2**62], dtype=np.int64),
+        ],
+    )
+    def test_equals_np_unique(self, values):
+        got, want = sorted_distinct(values), np.unique(values)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @given(st.lists(U64, max_size=200), st.integers(min_value=0, max_value=3))
+    def test_equals_np_unique_on_random_uint64(self, xs, repeats):
+        values = np.array(xs * (repeats + 1), dtype=np.uint64)
+        assert np.array_equal(sorted_distinct(values), np.unique(values))
 
 
 class TestCodebook:

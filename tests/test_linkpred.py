@@ -58,6 +58,14 @@ class TestLoadEdgeList:
         with pytest.raises(ValueError, match="line 2"):
             load_edge_list(_text("a b\na b c\n"))
 
+    def test_undecodable_utf8_reports_line(self, tmp_path):
+        with pytest.raises(ValueError, match="^line 2: 'utf-8' codec can't decode byte 0xff in position 0"):
+            load_edge_list(io.BytesIO(b"1 2\n\xff 3\n"))
+        path = tmp_path / "edges.txt"
+        path.write_bytes(b"# c\n1 2\n3 \xc3\n")
+        with pytest.raises(ValueError, match="^line 3: "):
+            load_edge_list(path)
+
     def test_empty_input(self):
         with pytest.raises(ValueError, match="graph has no edges"):
             load_edge_list(_text("# nothing\n"))
