@@ -25,9 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .encoding import sign_sums
-
-_SEED_CHUNK = 64
+from .encoding import _CHUNK_BYTES, sign_sums
 
 
 @dataclass(frozen=True)
@@ -151,18 +149,50 @@ def sample_intersection_estimates(
     unit-weight sketches and taking their dot product; this path just
     batches the PRF over seeds.
     """
+    return _sample_estimates(size_a, size_b, size_int, [dims], trials, seed0)[0]
+
+
+def _sample_estimates(
+    size_a: int,
+    size_b: int,
+    size_int: int,
+    dims_list: Sequence[int],
+    trials: int,
+    seed0: int,
+) -> np.ndarray:
+    """``sample_intersection_estimates`` at every d of ``dims_list``, one row each.
+
+    The sign sums of ``A - B``, ``A & B`` and ``B - A`` are counted once per
+    seed, and S_A and S_B are exact integer sums of them.  They are counted
+    at the largest d only: a codebook's first d coordinates do not depend on
+    its dims, so each d takes a prefix of the same sums.
+    """
+    if min(size_a, size_b, size_int) < 0:
+        raise ValueError("set sizes must be nonnegative")
     if size_int > min(size_a, size_b):
         raise ValueError("intersection cannot exceed the smaller set")
-    union = size_a + size_b - size_int
-    elements = np.arange(union, dtype=np.uint64)
-    idx_a = np.arange(size_a)
-    idx_b = np.arange(size_a - size_int, union)
-    out = np.empty(trials, dtype=np.float64)
-    for start in range(0, trials, _SEED_CHUNK):
-        seeds = np.arange(seed0 + start, seed0 + min(start + _SEED_CHUNK, trials), dtype=np.uint64)
-        sums_a = sign_sums(seeds, elements[idx_a], dims)
-        sums_b = sign_sums(seeds, elements[idx_b], dims)
-        out[start : start + len(seeds)] = (sums_a * sums_b).sum(axis=1) / dims
+    dims = np.asarray(dims_list, dtype=np.int64)
+    out = np.empty((dims.size, trials), dtype=np.float64)
+    if not dims.size:
+        return out
+    if dims.min() < 1:
+        raise ValueError("dims must be >= 1")
+    d_max = int(dims.max())
+    only_a = np.arange(size_a - size_int, dtype=np.uint64)
+    both = np.arange(size_a - size_int, size_a, dtype=np.uint64)
+    only_b = np.arange(size_a, size_a + size_b - size_int, dtype=np.uint64)
+    # Seeds per chunk, so that one (seeds, d_max) int64 array of sums is
+    # about _CHUNK_BYTES.
+    chunk = max(1, _CHUNK_BYTES // (8 * d_max))
+    for start in range(0, trials, chunk):
+        stop = min(start + chunk, trials)
+        seeds = np.arange(seed0 + start, seed0 + stop, dtype=np.uint64)
+        s_only_a, s_both, s_only_b = (sign_sums(seeds, part, d_max) for part in (only_a, both, only_b))
+        s_only_a += s_both
+        s_only_b += s_both
+        # Exact integer dot products of every prefix, one column per d.
+        prefix_dots = np.cumsum(s_only_a * s_only_b, axis=1)
+        out[:, start:stop] = (prefix_dots[:, dims - 1] / dims).T
     return out
 
 
@@ -194,19 +224,22 @@ def bounds_sweep(
 ) -> list[BoundsRow]:
     """Chebyshev / CLT / empirical exceedance curves over a (d, eps) grid.
 
-    One batch of ``trials`` estimates is drawn per dimension (seed schedule
-    ``seed0 + arange(trials)``) and reused across the epsilon grid.
-    Raises ValueError unless ``trials`` is at least 1.
+    Every grid point's analytic bounds are computed first, so a bad query
+    raises ValueError before any sampling.  One batch of ``trials``
+    estimates is then drawn per dimension (seed schedule
+    ``seed0 + arange(trials)``, hashed once at the largest d) and reused
+    across the epsilon grid.  Raises ValueError unless ``trials`` is at
+    least 1.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    rows: list[BoundsRow] = []
+    analytic = []
     for dims in dims_list:
-        estimates = sample_intersection_estimates(size_a, size_b, size_int, dims, trials, seed0)
-        empirical = empirical_exceedance(estimates, size_int, epsilons)
-        for eps, emp in zip(epsilons, empirical):
+        for eps in epsilons:
             q = BoundsQuery(size_a=size_a, size_b=size_b, size_int=size_int, dims=dims,
                             epsilon=float(eps))
-            rows.append(BoundsRow(dims=dims, epsilon=float(eps), chebyshev=chebyshev_tail(q),
-                                  clt=clt_tail(q), empirical=float(emp)))
-    return rows
+            analytic.append((dims, float(eps), chebyshev_tail(q), clt_tail(q)))
+    estimates = _sample_estimates(size_a, size_b, size_int, dims_list, trials, seed0)
+    empirical = [emp for row in estimates for emp in empirical_exceedance(row, size_int, epsilons)]
+    return [BoundsRow(dims=dims, epsilon=eps, chebyshev=cheb, clt=clt, empirical=float(emp))
+            for (dims, eps, cheb, clt), emp in zip(analytic, empirical)]

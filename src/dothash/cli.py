@@ -59,12 +59,22 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_elements(path: str) -> np.ndarray:
-    """The distinct element ids of the tokens, one per line; blank lines are skipped."""
+    """The distinct element ids of the tokens, one per line; blank lines are skipped.
+
+    The input is decoded as UTF-8; a byte that is not is reported with its
+    line number, as ValueError.
+    """
     if path == "-":
-        lines = sys.stdin.read().splitlines()
+        stdin = sys.stdin
+        data = stdin.buffer.read() if hasattr(stdin, "buffer") else stdin.read().encode("utf-8")
     else:
-        with open(path, "r", encoding="utf-8") as fp:
-            lines = fp.read().splitlines()
+        with open(path, "rb") as fp:
+            data = fp.read()
+    try:
+        lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"line {lineno}: {exc}") from None
     return sorted_distinct(element_ids(token for token in map(str.strip, lines) if token))
 
 

@@ -20,7 +20,9 @@ Codebook
     block ``j`` of 64 sign bits is ``splitmix64(h + (j+1) * GOLDEN)`` (the
     standard SplitMix64 output stream seeded at ``h``).  Bit ``i`` of block
     ``j`` is coordinate ``64*j + i``, LSB first.  Vectors are recomputed on
-    demand in O(d); nothing is ever stored.
+    demand in O(d); nothing is ever stored.  No block depends on ``dims``,
+    and this is a contract: ``Codebook(seed, d)`` is the first ``d``
+    coordinates of ``Codebook(seed, D)`` for every ``D >= d``.
 
 MinwiseFamily
     ``k`` independently keyed 64-bit hash functions for MinHash:
@@ -50,8 +52,10 @@ _U64_C1 = np.uint64(0xBF58476D1CE4E5B9)
 _U64_C2 = np.uint64(0x94D049BB133111EB)
 
 # Bytes of temporaries that one chunk of a batched computation may hold: the
-# text and per-input arrays of one batch of element ids here, the looked-up
-# table values of one accumulation chunk in ``sketches._root_sums``.
+# text and per-input arrays of one batch of element ids and the PRF words of
+# one element chunk of ``sign_sums`` here, the looked-up table values of one
+# accumulation chunk in ``sketches._root_sums``, and one seed chunk's sign
+# sums in ``bounds``.
 _CHUNK_BYTES = 1 << 20
 
 # Per-input arrays of a batched element-id chain, in bytes per input.
@@ -82,6 +86,17 @@ def _splitmix64_np(x: np.ndarray) -> np.ndarray:
     z = (z ^ (z >> np.uint64(30))) * _U64_C1
     z = (z ^ (z >> np.uint64(27))) * _U64_C2
     return z ^ (z >> np.uint64(31))
+
+
+def _splitmix64_into(x: np.ndarray, t: np.ndarray, out: np.ndarray) -> None:
+    """Write splitmix64(x) to `out`, using `x` and `t` (same shape) as scratch."""
+    x += _U64_GOLDEN
+    for shift, factor in ((30, _U64_C1), (27, _U64_C2)):
+        np.right_shift(x, np.uint64(shift), out=t)
+        x ^= t
+        x *= factor
+    np.right_shift(x, np.uint64(31), out=t)
+    np.bitwise_xor(x, t, out=out)
 
 
 def element_id(data: bytes | bytearray | memoryview | str) -> int:
@@ -143,14 +158,7 @@ def slice_ids(buffer: bytes, starts: np.ndarray, stops: np.ndarray) -> np.ndarra
         x = words[pos[:c]]
         x[ending:] &= last[ending:c]
         x ^= state[:c]
-        # splitmix64, in place.
-        x += _U64_GOLDEN
-        for shift, factor in ((30, _U64_C1), (27, _U64_C2)):
-            np.right_shift(x, np.uint64(shift), out=t[:c])
-            x ^= t[:c]
-            x *= factor
-        np.right_shift(x, np.uint64(31), out=t[:c])
-        np.bitwise_xor(x, t[:c], out=state[:c])
+        _splitmix64_into(x, t[:c], state[:c])
         pos[:c] += 8
         j += 1
     for i in range(running[j]):
@@ -284,22 +292,69 @@ def sign_sums(seeds: np.ndarray, elements: np.ndarray, dims: int) -> np.ndarray:
     equals ``Codebook(seeds[s], dims).sign_rows(elements).sum(axis=0)``.
     Used by Monte-Carlo sweeps that vary the codebook seed; the per-seed
     result is identical to building sketches one seed at a time.
+
+    A sum of n signs is ``2 * popcount - n``, and the popcounts are counted
+    on the packed PRF words, computed in place, without unpacking them.  A
+    carry-save adder tree runs along the element axis, one weight at a
+    time, on whole arrays of words: full adders turn three words of weight
+    ``2**p`` into a sum of that weight and a carry of weight ``2**(p+1)``,
+    a half adder takes the last two, and the one word left is bit plane
+    ``p``; the carries are the words of the next weight.  For m elements
+    that leaves ``m.bit_length()`` planes, and only those are unpacked, each
+    added as ``plane << p``.  Elements are taken in chunks of about
+    ``_CHUNK_BYTES`` of words and the integer counts of the chunks added,
+    so the temporaries stay bounded whatever n is.
     """
+    if dims < 1:
+        raise ValueError("codebook dims must be >= 1")
     seeds = np.asarray(seeds, dtype=np.uint64)
     elements = as_element_array(elements)
     n = elements.shape[0]
     roots = _splitmix64_np(seeds ^ np.uint64(_CODEBOOK_DOMAIN))
-    keys = _splitmix64_np(roots[:, None] ^ elements[None, :])
     blocks = (dims + 63) // 64
     offsets = np.arange(1, blocks + 1, dtype=np.uint64) * _U64_GOLDEN
-    words = _splitmix64_np(keys[:, :, None] + offsets[None, None, :])
-    bits = _bits_from_words(words, dims)
-    # sum of (2*bit - 1) over elements = 2 * popcount - n.  A popcount is at
-    # most n, so int32 counts are exact; they measured about 45% faster than
-    # int64 counts, whose speed also swung by 10% with where the allocator
-    # happened to place `bits`.
-    count = np.int32 if n < 2**31 else np.int64
-    return 2 * bits.sum(axis=1, dtype=count).astype(np.int64) - n
+    # A count is at most n, so int32 counts are exact for any n below 2**31.
+    counts = np.zeros((seeds.size, dims), dtype=np.int32 if n < 2**31 else np.int64)
+    step = max(1, _CHUNK_BYTES // (8 * blocks * max(1, seeds.size)))
+    for start in range(0, n, step):
+        keys = _splitmix64_np(elements[start : start + step, None] ^ roots[None, :])
+        words = keys[:, :, None] + offsets  # (elements, seeds, blocks)
+        _splitmix64_into(words, np.empty_like(words), words)
+        plane_bits = _bits_from_words(np.stack(_bit_planes(words)), dims)
+        for p, bits in enumerate(plane_bits):
+            counts += np.left_shift(bits, p, dtype=counts.dtype)
+    return 2 * counts.astype(np.int64) - n
+
+
+def _bit_planes(x: np.ndarray) -> list[np.ndarray]:
+    """Bit planes of each bit lane's popcount over axis 0 of the uint64 array `x`.
+
+    Plane ``p`` holds bit ``p`` of every lane's count of set bits; the adder
+    tree that builds them is described in :func:`sign_sums`.  `x` is
+    overwritten.
+    """
+    planes = []
+    while len(x):
+        carries = []
+        while len(x) > 2:
+            # Full adders on the triples (a, b, c): the sum goes to a, b is
+            # scratch, and the words left over move up behind the sums.
+            t, rest = divmod(len(x), 3)
+            a, b, c = x[:t], x[t : 2 * t], x[2 * t : 3 * t]
+            carry = a & b
+            a ^= b
+            np.bitwise_and(a, c, out=b)
+            carry |= b
+            a ^= c
+            x[t : t + rest] = x[3 * t :]
+            x = x[: t + rest]
+            carries.append(carry)
+        if len(x) == 2:
+            carries.append(x[:1] & x[1:])
+            x[0] ^= x[1]
+        planes.append(x[0])
+        x = np.concatenate(carries) if carries else x[:0]
+    return planes
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,10 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dothash import bounds
 from dothash.bounds import (
     BoundsQuery,
+    BoundsRow,
     bounds_sweep,
     chebyshev_tail,
     clt_tail,
@@ -178,6 +180,64 @@ class TestMonteCarloSampler:
         assert len(rows) == 4
         again = bounds_sweep(50, 50, 25, [64, 128], [0.2, 0.4], trials=100, seed0=3)
         assert rows == again
+
+    def test_estimates_are_exact_integer_dot_products(self):
+        # Each estimate is the integer dot product of the two sets' sign
+        # sums, divided by d once, whatever the pieces they are counted in.
+        elements = np.arange(45, dtype=np.uint64)
+        estimates = sample_intersection_estimates(30, 35, 20, 100, 4, seed0=400)
+        for t in range(4):
+            signs = Codebook(seed=400 + t, dims=100).sign_rows(elements).astype(np.int64)
+            dot = int((signs[:30].sum(axis=0) * signs[10:45].sum(axis=0)).sum())
+            assert estimates[t] == dot / 100
+
+    @pytest.mark.parametrize("size_a, size_b, size_int",
+                             [(30, 35, 20), (20, 35, 20), (35, 20, 20), (20, 20, 20), (12, 9, 0)])
+    def test_sweep_equals_sampling_each_dims_alone(self, size_a, size_b, size_int):
+        # The sweep hashes once at the largest d and takes each d as a prefix
+        # of those sums; 70 trials span two seed chunks at d = 2048.
+        dims_list, epsilons = [2048, 512, 512, 65, 1], [0.1, 0.3, 0.7]
+        per_dims = [sample_intersection_estimates(size_a, size_b, size_int, dims, 70, seed0=17)
+                    for dims in dims_list]
+        swept = bounds._sample_estimates(size_a, size_b, size_int, dims_list, 70, 17)
+        for row, alone in zip(swept, per_dims):
+            assert np.array_equal(row, alone)
+        if size_int == 0:
+            return  # the relative-error bounds are undefined
+        expected = []
+        for dims, estimates in zip(dims_list, per_dims):
+            empirical = empirical_exceedance(estimates, size_int, epsilons)
+            for eps, emp in zip(epsilons, empirical):
+                query = BoundsQuery(size_a=size_a, size_b=size_b, size_int=size_int, dims=dims,
+                                    epsilon=eps)
+                expected.append(BoundsRow(dims=dims, epsilon=eps, chebyshev=chebyshev_tail(query),
+                                          clt=clt_tail(query), empirical=float(emp)))
+        assert bounds_sweep(size_a, size_b, size_int, dims_list, epsilons, trials=70,
+                            seed0=17) == expected
+
+    @pytest.mark.parametrize("size_int, dims_list", [(0, [4096]), (100, [64, 0]), (300, [64])])
+    def test_sweep_rejects_a_bad_query_before_sampling(self, monkeypatch, size_int, dims_list):
+        def sampled(*args):
+            raise AssertionError("sign_sums called before the grid was checked")
+
+        monkeypatch.setattr(bounds, "sign_sums", sampled)
+        with pytest.raises(ValueError):
+            bounds_sweep(200, 200, size_int, dims_list, [0.1], trials=20_000)
+
+    @pytest.mark.parametrize("sizes, dims", [((10, 15, -1), 16), ((-1, 15, 0), 16), ((10, 15, 5), 0)])
+    def test_sampler_rejects_bad_arguments(self, sizes, dims):
+        with pytest.raises(ValueError):
+            sample_intersection_estimates(*sizes, dims, 3)
+
+    def test_large_sets_add_bounded_memory(self, added_peak_rss):
+        # Unpacking every sign bit of 300k elements at d=256 added about
+        # 150 MiB; counting chunks of packed words adds a few MiB.
+        added = added_peak_rss(
+            "from dothash.bounds import sample_intersection_estimates\n"
+            "sample_intersection_estimates(10, 10, 5, 256, 2)",
+            "sample_intersection_estimates(200_000, 200_000, 100_000, 256, 2)",
+        )
+        assert added < 16 * 2**20, f"sampling added {added / 2**20:.1f} MiB of peak RSS"
 
     @given(st.integers(min_value=0, max_value=20))
     @settings(max_examples=10, deadline=None)

@@ -1,16 +1,20 @@
 """Tests for the command-line interface: wiring, formats, and exit codes."""
 
+import hashlib
+import io
 import json
 import math
 import os
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from dothash import bounds as bounds_mod
 from dothash.bounds import BoundsQuery, clt_tail
 from dothash.cli import main
 from dothash.dedup import make_planted_corpus
@@ -76,6 +80,33 @@ class TestSketchCommand:
         code = main(["sketch", "--estimator", "dothash", "--dims", "8",
                      "--input", str(tmp_path / "missing.txt"), "--out", str(tmp_path / "x.bin")])
         assert code == 2
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_undecodable_tokens_name_the_line(self, tmp_path, monkeypatch, capsys, source):
+        data = b"a\n\xff\n"
+        args = ["sketch", "--estimator", "dothash", "--dims", "32", "--out", str(tmp_path / "s.bin")]
+        if source == "file":
+            tokens = tmp_path / "tokens.txt"
+            tokens.write_bytes(data)
+            args += ["--input", str(tokens)]
+        else:
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        assert main(args) == 2
+        assert "dothash: error: line 2: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
+
+    def test_stdin_and_file_give_one_sketch(self, tmp_path, monkeypatch):
+        # Both are read as UTF-8 bytes, whatever encoding stdin's text layer has.
+        data = "caf\u00e9\r\nb\n\n  c  \rd".encode("utf-8")
+        tokens = tmp_path / "tokens.txt"
+        tokens.write_bytes(data)
+        from_file, from_stdin = tmp_path / "f.bin", tmp_path / "s.bin"
+        args = ["sketch", "--estimator", "minhash", "--k", "16"]
+        assert main(args + ["--input", str(tokens), "--out", str(from_file)]) == 0
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="latin-1"))
+        assert main(args + ["--out", str(from_stdin)]) == 0
+        assert from_file.read_bytes() == from_stdin.read_bytes()
+        with open(from_file, "rb") as fp:
+            assert read_sketch(fp).cardinality == 4
 
 
 class TestCompareCommand:
@@ -210,6 +241,45 @@ class TestBoundsCommand:
         assert main(args + ["--out", str(out1)]) == 0
         assert main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_benchmark_flags_output_is_pinned(self, tmp_path):
+        # The benchmark's bounds-mc flags at seed 7; the digest was recorded
+        # before the sweep hashed once at the largest d.
+        out = tmp_path / "bounds.csv"
+        assert main(["bounds", "--size-a", "200", "--size-b", "200", "--size-int", "100",
+                     "--dims", "512", "1024", "2048", "--trials", "1000", "--seed", "7",
+                     "--out", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "216c2b2b898997050bbbcba7fc2054076cbbd7646cc6534d45651c4a79157688"
+
+    def test_unsorted_and_repeated_dims_match_each_dims_alone(self, tmp_path):
+        args = ["bounds", "--size-a", "40", "--size-b", "30", "--size-int", "30",
+                "--eps-points", "3", "--trials", "90", "--seed", "5"]
+        swept = tmp_path / "swept.csv"
+        assert main(args + ["--dims", "300", "64", "300", "1", "--out", str(swept)]) == 0
+        expected = ["d,epsilon,chebyshev,clt,empirical"]
+        for dims in ("300", "64", "300", "1"):
+            alone = tmp_path / f"d{dims}.csv"
+            assert main(args + ["--dims", dims, "--out", str(alone)]) == 0
+            expected += alone.read_text().splitlines()[1:]
+        assert swept.read_text().splitlines() == expected
+
+    @pytest.mark.parametrize("flags", [
+        ["--size-int", "100", "--dims", "0"],
+        ["--size-int", "100", "--dims", "64", "0"],
+        ["--size-int", "0", "--trials", "20000", "--dims", "4096"],
+    ])
+    def test_bad_query_exits_two_before_sampling(self, tmp_path, monkeypatch, capsys, flags):
+        sampled = []
+        monkeypatch.setattr(bounds_mod, "sign_sums", lambda *args: sampled.append(args))
+        out = tmp_path / "bounds.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["bounds", "--size-a", "200", "--size-b", "200", *flags, "--out", str(out)])
+        assert code == 2
+        assert "dothash: error:" in capsys.readouterr().err
+        assert sampled == []
+        assert not out.exists()
 
 
 class TestLinkpredCommand:

@@ -8,7 +8,9 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dothash import encoding
 from dothash.encoding import (
+    _CHUNK_BYTES,
     _ELEMENT_DOMAIN,
     Codebook,
     MinwiseFamily,
@@ -268,6 +270,59 @@ class TestCodebook:
             cb = Codebook(seed=int(seed), dims=100)
             expected = cb.sign_rows(elements).astype(np.int64).sum(axis=0)
             assert np.array_equal(row, expected)
+
+
+def reference_sign_sums(seeds: np.ndarray, elements: np.ndarray, dims: int) -> np.ndarray:
+    """Every sign bit unpacked from the codebook words, then summed as ±1."""
+    out = np.empty((len(seeds), dims), dtype=np.int64)
+    shifts = np.arange(64, dtype=np.uint64)
+    for row, seed in zip(out, seeds):
+        words = Codebook(seed=int(seed), dims=dims).sign_words(elements)
+        bits = ((words[:, :, None] >> shifts) & np.uint64(1)).reshape(len(elements), 64 * words.shape[1])
+        row[:] = (2 * bits[:, :dims].astype(np.int64) - 1).sum(axis=0)
+    return out
+
+
+# Element counts at and around powers of two, where the adder tree gains a
+# bit plane; the chunk sizes below cut the larger ones into several chunks.
+TREE_SIZES = [0, 1, 2, 3] + [n for k in (2, 3, 5, 6, 8, 10) for n in (2**k - 1, 2**k, 2**k + 1)]
+SEEDS_NEAR_TOP = st.integers(min_value=(1 << 64) - 4, max_value=(1 << 64) - 1)
+
+
+class TestSignSums:
+    @given(
+        n=st.sampled_from(TREE_SIZES),
+        dims=st.sampled_from([1, 63, 64, 65]) | st.integers(min_value=1, max_value=300),
+        seeds=st.lists(SEEDS_NEAR_TOP | U64, min_size=1, max_size=3),
+        chunk_bytes=st.sampled_from([1024, 8192, _CHUNK_BYTES]),
+        element_seed=st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_adder_tree_matches_unpacked_sum(self, n, dims, seeds, chunk_bytes, element_seed):
+        elements = np.random.default_rng(element_seed).integers(0, 2**64, size=n, dtype=np.uint64)
+        seeds = np.array(seeds, dtype=np.uint64)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(encoding, "_CHUNK_BYTES", chunk_bytes)
+            sums = sign_sums(seeds, elements, dims)
+        assert sums.dtype == np.int64
+        assert np.array_equal(sums, reference_sign_sums(seeds, elements, dims))
+
+    def test_no_seeds(self):
+        assert sign_sums(np.array([], dtype=np.uint64), np.arange(5), 70).shape == (0, 70)
+
+    def test_dims_validation(self):
+        with pytest.raises(ValueError):
+            sign_sums(np.array([1], dtype=np.uint64), np.arange(5), 0)
+
+    @given(seed=SEEDS_NEAR_TOP | U64, dims=st.integers(min_value=1, max_value=300),
+           extra=st.integers(min_value=0, max_value=300))
+    @settings(max_examples=40, deadline=None)
+    def test_codebook_prefix_property(self, seed, dims, extra):
+        # Codebook(s, d) is the first d coordinates of Codebook(s, D), D >= d.
+        elements = np.array([0, 1, 12345, 2**64 - 1], dtype=np.uint64)
+        small = Codebook(seed=seed, dims=dims).sign_bits(elements)
+        large = Codebook(seed=seed, dims=dims + extra).sign_bits(elements)
+        assert np.array_equal(small, large[:, :dims])
 
 
 class TestMinwiseFamily:
