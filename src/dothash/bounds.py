@@ -20,7 +20,7 @@ giving roughly 1e-14 accuracy with no statistics dependency.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -143,11 +143,11 @@ def sample_intersection_estimates(
 ) -> np.ndarray:
     """DotHash intersection estimates over ``trials`` independent codebooks.
 
-    Trial ``t`` uses codebook seed ``seed0 + t`` (the declared seed
-    schedule), with fixed sets ``A = {0..|A|-1}`` and ``B`` overlapping A in
-    its last ``size_int`` elements.  Per-seed results equal building the two
-    unit-weight sketches and taking their dot product; this path just
-    batches the PRF over seeds.
+    Trial ``t`` uses codebook seed ``(seed0 + t) mod 2**64`` (the declared
+    seed schedule), with fixed sets ``A = {0..|A|-1}`` and ``B`` overlapping
+    A in its last ``size_int`` elements.  Per-seed results equal building
+    the two unit-weight sketches and taking their dot product; this path
+    just batches the PRF over seeds.
     """
     return _sample_estimates(size_a, size_b, size_int, [dims], trials, seed0)[0]
 
@@ -186,7 +186,8 @@ def _sample_estimates(
     chunk = max(1, _CHUNK_BYTES // (8 * d_max))
     for start in range(0, trials, chunk):
         stop = min(start + chunk, trials)
-        seeds = np.arange(seed0 + start, seed0 + stop, dtype=np.uint64)
+        # Trial t's seed is (seed0 + t) mod 2**64, as Codebook masks any seed.
+        seeds = np.uint64(seed0 % 2**64) + np.arange(start, stop, dtype=np.uint64)
         s_only_a, s_both, s_only_b = (sign_sums(seeds, part, d_max) for part in (only_a, both, only_b))
         s_only_a += s_both
         s_only_b += s_both
@@ -227,19 +228,21 @@ def bounds_sweep(
     Every grid point's analytic bounds are computed first, so a bad query
     raises ValueError before any sampling.  One batch of ``trials``
     estimates is then drawn per dimension (seed schedule
-    ``seed0 + arange(trials)``, hashed once at the largest d) and reused
-    across the epsilon grid.  Raises ValueError unless ``trials`` is at
-    least 1.
+    ``seed0 + arange(trials)`` mod 2**64, hashed once at the largest d) and
+    reused across the epsilon grid; an empty grid draws none.  Raises
+    ValueError unless ``trials`` is at least 1.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     analytic = []
     for dims in dims_list:
+        query = BoundsQuery(size_a=size_a, size_b=size_b, size_int=size_int, dims=dims)
         for eps in epsilons:
-            q = BoundsQuery(size_a=size_a, size_b=size_b, size_int=size_int, dims=dims,
-                            epsilon=float(eps))
+            q = replace(query, epsilon=float(eps))
             analytic.append((dims, float(eps), chebyshev_tail(q), clt_tail(q)))
-    estimates = _sample_estimates(size_a, size_b, size_int, dims_list, trials, seed0)
+    # An empty grid samples nothing, but its set sizes are still checked.
+    estimates = _sample_estimates(size_a, size_b, size_int, dims_list if analytic else [], trials,
+                                  seed0)
     empirical = [emp for row in estimates for emp in empirical_exceedance(row, size_int, epsilons)]
     return [BoundsRow(dims=dims, epsilon=eps, chebyshev=cheb, clt=clt, empirical=float(emp))
             for (dims, eps, cheb, clt), emp in zip(analytic, empirical)]

@@ -28,23 +28,24 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import dedup as dedup_mod
 from . import linkpred as linkpred_mod
-from .encoding import element_ids, sorted_distinct
+from .encoding import Codebook, MinwiseFamily, element_ids, sorted_distinct
 from .sketches import (
     DotHashSketch,
     MinHashSketch,
-    WeightFn,
+    dothash_build,
     dothash_intersection,
     dothash_jaccard,
+    minhash_build,
     minhash_jaccard,
     read_sketch,
+    simhash_build,
     simhash_similarity,
     sketch_kind,
     write_sketch,
 )
 
-# Not called here; bench/spans.py wraps these names until ROADMAP item 6 moves its probes.
+# Not called here; bench/spans.py wraps this name until ROADMAP item 1 moves its probes.
 from .encoding import element_id  # noqa: F401
-from .sketches import dothash_build, minhash_build, simhash_build  # noqa: F401
 
 
 class _UsageError(Exception):
@@ -94,8 +95,11 @@ def _resolve_size(args: argparse.Namespace) -> int | None:
 def _cmd_sketch(args: argparse.Namespace) -> int:
     size = _resolve_size(args)
     elements = _read_elements(args.input)
-    [sketch] = linkpred_mod.build_sets(linkpred_mod.Estimator(args.estimator), size, args.seed,
-                                       np.array([0, elements.size]), elements, WeightFn.unit())
+    if args.estimator == "minhash":
+        sketch = minhash_build(MinwiseFamily(seed=args.seed, k=size), elements)
+    else:
+        build = dothash_build if args.estimator == "dothash" else simhash_build
+        sketch = build(Codebook(seed=args.seed, dims=size), elements)
     with open(args.out, "wb") as fp:
         write_sketch(sketch, fp)
     summary = {
@@ -259,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Emit CSV rows (d, epsilon, chebyshev, clt, empirical) for "
                     "the estimator error probability P(|X - i| >= eps*i) at the "
                     "given set sizes, over an epsilon grid. The empirical column "
-                    "is a Monte-Carlo over codebook seeds seed..seed+trials-1.")
+                    "is a Monte-Carlo over codebook seeds seed..seed+trials-1 (mod 2^64).")
     p_bounds.add_argument("--size-a", type=int, required=True, help="|A|")
     p_bounds.add_argument("--size-b", type=int, required=True, help="|B|")
     p_bounds.add_argument("--size-int", type=int, required=True, help="|A intersect B|")

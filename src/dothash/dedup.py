@@ -27,7 +27,7 @@ from .exact import SortedSet
 from .linkpred import Estimator, Metric, decode_line, hits_at_k, sketch_neighborhoods
 from .sketches import WeightFn, WeightKind
 
-# Not called here; bench/spans.py wraps these names until ROADMAP item 6 moves its probes.
+# Not called here; bench/spans.py wraps these names until ROADMAP item 1 moves its probes.
 from .encoding import element_id  # noqa: F401
 from .exact import exact_jaccard, exact_weighted  # noqa: F401
 from .sketches import dothash_build, dothash_intersection, dothash_jaccard  # noqa: F401

@@ -175,28 +175,44 @@ def slice_ids(buffer: bytes, starts: np.ndarray, stops: np.ndarray) -> np.ndarra
 def element_ids(items: Iterable[bytes | bytearray | memoryview | str]) -> np.ndarray:
     """``element_id`` of every item, as a uint64 array, bit for bit.
 
-    Items are encoded as :func:`element_id` encodes them and hashed by
-    :func:`slice_ids` in batches of about ``_CHUNK_BYTES`` of bytes and
-    per-item arrays, so the temporaries stay bounded whatever the count.
+    Items are hashed by :func:`slice_ids` in batches of about
+    ``_CHUNK_BYTES`` of items and per-item arrays, cut from the cumulative
+    item lengths, so the temporaries stay bounded whatever the count.  A
+    batch of text is encoded in one piece; when that adds no bytes it is
+    ASCII, and each item's length is its encoded size.  Any other batch is
+    encoded item by item, as :func:`element_id` encodes it.
     """
-    pieces = []
-    batch: list[bytes] = []
-    size = 0
-    for item in items:
-        data = item.encode("utf-8") if isinstance(item, str) else bytes(item)
-        batch.append(data)
-        size += len(data) + _PER_INPUT_BYTES
-        if size >= _CHUNK_BYTES:
-            pieces.append(_batch_ids(batch))
-            batch, size = [], 0
-    pieces.append(_batch_ids(batch))
+    items = list(items)
+    sizes = np.fromiter(map(len, items), dtype=np.int64, count=len(items))
+    pieces = [np.empty(0, dtype=np.uint64)]
+    for lo, hi in chunk_ranges(sizes + _PER_INPUT_BYTES):
+        batch, lengths = items[lo:hi], sizes[lo:hi]
+        try:
+            buffer = "".join(batch).encode("utf-8")
+        except TypeError:  # not text only
+            buffer = None
+        if buffer is None or len(buffer) != lengths.sum():
+            batch = [item.encode("utf-8") if isinstance(item, str) else bytes(item) for item in batch]
+            lengths = np.fromiter(map(len, batch), dtype=np.int64, count=len(batch))
+            buffer = b"".join(batch)
+        stops = np.cumsum(lengths)
+        pieces.append(slice_ids(buffer, stops - lengths, stops))
     return np.concatenate(pieces)
 
 
-def _batch_ids(batch: list[bytes]) -> np.ndarray:
-    lengths = np.fromiter(map(len, batch), dtype=np.int64, count=len(batch))
-    stops = np.cumsum(lengths)
-    return slice_ids(b"".join(batch), stops - lengths, stops)
+def chunk_ranges(costs: np.ndarray) -> list[tuple[int, int]]:
+    """Consecutive ``(lo, hi)`` ranges of items whose costs add up to at most ``_CHUNK_BYTES``.
+
+    Every range holds at least one item, so an item that alone costs more
+    than ``_CHUNK_BYTES`` gets a range of its own.
+    """
+    ends = np.cumsum(costs)
+    ranges, lo = [], 0
+    while lo < len(ends):
+        hi = int(np.searchsorted(ends, ends[lo] - costs[lo] + _CHUNK_BYTES, side="right"))
+        ranges.append((lo, max(hi, lo + 1)))
+        lo = ranges[-1][1]
+    return ranges
 
 
 def as_element_array(elements: Iterable[int] | np.ndarray) -> np.ndarray:

@@ -15,7 +15,6 @@ into the scores.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 import time
 from dataclasses import dataclass
@@ -24,24 +23,20 @@ from typing import IO, Sequence, Union
 
 import numpy as np
 
-from .encoding import Codebook, MinwiseFamily, sorted_distinct
-from .exact import SortedSet, exact_jaccard, exact_weighted
+from .encoding import Codebook, MinwiseFamily, as_element_array, chunk_ranges, sorted_distinct
 from .sketches import (
-    DotHashSketch,
     WeightFn,
     WeightKind,
+    distinct_sets,
     dothash_build_many,
-    dothash_intersection,
-    dothash_jaccard,
-    minhash_build,
-    minhash_jaccard,
-    simhash_build,
-    simhash_similarity,
+    minhash_build_many,
+    simhash_build_many,
 )
 
-# Not called here; bench/spans.py wraps these names until ROADMAP item 6 moves its probes.
-from .exact import exact_intersection  # noqa: F401
-from .sketches import dothash_build  # noqa: F401
+# Not called here; bench/spans.py wraps these names until ROADMAP item 1 moves its probes.
+from .exact import exact_intersection, exact_jaccard, exact_weighted  # noqa: F401
+from .sketches import dothash_build, dothash_intersection, dothash_jaccard  # noqa: F401
+from .sketches import minhash_build, minhash_jaccard, simhash_build, simhash_similarity  # noqa: F401
 
 
 class Metric(enum.Enum):
@@ -89,10 +84,6 @@ class Graph:
 
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
-
-    def csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """(indptr, indices): node v's neighbors are ``indices[indptr[v]:indptr[v+1]]``."""
-        return self.indptr, self.indices
 
     def has_edge(self, u: int, v: int) -> bool:
         nbrs = self.neighbors(u)
@@ -310,68 +301,100 @@ def _metric_weights(g: Graph | None, metric: Metric | WeightFn) -> WeightFn:
 
 
 def build_sets(estimator: Estimator, dims_or_k: int | None, seed: int, indptr: np.ndarray,
-               elements: np.ndarray | Sequence[int], w: WeightFn) -> list:
-    """One built set per CSR row: set ``s`` is ``elements[indptr[s]:indptr[s+1]]``.
+               elements: np.ndarray | Sequence[int], w: WeightFn) -> np.ndarray | tuple:
+    """Every CSR set ``s``, ``elements[indptr[s]:indptr[s+1]]``, built in one batch.
 
-    Each set holds distinct element ids.  DotHash sketches are the rows of one
-    ``dothash_build_many`` matrix under weight ``w``; MinHash and SimHash
-    sketches are built slice by slice; the exact oracle gets a SortedSet
-    per slice.
+    Sketches are one row per set: DotHash values under ``w`` (float64),
+    MinHash minima (uint64) or packed SimHash bits (uint8).  The exact oracle
+    gets ``(indptr, ranks, weights)``, the sets as ranks into their sorted
+    distinct elements (:func:`~dothash.sketches.distinct_sets`) and ``w`` of
+    each of those elements.
     """
     if estimator is Estimator.DOTHASH:
-        values = dothash_build_many(Codebook(seed=seed, dims=dims_or_k), indptr, elements, w)
-        return [
-            DotHashSketch(values=row, dims=dims_or_k, seed=seed, cardinality=size)
-            for row, size in zip(values, np.diff(indptr).tolist())
-        ]
-    bounds = indptr.tolist()
-    slices = [elements[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        return dothash_build_many(Codebook(seed=seed, dims=dims_or_k), indptr, elements, w)
     if estimator is Estimator.MINHASH:
-        family = MinwiseFamily(seed=seed, k=dims_or_k)
-        return [minhash_build(family, members) for members in slices]
+        return minhash_build_many(MinwiseFamily(seed=seed, k=dims_or_k), indptr, elements)
     if estimator is Estimator.SIMHASH:
-        cb = Codebook(seed=seed, dims=dims_or_k)
-        return [simhash_build(cb, members) for members in slices]
-    return [SortedSet(tuple(int(e) for e in members)) for members in slices]
+        return simhash_build_many(Codebook(seed=seed, dims=dims_or_k), indptr, elements)
+    distinct, indptr, ranks = distinct_sets(indptr, elements)
+    return indptr, ranks, w.weights_for(distinct)
+
+
+def _sort_join(indptr: np.ndarray, ranks: np.ndarray, weights: np.ndarray, u: np.ndarray,
+               v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Intersection sizes and weight sums of the ranked sets ``u[i]`` and ``v[i]``.
+
+    Sorting the keys ``i * m + rank`` puts each intersection's equal
+    neighbours in pair order, then in ascending element order, so
+    ``np.bincount`` adds a pair's weights from 0.0 in the order
+    :func:`~dothash.exact.exact_weighted` does.  Like it, raises ValueError
+    on a negative weight of an intersecting element only.
+    """
+    m = max(len(weights), 1)
+    starts = np.stack([indptr[u], indptr[v]], axis=1).ravel()
+    lengths = np.stack([indptr[u + 1], indptr[v + 1]], axis=1).ravel() - starts
+    # Every gathered rank's position: its slice's start plus its offset in the slice.
+    at = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths) + np.arange(lengths.sum())
+    keys = np.sort(np.repeat(np.arange(len(u)) * m, lengths.reshape(-1, 2).sum(axis=1)) + ranks[at])
+    pair, rank = np.divmod(keys[1:][keys[1:] == keys[:-1]], m)
+    if np.any(weights[rank] < 0):
+        raise ValueError("weight function must be nonnegative")
+    return np.bincount(pair, minlength=len(u)), np.bincount(pair, weights[rank], len(u))
 
 
 @dataclass(frozen=True, eq=False)
 class NeighborhoodScorer:
-    """Similarity of pairs of sets, each built once by :func:`build_sets`.
+    """Similarity of pairs of sets, all built once by :func:`build_sets`.
 
-    ``sets[i]`` is set ``i`` as its estimator built it, and ``sizes[i]`` its
-    number of elements.  Pairs where both sets are empty score 0.0 for every
-    estimator: empty sets carry no similarity evidence, and a uniform
-    convention keeps the rankings comparable.
+    ``sets`` is what :func:`build_sets` returned and ``sizes[i]`` is set
+    ``i``'s number of elements.  Pairs where both sets are empty score 0.0
+    for every estimator: empty sets carry no similarity evidence, and a
+    uniform convention keeps the rankings comparable.
     """
 
     estimator: Estimator
     metric: Metric | WeightFn
-    weights: WeightFn
-    sets: list
-    sizes: list[int]
+    dims_or_k: int | None
+    sets: np.ndarray | tuple
+    sizes: np.ndarray
 
     def score(self, u: int, v: int) -> float:
         return float(self.score_pairs(np.array([(u, v)]))[0])
 
     def score_pairs(self, pairs: np.ndarray) -> np.ndarray:
-        """Scores of the (u, v) rows of ``pairs``, as float64."""
-        if self.metric is Metric.JACCARD:
-            compare = {
-                Estimator.EXACT: exact_jaccard,
-                Estimator.DOTHASH: dothash_jaccard,
-                Estimator.MINHASH: minhash_jaccard,
-                Estimator.SIMHASH: simhash_similarity,
-            }[self.estimator]
+        """Scores of the (u, v) rows of ``pairs``, as float64.
+
+        Each equals the estimator's scalar compare function bit for bit.  The
+        exact oracle sort-joins a chunk of pairs at a time, MinHash and
+        SimHash count over gathered rows, and DotHash takes one dot product
+        per pair of row views.
+        """
+        u, v = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
+        size_u, size_v, jaccard = self.sizes[u], self.sizes[v], self.metric is Metric.JACCARD
+        scores = np.zeros(len(u))
+        rows = self.sets
+        if self.estimator is Estimator.DOTHASH:
+            scores[:] = [rows[a] @ rows[b] for a, b in zip(u.tolist(), v.tolist())]
+            if jaccard:
+                union = size_u + size_v - scores
+                ratio = np.divide(scores, union, out=np.ones_like(scores), where=union > 0.0)
+                scores = np.where(ratio > 0.0, np.minimum(ratio, 1.0), 0.0)
         elif self.estimator is Estimator.EXACT:
-            compare = functools.partial(exact_weighted, w=self.weights)
+            for lo, hi in chunk_ranges(8 * (size_u + size_v + 1)):
+                counts, sums = _sort_join(*self.sets, u[lo:hi], v[lo:hi])
+                if jaccard:
+                    union = size_u[lo:hi] + size_v[lo:hi] - counts
+                    sums = np.divide(counts, union, out=np.zeros(hi - lo), where=union > 0)
+                scores[lo:hi] = sums
         else:
-            compare = dothash_intersection
-        sets, empty = self.sets, [size == 0 for size in self.sizes]
-        return np.array(
-            [0.0 if empty[u] and empty[v] else compare(sets[u], sets[v]) for u, v in pairs.tolist()],
-            dtype=np.float64,
-        )
+            for lo, hi in chunk_ranges(np.full(len(u), 2 * rows[:1].nbytes)):
+                a, b = rows[u[lo:hi]], rows[v[lo:hi]]
+                if self.estimator is Estimator.MINHASH:
+                    scores[lo:hi] = np.count_nonzero(a == b, axis=1) / self.dims_or_k
+                else:
+                    scores[lo:hi] = 1.0 - np.bitwise_count(a ^ b).sum(axis=1) / self.dims_or_k
+        scores[(size_u == 0) & (size_v == 0)] = 0.0
+        return scores
 
 
 def sketch_neighborhoods(
@@ -384,11 +407,12 @@ def sketch_neighborhoods(
     """Build every set once for the (estimator, metric) combination.
 
     ``sets`` is a Graph, whose node neighborhoods are built in one batch, or
-    a sequence of sets of distinct element ids, built one set at a time so
-    that build memory stays that of one set.  ``metric`` is a Metric, or the
-    WeightFn of a weighted intersection such as IDF; degree weights come
-    from the graph.  MinHash and SimHash can only rank by Jaccard; DotHash
-    and the exact oracle support every metric.
+    a sequence of sets of distinct element ids.  A sequence's sketches are
+    built one set at a time into one matrix, so that build memory stays that
+    of one set.  ``metric`` is a Metric, or the WeightFn of a weighted
+    intersection such as IDF; degree weights come from the graph.  MinHash
+    and SimHash can only rank by Jaccard; DotHash and the exact oracle
+    support every metric.
     """
     name = metric.kind.value if isinstance(metric, WeightFn) else metric.value
     if estimator in (Estimator.MINHASH, Estimator.SIMHASH) and metric is not Metric.JACCARD:
@@ -397,13 +421,21 @@ def sketch_neighborhoods(
         raise ValueError("sketch estimators need a positive dims_or_k")
     graph = sets if isinstance(sets, Graph) else None
     weights = _metric_weights(graph, metric)
-    blocks = [graph.csr()] if graph is not None else [(np.array([0, len(m)]), m) for m in sets]
-    built = [
-        s for indptr, elements in blocks
-        for s in build_sets(estimator, dims_or_k, seed, indptr, elements, weights)
-    ]
-    sizes = [size for indptr, _ in blocks for size in np.diff(indptr).tolist()]
-    return NeighborhoodScorer(estimator, metric, weights, built, sizes)
+    if graph is not None:
+        indptr, elements = graph.indptr, graph.indices
+    else:
+        indptr = np.zeros(len(sets) + 1, dtype=np.int64)
+        np.cumsum([len(members) for members in sets], out=indptr[1:])
+        elements = np.concatenate([np.empty(0, np.uint64)] + [as_element_array(m) for m in sets])
+    if graph is not None or estimator is Estimator.EXACT:
+        built = build_sets(estimator, dims_or_k, seed, indptr, elements, weights)
+    else:
+        empty = build_sets(estimator, dims_or_k, seed, indptr[:1], elements[:0], weights)
+        built = np.empty((len(sets), empty.shape[1]), dtype=empty.dtype)
+        for s, (lo, hi) in enumerate(zip(indptr[:-1].tolist(), indptr[1:].tolist())):
+            built[s] = build_sets(estimator, dims_or_k, seed, [0, hi - lo], elements[lo:hi],
+                                  weights)[0]
+    return NeighborhoodScorer(estimator, metric, dims_or_k, built, np.diff(indptr))
 
 
 def hits_at_k(positive_scores: Sequence[float], negative_scores: Sequence[float], k: int) -> float:

@@ -202,18 +202,13 @@ def _sign_tables(roots: np.ndarray) -> np.ndarray:
     return tables.T.copy()
 
 
-def _root_sums(cb: Codebook, indptr: np.ndarray, elements: np.ndarray, w: WeightFn) -> np.ndarray:
-    """Unscaled sums ``Σ sqrt(w(e)) * sign(e)`` over each CSR set, shape (nsets, dims).
+def distinct_sets(indptr: np.ndarray, elements: Iterable[int] | np.ndarray) -> tuple[np.ndarray, ...]:
+    """CSR sets as ``(distinct, indptr, ranks)``, each set's duplicates skipped.
 
-    Set ``s`` is ``elements[indptr[s]:indptr[s+1]]``; duplicates in a set
-    are skipped and the rest taken in ascending order.  Each set's elements
-    are taken 8 at a time, the last group padded with zero weight.  An 8x8
-    bit transpose turns a group's sign words into one byte per coordinate,
-    and the coordinate adds ``table[byte]`` from the group's 256-entry table
-    of signed root sums.  Groups are added in order, starting from +0.0,
-    with elementwise float64 operations only, so the result does not depend
-    on the CPU or BLAS, a set of zero weights sums to +0.0, and unit weights
-    give exact integers.
+    Set ``s`` is ``elements[indptr[s]:indptr[s+1]]`` on input and
+    ``distinct[ranks[indptr[s]:indptr[s+1]]]`` on output: ``distinct`` holds
+    every element once, ascending, and each set's ranks ascend.  Raises
+    ValueError on a malformed ``indptr``.
     """
     indptr = np.asarray(indptr, dtype=np.int64)
     elements = as_element_array(elements)
@@ -230,9 +225,25 @@ def _root_sums(cb: Codebook, indptr: np.ndarray, elements: np.ndarray, w: Weight
     distinct, inverse = np.unique(elements, return_inverse=True)
     set_of = np.repeat(np.arange(nsets, dtype=np.int64), np.diff(indptr))
     pairs = sorted_distinct(set_of * distinct.size + inverse)
-    members = pairs % max(distinct.size, 1)
     indptr = np.searchsorted(pairs, np.arange(nsets + 1, dtype=np.int64) * distinct.size)
+    return distinct, indptr, pairs % max(distinct.size, 1)
 
+
+def _root_sums(cb: Codebook, indptr: np.ndarray, elements: np.ndarray, w: WeightFn) -> np.ndarray:
+    """Unscaled sums ``Σ sqrt(w(e)) * sign(e)`` over each CSR set, shape (nsets, dims).
+
+    Set ``s`` is ``elements[indptr[s]:indptr[s+1]]``; duplicates in a set
+    are skipped and the rest taken in ascending order.  Each set's elements
+    are taken 8 at a time, the last group padded with zero weight.  An 8x8
+    bit transpose turns a group's sign words into one byte per coordinate,
+    and the coordinate adds ``table[byte]`` from the group's 256-entry table
+    of signed root sums.  Groups are added in order, starting from +0.0,
+    with elementwise float64 operations only, so the result does not depend
+    on the CPU or BLAS, a set of zero weights sums to +0.0, and unit weights
+    give exact integers.
+    """
+    distinct, indptr, members = distinct_sets(indptr, elements)
+    nsets = indptr.size - 1
     weights = w.weights_for(distinct)
     if not np.all(np.isfinite(weights)):
         raise ValueError("weight function must be finite")
@@ -338,13 +349,31 @@ def dothash_jaccard(a: DotHashSketch, b: DotHashSketch) -> float:
     return float(min(1.0, max(0.0, est / union)))
 
 
+def minhash_build_many(
+    f: MinwiseFamily, indptr: np.ndarray, elements: Iterable[int] | np.ndarray
+) -> np.ndarray:
+    """MinHash minima of many CSR sets at once, shape (nsets, k), uint64.
+
+    Row ``s`` equals ``minhash_build(f, set s).minima``; an empty set's row
+    is the all-ones sentinel.  Hash rows are taken about ``_CHUNK_BYTES`` at
+    a time, and each set's minima in a chunk folded into its row.
+    """
+    distinct, indptr, ranks = distinct_sets(indptr, elements)
+    out = np.full((indptr.size - 1, f.k), MINHASH_EMPTY_SENTINEL, dtype=np.uint64)
+    set_of = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+    step = max(1, _CHUNK_BYTES // (8 * f.k))
+    for lo in range(0, ranks.size, step):
+        owners = set_of[lo : lo + step]
+        first = np.flatnonzero(np.diff(owners, prepend=-1))
+        minima = np.minimum.reduceat(f.rows(distinct[ranks[lo : lo + step]]), first, axis=0)
+        out[owners[first]] = np.minimum(out[owners[first]], minima)
+    return out
+
+
 def minhash_build(f: MinwiseFamily, elements: Iterable[int] | np.ndarray) -> MinHashSketch:
     """Minimum of each hash function over the distinct elements."""
     distinct = _distinct_elements(elements)
-    if distinct.size == 0:
-        minima = np.full(f.k, MINHASH_EMPTY_SENTINEL, dtype=np.uint64)
-    else:
-        minima = f.rows(distinct).min(axis=0)
+    minima = minhash_build_many(f, np.array([0, distinct.size]), distinct)[0]
     minima.setflags(write=False)
     return MinHashSketch(minima=minima, k=f.k, seed=f.seed, cardinality=int(distinct.size))
 
@@ -357,15 +386,22 @@ def minhash_jaccard(a: MinHashSketch, b: MinHashSketch) -> float:
     return float(np.count_nonzero(a.minima == b.minima)) / a.k
 
 
-def simhash_build(cb: Codebook, elements: Iterable[int] | np.ndarray) -> SimHashSketch:
-    """Bit j is 1 iff the j-th coordinate of the ±1 vector sum is > 0.
+def simhash_build_many(
+    cb: Codebook, indptr: np.ndarray, elements: Iterable[int] | np.ndarray
+) -> np.ndarray:
+    """SimHash bits of many CSR sets at once, shape (nsets, ceil(dims / 8)), uint8.
 
-    The empty set sums to zero, which is non-positive, so its sketch is
-    all-zero bits.
+    Row ``s`` equals ``simhash_build(cb, set s).bits``: bit j is 1 iff
+    coordinate j of the set's ±1 vector sum is > 0, packed LSB first.  The
+    empty set sums to zero, which is non-positive, so its bits are all zero.
     """
+    return np.packbits(_root_sums(cb, indptr, elements, WeightFn.unit()) > 0, axis=1, bitorder="little")
+
+
+def simhash_build(cb: Codebook, elements: Iterable[int] | np.ndarray) -> SimHashSketch:
+    """Bit j is 1 iff the j-th coordinate of the ±1 vector sum is > 0."""
     distinct = _distinct_elements(elements)
-    sums = _root_sums(cb, np.array([0, distinct.size]), distinct, WeightFn.unit())[0]
-    packed = np.packbits((sums > 0).astype(np.uint8), bitorder="little")
+    packed = simhash_build_many(cb, np.array([0, distinct.size]), distinct)[0]
     packed.setflags(write=False)
     return SimHashSketch(bits=packed, dims=cb.dims, seed=cb.seed, cardinality=int(distinct.size))
 

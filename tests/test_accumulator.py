@@ -187,8 +187,8 @@ def test_scorer_rows_equal_per_node_builds():
     weight = WeightFn.from_array(np.where(degrees > 1, 1.0 / np.log(np.maximum(degrees, 2.0)), 0.0))
     for v in range(g.node_count):
         single = dothash_build(Codebook(seed=8, dims=257), g.neighbors(v), weight)
-        assert scorer.sets[v].values.tobytes() == single.values.tobytes()
-        assert scorer.sets[v].cardinality == single.cardinality
+        assert scorer.sets[v].tobytes() == single.values.tobytes()
+        assert scorer.sizes[v] == single.cardinality
 
 
 def _digest(values: np.ndarray) -> str:

@@ -224,6 +224,28 @@ class TestMonteCarloSampler:
         with pytest.raises(ValueError):
             bounds_sweep(200, 200, size_int, dims_list, [0.1], trials=20_000)
 
+    @pytest.mark.parametrize("seed0", [-1, 2**64 - 1, 2**64 - 3])
+    def test_seeds_wrap_around_two_to_the_64(self, seed0):
+        # Trial t uses seed (seed0 + t) mod 2**64, the seed Codebook itself
+        # takes for seed0 + t.
+        elements = np.arange(45, dtype=np.uint64)
+        estimates = sample_intersection_estimates(30, 35, 20, 100, 5, seed0=seed0)
+        for t in range(5):
+            signs = Codebook(seed=(seed0 + t) & (2**64 - 1), dims=100).sign_rows(elements)
+            signs = signs.astype(np.int64)
+            dot = int((signs[:30].sum(axis=0) * signs[10:45].sum(axis=0)).sum())
+            assert estimates[t] == dot / 100
+
+    @pytest.mark.parametrize("dims_list, epsilons", [([64, 128], []), ([], [0.1, 0.2])])
+    def test_an_empty_grid_samples_nothing(self, monkeypatch, dims_list, epsilons):
+        def sampled(*args):
+            raise AssertionError("sign_sums called for an empty grid")
+
+        monkeypatch.setattr(bounds, "sign_sums", sampled)
+        assert bounds_sweep(200, 200, 100, dims_list, epsilons, trials=20_000) == []
+        with pytest.raises(ValueError):  # the set sizes are still checked
+            bounds_sweep(200, 200, 300, dims_list, epsilons, trials=20_000)
+
     @pytest.mark.parametrize("sizes, dims", [((10, 15, -1), 16), ((-1, 15, 0), 16), ((10, 15, 5), 0)])
     def test_sampler_rejects_bad_arguments(self, sizes, dims):
         with pytest.raises(ValueError):

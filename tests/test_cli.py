@@ -264,6 +264,27 @@ class TestBoundsCommand:
             expected += alone.read_text().splitlines()[1:]
         assert swept.read_text().splitlines() == expected
 
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551615"])
+    def test_seeds_outside_zero_to_two_to_the_64_wrap(self, tmp_path, seed):
+        # Seeds count from --seed modulo 2**64, so -1 reads as 2**64 - 1.
+        args = ["bounds", "--size-a", "30", "--size-b", "30", "--size-int", "10",
+                "--dims", "64", "--eps-points", "3", "--trials", "40"]
+        out, wrapped = tmp_path / "out.csv", tmp_path / "wrapped.csv"
+        assert main(args + ["--seed", seed, "--out", str(out)]) == 0
+        assert main(args + ["--seed", str(int(seed) % 2**64), "--out", str(wrapped)]) == 0
+        assert out.read_bytes() == wrapped.read_bytes()
+        assert len(out.read_text().splitlines()) == 4
+
+    def test_zero_eps_points_writes_the_header_without_sampling(self, tmp_path, monkeypatch):
+        sampled = []
+        monkeypatch.setattr(bounds_mod, "sign_sums", lambda *args: sampled.append(args))
+        out = tmp_path / "bounds.csv"
+        assert main(["bounds", "--size-a", "200", "--size-b", "200", "--size-int", "100",
+                     "--dims", "4096", "--trials", "20000", "--eps-points", "0",
+                     "--out", str(out)]) == 0
+        assert out.read_text() == "d,epsilon,chebyshev,clt,empirical\n"
+        assert sampled == []
+
     @pytest.mark.parametrize("flags", [
         ["--size-int", "100", "--dims", "0"],
         ["--size-int", "100", "--dims", "64", "0"],

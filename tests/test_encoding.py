@@ -111,6 +111,16 @@ class TestElementIds:
         for run in (batch, batch * 17):
             assert element_ids(run).tolist() == [reference_chain(x) for x in run]
 
+    @given(st.lists(items, max_size=40), st.sampled_from([1, 70, 300, 2000]))
+    @settings(max_examples=100)
+    def test_any_batch_cut_matches_scalar_chain(self, batch, chunk_bytes):
+        # Small chunks cut the items into many batches, some of text only,
+        # ASCII or not, and some mixed with bytes.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(encoding, "_CHUNK_BYTES", chunk_bytes)
+            ids = element_ids(iter(batch)).tolist()
+        assert ids == [reference_chain(x) for x in batch]
+
     def test_empty_batch(self):
         ids = element_ids([])
         assert ids.dtype == np.uint64 and ids.size == 0
