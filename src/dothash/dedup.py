@@ -17,15 +17,16 @@ import math
 import re
 import time
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .encoding import _CHUNK_BYTES, slice_ids
+from .encoding import chunk_ranges, slice_ids
 from .exact import SortedSet
 from .linkpred import Estimator, Metric, decode_line, hits_at_k, sketch_neighborhoods
-from .sketches import WeightFn, WeightKind
+from .sketches import WeightFn, WeightKind, distinct_sets
 
 # Not called here; bench/spans.py wraps these names until ROADMAP item 1 moves its probes.
 from .encoding import element_id  # noqa: F401
@@ -67,29 +68,44 @@ class IdfTable:
         return math.log(self.corpus_size / self.doc_freq.get(element, 1))
 
     def weight_fn(self) -> WeightFn:
-        """IDF as a WeightFn whose batch path equals :meth:`weight` bit for bit.
-
-        The batch path finds each element's doc_freq in sorted key arrays,
-        then reads ``math.log`` of it from a table over the distinct
-        doc_freq values.
-        """
+        """IDF as a WeightFn whose batch path equals :meth:`weight` bit for bit."""
         keys = np.fromiter(self.doc_freq.keys(), dtype=np.uint64, count=len(self.doc_freq))
         freqs = np.fromiter(self.doc_freq.values(), dtype=np.int64, count=len(self.doc_freq))
         order = np.argsort(keys)
-        # The leading doc_freq = 1 is the unseen shingles' level.
-        levels, slots = np.unique(np.concatenate(([1], freqs[order])), return_inverse=True)
-        logs = np.array([math.log(self.corpus_size / int(df)) for df in levels])
-        unseen = slots[0]
-        # A sentinel past the last key maps to the unseen level, whatever it matches.
-        keys = np.append(keys[order], np.uint64(0))
-        slots = np.append(slots[1:], unseen)
+        return _idf_weights(self.corpus_size, keys[order], freqs[order])
 
-        def batch(elements: np.ndarray) -> np.ndarray:
-            elements = np.asarray(elements, dtype=np.uint64)
-            at = np.searchsorted(keys[:-1], elements)
-            return logs[np.where(keys[at] == elements, slots[at], unseen)]
 
-        return WeightFn(WeightKind.IDF, self.weight, batch)
+def csr_idf(indptr: np.ndarray, ids: np.ndarray) -> WeightFn:
+    """``build_idf(shingle_many(docs)).weight_fn()`` from :func:`shingle_csr`, by one count."""
+    return _idf_weights(len(indptr) - 1, *np.unique(ids, return_counts=True))
+
+
+def _idf_weights(corpus_size: int, keys: np.ndarray, freqs: np.ndarray) -> WeightFn:
+    """``ln(corpus_size / doc_freq)`` of the sorted distinct ``keys`` and their ``freqs``.
+
+    An element's doc_freq is found in ``keys`` (1 when unseen), and its
+    ``math.log`` read from a table over the distinct doc_freq values, so
+    every weight equals :meth:`IdfTable.weight` bit for bit.
+    """
+    if corpus_size < 1:
+        raise ValueError("cannot build IDF table from an empty corpus")
+    # The leading doc_freq = 1 is the unseen shingles' level.
+    levels, slots = np.unique(np.concatenate(([1], freqs)), return_inverse=True)
+    logs = np.array([math.log(corpus_size / int(df)) for df in levels])
+    unseen = slots[0]
+    # A sentinel past the last key maps to the unseen level, whatever it matches.
+    keys = np.append(keys, np.uint64(0))
+    slots = np.append(slots[1:], unseen)
+
+    def batch(elements: np.ndarray) -> np.ndarray:
+        elements = np.asarray(elements, dtype=np.uint64)
+        at = np.searchsorted(keys[:-1], elements)
+        return logs[np.where(keys[at] == elements, slots[at], unseen)]
+
+    def scalar(element: int) -> float:
+        return float(batch(np.array([element], dtype=np.uint64))[0])
+
+    return WeightFn(WeightKind.IDF, scalar, batch)
 
 
 def normalize_text(text: str) -> str:
@@ -108,28 +124,37 @@ def shingle(doc: Document, w: int = 3) -> ShingleSet:
 
 
 def shingle_many(docs: Sequence[Document], w: int = 3) -> list[ShingleSet]:
-    """:func:`shingle` of every document, hashed in batches.
+    """:func:`shingle` of every document, as views of :func:`shingle_csr`."""
+    indptr, ids = shingle_csr(docs, w)
+    bounds, ids = indptr.tolist(), ids.tolist()
+    return [ShingleSet(doc_id=doc.doc_id, shingles=SortedSet(tuple(ids[lo:hi])))
+            for doc, lo, hi in zip(docs, bounds, bounds[1:])]
 
-    A batch holds documents up to ``_CHUNK_BYTES`` of shingle text (w times
-    their normalized UTF-8 bytes), so its temporaries stay bounded.
+
+def shingle_csr(docs: Sequence[Document], w: int = 3) -> tuple[np.ndarray, np.ndarray]:
+    """Every document's :func:`shingle` set as CSR ``(indptr, ids)``.
+
+    Document ``i``'s distinct shingle ids are ``ids[indptr[i]:indptr[i+1]]``,
+    ascending.  Documents are hashed and sorted in batches of up to
+    ``_CHUNK_BYTES`` of shingle text (w times their normalized UTF-8 bytes),
+    so the temporaries stay bounded.
     """
     if w < 1:
         raise ValueError("shingle width must be >= 1")
-    sets: list[SortedSet] = []
-    batch: list[bytes] = []
-    size = 0
-    for doc in docs:
-        batch.append(normalize_text(doc.text).encode("utf-8"))
-        size += w * len(batch[-1])
-        if size >= _CHUNK_BYTES:
-            sets += _shingle_batch(batch, w)
-            batch, size = [], 0
-    sets += _shingle_batch(batch, w)
-    return [ShingleSet(doc_id=doc.doc_id, shingles=s) for doc, s in zip(docs, sets)]
+    texts = [normalize_text(doc.text).encode("utf-8") for doc in docs]
+    sizes = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
+    counts, pieces = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.uint64)]
+    for lo, hi in chunk_ranges(w * sizes):
+        distinct, indptr, ranks = distinct_sets(*_shingle_batch(texts[lo:hi], w))
+        counts.append(np.diff(indptr))
+        pieces.append(distinct[ranks])
+    indptr = np.zeros(len(texts) + 1, dtype=np.int64)
+    np.cumsum(np.concatenate(counts), out=indptr[1:])
+    return indptr, np.concatenate(pieces)
 
 
-def _shingle_batch(texts: list[bytes], w: int) -> list[SortedSet]:
-    """The shingle sets of normalized UTF-8 texts, hashed in one call.
+def _shingle_batch(texts: list[bytes], w: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every shingle of normalized UTF-8 texts as CSR ``(indptr, ids)``, hashed in one call.
 
     A normalized text is its tokens joined by single spaces, so shingle
     ``i`` is the byte range from the start of token ``i`` to the end of
@@ -145,22 +170,18 @@ def _shingle_batch(texts: list[bytes], w: int) -> list[SortedSet]:
     # First token of every shingle, text by text.
     offsets = np.cumsum(tokens) - tokens - (np.cumsum(counts) - counts)
     first = np.arange(counts.sum()) + np.repeat(offsets, counts)
-    ids = slice_ids(buffer, token_starts[first], token_stops[first + w - 1]).tolist()
-    bounds = np.cumsum(counts).tolist()
-    return [SortedSet(tuple(sorted(set(ids[hi - n : hi])))) for n, hi in zip(counts.tolist(), bounds)]
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    return indptr, slice_ids(buffer, token_starts[first], token_stops[first + w - 1])
 
 
 def build_idf(corpus: Iterable[ShingleSet]) -> IdfTable:
     """Count, per shingle, the number of documents containing it."""
-    doc_freq: dict[int, int] = {}
-    size = 0
-    for shingle_set in corpus:
-        size += 1
-        for element in shingle_set.shingles:
-            doc_freq[element] = doc_freq.get(element, 0) + 1
-    if size == 0:
+    corpus = list(corpus)
+    if not corpus:
         raise ValueError("cannot build IDF table from an empty corpus")
-    return IdfTable(corpus_size=size, doc_freq=doc_freq)
+    ids = np.fromiter(chain.from_iterable(s.shingles.elements for s in corpus), dtype=np.uint64)
+    keys, freqs = np.unique(ids, return_counts=True)
+    return IdfTable(corpus_size=len(corpus), doc_freq=dict(zip(keys.tolist(), freqs.tolist())))
 
 
 def load_corpus_jsonl(source: Union[str, Path]) -> list[Document]:
@@ -264,32 +285,51 @@ class DedupResult:
     compare_seconds: float
 
 
+def _doc_rows(doc_ids: Sequence[str]) -> dict[str, int]:
+    """Each doc id's position in ``doc_ids``; ValueError on a repeated id."""
+    rows: dict[str, int] = {}
+    for row, doc_id in enumerate(doc_ids):
+        if doc_id in rows:
+            raise ValueError(f"duplicate doc_id {doc_id!r}")
+        rows[doc_id] = row
+    return rows
+
+
 def sample_negative_pairs(
     doc_ids: Sequence[str],
     positive_pairs: Sequence[tuple[str, str]],
     count: int,
     seed: int,
 ) -> list[tuple[str, str]]:
-    """Uniform distinct document pairs that are not labeled duplicates."""
-    forbidden = {frozenset(p) for p in positive_pairs}
-    rng = np.random.default_rng(seed)
-    n = len(doc_ids)
-    max_pairs = n * (n - 1) // 2 - len(forbidden)
+    """Uniform distinct document pairs that are not labeled duplicates.
+
+    Index pairs are drawn as ``rng.integers(0, n, size=2)`` would draw them
+    one at a time, in batches, and taken in draw order when the two indices
+    differ and the pair is neither labeled nor drawn before.  Raises
+    ValueError on a repeated doc id and when fewer than ``count`` pairs are
+    available.
+    """
+    rows, n = _doc_rows(doc_ids), len(doc_ids)
+    # Pair (i, j) as the key min(i, j) * n + max(i, j).
+    labeled = {min(rows[a], rows[b]) * n + max(rows[a], rows[b])
+               for a, b in positive_pairs if a in rows and b in rows and a != b}
+    max_pairs = n * (n - 1) // 2 - len(labeled)
     if count > max_pairs:
         raise ValueError(f"cannot sample {count} negative pairs from {max_pairs} available")
-    chosen: set[frozenset[str]] = set()
-    negatives: list[tuple[str, str]] = []
-    while len(negatives) < count:
-        i, j = rng.integers(0, n, size=2)
-        if i == j:
-            continue
-        a, b = doc_ids[int(i)], doc_ids[int(j)]
-        key = frozenset((a, b))
-        if key in forbidden or key in chosen:
-            continue
-        chosen.add(key)
-        negatives.append((a, b))
-    return negatives
+    rng = np.random.default_rng(seed)
+    taken = np.fromiter(labeled, dtype=np.int64, count=len(labeled))
+    accepted = [np.empty((0, 2), dtype=np.int64)]
+    found = 0
+    while found < count:
+        draws = rng.integers(0, n, size=(2 * (count - found), 2))
+        keys = draws.min(axis=1) * n + draws.max(axis=1)
+        fresh = np.flatnonzero((draws[:, 0] != draws[:, 1]) & ~np.isin(keys, taken))
+        # First draw of every fresh pair, in draw order.
+        fresh = np.sort(fresh[np.unique(keys[fresh], return_index=True)[1]])[: count - found]
+        accepted.append(draws[fresh])
+        taken = np.concatenate([taken, keys[fresh]])
+        found += fresh.size
+    return [(doc_ids[i], doc_ids[j]) for i, j in np.concatenate(accepted).tolist()]
 
 
 def run_dedup_benchmark(
@@ -297,22 +337,23 @@ def run_dedup_benchmark(
     duplicate_pairs: Sequence[tuple[str, str]],
     config: DedupConfig,
 ) -> DedupResult:
-    """Shingle, weight, sketch, and rank labeled duplicates against negatives."""
+    """Shingle, weight, sketch, and rank labeled duplicates against negatives.
+
+    Raises ValueError on a repeated doc id or a label naming an unknown one.
+    """
     doc_ids = [doc.doc_id for doc in corpus]
-    known = set(doc_ids)
+    row = _doc_rows(doc_ids)
     for a, b in duplicate_pairs:
-        if a not in known or b not in known:
-            raise ValueError(f"unknown doc_id in labels: {a if a not in known else b!r}")
+        if a not in row or b not in row:
+            raise ValueError(f"unknown doc_id in labels: {a if a not in row else b!r}")
     if config.negatives < config.hits_k:
         raise ValueError(
             f"fewer negatives available than K ({config.negatives} < {config.hits_k})"
         )
     t0 = time.perf_counter()
-    shingle_sets = {s.doc_id: s for s in shingle_many(corpus, config.shingle_width)}
-    idf = build_idf(shingle_sets.values())
-    metric = idf.weight_fn() if config.metric is DedupMetric.IDF else Metric.JACCARD
-    row = {doc_id: i for i, doc_id in enumerate(shingle_sets)}
-    sets = [s.shingles.elements for s in shingle_sets.values()]
+    indptr, ids = shingle_csr(corpus, config.shingle_width)
+    metric = csr_idf(indptr, ids) if config.metric is DedupMetric.IDF else Metric.JACCARD
+    sets = np.split(ids, indptr[1:-1])
     scorer = sketch_neighborhoods(sets, metric, config.estimator, config.dims_or_k, config.seed)
     t1 = time.perf_counter()
     negatives = sample_negative_pairs(doc_ids, duplicate_pairs, config.negatives, config.seed)

@@ -406,13 +406,11 @@ def sketch_neighborhoods(
 ) -> NeighborhoodScorer:
     """Build every set once for the (estimator, metric) combination.
 
-    ``sets`` is a Graph, whose node neighborhoods are built in one batch, or
-    a sequence of sets of distinct element ids.  A sequence's sketches are
-    built one set at a time into one matrix, so that build memory stays that
-    of one set.  ``metric`` is a Metric, or the WeightFn of a weighted
-    intersection such as IDF; degree weights come from the graph.  MinHash
-    and SimHash can only rank by Jaccard; DotHash and the exact oracle
-    support every metric.
+    ``sets`` is a Graph's node neighborhoods or a sequence of sets of
+    distinct element ids; either is built in one :func:`build_sets` batch.
+    ``metric`` is a Metric, or the WeightFn of a weighted intersection such
+    as IDF; degree weights come from the graph.  MinHash and SimHash can
+    only rank by Jaccard; DotHash and the exact oracle support every metric.
     """
     name = metric.kind.value if isinstance(metric, WeightFn) else metric.value
     if estimator in (Estimator.MINHASH, Estimator.SIMHASH) and metric is not Metric.JACCARD:
@@ -427,14 +425,7 @@ def sketch_neighborhoods(
         indptr = np.zeros(len(sets) + 1, dtype=np.int64)
         np.cumsum([len(members) for members in sets], out=indptr[1:])
         elements = np.concatenate([np.empty(0, np.uint64)] + [as_element_array(m) for m in sets])
-    if graph is not None or estimator is Estimator.EXACT:
-        built = build_sets(estimator, dims_or_k, seed, indptr, elements, weights)
-    else:
-        empty = build_sets(estimator, dims_or_k, seed, indptr[:1], elements[:0], weights)
-        built = np.empty((len(sets), empty.shape[1]), dtype=empty.dtype)
-        for s, (lo, hi) in enumerate(zip(indptr[:-1].tolist(), indptr[1:].tolist())):
-            built[s] = build_sets(estimator, dims_or_k, seed, [0, hi - lo], elements[lo:hi],
-                                  weights)[0]
+    built = build_sets(estimator, dims_or_k, seed, indptr, elements, weights)
     return NeighborhoodScorer(estimator, metric, dims_or_k, built, np.diff(indptr))
 
 

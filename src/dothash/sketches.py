@@ -255,20 +255,20 @@ def _root_sums(cb: Codebook, indptr: np.ndarray, elements: np.ndarray, w: Weight
     # element order, so adding them in turn keeps each row's group order.
     groups = -(-np.diff(indptr) // _GROUP)
     owner = np.repeat(np.arange(nsets), groups)
-    first = np.cumsum(groups) - groups
-    slots = (indptr[owner] + _GROUP * (np.arange(owner.size) - first[owner]))[:, None] + np.arange(_GROUP)
-    real = slots < indptr[owner + 1][:, None]
-    member = np.where(real, members[np.minimum(slots, max(members.size - 1, 0))], 0)
-    group_roots = np.ascontiguousarray(np.where(real, roots[member], 0.0).T)
+    start = indptr[owner] + _GROUP * (np.arange(owner.size) - (np.cumsum(groups) - groups)[owner])
+    stop = indptr[owner + 1]
 
     dims, blocks = cb.dims, cb.blocks
     width = 64 * blocks
     out = np.zeros((nsets, dims))
     # Words of every distinct element up front, filled a chunk at a time,
-    # while that table is no larger than the output; otherwise per chunk, so
-    # build memory stays bounded.
+    # where elements recur and there are no more of them than sets: a table
+    # row is ceil(dims / 64) words beside an output row of dims float64
+    # values, so the table is then at most 1/64 of the output when 64
+    # divides dims.  Otherwise words are hashed per chunk, so build memory
+    # stays bounded.
     shared = None
-    if distinct.size * blocks <= nsets * dims:
+    if distinct.size < members.size and distinct.size <= nsets:
         shared = np.empty((distinct.size, blocks), dtype=np.uint64)
         rows = max(1, _CHUNK_BYTES // (8 * blocks))
         for lo in range(0, distinct.size, rows):
@@ -279,7 +279,13 @@ def _root_sums(cb: Codebook, indptr: np.ndarray, elements: np.ndarray, w: Weight
     step = max(1, _CHUNK_BYTES // (8 * width))
     for lo in range(0, owner.size, step):
         hi = min(owner.size, lo + step)
-        ids = member[lo:hi].ravel()
+        # The chunk's groups as (group, 8) slots into members; past a set's
+        # end, slots are padding of zero weight.
+        slots = start[lo:hi, None] + np.arange(_GROUP)
+        real = slots < stop[lo:hi, None]
+        ids = np.where(real, members[np.minimum(slots, max(members.size - 1, 0))], 0)
+        group_roots = np.where(real, roots[ids], 0.0).T
+        ids = ids.ravel()
         words = shared[ids] if shared is not None else cb.sign_words(distinct[ids])
         # Little-endian words, so byte k of block j holds coordinates 64j+8k..64j+8k+7.
         # (group, row, block, byte) -> (group, block, byte, row): one uint64 per byte position.
@@ -287,7 +293,7 @@ def _root_sums(cb: Codebook, indptr: np.ndarray, elements: np.ndarray, w: Weight
         packed = np.ascontiguousarray(words.transpose(0, 2, 3, 1)).view("<u8").reshape(hi - lo, -1)
         _transpose8(packed)
         codes = packed.astype("<u8", copy=False).view(np.uint8).reshape(hi - lo, width)
-        tables = _sign_tables(group_roots[:, lo:hi])
+        tables = _sign_tables(group_roots)
         for g in range(hi - lo):
             out[owner[lo + g]] += tables[g].take(codes[g, :dims])
     return out
@@ -303,10 +309,11 @@ def dothash_build_many(
 
     The sets are CSR slices: set ``s`` is ``elements[indptr[s]:indptr[s+1]]``.
     Row ``s`` equals ``dothash_build(cb, set s, w).values`` bit for bit.
-    Weights, and codebook words while their table is no larger than the
-    output, are computed once per distinct element, not once per
-    occurrence.  Raises ValueError on a malformed ``indptr`` and on any
-    negative or non-finite weight.
+    Weights are computed once per distinct element, not once per
+    occurrence, and so are codebook words where elements recur and are no
+    more than the sets, which keeps their table small beside the output.
+    Raises ValueError on a malformed ``indptr`` and on any negative or
+    non-finite weight.
     """
     values = _root_sums(cb, indptr, elements, WeightFn.unit() if w is None else w)
     values /= np.sqrt(cb.dims)

@@ -48,7 +48,12 @@ def minhash_half_jaccard_counts() -> np.ndarray:
 
 
 def _added_peak_rss(setup: str, build: str) -> int:
-    """Bytes of peak RSS that the statement ``build`` adds, in a fresh interpreter."""
+    """Bytes of peak RSS that the statement ``build`` adds, in a fresh interpreter.
+
+    On Linux the peak is the interpreter's own ``VmHWM``: ``ru_maxrss``
+    keeps the launching process's peak across exec, so under a test runner
+    larger than the build it read only the part above the runner's peak.
+    """
     script = textwrap.dedent(
         """
         import resource
@@ -57,11 +62,17 @@ def _added_peak_rss(setup: str, build: str) -> int:
         from dothash.encoding import Codebook, element_ids
         from dothash.sketches import dothash_build, dothash_build_many
 
+        def peak():
+            try:
+                with open("/proc/self/status") as fp:
+                    return next(int(line.split()[1]) for line in fp if line.startswith("VmHWM:"))
+            except OSError:
+                return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // (1024 if sys.platform == "darwin" else 1)
+
         {setup}
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        before = peak()
         {build}
-        after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        print((after - before) * (1 if sys.platform == "darwin" else 1024))
+        print((peak() - before) * 1024)
         """
     ).format(setup=setup, build=build)
     src = str(Path(__file__).resolve().parents[1] / "src")

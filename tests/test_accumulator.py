@@ -13,9 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dothash.encoding import _CODEBOOK_DOMAIN, _GOLDEN, _MASK64, Codebook, splitmix64
+from dothash import sketches
+from dothash.encoding import _CODEBOOK_DOMAIN, _GOLDEN, _MASK64, Codebook, MinwiseFamily, splitmix64
 from dothash.linkpred import Estimator, Metric, preferential_attachment_graph, sketch_neighborhoods
-from dothash.sketches import WeightFn, dothash_build, dothash_build_many, simhash_build
+from dothash.sketches import WeightFn, dothash_build, dothash_build_many, minhash_build, simhash_build
 
 DIMS = (1, 7, 63, 64, 65, 500)
 
@@ -180,6 +181,52 @@ def test_build_many_rejects_malformed_indptr():
             dothash_build_many(cb, np.array(indptr), elements)
 
 
+# Ids from a small pool recur across sets (so the build may share one word
+# table); full 64-bit ids mostly do not.
+POOL = [0, 1, 2**63, _MASK64, 0x9E3779B97F4A7C15, 12345]
+set_lists = st.lists(
+    st.lists(st.one_of(st.sampled_from(POOL), st.integers(0, _MASK64)), max_size=20), max_size=12)
+
+
+def _weight(element: int) -> float:
+    return (element * 2654435761 % 1009) / 97.0
+
+
+@given(
+    sets=set_lists,
+    estimator=st.sampled_from(list(Estimator)),
+    weighted=st.booleans(),
+    chunk_bytes=st.sampled_from([1, 4096, 1 << 20]),
+)
+@settings(max_examples=120, deadline=None)
+def test_set_list_rows_equal_per_set_builds(sets, estimator, weighted, chunk_bytes):
+    # Empty sets and duplicate ids within a set included; a 1-byte chunk
+    # puts every group in a chunk of its own.
+    dims = 130
+    w = WeightFn.custom(_weight) if weighted and estimator in (Estimator.DOTHASH, Estimator.EXACT) else None
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sketches, "_CHUNK_BYTES", chunk_bytes)
+        scorer = sketch_neighborhoods(sets, w or Metric.JACCARD, estimator, dims, seed=21)
+    cb, family = Codebook(seed=21, dims=dims), MinwiseFamily(seed=21, k=dims)
+    if estimator is Estimator.EXACT:
+        indptr, ranks, weights = scorer.sets
+    for s, members in enumerate(sets):
+        members = np.array(members, dtype=np.uint64)
+        if estimator is Estimator.DOTHASH:
+            expected = dothash_build(cb, members, w).values
+        elif estimator is Estimator.MINHASH:
+            expected = minhash_build(family, members).minima
+        elif estimator is Estimator.SIMHASH:
+            expected = simhash_build(cb, members).bits
+        else:
+            own = ranks[indptr[s] : indptr[s + 1]]
+            assert np.all(np.diff(own) > 0)
+            got, expected = weights[own], (w or WeightFn.unit()).weights_for(np.unique(members))
+            assert got.tobytes() == expected.tobytes()
+            continue
+        assert scorer.sets[s].tobytes() == expected.tobytes()
+
+
 def test_scorer_rows_equal_per_node_builds():
     g = preferential_attachment_graph(60, 3, seed=4)
     scorer = sketch_neighborhoods(g, Metric.ADAMIC_ADAR, Estimator.DOTHASH, 257, seed=8)
@@ -215,12 +262,27 @@ def test_large_build_memory_is_bounded(added_peak_rss):
         "dothash_build(Codebook(seed=1, dims=1024), elements)",
     )
     assert added < 64 * 2**20, f"build added {added / 2**20:.1f} MiB of peak RSS"
-    # 2000 sets of 64 distinct elements at d=4096: the output and the shared
-    # word table are 62.5 MiB each, and the rest stays bounded.  Filling the
-    # table in one piece added about 60 MiB of temporaries on top.
+    # 2000 sets of 64 distinct elements at d=4096: the output is 62.5 MiB, and
+    # no element recurs, so no word table is shared and the rest stays bounded.
+    # Filling a shared table in one piece once added about 60 MiB on top.
     added = added_peak_rss(
         "elements = np.arange(2000 * 64, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)",
         "dothash_build_many(Codebook(seed=1, dims=4096), np.arange(2001) * 64, elements)",
     )
     output = table = 2000 * 4096 * 8
     assert added < output + table + 32 * 2**20, f"batch build added {added / 2**20:.1f} MiB of peak RSS"
+
+
+def test_dedup_sized_batch_adds_little_beside_its_output(added_peak_rss):
+    # 400 documents of 120 shingles from 22,000 recurring ids at d=8192, as
+    # the dedup benchmark builds them: the output is 25 MiB, and a shared
+    # word table would add about 19 MiB more.  A small build first pages in
+    # the library code, so the figure is the batch's own memory.
+    added = added_peak_rss(
+        "dothash_build_many(Codebook(seed=1, dims=8192), np.array([0, 9]), np.arange(9, dtype=np.uint64))\n"
+        "ids = np.random.default_rng(0).integers(0, 22_000, 400 * 120).astype(np.uint64)\n"
+        "elements = ids * np.uint64(0x9E3779B97F4A7C15)",
+        "dothash_build_many(Codebook(seed=1, dims=8192), np.arange(401) * 120, elements)",
+    )
+    output = 400 * 8192 * 8
+    assert added < output + 4 * 2**20, f"batch build added {added / 2**20:.1f} MiB of peak RSS"

@@ -1,18 +1,25 @@
 """Tests for shingling, IDF weighting, and the deduplication benchmark."""
 
 import math
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dothash import encoding
 from dothash.dedup import (
     DedupConfig,
     DedupMetric,
     Document,
     IdfTable,
+    ShingleSet,
     build_idf,
+    csr_idf,
     load_corpus_jsonl,
     load_pairs_csv,
     make_planted_corpus,
@@ -20,10 +27,11 @@ from dothash.dedup import (
     run_dedup_benchmark,
     sample_negative_pairs,
     shingle,
+    shingle_csr,
     shingle_many,
 )
 from dothash.encoding import element_id
-from dothash.exact import exact_weighted
+from dothash.exact import SortedSet, exact_weighted
 from dothash.linkpred import Estimator
 
 
@@ -89,6 +97,25 @@ class TestShingle:
     def test_many_width_validation(self):
         with pytest.raises(ValueError):
             shingle_many([], w=0)
+        with pytest.raises(ValueError, match="shingle width"):
+            shingle_csr([], w=0)
+
+    @given(st.lists(st.text(alphabet="ab é,\n", max_size=30), max_size=25), st.integers(1, 3),
+           st.sampled_from([1, 16, 64, 1 << 20]))
+    @settings(max_examples=100, deadline=None)
+    def test_csr_equals_scalar_shingling_across_batches(self, texts, w, chunk_bytes):
+        # At 1 to 64 bytes of shingle text per batch, most documents get a batch of their own.
+        docs = [Document(f"d{i}", text) for i, text in enumerate(texts)]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(encoding, "_CHUNK_BYTES", chunk_bytes)
+            indptr, ids = shingle_csr(docs, w)
+            many = shingle_many(docs, w)
+        assert indptr.tolist()[0] == 0 and len(indptr) == len(docs) + 1 and ids.dtype == np.uint64
+        for i, doc in enumerate(docs):
+            tokens = normalize_text(doc.text).split()
+            expected = {element_id(" ".join(tokens[j : j + w])) for j in range(len(tokens) - w + 1)}
+            assert ids[indptr[i] : indptr[i + 1]].tolist() == sorted(expected)
+            assert many[i] == ShingleSet(doc.doc_id, SortedSet(tuple(sorted(expected))))
 
 
 class TestIdf:
@@ -140,6 +167,33 @@ class TestIdf:
     def test_empty_corpus_raises(self):
         with pytest.raises(ValueError, match="empty corpus"):
             build_idf([])
+        with pytest.raises(ValueError, match="empty corpus"):
+            csr_idf(*shingle_csr([]))
+
+    def test_doc_freq_equals_a_per_document_count(self):
+        docs, _ = make_planted_corpus(n_docs=80, n_dup_pairs=20, words_per_doc=30, vocab_size=20, seed=4)
+        sets = shingle_many(docs)
+        doc_freq: dict[int, int] = {}
+        for s in sets:
+            for element in s.shingles:
+                doc_freq[element] = doc_freq.get(element, 0) + 1
+        assert build_idf(sets) == IdfTable(corpus_size=80, doc_freq=doc_freq)
+
+    @pytest.mark.parametrize("chunk_bytes", [64, 1 << 20])
+    def test_csr_idf_equals_build_idf(self, monkeypatch, chunk_bytes):
+        docs, _ = make_planted_corpus(n_docs=80, n_dup_pairs=20, words_per_doc=30, vocab_size=20, seed=4)
+        docs += [Document("short", "two words"), Document("blank", "")]
+        monkeypatch.setattr(encoding, "_CHUNK_BYTES", chunk_bytes)
+        indptr, ids = shingle_csr(docs)
+        table = build_idf(shingle_many(docs))
+        seen = np.array(sorted(table.doc_freq), dtype=np.uint64)
+        unseen = np.array([0, 2**64 - 1, element_id("never in the corpus")], dtype=np.uint64)
+        probe = np.concatenate([seen, unseen, seen + np.uint64(1)])
+        expected = np.array([table.weight(int(e)) for e in probe])
+        got = csr_idf(indptr, ids)
+        assert got.weights_for(probe).tobytes() == expected.tobytes()
+        assert got.weights_for(probe).tobytes() == table.weight_fn().weights_for(probe).tobytes()
+        assert [got(int(e)) for e in probe] == expected.tolist()
 
     def test_sim_idf_composition(self):
         # sim_idf(A, B) = sum of idf over shared shingles, via exact_weighted
@@ -248,6 +302,76 @@ class TestNegativeSampling:
         with pytest.raises(ValueError, match="cannot sample"):
             sample_negative_pairs(["a", "b", "c"], [], count=10, seed=0)
 
+    @staticmethod
+    def _scalar_reference(doc_ids, positive_pairs, count, seed):
+        """The one-draw-at-a-time rejection loop the batched sampler must reproduce."""
+        forbidden = {frozenset(p) for p in positive_pairs}
+        rng = np.random.default_rng(seed)
+        n = len(doc_ids)
+        chosen, negatives = set(), []
+        while len(negatives) < count:
+            i, j = rng.integers(0, n, size=2)
+            if i == j:
+                continue
+            a, b = doc_ids[int(i)], doc_ids[int(j)]
+            key = frozenset((a, b))
+            if key in forbidden or key in chosen:
+                continue
+            chosen.add(key)
+            negatives.append((a, b))
+        return negatives
+
+    @given(st.integers(2, 40), st.data(), st.integers(0, 2**32))
+    @settings(max_examples=150, deadline=None)
+    def test_batched_draws_equal_scalar_loop(self, n, data, seed):
+        ids = [f"d{i}" for i in range(n)]
+        index = st.integers(0, n - 1)
+        labeled = [(ids[a], ids[b]) for a, b in data.draw(st.lists(st.tuples(index, index), max_size=20))]
+        available = n * (n - 1) // 2 - len({frozenset(p) for p in labeled if p[0] != p[1]})
+        # Up to every available pair, where the last draws are mostly rejected.
+        count = data.draw(st.integers(0, available))
+        got = sample_negative_pairs(ids, labeled, count, seed)
+        assert got == self._scalar_reference(ids, labeled, count, seed)
+
+    def test_batched_draws_equal_scalar_loop_on_a_corpus(self):
+        ids = [f"doc{i:04d}" for i in range(400)]
+        labeled = [(ids[i], ids[i + 300]) for i in range(100)]
+        for seed in range(3):
+            assert (sample_negative_pairs(ids, labeled, 1000, seed)
+                    == self._scalar_reference(ids, labeled, 1000, seed))
+
+    @pytest.mark.parametrize("n", [7, 400, 3 * 2**30, 2**40 + 3])
+    def test_one_batch_draws_what_single_draws_do(self, n):
+        # The batched sampler relies on this: one (B, 2) draw consumes the
+        # stream as B draws of size 2, also where many 32-bit draws are
+        # rejected (n = 3 * 2**30) and across uneven batches.
+        rng = np.random.default_rng(3)
+        single = np.array([rng.integers(0, n, size=2) for _ in range(3000)])
+        rng = np.random.default_rng(3)
+        batched = np.concatenate([rng.integers(0, n, size=(b, 2)) for b in (1, 999, 2000)])
+        assert np.array_equal(single, batched)
+
+    def test_self_label_leaves_every_pair_available(self):
+        negs = sample_negative_pairs(["a", "b", "c"], [("a", "a")], count=3, seed=0)
+        assert sorted(map(frozenset, negs), key=sorted) == [
+            frozenset("ab"), frozenset("ac"), frozenset("bc")]
+
+    def test_repeated_doc_id_raises_without_hanging(self):
+        # Before the check, the available pairs were overcounted and this
+        # call never returned; a subprocess with a timeout turns a hang into
+        # a failure.
+        script = textwrap.dedent("""
+            from dothash.dedup import sample_negative_pairs
+            try:
+                sample_negative_pairs(["a", "a", "b", "c"], [("a", "b")], count=5, seed=0)
+            except ValueError as exc:
+                print(exc)
+        """)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                                timeout=60, env={"PYTHONPATH": src}, check=True)
+        assert result.stdout.strip() == "duplicate doc_id 'a'"
+
 
 class TestBenchmark:
     def _exact_copy_corpus(self):
@@ -283,6 +407,13 @@ class TestBenchmark:
         docs, pairs = make_planted_corpus(n_docs=20, n_dup_pairs=5, seed=9)
         with pytest.raises(ValueError, match="unknown doc_id"):
             run_dedup_benchmark(docs, pairs + [("ghost", docs[0].doc_id)], DedupConfig(
+                estimator=Estimator.EXACT, metric=DedupMetric.JACCARD, negatives=50))
+
+    def test_repeated_doc_id_rejected(self):
+        docs, pairs = make_planted_corpus(n_docs=20, n_dup_pairs=5, seed=9)
+        docs.append(Document(docs[0].doc_id, "another text under the same id"))
+        with pytest.raises(ValueError, match="duplicate doc_id 'doc0000'"):
+            run_dedup_benchmark(docs, pairs, DedupConfig(
                 estimator=Estimator.EXACT, metric=DedupMetric.JACCARD, negatives=50))
 
     def test_negatives_below_k_rejected(self):
