@@ -30,6 +30,7 @@ from . import dedup as dedup_mod
 from . import linkpred as linkpred_mod
 from .encoding import Codebook, MinwiseFamily, element_ids, sorted_distinct
 from .sketches import (
+    MAX_SKETCH_SIZE,
     DotHashSketch,
     MinHashSketch,
     dothash_build,
@@ -94,6 +95,9 @@ def _resolve_size(args: argparse.Namespace) -> int | None:
 
 def _cmd_sketch(args: argparse.Namespace) -> int:
     size = _resolve_size(args)
+    if size > MAX_SKETCH_SIZE:
+        flag = "--k" if args.estimator == "minhash" else "--dims"
+        raise ValueError(f"{flag} {size} exceeds the sketch file's limit of {MAX_SKETCH_SIZE}")
     elements = _read_elements(args.input)
     if args.estimator == "minhash":
         sketch = minhash_build(MinwiseFamily(seed=args.seed, k=size), elements)

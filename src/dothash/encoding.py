@@ -54,8 +54,9 @@ _U64_C2 = np.uint64(0x94D049BB133111EB)
 # Bytes of temporaries that one chunk of a batched computation may hold: the
 # text and per-input arrays of one batch of element ids and the PRF words of
 # one element chunk of ``sign_sums`` here, the looked-up table values of one
-# accumulation chunk in ``sketches._root_sums``, and one seed chunk's sign
-# sums in ``bounds``.
+# accumulation chunk in ``sketches._root_sums``, the words, scratch and
+# counts of one batch of sets in ``sketches._unit_sums``, and one seed
+# chunk's sign sums in ``bounds``.
 _CHUNK_BYTES = 1 << 20
 
 # Per-input arrays of a batched element-id chain, in bytes per input.
@@ -319,7 +320,8 @@ def sign_sums(seeds: np.ndarray, elements: np.ndarray, dims: int) -> np.ndarray:
     that leaves ``m.bit_length()`` planes, and only those are unpacked, each
     added as ``plane << p``.  Elements are taken in chunks of about
     ``_CHUNK_BYTES`` of words and the integer counts of the chunks added,
-    so the temporaries stay bounded whatever n is.
+    so the temporaries stay bounded whatever n is.  Unit-weight sketch
+    builds count their sets with the same counter, :func:`_add_sign_counts`.
     """
     if dims < 1:
         raise ValueError("codebook dims must be >= 1")
@@ -328,18 +330,44 @@ def sign_sums(seeds: np.ndarray, elements: np.ndarray, dims: int) -> np.ndarray:
     n = elements.shape[0]
     roots = _splitmix64_np(seeds ^ np.uint64(_CODEBOOK_DOMAIN))
     blocks = (dims + 63) // 64
-    offsets = np.arange(1, blocks + 1, dtype=np.uint64) * _U64_GOLDEN
-    # A count is at most n, so int32 counts are exact for any n below 2**31.
-    counts = np.zeros((seeds.size, dims), dtype=np.int32 if n < 2**31 else np.int64)
+    counts = np.zeros((seeds.size, dims), dtype=_count_dtype(n))
     step = max(1, _CHUNK_BYTES // (8 * blocks * max(1, seeds.size)))
+    buffer = np.empty(2 * min(n, step) * seeds.size * blocks, dtype=np.uint64)
     for start in range(0, n, step):
         keys = _splitmix64_np(elements[start : start + step, None] ^ roots[None, :])
-        words = keys[:, :, None] + offsets  # (elements, seeds, blocks)
-        _splitmix64_into(words, np.empty_like(words), words)
-        plane_bits = _bits_from_words(np.stack(_bit_planes(words)), dims)
-        for p, bits in enumerate(plane_bits):
-            counts += np.left_shift(bits, p, dtype=counts.dtype)
+        _add_sign_counts(keys, counts, buffer)
     return 2 * counts.astype(np.int64) - n
+
+
+def _count_dtype(n: int) -> type:
+    """Integer dtype of counts of at most `n`: int32 is exact for any n below 2**31."""
+    return np.int32 if n < 2**31 else np.int64
+
+
+def _add_sign_counts(
+    keys: np.ndarray, counts: np.ndarray, buffer: np.ndarray, valid: np.ndarray | None = None
+) -> None:
+    """Add to ``counts[c]`` the sign bits of the codebook keys ``keys[:, c]``, bit for coordinate.
+
+    `keys` holds element keys ``splitmix64(root ^ e)``, shape (rows, cols),
+    and `counts` the running popcounts, shape (cols, dims).  Where `valid`
+    is False, the row's key is padding: its words are zeroed, and a zero
+    word adds nothing to a popcount.  The sign words are computed in place
+    in `buffer`, a uint64 array of at least ``2 * keys.size * blocks``
+    words that is reused across calls, and counted by :func:`_bit_planes`
+    along the rows; only the planes are unpacked, each added as
+    ``plane << p``.
+    """
+    dims = counts.shape[1]
+    blocks = (dims + 63) // 64
+    size = keys.size * blocks
+    words = buffer[:size].reshape(keys.shape + (blocks,))
+    np.add(keys[:, :, None], np.arange(1, blocks + 1, dtype=np.uint64) * _U64_GOLDEN, out=words)
+    _splitmix64_into(words, buffer[size : 2 * size].reshape(words.shape), words)
+    if valid is not None:
+        words *= valid[:, :, None]
+    for p, plane in enumerate(_bit_planes(words)):
+        counts += np.left_shift(_bits_from_words(plane, dims), p, dtype=counts.dtype)
 
 
 def _bit_planes(x: np.ndarray) -> list[np.ndarray]:

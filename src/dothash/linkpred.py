@@ -481,9 +481,10 @@ def run_linkpred_benchmark(
 
     The split is drawn once from ``seed``; repeat ``r`` reseeds only the
     sketch construction with ``seed + r``, so exact-estimator rows are
-    identical across repeats.  hits_ci95 is the normal-approximation 95%
-    half-width over repeats (0 when repeats == 1).  Raises ValueError
-    unless ``repeats`` is at least 1.
+    identical across repeats: the exact oracle is built and scored once,
+    its hits count for every repeat, and its timings are that one run's.
+    hits_ci95 is the normal-approximation 95% half-width over repeats (0
+    when repeats == 1).  Raises ValueError unless ``repeats`` is at least 1.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be at least 1, got {repeats}")
@@ -493,7 +494,8 @@ def run_linkpred_benchmark(
         hits: dict[int, list[float]] = {k: [] for k in k_values}
         build_times: list[float] = []
         compare_times: list[float] = []
-        for r in range(repeats):
+        runs = 1 if point.estimator is Estimator.EXACT else repeats
+        for r in range(runs):
             t0 = time.perf_counter()
             scorer = sketch_neighborhoods(
                 split.train_graph, point.metric, point.estimator, point.dims_or_k, seed=seed + r
@@ -508,7 +510,7 @@ def run_linkpred_benchmark(
             for k in k_values:
                 hits[k].append(hits_at_k(pos_scores, neg_scores, k))
         for k in k_values:
-            samples = np.array(hits[k])
+            samples = np.array(hits[k] * (repeats // runs))
             ci = 0.0 if repeats < 2 else 1.96 * samples.std(ddof=1) / math.sqrt(repeats)
             rows.append(
                 BenchmarkRow(

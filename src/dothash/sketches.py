@@ -39,7 +39,15 @@ from typing import BinaryIO, Callable, Iterable, Mapping, Union
 
 import numpy as np
 
-from .encoding import _CHUNK_BYTES, Codebook, MinwiseFamily, as_element_array, sorted_distinct
+from .encoding import (
+    _CHUNK_BYTES,
+    Codebook,
+    MinwiseFamily,
+    _add_sign_counts,
+    _count_dtype,
+    as_element_array,
+    sorted_distinct,
+)
 
 MINHASH_EMPTY_SENTINEL = (1 << 64) - 1
 
@@ -66,7 +74,8 @@ class WeightFn:
 
     Construct with :meth:`unit`, :meth:`from_table`, :meth:`from_array`, or
     :meth:`custom`.  Calling the instance evaluates one element; dense
-    batches go through :meth:`weights_for`.
+    batches go through :meth:`weights_for`.  Kind ``WeightKind.UNIT`` means
+    f = 1: builds count such sums without evaluating the function.
     """
 
     def __init__(
@@ -229,20 +238,59 @@ def distinct_sets(indptr: np.ndarray, elements: Iterable[int] | np.ndarray) -> t
     return distinct, indptr, pairs % max(distinct.size, 1)
 
 
-def _root_sums(cb: Codebook, indptr: np.ndarray, elements: np.ndarray, w: WeightFn) -> np.ndarray:
+def _unit_sums(cb: Codebook, distinct: np.ndarray, indptr: np.ndarray, ranks: np.ndarray):
+    """Yield ``(sets, sums)``: the exact sums ``Σ sign(e)`` of batches of CSR sets.
+
+    The sets are :func:`distinct_sets` output; ``sums`` is an integer array
+    of shape (len(sets), dims) whose row ``i`` belongs to set ``sets[i]``.
+    Empty sets are never yielded.  A sum of n signs is ``2 * count - n``,
+    with the counts taken by the bit-plane counter of
+    :func:`dothash.encoding.sign_sums`, one batch of sets per column axis.
+    Sets are taken longest first, so a batch holds sets of similar size,
+    each padded with zero words to the longest.  A batch's words, their
+    scratch and its counts fill about ``_CHUNK_BYTES``, and a set longer
+    than that is counted a row chunk at a time.
+    """
+    sizes = np.diff(indptr)
+    order = np.argsort(-sizes, kind="stable")
+    dims, blocks = cb.dims, cb.blocks
+    lo, nonempty = 0, np.count_nonzero(sizes)
+    buffer = np.empty(0, dtype=np.uint64)
+    while lo < nonempty:
+        rows = int(sizes[order[lo]])
+        cols = max(1, _CHUNK_BYTES // (16 * blocks * rows + 4 * dims))
+        sets = order[lo : min(lo + cols, nonempty)]
+        lo += sets.size
+        # Counts reach rows, and doubled 2 * rows, before n is taken off.
+        counts = np.zeros((sets.size, dims), dtype=_count_dtype(2 * rows))
+        step = min(rows, max(1, _CHUNK_BYTES // (16 * blocks * sets.size)))
+        if buffer.size < 2 * step * sets.size * blocks:
+            buffer = np.empty(2 * step * sets.size * blocks, dtype=np.uint64)
+        for r in range(0, rows, step):
+            slots = np.arange(r, min(rows, r + step))[:, None]
+            valid = slots < sizes[sets]
+            ids = distinct[ranks[np.where(valid, indptr[sets] + slots, 0)]]
+            _add_sign_counts(cb._element_keys(ids), counts, buffer, valid)
+        counts *= 2
+        counts -= sizes[sets, None].astype(counts.dtype)
+        yield sets, counts
+
+
+def _root_sums(
+    cb: Codebook, distinct: np.ndarray, indptr: np.ndarray, members: np.ndarray, w: WeightFn
+) -> np.ndarray:
     """Unscaled sums ``Σ sqrt(w(e)) * sign(e)`` over each CSR set, shape (nsets, dims).
 
-    Set ``s`` is ``elements[indptr[s]:indptr[s+1]]``; duplicates in a set
-    are skipped and the rest taken in ascending order.  Each set's elements
-    are taken 8 at a time, the last group padded with zero weight.  An 8x8
-    bit transpose turns a group's sign words into one byte per coordinate,
-    and the coordinate adds ``table[byte]`` from the group's 256-entry table
-    of signed root sums.  Groups are added in order, starting from +0.0,
-    with elementwise float64 operations only, so the result does not depend
-    on the CPU or BLAS, a set of zero weights sums to +0.0, and unit weights
-    give exact integers.
+    The sets are :func:`distinct_sets` output, each taken in ascending
+    element order.  Each set's elements are taken 8 at a time, the last
+    group padded with zero weight.  An 8x8 bit transpose turns a group's
+    sign words into one byte per coordinate, and the coordinate adds
+    ``table[byte]`` from the group's 256-entry table of signed root sums.
+    Groups are added in order, starting from +0.0, with elementwise float64
+    operations only, so the result does not depend on the CPU or BLAS, a
+    set of zero weights sums to +0.0, and unit weights give exact integers,
+    the same as :func:`_unit_sums`.
     """
-    distinct, indptr, members = distinct_sets(indptr, elements)
     nsets = indptr.size - 1
     weights = w.weights_for(distinct)
     if not np.all(np.isfinite(weights)):
@@ -309,13 +357,22 @@ def dothash_build_many(
 
     The sets are CSR slices: set ``s`` is ``elements[indptr[s]:indptr[s+1]]``.
     Row ``s`` equals ``dothash_build(cb, set s, w).values`` bit for bit.
-    Weights are computed once per distinct element, not once per
-    occurrence, and so are codebook words where elements recur and are no
-    more than the sets, which keeps their table small beside the output.
+    Unit weights (``w`` None or of kind ``WeightKind.UNIT``) give exact
+    integer sums, counted on the packed sign words by the bit-plane counter
+    (:func:`_unit_sums`).  Other weights go through the byte table
+    (:func:`_root_sums`), which computes them once per distinct element, not
+    once per occurrence, and so codebook words where elements recur and are
+    no more than the sets, which keeps their table small beside the output.
     Raises ValueError on a malformed ``indptr`` and on any negative or
     non-finite weight.
     """
-    values = _root_sums(cb, indptr, elements, WeightFn.unit() if w is None else w)
+    csr = distinct_sets(indptr, elements)
+    if w is None or w.kind is WeightKind.UNIT:
+        values = np.zeros((csr[1].size - 1, cb.dims))
+        for sets, sums in _unit_sums(cb, *csr):
+            values[sets] = sums
+    else:
+        values = _root_sums(cb, *csr, w)
     values /= np.sqrt(cb.dims)
     return values
 
@@ -401,8 +458,13 @@ def simhash_build_many(
     Row ``s`` equals ``simhash_build(cb, set s).bits``: bit j is 1 iff
     coordinate j of the set's ±1 vector sum is > 0, packed LSB first.  The
     empty set sums to zero, which is non-positive, so its bits are all zero.
+    The sums are the exact integers of :func:`_unit_sums`.
     """
-    return np.packbits(_root_sums(cb, indptr, elements, WeightFn.unit()) > 0, axis=1, bitorder="little")
+    csr = distinct_sets(indptr, elements)
+    out = np.zeros((csr[1].size - 1, (cb.dims + 7) // 8), dtype=np.uint8)
+    for sets, sums in _unit_sums(cb, *csr):
+        out[sets] = np.packbits(sums > 0, axis=1, bitorder="little")
+    return out
 
 
 def simhash_build(cb: Codebook, elements: Iterable[int] | np.ndarray) -> SimHashSketch:
@@ -423,6 +485,8 @@ def simhash_similarity(a: SimHashSketch, b: SimHashSketch) -> float:
 _MAGIC = b"SKCH"
 _VERSION = 1
 _HEADER = struct.Struct("<4sBBQIQ")
+# The header stores a sketch's size (dims or k) as a u32.
+MAX_SKETCH_SIZE = (1 << 32) - 1
 _KIND_CODES = {"dothash": 1, "minhash": 2, "simhash": 3}
 _KIND_NAMES = {code: name for name, code in _KIND_CODES.items()}
 
@@ -442,14 +506,21 @@ def _sketch_size(sketch: Sketch) -> int:
 
 
 def write_sketch(sketch: Sketch, fp: BinaryIO) -> None:
-    """Serialize a sketch in the documented little-endian binary layout."""
+    """Serialize a sketch in the documented little-endian binary layout.
+
+    Raises ValueError for a size the header cannot store (0, or more than
+    ``MAX_SKETCH_SIZE``).
+    """
     kind = sketch_kind(sketch)
+    size = _sketch_size(sketch)
+    if not 1 <= size <= MAX_SKETCH_SIZE:
+        raise ValueError(f"sketch size {size} does not fit the file header (1 to {MAX_SKETCH_SIZE})")
     header = _HEADER.pack(
         _MAGIC,
         _VERSION,
         _KIND_CODES[kind],
         sketch.seed & ((1 << 64) - 1),
-        _sketch_size(sketch),
+        size,
         sketch.cardinality,
     )
     fp.write(header)

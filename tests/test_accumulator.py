@@ -1,4 +1,4 @@
-"""The byte-table sign accumulator against a slow scalar reference.
+"""The sign accumulators, the byte table and the unit-sum counter, against a slow scalar reference.
 
 The reference recomputes every sign bit from the documented SplitMix64
 construction with Python integers and sums coordinate by coordinate, so it
@@ -16,7 +16,15 @@ from hypothesis import strategies as st
 from dothash import sketches
 from dothash.encoding import _CODEBOOK_DOMAIN, _GOLDEN, _MASK64, Codebook, MinwiseFamily, splitmix64
 from dothash.linkpred import Estimator, Metric, preferential_attachment_graph, sketch_neighborhoods
-from dothash.sketches import WeightFn, dothash_build, dothash_build_many, minhash_build, simhash_build
+from dothash.sketches import (
+    WeightFn,
+    WeightKind,
+    dothash_build,
+    dothash_build_many,
+    minhash_build,
+    simhash_build,
+    simhash_build_many,
+)
 
 DIMS = (1, 7, 63, 64, 65, 500)
 
@@ -142,6 +150,65 @@ def test_build_many_rows_equal_single_builds(dims, sets, table, unit):
     for row, members in zip(many, sets):
         single = dothash_build(cb, np.array(members, dtype=np.uint64), w).values
         assert row.tobytes() == single.tobytes()
+
+
+def _csr(sets) -> tuple[np.ndarray, np.ndarray]:
+    indptr = np.cumsum([0] + [len(s) for s in sets])
+    return indptr, np.array([e for s in sets for e in s], dtype=np.uint64)
+
+
+# Unit weights that the builds cannot tell from WeightFn.unit() by kind, so
+# they go through the byte table.
+ALL_ONES = WeightFn(WeightKind.CUSTOM, lambda element: 1.0, lambda arr: np.ones(len(arr)))
+
+# Set sizes vary so that batches mix lengths; ids come from a small pool
+# (duplicates within a set) or span the full 64 bits.
+unit_set_lists = st.lists(
+    st.lists(st.one_of(st.integers(0, 40), st.integers(0, _MASK64)), max_size=25), max_size=6)
+
+
+@given(
+    st.sampled_from(DIMS),
+    unit_set_lists,
+    st.integers(min_value=0, max_value=_MASK64),
+    st.sampled_from([1, 512, 4096, 1 << 20]),
+)
+@settings(max_examples=40, deadline=None)
+def test_unit_rows_of_many_sets_equal_reference_sums(dims, sets, seed, chunk_bytes):
+    # A chunk of 512 or fewer bytes counts a set of more than 4 elements
+    # (at most 8 words each) a few rows at a time.
+    cb = Codebook(seed=seed, dims=dims)
+    indptr, elements = _csr(sets)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sketches, "_CHUNK_BYTES", chunk_bytes)
+        values = dothash_build_many(cb, indptr, elements)
+        bits = simhash_build_many(cb, indptr, elements)
+    assert values.shape == (len(sets), dims) and bits.shape == (len(sets), (dims + 7) // 8)
+    for members, row, packed in zip(sets, values, bits):
+        sums = reference_unit_sums(seed, dims, members)
+        assert row.tolist() == [s / math.sqrt(dims) for s in sums]
+        assert not has_negative_zero(row)
+        unpacked = np.unpackbits(packed, bitorder="little")
+        assert unpacked[:dims].tolist() == [1 if s > 0 else 0 for s in sums]
+        assert not unpacked[dims:].any()
+
+
+@given(
+    st.sampled_from(DIMS),
+    st.lists(st.lists(st.integers(0, 400), max_size=300), max_size=10),
+    st.sampled_from([1, 4096, 1 << 20]),
+)
+@settings(max_examples=40, deadline=None)
+def test_unit_rows_equal_the_byte_table_bit_for_bit(dims, sets, chunk_bytes):
+    cb = Codebook(seed=17, dims=dims)
+    indptr, elements = _csr(sets)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sketches, "_CHUNK_BYTES", chunk_bytes)
+        counted = dothash_build_many(cb, indptr, elements)
+        tabled = dothash_build_many(cb, indptr, elements, ALL_ONES)
+        bits = simhash_build_many(cb, indptr, elements)
+    assert counted.tobytes() == tabled.tobytes()
+    assert bits.tobytes() == np.packbits(tabled > 0, axis=1, bitorder="little").tobytes()
 
 
 def _assert_rows_in_order(cb: Codebook, sets, weight) -> None:
@@ -283,6 +350,31 @@ def test_dedup_sized_batch_adds_little_beside_its_output(added_peak_rss):
         "ids = np.random.default_rng(0).integers(0, 22_000, 400 * 120).astype(np.uint64)\n"
         "elements = ids * np.uint64(0x9E3779B97F4A7C15)",
         "dothash_build_many(Codebook(seed=1, dims=8192), np.arange(401) * 120, elements)",
+    )
+    output = 400 * 8192 * 8
+    assert added < output + 4 * 2**20, f"batch build added {added / 2**20:.1f} MiB of peak RSS"
+
+
+def test_large_unit_build_adds_little(added_peak_rss):
+    # One 10,000-element unit set at d=4096: the words are counted about
+    # 1 MiB at a time, beside a 32 KiB output.
+    added = added_peak_rss(
+        "dothash_build(Codebook(seed=1, dims=4096), np.arange(9, dtype=np.uint64))\n"
+        "elements = np.arange(10_000, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)",
+        "dothash_build(Codebook(seed=1, dims=4096), elements)",
+    )
+    assert added < 4 * 2**20, f"build added {added / 2**20:.1f} MiB of peak RSS"
+
+
+def test_weighted_dedup_sized_batch_adds_little_beside_its_output(added_peak_rss):
+    # The dedup-sized batch of the test above, with non-unit weights, so the
+    # byte table sums it.
+    added = added_peak_rss(
+        "from dothash.sketches import WeightFn\n"
+        "weight = WeightFn.from_array(1.0 / np.log(np.arange(22_000) + 2.0))\n"
+        "dothash_build_many(Codebook(seed=1, dims=8192), np.array([0, 9]), np.arange(9, dtype=np.uint64), weight)\n"
+        "elements = np.random.default_rng(0).integers(0, 22_000, 400 * 120).astype(np.uint64)",
+        "dothash_build_many(Codebook(seed=1, dims=8192), np.arange(401) * 120, elements, weight)",
     )
     output = 400 * 8192 * 8
     assert added < output + 4 * 2**20, f"batch build added {added / 2**20:.1f} MiB of peak RSS"

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from dothash import bounds as bounds_mod
+from dothash import cli
 from dothash.bounds import BoundsQuery, clt_tail
 from dothash.cli import main
 from dothash.dedup import make_planted_corpus
@@ -70,6 +71,24 @@ class TestSketchCommand:
                      "--input", str(element_file), "--out", str(out)]) == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary == {"kind": "dothash", "dims_or_k": 4096, "cardinality": 100, "seed": 3}
+
+    @pytest.mark.parametrize("estimator, flag", [("dothash", "--dims"), ("simhash", "--dims"), ("minhash", "--k")])
+    def test_size_past_the_file_header_exits_two_before_building(
+        self, tmp_path, element_file, monkeypatch, capsys, estimator, flag
+    ):
+        # The header stores the size as a u32; simhash at 2**32 dims once
+        # tried to allocate 32 GiB and exited 3 with MemoryError.
+        def refuse(*args, **kwargs):
+            raise AssertionError("no codebook, family or sketch may be built")
+
+        for name in ("Codebook", "MinwiseFamily", "dothash_build", "simhash_build", "minhash_build"):
+            monkeypatch.setattr(cli, name, refuse)
+        out = tmp_path / "s.bin"
+        code = main(["sketch", "--estimator", estimator, flag, str(2**32),
+                     "--input", str(element_file), "--out", str(out)])
+        assert code == 2
+        assert f"{flag} 4294967296 exceeds the sketch file's limit of 4294967295" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_size_flag_is_usage_error(self, tmp_path, element_file):
         code = main(["sketch", "--estimator", "dothash", "--input", str(element_file),

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dothash import linkpred
 from dothash.exact import SortedSet, exact_intersection
 from dothash.linkpred import (
     Estimator,
@@ -309,6 +310,27 @@ class TestBenchmark:
         )
         assert len(rows) == 1
         assert rows[0].hits_ci95 == 0.0  # identical hits across repeats
+
+    def test_exact_oracle_is_built_once_per_point(self, monkeypatch):
+        # Repeats reseed only the sketches, so the exact scores of one run
+        # stand for every repeat, with the same mean and spread arithmetic.
+        built = []
+
+        def counting(graph, metric, estimator, *args, **kwargs):
+            built.append(estimator)
+            return sketch_neighborhoods(graph, metric, estimator, *args, **kwargs)
+
+        monkeypatch.setattr(linkpred, "sketch_neighborhoods", counting)
+        g = erdos_renyi_graph(60, 0.15, seed=10)
+        points = [SweepPoint(Estimator.EXACT, Metric.ADAMIC_ADAR),
+                  SweepPoint(Estimator.DOTHASH, Metric.ADAMIC_ADAR, 64)]
+        rows = run_linkpred_benchmark(g, points, k_values=[10], repeats=3, seed=2)
+        assert built == [Estimator.EXACT] + [Estimator.DOTHASH] * 3
+        once = run_linkpred_benchmark(g, points[:1], k_values=[10], repeats=1, seed=2)[0]
+        samples = np.array([once.hits_mean] * 3)
+        assert rows[0].hits_mean == float(samples.mean())
+        assert rows[0].hits_ci95 == float(1.96 * samples.std(ddof=1) / math.sqrt(3))
+        assert rows[0].repeats == 3
 
     def test_row_fields_and_multiple_k(self):
         g = erdos_renyi_graph(50, 0.2, seed=11)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from dothash.bounds import sample_intersection_estimates
 from dothash.encoding import Codebook, MinwiseFamily
 from dothash.sketches import (
+    MAX_SKETCH_SIZE,
     MINHASH_EMPTY_SENTINEL,
     DotHashSketch,
     MinHashSketch,
@@ -389,6 +390,17 @@ class TestSerialization:
         # No builder writes size 0; two such MinHash or SimHash files made compare divide by zero.
         with pytest.raises(ValueError, match="size 0"):
             read_sketch(io.BytesIO(struct.pack("<4sBBQIQ", b"SKCH", 1, kind, 0, 0, 5)))
+
+    def test_write_rejects_a_size_the_header_cannot_store(self):
+        # The size is a u32; 2**32 used to reach struct.error from the header pack.
+        for dims in (0, MAX_SKETCH_SIZE + 1):
+            sketch = SimHashSketch(bits=np.zeros(1, dtype=np.uint8), dims=dims, seed=0, cardinality=0)
+            with pytest.raises(ValueError, match="does not fit the file header"):
+                write_sketch(sketch, io.BytesIO())
+        buf = io.BytesIO()
+        at_limit = SimHashSketch(bits=np.zeros(1, dtype=np.uint8), dims=MAX_SKETCH_SIZE, seed=0, cardinality=0)
+        write_sketch(at_limit, buf)
+        assert struct.unpack_from("<I", buf.getvalue(), 14) == (MAX_SKETCH_SIZE,)
 
     @one_element_sketches
     def test_cardinality_zero_needs_the_empty_payload(self, sketch):
