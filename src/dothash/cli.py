@@ -28,7 +28,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import dedup as dedup_mod
 from . import linkpred as linkpred_mod
-from .encoding import Codebook, MinwiseFamily, element_ids, sorted_distinct
+from .encoding import Codebook, MinwiseFamily, element_ids
 from .sketches import (
     MAX_SKETCH_SIZE,
     DotHashSketch,
@@ -61,7 +61,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_elements(path: str) -> np.ndarray:
-    """The distinct element ids of the tokens, one per line; blank lines are skipped.
+    """The element ids of the tokens, one per line; blank lines are skipped.
 
     The input is decoded as UTF-8; a byte that is not is reported with its
     line number, as ValueError.
@@ -77,7 +77,7 @@ def _read_elements(path: str) -> np.ndarray:
     except UnicodeDecodeError as exc:
         lineno = data.count(b"\n", 0, exc.start) + 1
         raise ValueError(f"line {lineno}: {exc}") from None
-    return sorted_distinct(element_ids(token for token in map(str.strip, lines) if token))
+    return element_ids(token for token in map(str.strip, lines) if token)
 
 
 def _resolve_size(args: argparse.Namespace) -> int | None:

@@ -56,39 +56,22 @@ class ShingleSet:
     shingles: SortedSet
 
 
-@dataclass(frozen=True)
-class IdfTable:
-    """Document frequencies for every shingle seen in a corpus."""
-
-    corpus_size: int
-    doc_freq: dict[int, int]
-
-    def weight(self, element: int) -> float:
-        """ln(|D| / doc_freq); unseen shingles use doc_freq = 1."""
-        return math.log(self.corpus_size / self.doc_freq.get(element, 1))
-
-    def weight_fn(self) -> WeightFn:
-        """IDF as a WeightFn whose batch path equals :meth:`weight` bit for bit."""
-        keys = np.fromiter(self.doc_freq.keys(), dtype=np.uint64, count=len(self.doc_freq))
-        freqs = np.fromiter(self.doc_freq.values(), dtype=np.int64, count=len(self.doc_freq))
-        order = np.argsort(keys)
-        return _idf_weights(self.corpus_size, keys[order], freqs[order])
-
-
 def csr_idf(indptr: np.ndarray, ids: np.ndarray) -> WeightFn:
-    """``build_idf(shingle_many(docs)).weight_fn()`` from :func:`shingle_csr`, by one count."""
-    return _idf_weights(len(indptr) - 1, *np.unique(ids, return_counts=True))
+    """:func:`build_idf` of the :func:`shingle_csr` sets ``(indptr, ids)``."""
+    return _idf_weights(len(indptr) - 1, ids)
 
 
-def _idf_weights(corpus_size: int, keys: np.ndarray, freqs: np.ndarray) -> WeightFn:
-    """``ln(corpus_size / doc_freq)`` of the sorted distinct ``keys`` and their ``freqs``.
+def _idf_weights(corpus_size: int, ids: np.ndarray) -> WeightFn:
+    """IDF weights of a corpus whose documents' distinct elements, concatenated, are ``ids``.
 
-    An element's doc_freq is found in ``keys`` (1 when unseen), and its
-    ``math.log`` read from a table over the distinct doc_freq values, so
-    every weight equals :meth:`IdfTable.weight` bit for bit.
+    An element's doc_freq is its number of copies in ``ids`` (1 when
+    unseen), and its ``math.log(corpus_size / doc_freq)`` read from a table
+    over the distinct doc_freq values, so the batch and scalar paths agree
+    bit for bit.
     """
     if corpus_size < 1:
         raise ValueError("cannot build IDF table from an empty corpus")
+    keys, freqs = np.unique(ids, return_counts=True)
     # The leading doc_freq = 1 is the unseen shingles' level.
     levels, slots = np.unique(np.concatenate(([1], freqs)), return_inverse=True)
     logs = np.array([math.log(corpus_size / int(df)) for df in levels])
@@ -120,15 +103,8 @@ def shingle(doc: Document, w: int = 3) -> ShingleSet:
     :func:`~dothash.encoding.element_id`.  Documents shorter than w tokens
     yield the empty set.
     """
-    return shingle_many([doc], w)[0]
-
-
-def shingle_many(docs: Sequence[Document], w: int = 3) -> list[ShingleSet]:
-    """:func:`shingle` of every document, as views of :func:`shingle_csr`."""
-    indptr, ids = shingle_csr(docs, w)
-    bounds, ids = indptr.tolist(), ids.tolist()
-    return [ShingleSet(doc_id=doc.doc_id, shingles=SortedSet(tuple(ids[lo:hi])))
-            for doc, lo, hi in zip(docs, bounds, bounds[1:])]
+    ids = shingle_csr([doc], w)[1]
+    return ShingleSet(doc_id=doc.doc_id, shingles=SortedSet(tuple(ids.tolist())))
 
 
 def shingle_csr(docs: Sequence[Document], w: int = 3) -> tuple[np.ndarray, np.ndarray]:
@@ -174,14 +150,11 @@ def _shingle_batch(texts: list[bytes], w: int) -> tuple[np.ndarray, np.ndarray]:
     return indptr, slice_ids(buffer, token_starts[first], token_stops[first + w - 1])
 
 
-def build_idf(corpus: Iterable[ShingleSet]) -> IdfTable:
-    """Count, per shingle, the number of documents containing it."""
+def build_idf(corpus: Iterable[ShingleSet]) -> WeightFn:
+    """IDF weights ``ln(|D| / doc_freq)`` of a corpus; unseen shingles use doc_freq = 1."""
     corpus = list(corpus)
-    if not corpus:
-        raise ValueError("cannot build IDF table from an empty corpus")
     ids = np.fromiter(chain.from_iterable(s.shingles.elements for s in corpus), dtype=np.uint64)
-    keys, freqs = np.unique(ids, return_counts=True)
-    return IdfTable(corpus_size=len(corpus), doc_freq=dict(zip(keys.tolist(), freqs.tolist())))
+    return _idf_weights(len(corpus), ids)
 
 
 def load_corpus_jsonl(source: Union[str, Path]) -> list[Document]:
@@ -353,8 +326,8 @@ def run_dedup_benchmark(
     t0 = time.perf_counter()
     indptr, ids = shingle_csr(corpus, config.shingle_width)
     metric = csr_idf(indptr, ids) if config.metric is DedupMetric.IDF else Metric.JACCARD
-    sets = np.split(ids, indptr[1:-1])
-    scorer = sketch_neighborhoods(sets, metric, config.estimator, config.dims_or_k, config.seed)
+    scorer = sketch_neighborhoods((indptr, ids), metric, config.estimator, config.dims_or_k,
+                                  config.seed)
     t1 = time.perf_counter()
     negatives = sample_negative_pairs(doc_ids, duplicate_pairs, config.negatives, config.seed)
     pos_scores = scorer.score_pairs(np.array([(row[a], row[b]) for a, b in duplicate_pairs]))

@@ -23,7 +23,7 @@ from typing import IO, Sequence, Union
 
 import numpy as np
 
-from .encoding import Codebook, MinwiseFamily, as_element_array, chunk_ranges, sorted_distinct
+from .encoding import Codebook, MinwiseFamily, chunk_ranges, sorted_distinct
 from .sketches import (
     WeightFn,
     WeightKind,
@@ -367,9 +367,13 @@ class NeighborhoodScorer:
         Each equals the estimator's scalar compare function bit for bit.  The
         exact oracle sort-joins a chunk of pairs at a time, MinHash and
         SimHash count over gathered rows, and DotHash takes one dot product
-        per pair of row views.
+        per pair of row views.  Raises ValueError on an index outside
+        ``0..n-1`` for n sets.
         """
-        u, v = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
+        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        if np.any((pairs < 0) | (pairs >= len(self.sizes))):
+            raise ValueError(f"pair index outside 0..{len(self.sizes) - 1}")
+        u, v = pairs.T
         size_u, size_v, jaccard = self.sizes[u], self.sizes[v], self.metric is Metric.JACCARD
         scores = np.zeros(len(u))
         rows = self.sets
@@ -398,7 +402,7 @@ class NeighborhoodScorer:
 
 
 def sketch_neighborhoods(
-    sets: Graph | Sequence[Sequence[int]],
+    sets: Graph | tuple[np.ndarray, np.ndarray],
     metric: Metric | WeightFn,
     estimator: Estimator,
     dims_or_k: int | None = None,
@@ -406,8 +410,10 @@ def sketch_neighborhoods(
 ) -> NeighborhoodScorer:
     """Build every set once for the (estimator, metric) combination.
 
-    ``sets`` is a Graph's node neighborhoods or a sequence of sets of
-    distinct element ids; either is built in one :func:`build_sets` batch.
+    ``sets`` is a Graph's node neighborhoods or a CSR pair ``(indptr,
+    elements)``, set ``s`` being the distinct element ids
+    ``elements[indptr[s]:indptr[s+1]]``; either is built in one
+    :func:`build_sets` batch, and anything else raises ValueError.
     ``metric`` is a Metric, or the WeightFn of a weighted intersection such
     as IDF; degree weights come from the graph.  MinHash and SimHash can
     only rank by Jaccard; DotHash and the exact oracle support every metric.
@@ -417,14 +423,13 @@ def sketch_neighborhoods(
         raise ValueError(f"estimator cannot express metric: {estimator.value} / {name}")
     if estimator is not Estimator.EXACT and (dims_or_k is None or dims_or_k < 1):
         raise ValueError("sketch estimators need a positive dims_or_k")
-    graph = sets if isinstance(sets, Graph) else None
-    weights = _metric_weights(graph, metric)
-    if graph is not None:
-        indptr, elements = graph.indptr, graph.indices
+    if isinstance(sets, Graph):
+        graph, indptr, elements = sets, sets.indptr, sets.indices
+    elif isinstance(sets, tuple) and len(sets) == 2:
+        graph, (indptr, elements) = None, sets
     else:
-        indptr = np.zeros(len(sets) + 1, dtype=np.int64)
-        np.cumsum([len(members) for members in sets], out=indptr[1:])
-        elements = np.concatenate([np.empty(0, np.uint64)] + [as_element_array(m) for m in sets])
+        raise ValueError("sets must be a Graph or an (indptr, elements) CSR pair")
+    weights = _metric_weights(graph, metric)
     built = build_sets(estimator, dims_or_k, seed, indptr, elements, weights)
     return NeighborhoodScorer(estimator, metric, dims_or_k, built, np.diff(indptr))
 

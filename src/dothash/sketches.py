@@ -122,12 +122,14 @@ class WeightFn:
         """Weights for dense integer ids 0..len(values)-1 (e.g. graph nodes)."""
         values = np.asarray(values, dtype=np.float64)
 
-        def scalar(element: int) -> float:
-            if not 0 <= element < len(values):
-                raise ValueError(f"weight not defined for element {element}")
-            return float(values[element])
+        def lookup(elements: Iterable[int] | np.ndarray) -> np.ndarray:
+            ids = as_element_array(elements)
+            outside = ids >= len(values)
+            if np.any(outside):
+                raise ValueError(f"weight not defined for element {ids[outside][0]}")
+            return values[ids]
 
-        return cls(kind, scalar, lambda arr: values[arr.astype(np.intp)])
+        return cls(kind, lambda element: float(lookup([element])[0]), lookup)
 
     @classmethod
     def custom(cls, fn: Callable[[int], float]) -> "WeightFn":

@@ -271,9 +271,10 @@ def test_set_list_rows_equal_per_set_builds(sets, estimator, weighted, chunk_byt
     # puts every group in a chunk of its own.
     dims = 130
     w = WeightFn.custom(_weight) if weighted and estimator in (Estimator.DOTHASH, Estimator.EXACT) else None
+    csr = np.cumsum([0] + [len(members) for members in sets]), np.array(sum(sets, []), np.uint64)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sketches, "_CHUNK_BYTES", chunk_bytes)
-        scorer = sketch_neighborhoods(sets, w or Metric.JACCARD, estimator, dims, seed=21)
+        scorer = sketch_neighborhoods(csr, w or Metric.JACCARD, estimator, dims, seed=21)
     cb, family = Codebook(seed=21, dims=dims), MinwiseFamily(seed=21, k=dims)
     if estimator is Estimator.EXACT:
         indptr, ranks, weights = scorer.sets

@@ -20,7 +20,7 @@ from dothash.bounds import BoundsQuery, clt_tail
 from dothash.cli import main
 from dothash.dedup import make_planted_corpus
 from dothash.encoding import Codebook, element_id
-from dothash.linkpred import erdos_renyi_graph
+from dothash.linkpred import erdos_renyi_graph, preferential_attachment_graph
 from dothash.sketches import dothash_build, dothash_intersection, read_sketch
 
 
@@ -38,8 +38,8 @@ def _write_graph(tmp_path, graph, name="graph.txt"):
     return path
 
 
-def _write_corpus(tmp_path):
-    docs, pairs = make_planted_corpus(n_docs=40, n_dup_pairs=10, words_per_doc=60, seed=20)
+def _write_corpus(tmp_path, n_docs=40, n_dup_pairs=10, words_per_doc=60, **planted):
+    docs, pairs = make_planted_corpus(n_docs, n_dup_pairs, words_per_doc, seed=20, **planted)
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_text("".join(json.dumps({"id": d.doc_id, "text": d.text}) + "\n" for d in docs))
     labels = tmp_path / "labels.csv"
@@ -417,6 +417,49 @@ class TestDedupCommand:
         assert main(["dedup", "--corpus", str(corpus), "--labels", str(tmp_path / "no.csv"),
                      "--estimator", "exact", "--metric", "jaccard",
                      "--out", str(tmp_path / "x.csv")]) == 2
+
+
+# --k or --dims of each sketch estimator in the pinned runs.
+_SIZE_FLAGS = {"exact": [], "minhash": ["--k", "32"], "simhash": ["--dims", "128"]}
+
+
+class TestPinnedPipelineOutputs:
+    """The dedup and linkpred CSVs, byte for byte, on small generated inputs.
+
+    These runs score with integer counts and correctly rounded divisions
+    only.  DotHash and the log-weighted metrics are left out: their last
+    bits depend on the BLAS ``ddot`` kernel and on ``log``.
+    """
+
+    @pytest.mark.parametrize("estimator, metric, digest", [
+        ("exact", "jaccard", "12aedbc747665de58d2d03830450426e8857fc0509e5d599af00d7a1270ad87c"),
+        ("exact", "common_neighbors", "a13f7eac02e27971a5744d434c06414cc3db06f2d105e78796de8f5950c3a205"),
+        ("minhash", "jaccard", "6c75216acb182e23d95e8760a5311f3c76874f806d6e6837538c7c94b01525d4"),
+        ("simhash", "jaccard", "572bc71765c2ba5654f0c3c458aeb1d25c0e4d49abca47cb7f3ec20a48e4d7a1"),
+    ])
+    def test_linkpred_csv_is_pinned(self, tmp_path, estimator, metric, digest):
+        edges = _write_graph(tmp_path, preferential_attachment_graph(150, 4, seed=40))
+        out = tmp_path / "linkpred.csv"
+        assert main(["linkpred", "--edges", str(edges), "--estimator", estimator,
+                     "--metric", metric, *_SIZE_FLAGS[estimator], "--k-at", "5", "20",
+                     "--repeats", "2", "--seed", "41", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("estimator, digest", [
+        ("exact", "11928477b97e8c24970735de8ad8bddf73ce9147789a6fb3004a1e7805698331"),
+        ("minhash", "5b4d6e848eae968372b07d457ef249cc3b39f847dbc8a8b65d50206fef8c278a"),
+        ("simhash", "656599a9161ee071eef6c97675c1fd63f096c1968599ed31d431e071b3bf9015"),
+    ])
+    def test_dedup_csv_is_pinned(self, tmp_path, estimator, digest):
+        # Heavy edits, so that no estimator ranks every duplicate first.
+        corpus, labels = _write_corpus(tmp_path, n_docs=60, n_dup_pairs=15, words_per_doc=40,
+                                       vocab_size=300, edit_rate=0.6)
+        out = tmp_path / "dedup.csv"
+        assert main(["dedup", "--corpus", str(corpus), "--labels", str(labels),
+                     "--estimator", estimator, "--metric", "jaccard", *_SIZE_FLAGS[estimator],
+                     "--k-at", "10", "--negatives", "200", "--seed", "42",
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestExitCodes:

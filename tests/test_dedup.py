@@ -16,7 +16,6 @@ from dothash.dedup import (
     DedupConfig,
     DedupMetric,
     Document,
-    IdfTable,
     ShingleSet,
     build_idf,
     csr_idf,
@@ -28,11 +27,29 @@ from dothash.dedup import (
     sample_negative_pairs,
     shingle,
     shingle_csr,
-    shingle_many,
 )
 from dothash.encoding import element_id
 from dothash.exact import SortedSet, exact_weighted
 from dothash.linkpred import Estimator
+from dothash.sketches import WeightKind
+
+
+def _doc_freq(sets) -> dict[int, int]:
+    """Per element, the number of sets holding it, counted one set at a time."""
+    doc_freq: dict[int, int] = {}
+    for s in sets:
+        for element in s:
+            doc_freq[element] = doc_freq.get(element, 0) + 1
+    return doc_freq
+
+
+def _reference_idf(corpus_size: int, doc_freq: dict[int, int], element: int) -> float:
+    """ln(|D| / doc_freq); an unseen shingle has doc_freq = 1."""
+    return math.log(corpus_size / doc_freq.get(element, 1))
+
+
+def _csr_rows(indptr, ids) -> list[tuple[int, ...]]:
+    return [tuple(ids[lo:hi].tolist()) for lo, hi in zip(indptr[:-1], indptr[1:])]
 
 
 class TestShingle:
@@ -82,21 +99,20 @@ class TestShingle:
     @settings(max_examples=100)
     def test_batches_equal_single_documents(self, texts, w):
         docs = [Document(f"d{i}", text) for i, text in enumerate(texts)]
-        assert shingle_many(docs, w) == [shingle(doc, w) for doc in docs]
+        expected = [shingle(doc, w).shingles.elements for doc in docs]
+        assert _csr_rows(*shingle_csr(docs, w)) == expected
 
     def test_corpus_larger_than_one_batch(self):
         # About 3 MiB of shingle text at w=3, so several batches.
         docs, _ = make_planted_corpus(n_docs=2000, n_dup_pairs=10, words_per_doc=200, seed=3)
-        many = shingle_many(docs, 3)
-        assert [s.doc_id for s in many] == [d.doc_id for d in docs]
+        rows = _csr_rows(*shingle_csr(docs, 3))
+        assert len(rows) == len(docs)
         for doc in docs[::97] + docs[-3:]:
             tokens = normalize_text(doc.text).split()
             expected = {element_id(" ".join(tokens[i : i + 3])) for i in range(len(tokens) - 2)}
-            assert many[docs.index(doc)].shingles.elements == tuple(sorted(expected))
+            assert rows[docs.index(doc)] == tuple(sorted(expected))
 
     def test_many_width_validation(self):
-        with pytest.raises(ValueError):
-            shingle_many([], w=0)
         with pytest.raises(ValueError, match="shingle width"):
             shingle_csr([], w=0)
 
@@ -109,13 +125,13 @@ class TestShingle:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(encoding, "_CHUNK_BYTES", chunk_bytes)
             indptr, ids = shingle_csr(docs, w)
-            many = shingle_many(docs, w)
+            singles = [shingle(doc, w) for doc in docs]
         assert indptr.tolist()[0] == 0 and len(indptr) == len(docs) + 1 and ids.dtype == np.uint64
         for i, doc in enumerate(docs):
             tokens = normalize_text(doc.text).split()
             expected = {element_id(" ".join(tokens[j : j + w])) for j in range(len(tokens) - w + 1)}
             assert ids[indptr[i] : indptr[i + 1]].tolist() == sorted(expected)
-            assert many[i] == ShingleSet(doc.doc_id, SortedSet(tuple(sorted(expected))))
+            assert singles[i] == ShingleSet(doc.doc_id, SortedSet(tuple(sorted(expected))))
 
 
 class TestIdf:
@@ -129,40 +145,48 @@ class TestIdf:
         return [shingle(d, w=1) for d in docs]
 
     def test_ubiquitous_shingle_has_zero_idf(self):
-        table = build_idf(self._corpus())
-        assert table.corpus_size == 4
-        assert table.weight(element_id("red")) == 0.0
+        w = build_idf(self._corpus())
+        assert w.kind is WeightKind.IDF
+        assert w(element_id("never in the corpus")) == math.log(4)
+        assert w(element_id("red")) == 0.0
 
     def test_rare_shingle_idf(self):
-        table = build_idf(self._corpus())
-        assert table.weight(element_id("cyan")) == pytest.approx(math.log(4))
+        w = build_idf(self._corpus())
+        assert w(element_id("cyan")) == pytest.approx(math.log(4))
 
     def test_unseen_shingle_uses_unit_frequency(self):
-        table = IdfTable(corpus_size=100, doc_freq={})
-        assert table.weight(12345) == pytest.approx(math.log(100))
+        # 100 empty documents: nothing is seen.
+        w = csr_idf(np.zeros(101, dtype=np.int64), np.empty(0, dtype=np.uint64))
+        assert w(12345) == pytest.approx(math.log(100))
 
     def test_batch_weights_equal_scalar_path(self):
         docs, _ = make_planted_corpus(n_docs=60, n_dup_pairs=15, words_per_doc=40, vocab_size=50, seed=7)
-        table = build_idf([shingle(doc) for doc in docs])
-        seen = np.array(sorted(table.doc_freq), dtype=np.uint64)
+        sets = [shingle(doc) for doc in docs]
+        w, doc_freq = build_idf(sets), _doc_freq(s.shingles for s in sets)
+        seen = np.array(sorted(doc_freq), dtype=np.uint64)
         unseen = np.array([0, 1, 2**64 - 1, element_id("never in the corpus")], dtype=np.uint64)
         probe = np.concatenate([seen[::-1], unseen, seen + np.uint64(1)])
-        batch = table.weight_fn().weights_for(probe)
-        scalar = np.array([table.weight(int(e)) for e in probe])
+        batch = w.weights_for(probe)
+        scalar = np.array([_reference_idf(60, doc_freq, int(e)) for e in probe])
         assert batch.tobytes() == scalar.tobytes()
+        assert [w(int(e)) for e in probe] == scalar.tolist()
 
     def test_batch_weights_on_empty_table(self):
-        table = IdfTable(corpus_size=7, doc_freq={})
+        # 7 empty documents: no shingle has a document frequency.
+        w = csr_idf(np.zeros(8, dtype=np.int64), np.empty(0, dtype=np.uint64))
         probe = np.array([0, 5, 2**64 - 1], dtype=np.uint64)
-        assert table.weight_fn().weights_for(probe).tolist() == [math.log(7)] * 3
+        assert w.weights_for(probe).tolist() == [math.log(7)] * 3
 
     def test_weights_never_negative(self):
-        table = build_idf(self._corpus())
-        assert all(table.weight(x) >= 0.0 for x in table.doc_freq)
+        sets = self._corpus()
+        w = build_idf(sets)
+        assert all(w(x) >= 0.0 for x in _doc_freq(s.shingles for s in sets))
 
     def test_doc_freq_bounded_by_corpus_size(self):
-        table = build_idf(self._corpus())
-        assert all(1 <= df <= table.corpus_size for df in table.doc_freq.values())
+        # 1 <= doc_freq <= |D| is 0 <= weight <= ln |D|.
+        sets = self._corpus()
+        w = build_idf(sets)
+        assert all(0.0 <= w(x) <= math.log(4) for x in _doc_freq(s.shingles for s in sets))
 
     def test_empty_corpus_raises(self):
         with pytest.raises(ValueError, match="empty corpus"):
@@ -172,12 +196,12 @@ class TestIdf:
 
     def test_doc_freq_equals_a_per_document_count(self):
         docs, _ = make_planted_corpus(n_docs=80, n_dup_pairs=20, words_per_doc=30, vocab_size=20, seed=4)
-        sets = shingle_many(docs)
-        doc_freq: dict[int, int] = {}
-        for s in sets:
-            for element in s.shingles:
-                doc_freq[element] = doc_freq.get(element, 0) + 1
-        assert build_idf(sets) == IdfTable(corpus_size=80, doc_freq=doc_freq)
+        indptr, ids = shingle_csr(docs)
+        doc_freq = _doc_freq(_csr_rows(indptr, ids))
+        probe = np.array(sorted(doc_freq), dtype=np.uint64)
+        expected = np.array([_reference_idf(80, doc_freq, int(e)) for e in probe])
+        assert csr_idf(indptr, ids).weights_for(probe).tobytes() == expected.tobytes()
+        assert build_idf(shingle(doc) for doc in docs).weights_for(probe).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("chunk_bytes", [64, 1 << 20])
     def test_csr_idf_equals_build_idf(self, monkeypatch, chunk_bytes):
@@ -185,28 +209,30 @@ class TestIdf:
         docs += [Document("short", "two words"), Document("blank", "")]
         monkeypatch.setattr(encoding, "_CHUNK_BYTES", chunk_bytes)
         indptr, ids = shingle_csr(docs)
-        table = build_idf(shingle_many(docs))
-        seen = np.array(sorted(table.doc_freq), dtype=np.uint64)
+        sets = [shingle(doc) for doc in docs]
+        doc_freq = _doc_freq(s.shingles for s in sets)
+        seen = np.array(sorted(doc_freq), dtype=np.uint64)
         unseen = np.array([0, 2**64 - 1, element_id("never in the corpus")], dtype=np.uint64)
         probe = np.concatenate([seen, unseen, seen + np.uint64(1)])
-        expected = np.array([table.weight(int(e)) for e in probe])
+        expected = np.array([_reference_idf(82, doc_freq, int(e)) for e in probe])
         got = csr_idf(indptr, ids)
         assert got.weights_for(probe).tobytes() == expected.tobytes()
-        assert got.weights_for(probe).tobytes() == table.weight_fn().weights_for(probe).tobytes()
+        assert got.weights_for(probe).tobytes() == build_idf(sets).weights_for(probe).tobytes()
         assert [got(int(e)) for e in probe] == expected.tolist()
 
     def test_sim_idf_composition(self):
         # sim_idf(A, B) = sum of idf over shared shingles, via exact_weighted
         sets = self._corpus()
-        table = build_idf(sets)
-        score = exact_weighted(sets[0].shingles, sets[1].shingles, table.weight_fn())
-        assert score == pytest.approx(table.weight(element_id("red")))
+        w = build_idf(sets)
+        score = exact_weighted(sets[0].shingles, sets[1].shingles, w)
+        assert score == pytest.approx(_reference_idf(4, _doc_freq(s.shingles for s in sets),
+                                                     element_id("red")))
 
     def test_self_similarity_is_total_weight(self):
         sets = self._corpus()
-        table = build_idf(sets)
-        w = table.weight_fn()
-        total = sum(table.weight(x) for x in sets[1].shingles)
+        w = build_idf(sets)
+        doc_freq = _doc_freq(s.shingles for s in sets)
+        total = sum(_reference_idf(4, doc_freq, x) for x in sets[1].shingles)
         assert exact_weighted(sets[1].shingles, sets[1].shingles, w) == pytest.approx(total)
 
 

@@ -223,6 +223,15 @@ class TestScorers:
             scorer = sketch_neighborhoods(g, metric, estimator, size, seed=0)
             assert scorer.score(2, 3) == 0.0
 
+    @pytest.mark.parametrize("estimator, size", [(Estimator.EXACT, None), (Estimator.DOTHASH, 64),
+                                                 (Estimator.MINHASH, 64), (Estimator.SIMHASH, 64)],
+                             ids=["exact", "dothash", "minhash", "simhash"])
+    @pytest.mark.parametrize("pair", [(0, -1), (-1, 0), (0, 3), (0, -4)])
+    def test_pair_index_outside_the_sets_raises(self, estimator, size, pair):
+        scorer = sketch_neighborhoods(path_graph(), Metric.JACCARD, estimator, size, seed=0)
+        with pytest.raises(ValueError, match=r"pair index outside 0\.\.2"):
+            scorer.score_pairs(np.array([(0, 2), pair]))
+
     def test_log_base_change_preserves_ranking(self):
         # Adamic-Adar with ln vs log2 rescales scores by a constant factor,
         # leaving Hits@K untouched.

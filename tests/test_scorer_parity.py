@@ -10,7 +10,7 @@ function, where a pair of two empty sets scores 0.0.
 import numpy as np
 import pytest
 
-from dothash.dedup import Document, build_idf, make_planted_corpus, shingle
+from dothash.dedup import Document, build_idf, make_planted_corpus, shingle, shingle_csr
 from dothash.encoding import Codebook, MinwiseFamily
 from dothash.exact import SortedSet, exact_intersection, exact_jaccard, exact_weighted
 from dothash.linkpred import (
@@ -105,12 +105,11 @@ def test_corpus_scores_equal_direct_builds(estimator, metric_name):
     docs, _ = make_planted_corpus(n_docs=30, n_dup_pairs=8, words_per_doc=25, vocab_size=40, seed=3)
     docs += [Document("short", "two words"), Document("blank", "")]
     shingle_sets = [shingle(doc) for doc in docs]
-    idf = build_idf(shingle_sets)
-    metric = idf.weight_fn() if metric_name == "idf" else Metric.JACCARD
-    # As run_dedup_benchmark passes them: each document's SortedSet elements.
+    metric = build_idf(shingle_sets) if metric_name == "idf" else Metric.JACCARD
     sets = [s.shingles.elements for s in shingle_sets]
     pairs = all_pairs(len(sets))
-    scorer = sketch_neighborhoods(sets, metric, estimator, SIZES[estimator], seed=SEED)
+    # As run_dedup_benchmark passes them: the whole corpus as one CSR pair.
+    scorer = sketch_neighborhoods(shingle_csr(docs), metric, estimator, SIZES[estimator], seed=SEED)
     weights = metric if metric_name == "idf" else WeightFn.unit()
     expected = direct_scores(estimator, metric, weights, sets, pairs)
     assert scorer.score_pairs(pairs).tobytes() == expected.tobytes()
@@ -118,4 +117,12 @@ def test_corpus_scores_equal_direct_builds(estimator, metric_name):
 
 def test_degree_metrics_need_a_graph():
     with pytest.raises(ValueError, match="adamic_adar weights need a graph"):
-        sketch_neighborhoods([np.arange(3, dtype=np.uint64)], Metric.ADAMIC_ADAR, Estimator.EXACT)
+        sketch_neighborhoods((np.array([0, 3]), np.arange(3, dtype=np.uint64)), Metric.ADAMIC_ADAR,
+                             Estimator.EXACT)
+
+
+@pytest.mark.parametrize("sets", [[[1, 2], [2, 3]], [np.arange(3, dtype=np.uint64)], np.zeros(3)],
+                         ids=["lists", "arrays", "array"])
+def test_sets_other_than_a_graph_or_a_csr_pair_are_rejected(sets):
+    with pytest.raises(ValueError, match="a Graph or an .indptr, elements. CSR pair"):
+        sketch_neighborhoods(sets, Metric.JACCARD, Estimator.EXACT)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from dothash.bounds import sample_intersection_estimates
 from dothash.encoding import Codebook, MinwiseFamily
+from dothash.linkpred import Estimator, sketch_neighborhoods
 from dothash.sketches import (
     MAX_SKETCH_SIZE,
     MINHASH_EMPTY_SENTINEL,
@@ -60,6 +61,20 @@ class TestWeightFn:
         assert np.array_equal(w.weights_for(np.array([1, 0], dtype=np.uint64)), [1.5, 0.5])
         with pytest.raises(ValueError, match="weight not defined"):
             w(7)
+
+    @pytest.mark.parametrize("element", [3, 2**64 - 1])
+    def test_from_array_rejects_ids_past_the_end(self, element):
+        w = WeightFn.from_array([1.0, 2.0, 3.0])
+        match = f"weight not defined for element {element}$"
+        with pytest.raises(ValueError, match=match):
+            w(element)
+        with pytest.raises(ValueError, match=match):
+            w.weights_for(np.array([0, element], dtype=np.uint64))
+        with pytest.raises(ValueError, match=match):
+            dothash_build(Codebook(seed=0, dims=16), [1, element], w)
+        csr = np.array([0, 1, 2]), np.array([1, element], dtype=np.uint64)
+        with pytest.raises(ValueError, match=match):
+            sketch_neighborhoods(csr, w, Estimator.EXACT)
 
 
 class TestDotHash:

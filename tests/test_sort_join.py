@@ -1,10 +1,10 @@
 """The exact oracle's sort-join against the scalar merge, byte for byte.
 
-``sketch_neighborhoods(sets, metric, Estimator.EXACT).score_pairs`` joins
-the pairs' ranks a chunk of pairs at a time.  On any sets and pairs, and
-whatever the chunk size, its scores must equal ``exact_jaccard``,
-``exact_intersection`` and ``exact_weighted`` run on SortedSets, with a
-pair of two empty sets scoring 0.0.
+``sketch_neighborhoods((indptr, elements), metric, Estimator.EXACT)``'s
+``score_pairs`` joins the pairs' ranks a chunk of pairs at a time.  On any
+sets and pairs, and whatever the chunk size, its scores must equal
+``exact_jaccard``, ``exact_intersection`` and ``exact_weighted`` run on
+SortedSets, with a pair of two empty sets scoring 0.0.
 """
 
 import numpy as np
@@ -26,6 +26,12 @@ set_lists = st.lists(st.lists(element_ids, unique=True, max_size=10).map(sorted)
 def _weight(element: int) -> float:
     """A nonnegative weight with many distinct values, so the order of additions shows."""
     return 1.0 / (1.0 + (element % 1009) / 7.0)
+
+
+def _csr(sets):
+    """A list of sets as the CSR pair ``(indptr, elements)``."""
+    indptr = np.cumsum([0] + [len(s) for s in sets])
+    return indptr, np.array([e for s in sets for e in s], dtype=np.uint64)
 
 
 def _merge_scores(sets, pairs, metric, weights):
@@ -57,7 +63,7 @@ def test_sort_join_equals_the_merge(sets, data, metric, chunk_bytes):
     expected = _merge_scores(sets, pairs, metric, weights)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(encoding, "_CHUNK_BYTES", chunk_bytes)
-        scorer = sketch_neighborhoods(sets, metric or weights, Estimator.EXACT)
+        scorer = sketch_neighborhoods(_csr(sets), metric or weights, Estimator.EXACT)
         got = scorer.score_pairs(np.array(pairs, dtype=np.int64))
     assert got.tobytes() == expected.tobytes()
 
@@ -69,7 +75,7 @@ def test_array_weights_give_the_merge_sums_over_many_chunks(monkeypatch):
     weights = WeightFn.from_array(rng.random(200) * 3.0)
     pairs = rng.integers(0, 60, size=(500, 2))
     monkeypatch.setattr(encoding, "_CHUNK_BYTES", 4096)
-    got = sketch_neighborhoods(sets, weights, Estimator.EXACT).score_pairs(pairs)
+    got = sketch_neighborhoods(_csr(sets), weights, Estimator.EXACT).score_pairs(pairs)
     expected = _merge_scores(sets, pairs.tolist(), None, weights)
     assert got.tobytes() == expected.tobytes()
 
@@ -77,7 +83,7 @@ def test_array_weights_give_the_merge_sums_over_many_chunks(monkeypatch):
 def test_negative_weight_on_an_intersecting_element_raises():
     sets = [[1, 2], [2, 3]]
     weights = WeightFn.from_table({1: 1.0, 2: -0.5, 3: 1.0})
-    scorer = sketch_neighborhoods(sets, weights, Estimator.EXACT)
+    scorer = sketch_neighborhoods(_csr(sets), weights, Estimator.EXACT)
     with pytest.raises(ValueError, match="weight function must be nonnegative"):
         scorer.score_pairs(np.array([(0, 1)]))
     with pytest.raises(ValueError, match="weight function must be nonnegative"):
@@ -87,6 +93,7 @@ def test_negative_weight_on_an_intersecting_element_raises():
 def test_negative_weight_outside_every_intersection_is_not_an_error():
     sets = [[1, 2], [2, 3]]
     weights = WeightFn.from_table({1: -1.0, 2: 0.5, 3: -2.0})
-    scores = sketch_neighborhoods(sets, weights, Estimator.EXACT).score_pairs(np.array([(0, 1)]))
+    scorer = sketch_neighborhoods(_csr(sets), weights, Estimator.EXACT)
+    scores = scorer.score_pairs(np.array([(0, 1)]))
     assert scores.tolist() == [exact_weighted(SortedSet((1, 2)), SortedSet((2, 3)), weights)]
     assert scores.tolist() == [0.5]
