@@ -28,7 +28,8 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import dedup as dedup_mod
 from . import linkpred as linkpred_mod
-from .encoding import Codebook, MinwiseFamily, element_ids
+from .encoding import Codebook, MinwiseFamily, element_ids, slice_ids
+from .linkpred import _SPACE
 from .sketches import (
     MAX_SKETCH_SIZE,
     DotHashSketch,
@@ -60,11 +61,44 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+# The ASCII bytes that end a line for ``str.splitlines``, from Python's own definition.
+_LINE_BREAK = np.array([len(f"a{chr(c)}a".splitlines()) == 2 for c in range(128)])
+
+
+def _ascii_line_bounds(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(starts, stops)`` of the non-blank lines of ASCII `data`, or None.
+
+    The lines are the ones ``str.splitlines`` gives, so CRLF, lone CR and
+    the other ASCII line breaks end a line, and each slice is its line after
+    ``str.strip``.  None when a byte is not ASCII or a line has a byte that
+    ``str.strip`` would remove at either end: those take the decoding path.
+    """
+    if not data.isascii():
+        return None
+    codes = np.frombuffer(data, dtype=np.uint8)
+    # Every line break is a control byte, below 32: look only those up.
+    controls = np.flatnonzero(codes < 32)
+    breaks = controls[_LINE_BREAK[codes[controls]]]
+    starts = np.concatenate(([0], breaks + 1))
+    stops = np.concatenate((breaks, [codes.size]))
+    lines = stops > starts
+    starts, stops = starts[lines], stops[lines]
+    if np.any(_SPACE[codes[starts]]) or np.any(_SPACE[codes[stops - 1]]):
+        return None
+    return starts, stops
+
+
 def _read_elements(path: str) -> np.ndarray:
     """The element ids of the tokens, one per line; blank lines are skipped.
 
-    The input is decoded as UTF-8; a byte that is not is reported with its
-    line number, as ValueError.
+    A token is its line with ``str.strip`` applied, and lines are split as
+    ``str.splitlines`` splits them.  The whole input is read as bytes.  When
+    it is ASCII and no line has whitespace at its ends, the tokens are
+    hashed straight from those bytes (:func:`~dothash.encoding.slice_ids`),
+    at line bounds found with numpy.  Any other input is decoded as UTF-8
+    and split and stripped as text, which gives the same ids for the same
+    tokens; a byte that is not UTF-8 is reported with its line number, as
+    ValueError.
     """
     if path == "-":
         stdin = sys.stdin
@@ -72,6 +106,9 @@ def _read_elements(path: str) -> np.ndarray:
     else:
         with open(path, "rb") as fp:
             data = fp.read()
+    bounds = _ascii_line_bounds(data)
+    if bounds is not None:
+        return slice_ids(data, *bounds)
     try:
         lines = data.decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:

@@ -428,7 +428,22 @@ class MinwiseFamily:
             raise ValueError("hash index exceeds family size")
         return splitmix64(int(self._keys[i]) ^ (element & _MASK64))
 
-    def rows(self, elements: Iterable[int] | np.ndarray) -> np.ndarray:
-        """Hash values for a batch of elements, shape (n, k), uint64."""
+    def rows(
+        self, elements: Iterable[int] | np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Hash values for a batch of n elements, shape (n, k), uint64.
+
+        The values are computed in place: ``key ^ element`` is written to
+        `out`, then mixed by :func:`_splitmix64_into` with `scratch` as its
+        working array.  Each is a uint64 array of shape (n, k), a fresh one
+        when not given, so a caller that hashes many batches can reuse two
+        buffers; `out` is returned and `scratch` is left overwritten.
+        """
         arr = as_element_array(elements)
-        return _splitmix64_np(self._keys[None, :] ^ arr[:, None])
+        if out is None:
+            out = np.empty((arr.size, self.k), dtype=np.uint64)
+        if scratch is None:
+            scratch = np.empty_like(out)
+        np.bitwise_xor(arr[:, None], self._keys[None, :], out=out)
+        _splitmix64_into(out, scratch, out)
+        return out

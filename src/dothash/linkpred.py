@@ -15,23 +15,18 @@ into the scores.
 from __future__ import annotations
 
 import enum
+import io
+import itertools
 import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Sequence, Union
+from typing import IO, Iterable, Sequence, Union
 
 import numpy as np
 
 from .encoding import Codebook, MinwiseFamily, chunk_ranges, sorted_distinct
-from .sketches import (
-    WeightFn,
-    WeightKind,
-    distinct_sets,
-    dothash_build_many,
-    minhash_build_many,
-    simhash_build_many,
-)
+from .sketches import WeightFn, WeightKind, _dothash_rows, _minhash_rows, _simhash_rows, distinct_sets
 
 # Not called here; bench/spans.py wraps these names until ROADMAP item 1 moves its probes.
 from .exact import exact_intersection, exact_jaccard, exact_weighted  # noqa: F401
@@ -140,6 +135,10 @@ def decode_line(raw: bytes | str, lineno: int) -> str:
         raise ValueError(f"line {lineno}: {exc}") from None
 
 
+# The ASCII bytes that str.split and str.strip take as whitespace.
+_SPACE = np.array([chr(c).isspace() for c in range(128)])
+
+
 def load_edge_list(source: Union[str, Path, IO[bytes], IO[str]]) -> Graph:
     """Parse a whitespace-separated edge list into a Graph.
 
@@ -147,14 +146,72 @@ def load_edge_list(source: Union[str, Path, IO[bytes], IO[str]]) -> Graph:
     to dense indices in first-seen order (the mapping is kept on
     ``Graph.labels``).  Lines starting with '#' are comments.  Self-loops
     are dropped and counted on ``Graph.self_loops_dropped``.
+
+    A path or binary stream is read whole, as bytes whose lines end at
+    b"\\n"; any other whitespace, CR included, separates labels.  When the
+    bytes are ASCII and every line that is not a comment holds 0 or 2
+    labels, they are parsed in one pass over the buffer
+    (:func:`_edge_labels`).  Any other bytes, and text streams, which keep
+    their own line splitting, go through the line parser.  It gives the
+    same Graph, and raises ValueError naming the first line that is not
+    UTF-8 or holds another number of labels.
     """
     if isinstance(source, (str, Path)):
         with open(source, "rb") as fp:
             return load_edge_list(fp)
+    if isinstance(source, io.TextIOBase):
+        return _parse_edge_lines(source)
+    data = source.read()
+    labels = _edge_labels(data)
+    if labels is None:
+        return _parse_edge_lines(io.BytesIO(data))
+    index = dict(zip(dict.fromkeys(labels), itertools.count()))
+    ids = np.fromiter(map(index.__getitem__, labels), dtype=np.int64, count=len(labels)).reshape(-1, 2)
+    loops = ids[:, 0] == ids[:, 1]
+    if np.all(loops):
+        raise ValueError("graph has no edges")
+    return graph_from_edges(len(index), ids[~loops], labels=list(index),
+                            self_loops_dropped=int(np.count_nonzero(loops)))
+
+
+def _edge_labels(data: bytes) -> list[str] | None:
+    """The labels of the edge lines of `data`, in order, or None.
+
+    Whitespace is found with numpy, so each label's line, and so the
+    comment lines, are known without a Python loop over lines; the labels
+    themselves come from one ``str.split``.  None when `data` is not ASCII
+    or a line that is not a comment holds other than 0 or 2 labels.
+    """
+    if not data.isascii():
+        return None
+    codes = np.frombuffer(data, dtype=np.uint8)
+    # Whitespace bytes are all at most 32: look only those up.
+    space = codes <= 32
+    low = np.flatnonzero(space)
+    space[low] = _SPACE[codes[low]]
+    # A label starts at a byte that is not whitespace and follows whitespace.
+    begins = ~space
+    begins[1:] &= space[:-1]
+    starts = np.flatnonzero(begins)
+    line = np.searchsorted(np.flatnonzero(codes == ord("\n")), starts)
+    first = np.ones(starts.size, dtype=bool)
+    np.not_equal(line[1:], line[:-1], out=first[1:])
+    group = np.cumsum(first) - 1
+    comment = codes[starts[first]] == ord("#")
+    if np.any(np.bincount(group)[~comment] != 2):
+        return None
+    labels = data.decode("ascii").split()
+    if np.any(comment):
+        labels = list(itertools.compress(labels, (~comment[group]).tolist()))
+    return labels
+
+
+def _parse_edge_lines(lines: Iterable[bytes] | Iterable[str]) -> Graph:
+    """:func:`load_edge_list` one line at a time, for any input."""
     label_index: dict[str, int] = {}
     edges: list[tuple[int, int]] = []
     self_loops = 0
-    for lineno, raw in enumerate(source, start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = decode_line(raw, lineno).strip()
         if not line or line.startswith("#"):
             continue
@@ -300,23 +357,22 @@ def _metric_weights(g: Graph | None, metric: Metric | WeightFn) -> WeightFn:
     return adamic_adar_weights(g) if metric is Metric.ADAMIC_ADAR else resource_allocation_weights(g)
 
 
-def build_sets(estimator: Estimator, dims_or_k: int | None, seed: int, indptr: np.ndarray,
-               elements: np.ndarray | Sequence[int], w: WeightFn) -> np.ndarray | tuple:
-    """Every CSR set ``s``, ``elements[indptr[s]:indptr[s+1]]``, built in one batch.
+def build_sets(estimator: Estimator, dims_or_k: int | None, seed: int,
+               csr: tuple[np.ndarray, ...], w: WeightFn) -> np.ndarray | tuple:
+    """Every set of ``csr``, :func:`~dothash.sketches.distinct_sets` output, built in one batch.
 
     Sketches are one row per set: DotHash values under ``w`` (float64),
     MinHash minima (uint64) or packed SimHash bits (uint8).  The exact oracle
     gets ``(indptr, ranks, weights)``, the sets as ranks into their sorted
-    distinct elements (:func:`~dothash.sketches.distinct_sets`) and ``w`` of
-    each of those elements.
+    distinct elements and ``w`` of each of those elements.
     """
     if estimator is Estimator.DOTHASH:
-        return dothash_build_many(Codebook(seed=seed, dims=dims_or_k), indptr, elements, w)
+        return _dothash_rows(Codebook(seed=seed, dims=dims_or_k), csr, w)
     if estimator is Estimator.MINHASH:
-        return minhash_build_many(MinwiseFamily(seed=seed, k=dims_or_k), indptr, elements)
+        return _minhash_rows(MinwiseFamily(seed=seed, k=dims_or_k), csr)
     if estimator is Estimator.SIMHASH:
-        return simhash_build_many(Codebook(seed=seed, dims=dims_or_k), indptr, elements)
-    distinct, indptr, ranks = distinct_sets(indptr, elements)
+        return _simhash_rows(Codebook(seed=seed, dims=dims_or_k), csr)
+    distinct, indptr, ranks = csr
     return indptr, ranks, w.weights_for(distinct)
 
 
@@ -347,7 +403,7 @@ class NeighborhoodScorer:
     """Similarity of pairs of sets, all built once by :func:`build_sets`.
 
     ``sets`` is what :func:`build_sets` returned and ``sizes[i]`` is set
-    ``i``'s number of elements.  Pairs where both sets are empty score 0.0
+    ``i``'s number of distinct elements.  Pairs where both sets are empty score 0.0
     for every estimator: empty sets carry no similarity evidence, and a
     uniform convention keeps the rankings comparable.
     """
@@ -411,9 +467,10 @@ def sketch_neighborhoods(
     """Build every set once for the (estimator, metric) combination.
 
     ``sets`` is a Graph's node neighborhoods or a CSR pair ``(indptr,
-    elements)``, set ``s`` being the distinct element ids
+    elements)``, set ``s`` being the distinct element ids of
     ``elements[indptr[s]:indptr[s+1]]``; either is built in one
-    :func:`build_sets` batch, and anything else raises ValueError.
+    :func:`build_sets` batch, and anything else raises ValueError.  Set
+    sizes, which the Jaccard scores use, count each element once.
     ``metric`` is a Metric, or the WeightFn of a weighted intersection such
     as IDF; degree weights come from the graph.  MinHash and SimHash can
     only rank by Jaccard; DotHash and the exact oracle support every metric.
@@ -430,8 +487,9 @@ def sketch_neighborhoods(
     else:
         raise ValueError("sets must be a Graph or an (indptr, elements) CSR pair")
     weights = _metric_weights(graph, metric)
-    built = build_sets(estimator, dims_or_k, seed, indptr, elements, weights)
-    return NeighborhoodScorer(estimator, metric, dims_or_k, built, np.diff(indptr))
+    csr = distinct_sets(indptr, elements)
+    built = build_sets(estimator, dims_or_k, seed, csr, weights)
+    return NeighborhoodScorer(estimator, metric, dims_or_k, built, np.diff(csr[1]))
 
 
 def hits_at_k(positive_scores: Sequence[float], negative_scores: Sequence[float], k: int) -> float:

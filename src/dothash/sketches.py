@@ -368,7 +368,11 @@ def dothash_build_many(
     Raises ValueError on a malformed ``indptr`` and on any negative or
     non-finite weight.
     """
-    csr = distinct_sets(indptr, elements)
+    return _dothash_rows(cb, distinct_sets(indptr, elements), w)
+
+
+def _dothash_rows(cb: Codebook, csr: tuple[np.ndarray, ...], w: WeightFn | None) -> np.ndarray:
+    """:func:`dothash_build_many` of :func:`distinct_sets` output."""
     if w is None or w.kind is WeightKind.UNIT:
         values = np.zeros((csr[1].size - 1, cb.dims))
         for sets, sums in _unit_sums(cb, *csr):
@@ -421,18 +425,32 @@ def minhash_build_many(
     """MinHash minima of many CSR sets at once, shape (nsets, k), uint64.
 
     Row ``s`` equals ``minhash_build(f, set s).minima``; an empty set's row
-    is the all-ones sentinel.  Hash rows are taken about ``_CHUNK_BYTES`` at
-    a time, and each set's minima in a chunk folded into its row.
+    is the all-ones sentinel.  The sets' elements are hashed a chunk of
+    rows at a time, in place, by :meth:`MinwiseFamily.rows` into two
+    buffers reused across chunks, which together fill about
+    ``_CHUNK_BYTES``.  ``np.minimum.reduceat`` folds each set's rows in a
+    chunk into the second buffer, and those minima go to the sets' rows;
+    only a chunk's first set can continue from the chunk before, so only
+    its row is merged with what it held.
     """
-    distinct, indptr, ranks = distinct_sets(indptr, elements)
+    return _minhash_rows(f, distinct_sets(indptr, elements))
+
+
+def _minhash_rows(f: MinwiseFamily, csr: tuple[np.ndarray, ...]) -> np.ndarray:
+    """:func:`minhash_build_many` of :func:`distinct_sets` output."""
+    distinct, indptr, ranks = csr
     out = np.full((indptr.size - 1, f.k), MINHASH_EMPTY_SENTINEL, dtype=np.uint64)
     set_of = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
-    step = max(1, _CHUNK_BYTES // (8 * f.k))
+    step = max(1, _CHUNK_BYTES // (16 * f.k))
+    hashes, scratch = np.empty((2, min(step, ranks.size), f.k), dtype=np.uint64)
     for lo in range(0, ranks.size, step):
         owners = set_of[lo : lo + step]
         first = np.flatnonzero(np.diff(owners, prepend=-1))
-        minima = np.minimum.reduceat(f.rows(distinct[ranks[lo : lo + step]]), first, axis=0)
-        out[owners[first]] = np.minimum(out[owners[first]], minima)
+        rows = f.rows(distinct[ranks[lo : lo + step]], hashes[: owners.size], scratch[: owners.size])
+        minima = np.minimum.reduceat(rows, first, axis=0, out=scratch[: first.size])
+        sets = owners[first]
+        np.minimum(minima[0], out[sets[0]], out=minima[0])
+        out[sets] = minima
     return out
 
 
@@ -462,7 +480,11 @@ def simhash_build_many(
     empty set sums to zero, which is non-positive, so its bits are all zero.
     The sums are the exact integers of :func:`_unit_sums`.
     """
-    csr = distinct_sets(indptr, elements)
+    return _simhash_rows(cb, distinct_sets(indptr, elements))
+
+
+def _simhash_rows(cb: Codebook, csr: tuple[np.ndarray, ...]) -> np.ndarray:
+    """:func:`simhash_build_many` of :func:`distinct_sets` output."""
     out = np.zeros((csr[1].size - 1, (cb.dims + 7) // 8), dtype=np.uint8)
     for sets, sums in _unit_sums(cb, *csr):
         out[sets] = np.packbits(sums > 0, axis=1, bitorder="little")

@@ -22,6 +22,7 @@ from dothash.sketches import (
     dothash_build,
     dothash_build_many,
     minhash_build,
+    minhash_build_many,
     simhash_build,
     simhash_build_many,
 )
@@ -293,6 +294,31 @@ def test_set_list_rows_equal_per_set_builds(sets, estimator, weighted, chunk_byt
             assert got.tobytes() == expected.tobytes()
             continue
         assert scorer.sets[s].tobytes() == expected.tobytes()
+
+
+@given(
+    sizes=st.lists(st.sampled_from([0, 0, 1, 2, 3, 5, 8]), min_size=1, max_size=8),
+    rows_per_chunk=st.integers(min_value=1, max_value=6),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_minhash_rows_across_chunk_boundaries_equal_scalar_minima(sizes, rows_per_chunk, data):
+    # A chunk of a few rows makes sets straddle chunk boundaries, with empty
+    # sets between them; the reference takes every minimum in Python ints.
+    k = 5
+    members = [data.draw(st.lists(st.integers(0, 12), min_size=n, max_size=n)) for n in sizes]
+    family = MinwiseFamily(seed=77, k=k)
+    indptr = np.cumsum([0] + sizes)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sketches, "_CHUNK_BYTES", 16 * k * rows_per_chunk)
+        got = minhash_build_many(family, indptr, np.array(sum(members, []), dtype=np.uint64))
+    expected = [
+        [min((family.value(i, e) for e in set_members), default=sketches.MINHASH_EMPTY_SENTINEL)
+         for i in range(k)]
+        for set_members in members
+    ]
+    assert got.dtype == np.uint64
+    assert got.tolist() == expected
 
 
 def test_scorer_rows_equal_per_node_builds():

@@ -10,16 +10,19 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dothash import bounds as bounds_mod
 from dothash import cli
 from dothash.bounds import BoundsQuery, clt_tail
 from dothash.cli import main
 from dothash.dedup import make_planted_corpus
-from dothash.encoding import Codebook, element_id
+from dothash.encoding import Codebook, element_id, element_ids
 from dothash.linkpred import erdos_renyi_graph, preferential_attachment_graph
 from dothash.sketches import dothash_build, dothash_intersection, read_sketch
 
@@ -126,6 +129,74 @@ class TestSketchCommand:
         assert from_file.read_bytes() == from_stdin.read_bytes()
         with open(from_file, "rb") as fp:
             assert read_sketch(fp).cardinality == 4
+
+
+def _reference_read_elements(data: bytes) -> np.ndarray:
+    """The token reader without its ASCII fast path: decode, split lines, strip, hash."""
+    try:
+        lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"line {lineno}: {exc}") from None
+    return element_ids(token for token in map(str.strip, lines) if token)
+
+
+# Token text with whitespace that str.strip removes at line edges (tab,
+# space, \x1f, \x85 in UTF-8) and control bytes it keeps; every line break
+# of str.splitlines; bytes that are not UTF-8.
+_token_text = st.text(alphabet="ab#\u00e9\x00\x1f\x85 \t", max_size=6)
+_line_breaks = st.sampled_from(["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+                                "\u2028", "\u2029"])
+_utf8_tokens = st.lists(st.one_of(_token_text, _line_breaks), max_size=12).map(
+    lambda pieces: "".join(pieces).encode("utf-8"))
+_token_files = st.one_of(
+    _utf8_tokens,
+    st.tuples(_utf8_tokens, st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80", b"\x85"]), _utf8_tokens)
+    .map(b"".join),
+)
+
+
+@pytest.fixture(scope="module")
+def token_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("tokens") / "tokens.txt"
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=_token_files, from_stdin=st.booleans())
+@example(data=b"", from_stdin=False)
+@example(data=b"", from_stdin=True)
+@example(data=b"tok-1\r\ntok-2\rtok-3\x0btok-4\x0c\x1ctok-5\x1d\x1etok 6\ttab\n\ntok-7", from_stdin=False)
+@example(data=b" a\n", from_stdin=False)
+@example(data=b"a\t\n", from_stdin=True)
+@example(data=b"a\n\xff\n", from_stdin=True)
+def test_token_reader_matches_the_decoding_path(token_file, data, from_stdin):
+    try:
+        expected = _reference_read_elements(data).tolist()
+    except ValueError as exc:
+        expected = str(exc)
+    token_file.write_bytes(data)
+    stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+    with mock.patch.object(sys, "stdin", stdin):
+        try:
+            got = cli._read_elements("-" if from_stdin else str(token_file))
+        except ValueError as exc:
+            got = str(exc)
+        else:
+            assert got.dtype == np.uint64
+            got = got.tolist()
+    assert got == expected
+
+
+@pytest.mark.parametrize("data", [b"", b"\n\n", b"tok-1\n", b"a b\r\nc\x00d\x1c\x0b\x0c\r\x1d\x1eLast"])
+def test_plain_ascii_tokens_take_the_byte_path(data):
+    starts, stops = cli._ascii_line_bounds(data)
+    tokens = [t for t in map(str.strip, data.decode("ascii").splitlines()) if t]
+    assert [data[a:b].decode("ascii") for a, b in zip(starts, stops)] == tokens
+
+
+@pytest.mark.parametrize("data", [b" a\n", b"a \n", b"a\t", b"a\x1f\n", "caf\u00e9\n".encode("utf-8"), b"\xff"])
+def test_edge_whitespace_and_other_bytes_take_the_decoding_path(data):
+    assert cli._ascii_line_bounds(data) is None
 
 
 class TestCompareCommand:

@@ -2,6 +2,8 @@
 
 The CLI maps ValueError to exit code 2, so every other exception type a
 reader lets escape would be an internal error (exit 3) on malformed input.
+The edge-list loader is also checked against its line-by-line parser, kept
+here as the reference.
 """
 
 import io
@@ -13,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dothash.dedup import load_corpus_jsonl, load_pairs_csv
-from dothash.linkpred import load_edge_list
+from dothash.linkpred import decode_line, graph_from_edges, load_edge_list
 from dothash.sketches import read_sketch
 
 fuzz = settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -66,6 +68,71 @@ def scratch_file(tmp_path_factory):
 @given(byte_lines(words))
 def test_edge_list(data):
     parses_or_value_error(lambda d: load_edge_list(io.BytesIO(d)), data)
+
+
+def reference_edge_list(data: bytes):
+    """The edge-list loader as a Python loop over the lines of a binary stream."""
+    label_index: dict[str, int] = {}
+    edges: list[tuple[int, int]] = []
+    self_loops = 0
+    for lineno, raw in enumerate(io.BytesIO(data), start=1):
+        line = decode_line(raw, lineno).strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split()
+        if len(tokens) != 2:
+            raise ValueError(f"line {lineno}: expected 2 tokens, got {len(tokens)}")
+        idx = []
+        for token in tokens:
+            if token not in label_index:
+                label_index[token] = len(label_index)
+            idx.append(label_index[token])
+        u, v = idx
+        if u == v:
+            self_loops += 1
+            continue
+        edges.append((u, v))
+    if not edges:
+        raise ValueError("graph has no edges")
+    labels = sorted(label_index, key=label_index.__getitem__)
+    return graph_from_edges(len(label_index), edges, labels=labels, self_loops_dropped=self_loops)
+
+
+def graph_or_error(load, data):
+    try:
+        g = load(data)
+    except ValueError as exc:
+        return str(exc)
+    return g.indptr.tolist(), g.indices.tolist(), g.indices.dtype, g.labels, g.self_loops_dropped
+
+
+# Edge files of ASCII two-label lines, with self-loops, '#' inside labels,
+# whitespace around and between labels, comments and blank lines; half
+# of them get one odd line: 1 or 3 labels, non-ASCII whitespace or labels,
+# or bytes that are not UTF-8.
+labels = st.sampled_from(["a", "b", "c", "10", "a#b", "\x00", "z\x7f"])
+edge_line = st.builds(lambda lead, u, gap, v, tail: f"{lead}{u}{gap}{v}{tail}",
+                      st.sampled_from(["", "", " ", "\t"]), labels,
+                      st.sampled_from([" ", " ", "\t", "  ", "\r", "\x0b", "\x1f"]), labels,
+                      st.sampled_from(["", "", " ", "\r"]))
+comment_line = st.sampled_from(["#", "# a b c", "  #x", "#a b"])
+blank_line = st.sampled_from(["", " ", "\t\r"])
+odd_line = st.one_of(
+    st.lists(labels, min_size=1, max_size=3).filter(lambda toks: len(toks) != 2).map(" ".join),
+    st.sampled_from(["a\x85b", "\u00e9 b", "a\u3000b c", "\u2028a b"]),
+).map(lambda line: line.encode("utf-8")) | st.sampled_from([b"\xff b", b"a \xc3", b"\xed\xa0\x80"])
+edge_files = st.builds(
+    lambda lines, odd, at, end: b"\n".join(lines[:at] + ([odd] if odd else []) + lines[at:]) + end,
+    st.lists(st.one_of(edge_line, edge_line, comment_line, blank_line).map(str.encode), max_size=10),
+    st.none() | odd_line, st.integers(0, 10), st.sampled_from([b"", b"\n", b"\r\n"]),
+)
+
+
+@fuzz
+@given(edge_files)
+def test_edge_list_matches_the_line_parser(data):
+    expected = graph_or_error(reference_edge_list, data)
+    assert graph_or_error(lambda d: load_edge_list(io.BytesIO(d)), data) == expected
 
 
 @fuzz

@@ -232,6 +232,21 @@ class TestScorers:
         with pytest.raises(ValueError, match=r"pair index outside 0\.\.2"):
             scorer.score_pairs(np.array([(0, 2), pair]))
 
+    @pytest.mark.parametrize("estimator", list(Estimator), ids=lambda e: e.value)
+    def test_repeated_ids_count_once_in_set_sizes(self, estimator):
+        # Sets [1, 1, 2] and [1, 2] are one set: every build and the exact
+        # join drop the repeat, so the Jaccard sizes must too (they once
+        # scored 0.667 under exact and DotHash but 1.0 under MinHash).
+        repeated = (np.array([0, 3, 5]), np.array([1, 1, 2, 1, 2], dtype=np.uint64))
+        distinct = (np.array([0, 2, 4]), np.array([1, 2, 1, 2], dtype=np.uint64))
+        size = None if estimator is Estimator.EXACT else 4096
+        got = sketch_neighborhoods(repeated, Metric.JACCARD, estimator, size, seed=3)
+        want = sketch_neighborhoods(distinct, Metric.JACCARD, estimator, size, seed=3)
+        assert got.sizes.tolist() == [2, 2]
+        assert got.score(0, 1) == want.score(0, 1)
+        if estimator in (Estimator.EXACT, Estimator.MINHASH, Estimator.SIMHASH):
+            assert got.score(0, 1) == 1.0
+
     def test_log_base_change_preserves_ranking(self):
         # Adamic-Adar with ln vs log2 rescales scores by a constant factor,
         # leaving Hits@K untouched.
