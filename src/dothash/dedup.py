@@ -26,7 +26,7 @@ import numpy as np
 from .encoding import chunk_ranges, slice_ids
 from .exact import SortedSet
 from .linkpred import Estimator, Metric, decode_line, hits_at_k, sketch_neighborhoods
-from .sketches import WeightFn, WeightKind, distinct_sets
+from .sketches import DistinctSets, WeightFn, WeightKind, distinct_sets
 
 # Not called here; bench/spans.py wraps these names until ROADMAP item 1 moves its probes.
 from .encoding import element_id  # noqa: F401
@@ -56,22 +56,19 @@ class ShingleSet:
     shingles: SortedSet
 
 
-def csr_idf(indptr: np.ndarray, ids: np.ndarray) -> WeightFn:
-    """:func:`build_idf` of the :func:`shingle_csr` sets ``(indptr, ids)``."""
-    return _idf_weights(len(indptr) - 1, ids)
+def csr_idf(sets: DistinctSets) -> WeightFn:
+    """IDF weights ``ln(|D| / doc_freq)`` of the documents ``sets``, as :func:`shingle_csr` gives them.
 
-
-def _idf_weights(corpus_size: int, ids: np.ndarray) -> WeightFn:
-    """IDF weights of a corpus whose documents' distinct elements, concatenated, are ``ids``.
-
-    An element's doc_freq is its number of copies in ``ids`` (1 when
-    unseen), and its ``math.log(corpus_size / doc_freq)`` read from a table
-    over the distinct doc_freq values, so the batch and scalar paths agree
-    bit for bit.
+    An element's doc_freq is the number of sets that hold it, counted by one
+    ``np.bincount`` of the ranks, since a set holds each rank once; unseen
+    elements use doc_freq = 1.  A weight is ``math.log(corpus_size /
+    doc_freq)`` read from a table over the distinct doc_freq values, so the
+    batch and scalar paths agree bit for bit.
     """
+    corpus_size = sets.indptr.size - 1
     if corpus_size < 1:
         raise ValueError("cannot build IDF table from an empty corpus")
-    keys, freqs = np.unique(ids, return_counts=True)
+    keys, freqs = sets.distinct, np.bincount(sets.ranks, minlength=sets.distinct.size)
     # The leading doc_freq = 1 is the unseen shingles' level.
     levels, slots = np.unique(np.concatenate(([1], freqs)), return_inverse=True)
     logs = np.array([math.log(corpus_size / int(df)) for df in levels])
@@ -103,17 +100,17 @@ def shingle(doc: Document, w: int = 3) -> ShingleSet:
     :func:`~dothash.encoding.element_id`.  Documents shorter than w tokens
     yield the empty set.
     """
-    ids = shingle_csr([doc], w)[1]
+    ids = shingle_csr([doc], w).distinct
     return ShingleSet(doc_id=doc.doc_id, shingles=SortedSet(tuple(ids.tolist())))
 
 
-def shingle_csr(docs: Sequence[Document], w: int = 3) -> tuple[np.ndarray, np.ndarray]:
-    """Every document's :func:`shingle` set as CSR ``(indptr, ids)``.
+def shingle_csr(docs: Sequence[Document], w: int = 3) -> DistinctSets:
+    """Every document's :func:`shingle` set, document ``i`` as set ``i``.
 
-    Document ``i``'s distinct shingle ids are ``ids[indptr[i]:indptr[i+1]]``,
-    ascending.  Documents are hashed and sorted in batches of up to
-    ``_CHUNK_BYTES`` of shingle text (w times their normalized UTF-8 bytes),
-    so the temporaries stay bounded.
+    Documents are hashed in batches of up to ``_CHUNK_BYTES`` of shingle
+    text (w times their normalized UTF-8 bytes), so the hashing temporaries
+    stay bounded, and the shingle ids of the whole corpus go through one
+    :func:`~dothash.sketches.distinct_sets` call.
     """
     if w < 1:
         raise ValueError("shingle width must be >= 1")
@@ -121,12 +118,12 @@ def shingle_csr(docs: Sequence[Document], w: int = 3) -> tuple[np.ndarray, np.nd
     sizes = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
     counts, pieces = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.uint64)]
     for lo, hi in chunk_ranges(w * sizes):
-        distinct, indptr, ranks = distinct_sets(*_shingle_batch(texts[lo:hi], w))
+        indptr, ids = _shingle_batch(texts[lo:hi], w)
         counts.append(np.diff(indptr))
-        pieces.append(distinct[ranks])
+        pieces.append(ids)
     indptr = np.zeros(len(texts) + 1, dtype=np.int64)
     np.cumsum(np.concatenate(counts), out=indptr[1:])
-    return indptr, np.concatenate(pieces)
+    return distinct_sets(indptr, np.concatenate(pieces))
 
 
 def _shingle_batch(texts: list[bytes], w: int) -> tuple[np.ndarray, np.ndarray]:
@@ -153,8 +150,9 @@ def _shingle_batch(texts: list[bytes], w: int) -> tuple[np.ndarray, np.ndarray]:
 def build_idf(corpus: Iterable[ShingleSet]) -> WeightFn:
     """IDF weights ``ln(|D| / doc_freq)`` of a corpus; unseen shingles use doc_freq = 1."""
     corpus = list(corpus)
+    indptr = np.cumsum([0] + [len(s.shingles) for s in corpus])
     ids = np.fromiter(chain.from_iterable(s.shingles.elements for s in corpus), dtype=np.uint64)
-    return _idf_weights(len(corpus), ids)
+    return csr_idf(distinct_sets(indptr, ids))
 
 
 def load_corpus_jsonl(source: Union[str, Path]) -> list[Document]:
@@ -324,10 +322,9 @@ def run_dedup_benchmark(
             f"fewer negatives available than K ({config.negatives} < {config.hits_k})"
         )
     t0 = time.perf_counter()
-    indptr, ids = shingle_csr(corpus, config.shingle_width)
-    metric = csr_idf(indptr, ids) if config.metric is DedupMetric.IDF else Metric.JACCARD
-    scorer = sketch_neighborhoods((indptr, ids), metric, config.estimator, config.dims_or_k,
-                                  config.seed)
+    sets = shingle_csr(corpus, config.shingle_width)
+    metric = csr_idf(sets) if config.metric is DedupMetric.IDF else Metric.JACCARD
+    scorer = sketch_neighborhoods(sets, metric, config.estimator, config.dims_or_k, config.seed)
     t1 = time.perf_counter()
     negatives = sample_negative_pairs(doc_ids, duplicate_pairs, config.negatives, config.seed)
     pos_scores = scorer.score_pairs(np.array([(row[a], row[b]) for a, b in duplicate_pairs]))

@@ -32,6 +32,7 @@ MinwiseFamily
 
 from __future__ import annotations
 
+import operator
 import struct
 import sys
 from dataclasses import dataclass, field
@@ -254,7 +255,9 @@ class Codebook:
     """Deterministic mapping from element ids to d-dimensional ±1/√d vectors.
 
     Immutable and pure: every vector is a function of ``(seed, dims, e)``
-    only, so codebooks are safe to share across workers.
+    only, so codebooks are safe to share across workers.  The seed is kept
+    as a Python int modulo 2**64: -1, 2**64 - 1 and ``np.int64(-1)`` name
+    one codebook, and their sketches compare.
     """
 
     seed: int
@@ -264,7 +267,8 @@ class Codebook:
     def __post_init__(self) -> None:
         if self.dims < 1:
             raise ValueError("codebook dims must be >= 1")
-        object.__setattr__(self, "_root", splitmix64((self.seed & _MASK64) ^ _CODEBOOK_DOMAIN))
+        object.__setattr__(self, "seed", operator.index(self.seed) & _MASK64)
+        object.__setattr__(self, "_root", splitmix64(self.seed ^ _CODEBOOK_DOMAIN))
 
     @property
     def blocks(self) -> int:
@@ -406,7 +410,8 @@ class MinwiseFamily:
     """A family of k independently keyed 64-bit hash functions.
 
     The practical stand-in for min-wise independence: each function is a
-    full-avalanche mix of the element id under its own 64-bit key.
+    full-avalanche mix of the element id under its own 64-bit key.  The
+    seed is kept modulo 2**64, as :class:`Codebook` keeps it.
     """
 
     seed: int
@@ -416,7 +421,8 @@ class MinwiseFamily:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError("minwise family size k must be >= 1")
-        root = np.uint64(splitmix64((self.seed & _MASK64) ^ _MINWISE_DOMAIN))
+        object.__setattr__(self, "seed", operator.index(self.seed) & _MASK64)
+        root = np.uint64(splitmix64(self.seed ^ _MINWISE_DOMAIN))
         offsets = np.arange(1, self.k + 1, dtype=np.uint64) * _U64_GOLDEN
         keys = _splitmix64_np(root + offsets)
         keys.setflags(write=False)

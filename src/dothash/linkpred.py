@@ -26,7 +26,8 @@ from typing import IO, Iterable, Sequence, Union
 import numpy as np
 
 from .encoding import Codebook, MinwiseFamily, chunk_ranges, sorted_distinct
-from .sketches import WeightFn, WeightKind, _dothash_rows, _minhash_rows, _simhash_rows, distinct_sets
+from .sketches import DistinctSets, WeightFn, WeightKind, distinct_sets
+from .sketches import dothash_build_many, minhash_build_many, simhash_build_many
 
 # Not called here; bench/spans.py wraps these names until ROADMAP item 1 moves its probes.
 from .exact import exact_intersection, exact_jaccard, exact_weighted  # noqa: F401
@@ -358,8 +359,8 @@ def _metric_weights(g: Graph | None, metric: Metric | WeightFn) -> WeightFn:
 
 
 def build_sets(estimator: Estimator, dims_or_k: int | None, seed: int,
-               csr: tuple[np.ndarray, ...], w: WeightFn) -> np.ndarray | tuple:
-    """Every set of ``csr``, :func:`~dothash.sketches.distinct_sets` output, built in one batch.
+               sets: DistinctSets, w: WeightFn) -> np.ndarray | tuple:
+    """Every one of ``sets`` built in one batch.
 
     Sketches are one row per set: DotHash values under ``w`` (float64),
     MinHash minima (uint64) or packed SimHash bits (uint8).  The exact oracle
@@ -367,13 +368,12 @@ def build_sets(estimator: Estimator, dims_or_k: int | None, seed: int,
     distinct elements and ``w`` of each of those elements.
     """
     if estimator is Estimator.DOTHASH:
-        return _dothash_rows(Codebook(seed=seed, dims=dims_or_k), csr, w)
+        return dothash_build_many(Codebook(seed=seed, dims=dims_or_k), sets, w)
     if estimator is Estimator.MINHASH:
-        return _minhash_rows(MinwiseFamily(seed=seed, k=dims_or_k), csr)
+        return minhash_build_many(MinwiseFamily(seed=seed, k=dims_or_k), sets)
     if estimator is Estimator.SIMHASH:
-        return _simhash_rows(Codebook(seed=seed, dims=dims_or_k), csr)
-    distinct, indptr, ranks = csr
-    return indptr, ranks, w.weights_for(distinct)
+        return simhash_build_many(Codebook(seed=seed, dims=dims_or_k), sets)
+    return sets.indptr, sets.ranks, w.weights_for(sets.distinct)
 
 
 def _sort_join(indptr: np.ndarray, ranks: np.ndarray, weights: np.ndarray, u: np.ndarray,
@@ -458,7 +458,7 @@ class NeighborhoodScorer:
 
 
 def sketch_neighborhoods(
-    sets: Graph | tuple[np.ndarray, np.ndarray],
+    sets: Graph | DistinctSets,
     metric: Metric | WeightFn,
     estimator: Estimator,
     dims_or_k: int | None = None,
@@ -466,11 +466,12 @@ def sketch_neighborhoods(
 ) -> NeighborhoodScorer:
     """Build every set once for the (estimator, metric) combination.
 
-    ``sets`` is a Graph's node neighborhoods or a CSR pair ``(indptr,
-    elements)``, set ``s`` being the distinct element ids of
-    ``elements[indptr[s]:indptr[s+1]]``; either is built in one
-    :func:`build_sets` batch, and anything else raises ValueError.  Set
-    sizes, which the Jaccard scores use, count each element once.
+    ``sets`` is a Graph's node neighborhoods, put in distinct form by one
+    :func:`~dothash.sketches.distinct_sets` call, or sets already in that
+    form, such as :func:`~dothash.dedup.shingle_csr` returns; either is
+    built in one :func:`build_sets` batch, and anything else, a raw
+    ``(indptr, elements)`` pair included, raises ValueError.  Set sizes,
+    which the Jaccard scores use, count each element once.
     ``metric`` is a Metric, or the WeightFn of a weighted intersection such
     as IDF; degree weights come from the graph.  MinHash and SimHash can
     only rank by Jaccard; DotHash and the exact oracle support every metric.
@@ -481,15 +482,13 @@ def sketch_neighborhoods(
     if estimator is not Estimator.EXACT and (dims_or_k is None or dims_or_k < 1):
         raise ValueError("sketch estimators need a positive dims_or_k")
     if isinstance(sets, Graph):
-        graph, indptr, elements = sets, sets.indptr, sets.indices
-    elif isinstance(sets, tuple) and len(sets) == 2:
-        graph, (indptr, elements) = None, sets
+        graph, sets = sets, distinct_sets(sets.indptr, sets.indices)
+    elif isinstance(sets, DistinctSets):
+        graph = None
     else:
-        raise ValueError("sets must be a Graph or an (indptr, elements) CSR pair")
-    weights = _metric_weights(graph, metric)
-    csr = distinct_sets(indptr, elements)
-    built = build_sets(estimator, dims_or_k, seed, csr, weights)
-    return NeighborhoodScorer(estimator, metric, dims_or_k, built, np.diff(csr[1]))
+        raise ValueError("sets must be a Graph or DistinctSets")
+    built = build_sets(estimator, dims_or_k, seed, sets, _metric_weights(graph, metric))
+    return NeighborhoodScorer(estimator, metric, dims_or_k, built, np.diff(sets.indptr))
 
 
 def hits_at_k(positive_scores: Sequence[float], negative_scores: Sequence[float], k: int) -> float:

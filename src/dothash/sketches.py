@@ -35,7 +35,7 @@ import enum
 import json
 import struct
 from dataclasses import dataclass
-from typing import BinaryIO, Callable, Iterable, Mapping, Union
+from typing import BinaryIO, Callable, Iterable, Mapping, NamedTuple, Union
 
 import numpy as np
 
@@ -176,10 +176,6 @@ def _require_compatible(size_a: int, size_b: int, seed_a: int, seed_b: int, size
         raise ValueError(f"incompatible sketches: seed mismatch ({seed_a} vs {seed_b})")
 
 
-def _distinct_elements(elements: Iterable[int] | np.ndarray) -> np.ndarray:
-    return sorted_distinct(as_element_array(elements))
-
-
 def _transpose8(x: np.ndarray) -> None:
     """Transpose the 8x8 bit matrix held in every uint64 of ``x``, in place.
 
@@ -213,13 +209,23 @@ def _sign_tables(roots: np.ndarray) -> np.ndarray:
     return tables.T.copy()
 
 
-def distinct_sets(indptr: np.ndarray, elements: Iterable[int] | np.ndarray) -> tuple[np.ndarray, ...]:
-    """CSR sets as ``(distinct, indptr, ranks)``, each set's duplicates skipped.
+class DistinctSets(NamedTuple):
+    """CSR sets with each set's duplicates skipped: the input of every batch build.
 
-    Set ``s`` is ``elements[indptr[s]:indptr[s+1]]`` on input and
-    ``distinct[ranks[indptr[s]:indptr[s+1]]]`` on output: ``distinct`` holds
-    every element once, ascending, and each set's ranks ascend.  Raises
-    ValueError on a malformed ``indptr``.
+    Set ``s`` is ``distinct[ranks[indptr[s]:indptr[s+1]]]``: ``distinct``
+    holds every element once, ascending, and each set's ranks ascend.
+    :func:`distinct_sets` makes one from any CSR pair ``(indptr, elements)``.
+    """
+
+    distinct: np.ndarray
+    indptr: np.ndarray
+    ranks: np.ndarray
+
+
+def distinct_sets(indptr: np.ndarray, elements: Iterable[int] | np.ndarray) -> DistinctSets:
+    """The CSR sets ``elements[indptr[s]:indptr[s+1]]`` as :class:`DistinctSets`.
+
+    Raises ValueError on a malformed ``indptr``.
     """
     indptr = np.asarray(indptr, dtype=np.int64)
     elements = as_element_array(elements)
@@ -237,13 +243,19 @@ def distinct_sets(indptr: np.ndarray, elements: Iterable[int] | np.ndarray) -> t
     set_of = np.repeat(np.arange(nsets, dtype=np.int64), np.diff(indptr))
     pairs = sorted_distinct(set_of * distinct.size + inverse)
     indptr = np.searchsorted(pairs, np.arange(nsets + 1, dtype=np.int64) * distinct.size)
-    return distinct, indptr, pairs % max(distinct.size, 1)
+    return DistinctSets(distinct, indptr, pairs % max(distinct.size, 1))
+
+
+def _one_set(elements: Iterable[int] | np.ndarray) -> DistinctSets:
+    """The distinct elements of one set, sorted, as a one-set :class:`DistinctSets`."""
+    distinct = sorted_distinct(as_element_array(elements))
+    return DistinctSets(distinct, np.array([0, distinct.size]), np.arange(distinct.size))
 
 
 def _unit_sums(cb: Codebook, distinct: np.ndarray, indptr: np.ndarray, ranks: np.ndarray):
     """Yield ``(sets, sums)``: the exact sums ``Σ sign(e)`` of batches of CSR sets.
 
-    The sets are :func:`distinct_sets` output; ``sums`` is an integer array
+    The sets are a :class:`DistinctSets`; ``sums`` is an integer array
     of shape (len(sets), dims) whose row ``i`` belongs to set ``sets[i]``.
     Empty sets are never yielded.  A sum of n signs is ``2 * count - n``,
     with the counts taken by the bit-plane counter of
@@ -283,7 +295,7 @@ def _root_sums(
 ) -> np.ndarray:
     """Unscaled sums ``Σ sqrt(w(e)) * sign(e)`` over each CSR set, shape (nsets, dims).
 
-    The sets are :func:`distinct_sets` output, each taken in ascending
+    The sets are a :class:`DistinctSets`, each taken in ascending
     element order.  Each set's elements are taken 8 at a time, the last
     group padded with zero weight.  An 8x8 bit transpose turns a group's
     sign words into one byte per coordinate, and the coordinate adds
@@ -349,15 +361,9 @@ def _root_sums(
     return out
 
 
-def dothash_build_many(
-    cb: Codebook,
-    indptr: np.ndarray,
-    elements: Iterable[int] | np.ndarray,
-    w: WeightFn | None = None,
-) -> np.ndarray:
+def dothash_build_many(cb: Codebook, sets: DistinctSets, w: WeightFn | None = None) -> np.ndarray:
     """DotHash sketch values of many sets at once, shape (nsets, dims), float64.
 
-    The sets are CSR slices: set ``s`` is ``elements[indptr[s]:indptr[s+1]]``.
     Row ``s`` equals ``dothash_build(cb, set s, w).values`` bit for bit.
     Unit weights (``w`` None or of kind ``WeightKind.UNIT``) give exact
     integer sums, counted on the packed sign words by the bit-plane counter
@@ -365,20 +371,14 @@ def dothash_build_many(
     (:func:`_root_sums`), which computes them once per distinct element, not
     once per occurrence, and so codebook words where elements recur and are
     no more than the sets, which keeps their table small beside the output.
-    Raises ValueError on a malformed ``indptr`` and on any negative or
-    non-finite weight.
+    Raises ValueError on any negative or non-finite weight.
     """
-    return _dothash_rows(cb, distinct_sets(indptr, elements), w)
-
-
-def _dothash_rows(cb: Codebook, csr: tuple[np.ndarray, ...], w: WeightFn | None) -> np.ndarray:
-    """:func:`dothash_build_many` of :func:`distinct_sets` output."""
     if w is None or w.kind is WeightKind.UNIT:
-        values = np.zeros((csr[1].size - 1, cb.dims))
-        for sets, sums in _unit_sums(cb, *csr):
-            values[sets] = sums
+        values = np.zeros((sets.indptr.size - 1, cb.dims))
+        for rows, sums in _unit_sums(cb, *sets):
+            values[rows] = sums
     else:
-        values = _root_sums(cb, *csr, w)
+        values = _root_sums(cb, *sets, w)
     values /= np.sqrt(cb.dims)
     return values
 
@@ -389,9 +389,9 @@ def dothash_build(cb: Codebook, elements: Iterable[int] | np.ndarray, w: WeightF
     Duplicates in the stream are skipped (set semantics).  Raises if any
     weight is negative or not finite.
     """
-    distinct = _distinct_elements(elements)
-    values = dothash_build_many(cb, np.array([0, distinct.size]), distinct, w)[0]
-    return DotHashSketch(values=values, dims=cb.dims, seed=cb.seed, cardinality=int(distinct.size))
+    sets = _one_set(elements)
+    values = dothash_build_many(cb, sets, w)[0]
+    return DotHashSketch(values=values, dims=cb.dims, seed=cb.seed, cardinality=int(sets.distinct.size))
 
 
 def dothash_intersection(a: DotHashSketch, b: DotHashSketch) -> float:
@@ -419,10 +419,8 @@ def dothash_jaccard(a: DotHashSketch, b: DotHashSketch) -> float:
     return float(min(1.0, max(0.0, est / union)))
 
 
-def minhash_build_many(
-    f: MinwiseFamily, indptr: np.ndarray, elements: Iterable[int] | np.ndarray
-) -> np.ndarray:
-    """MinHash minima of many CSR sets at once, shape (nsets, k), uint64.
+def minhash_build_many(f: MinwiseFamily, sets: DistinctSets) -> np.ndarray:
+    """MinHash minima of many sets at once, shape (nsets, k), uint64.
 
     Row ``s`` equals ``minhash_build(f, set s).minima``; an empty set's row
     is the all-ones sentinel.  The sets' elements are hashed a chunk of
@@ -433,12 +431,7 @@ def minhash_build_many(
     only a chunk's first set can continue from the chunk before, so only
     its row is merged with what it held.
     """
-    return _minhash_rows(f, distinct_sets(indptr, elements))
-
-
-def _minhash_rows(f: MinwiseFamily, csr: tuple[np.ndarray, ...]) -> np.ndarray:
-    """:func:`minhash_build_many` of :func:`distinct_sets` output."""
-    distinct, indptr, ranks = csr
+    distinct, indptr, ranks = sets
     out = np.full((indptr.size - 1, f.k), MINHASH_EMPTY_SENTINEL, dtype=np.uint64)
     set_of = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
     step = max(1, _CHUNK_BYTES // (16 * f.k))
@@ -448,18 +441,18 @@ def _minhash_rows(f: MinwiseFamily, csr: tuple[np.ndarray, ...]) -> np.ndarray:
         first = np.flatnonzero(np.diff(owners, prepend=-1))
         rows = f.rows(distinct[ranks[lo : lo + step]], hashes[: owners.size], scratch[: owners.size])
         minima = np.minimum.reduceat(rows, first, axis=0, out=scratch[: first.size])
-        sets = owners[first]
-        np.minimum(minima[0], out[sets[0]], out=minima[0])
-        out[sets] = minima
+        chunk_sets = owners[first]
+        np.minimum(minima[0], out[chunk_sets[0]], out=minima[0])
+        out[chunk_sets] = minima
     return out
 
 
 def minhash_build(f: MinwiseFamily, elements: Iterable[int] | np.ndarray) -> MinHashSketch:
     """Minimum of each hash function over the distinct elements."""
-    distinct = _distinct_elements(elements)
-    minima = minhash_build_many(f, np.array([0, distinct.size]), distinct)[0]
+    sets = _one_set(elements)
+    minima = minhash_build_many(f, sets)[0]
     minima.setflags(write=False)
-    return MinHashSketch(minima=minima, k=f.k, seed=f.seed, cardinality=int(distinct.size))
+    return MinHashSketch(minima=minima, k=f.k, seed=f.seed, cardinality=int(sets.distinct.size))
 
 
 def minhash_jaccard(a: MinHashSketch, b: MinHashSketch) -> float:
@@ -470,33 +463,26 @@ def minhash_jaccard(a: MinHashSketch, b: MinHashSketch) -> float:
     return float(np.count_nonzero(a.minima == b.minima)) / a.k
 
 
-def simhash_build_many(
-    cb: Codebook, indptr: np.ndarray, elements: Iterable[int] | np.ndarray
-) -> np.ndarray:
-    """SimHash bits of many CSR sets at once, shape (nsets, ceil(dims / 8)), uint8.
+def simhash_build_many(cb: Codebook, sets: DistinctSets) -> np.ndarray:
+    """SimHash bits of many sets at once, shape (nsets, ceil(dims / 8)), uint8.
 
     Row ``s`` equals ``simhash_build(cb, set s).bits``: bit j is 1 iff
     coordinate j of the set's ±1 vector sum is > 0, packed LSB first.  The
     empty set sums to zero, which is non-positive, so its bits are all zero.
     The sums are the exact integers of :func:`_unit_sums`.
     """
-    return _simhash_rows(cb, distinct_sets(indptr, elements))
-
-
-def _simhash_rows(cb: Codebook, csr: tuple[np.ndarray, ...]) -> np.ndarray:
-    """:func:`simhash_build_many` of :func:`distinct_sets` output."""
-    out = np.zeros((csr[1].size - 1, (cb.dims + 7) // 8), dtype=np.uint8)
-    for sets, sums in _unit_sums(cb, *csr):
-        out[sets] = np.packbits(sums > 0, axis=1, bitorder="little")
+    out = np.zeros((sets.indptr.size - 1, (cb.dims + 7) // 8), dtype=np.uint8)
+    for rows, sums in _unit_sums(cb, *sets):
+        out[rows] = np.packbits(sums > 0, axis=1, bitorder="little")
     return out
 
 
 def simhash_build(cb: Codebook, elements: Iterable[int] | np.ndarray) -> SimHashSketch:
     """Bit j is 1 iff the j-th coordinate of the ±1 vector sum is > 0."""
-    distinct = _distinct_elements(elements)
-    packed = simhash_build_many(cb, np.array([0, distinct.size]), distinct)[0]
+    sets = _one_set(elements)
+    packed = simhash_build_many(cb, sets)[0]
     packed.setflags(write=False)
-    return SimHashSketch(bits=packed, dims=cb.dims, seed=cb.seed, cardinality=int(distinct.size))
+    return SimHashSketch(bits=packed, dims=cb.dims, seed=cb.seed, cardinality=int(sets.distinct.size))
 
 
 def simhash_similarity(a: SimHashSketch, b: SimHashSketch) -> float:

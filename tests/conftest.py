@@ -60,7 +60,7 @@ def _added_peak_rss(setup: str, build: str) -> int:
         import sys
         import numpy as np
         from dothash.encoding import Codebook, element_ids
-        from dothash.sketches import dothash_build, dothash_build_many
+        from dothash.sketches import distinct_sets, dothash_build, dothash_build_many
 
         def peak():
             try:
@@ -81,6 +81,22 @@ def _added_peak_rss(setup: str, build: str) -> int:
         [sys.executable, "-c", script], capture_output=True, text=True, check=True, env=env, timeout=300
     )
     return int(result.stdout)
+
+
+@pytest.fixture
+def distinct_passes(monkeypatch) -> list:
+    """A list that grows by one entry per ``distinct_sets`` call, through any module's binding."""
+    from dothash import dedup, linkpred, sketches
+
+    calls, original = [], sketches.distinct_sets
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (sketches, linkpred, dedup):
+        monkeypatch.setattr(module, "distinct_sets", counted)
+    return calls
 
 
 @pytest.fixture

@@ -20,6 +20,7 @@ from dothash.sketches import (
     WeightFn,
     WeightKind,
     dothash_build,
+    distinct_sets,
     dothash_build_many,
     minhash_build,
     minhash_build_many,
@@ -146,7 +147,7 @@ def test_build_many_rows_equal_single_builds(dims, sets, table, unit):
     w = None if unit else WeightFn.from_array(np.array(table))
     indptr = np.cumsum([0] + [len(s) for s in sets])
     elements = np.array([e for s in sets for e in s], dtype=np.uint64)
-    many = dothash_build_many(cb, indptr, elements, w)
+    many = dothash_build_many(cb, distinct_sets(indptr, elements), w)
     assert many.shape == (len(sets), dims)
     for row, members in zip(many, sets):
         single = dothash_build(cb, np.array(members, dtype=np.uint64), w).values
@@ -182,8 +183,8 @@ def test_unit_rows_of_many_sets_equal_reference_sums(dims, sets, seed, chunk_byt
     indptr, elements = _csr(sets)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sketches, "_CHUNK_BYTES", chunk_bytes)
-        values = dothash_build_many(cb, indptr, elements)
-        bits = simhash_build_many(cb, indptr, elements)
+        values = dothash_build_many(cb, distinct_sets(indptr, elements))
+        bits = simhash_build_many(cb, distinct_sets(indptr, elements))
     assert values.shape == (len(sets), dims) and bits.shape == (len(sets), (dims + 7) // 8)
     for members, row, packed in zip(sets, values, bits):
         sums = reference_unit_sums(seed, dims, members)
@@ -205,9 +206,9 @@ def test_unit_rows_equal_the_byte_table_bit_for_bit(dims, sets, chunk_bytes):
     indptr, elements = _csr(sets)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sketches, "_CHUNK_BYTES", chunk_bytes)
-        counted = dothash_build_many(cb, indptr, elements)
-        tabled = dothash_build_many(cb, indptr, elements, ALL_ONES)
-        bits = simhash_build_many(cb, indptr, elements)
+        counted = dothash_build_many(cb, distinct_sets(indptr, elements))
+        tabled = dothash_build_many(cb, distinct_sets(indptr, elements), ALL_ONES)
+        bits = simhash_build_many(cb, distinct_sets(indptr, elements))
     assert counted.tobytes() == tabled.tobytes()
     assert bits.tobytes() == np.packbits(tabled > 0, axis=1, bitorder="little").tobytes()
 
@@ -215,7 +216,7 @@ def test_unit_rows_equal_the_byte_table_bit_for_bit(dims, sets, chunk_bytes):
 def _assert_rows_in_order(cb: Codebook, sets, weight) -> None:
     indptr = np.cumsum([0] + [len(s) for s in sets])
     elements = np.array([e for s in sets for e in s], dtype=np.uint64)
-    many = dothash_build_many(cb, indptr, elements, WeightFn.from_array(np.array(weight)))
+    many = dothash_build_many(cb, distinct_sets(indptr, elements), WeightFn.from_array(np.array(weight)))
     for row, members in zip(many, sets):
         expected = np.array(reference_in_order(cb.seed, cb.dims, members, weight))
         assert row.tobytes() == expected.tobytes()
@@ -246,7 +247,7 @@ def test_build_many_rejects_malformed_indptr():
     elements = np.arange(4, dtype=np.uint64)
     for indptr in ([1, 4], [0, 3], [0, 3, 2, 4], []):
         with pytest.raises(ValueError, match="indptr"):
-            dothash_build_many(cb, np.array(indptr), elements)
+            dothash_build_many(cb, distinct_sets(np.array(indptr), elements))
 
 
 # Ids from a small pool recur across sets (so the build may share one word
@@ -272,7 +273,8 @@ def test_set_list_rows_equal_per_set_builds(sets, estimator, weighted, chunk_byt
     # puts every group in a chunk of its own.
     dims = 130
     w = WeightFn.custom(_weight) if weighted and estimator in (Estimator.DOTHASH, Estimator.EXACT) else None
-    csr = np.cumsum([0] + [len(members) for members in sets]), np.array(sum(sets, []), np.uint64)
+    csr = distinct_sets(np.cumsum([0] + [len(members) for members in sets]),
+                        np.array(sum(sets, []), np.uint64))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sketches, "_CHUNK_BYTES", chunk_bytes)
         scorer = sketch_neighborhoods(csr, w or Metric.JACCARD, estimator, dims, seed=21)
@@ -311,7 +313,7 @@ def test_minhash_rows_across_chunk_boundaries_equal_scalar_minima(sizes, rows_pe
     indptr = np.cumsum([0] + sizes)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sketches, "_CHUNK_BYTES", 16 * k * rows_per_chunk)
-        got = minhash_build_many(family, indptr, np.array(sum(members, []), dtype=np.uint64))
+        got = minhash_build_many(family, distinct_sets(indptr, np.array(sum(members, []), dtype=np.uint64)))
     expected = [
         [min((family.value(i, e) for e in set_members), default=sketches.MINHASH_EMPTY_SENTINEL)
          for i in range(k)]
@@ -361,7 +363,7 @@ def test_large_build_memory_is_bounded(added_peak_rss):
     # Filling a shared table in one piece once added about 60 MiB on top.
     added = added_peak_rss(
         "elements = np.arange(2000 * 64, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)",
-        "dothash_build_many(Codebook(seed=1, dims=4096), np.arange(2001) * 64, elements)",
+        "dothash_build_many(Codebook(seed=1, dims=4096), distinct_sets(np.arange(2001) * 64, elements))",
     )
     output = table = 2000 * 4096 * 8
     assert added < output + table + 32 * 2**20, f"batch build added {added / 2**20:.1f} MiB of peak RSS"
@@ -373,10 +375,10 @@ def test_dedup_sized_batch_adds_little_beside_its_output(added_peak_rss):
     # word table would add about 19 MiB more.  A small build first pages in
     # the library code, so the figure is the batch's own memory.
     added = added_peak_rss(
-        "dothash_build_many(Codebook(seed=1, dims=8192), np.array([0, 9]), np.arange(9, dtype=np.uint64))\n"
+        "dothash_build_many(Codebook(seed=1, dims=8192), distinct_sets(np.array([0, 9]), np.arange(9, dtype=np.uint64)))\n"
         "ids = np.random.default_rng(0).integers(0, 22_000, 400 * 120).astype(np.uint64)\n"
         "elements = ids * np.uint64(0x9E3779B97F4A7C15)",
-        "dothash_build_many(Codebook(seed=1, dims=8192), np.arange(401) * 120, elements)",
+        "dothash_build_many(Codebook(seed=1, dims=8192), distinct_sets(np.arange(401) * 120, elements))",
     )
     output = 400 * 8192 * 8
     assert added < output + 4 * 2**20, f"batch build added {added / 2**20:.1f} MiB of peak RSS"
@@ -399,9 +401,9 @@ def test_weighted_dedup_sized_batch_adds_little_beside_its_output(added_peak_rss
     added = added_peak_rss(
         "from dothash.sketches import WeightFn\n"
         "weight = WeightFn.from_array(1.0 / np.log(np.arange(22_000) + 2.0))\n"
-        "dothash_build_many(Codebook(seed=1, dims=8192), np.array([0, 9]), np.arange(9, dtype=np.uint64), weight)\n"
+        "dothash_build_many(Codebook(seed=1, dims=8192), distinct_sets(np.array([0, 9]), np.arange(9, dtype=np.uint64)), weight)\n"
         "elements = np.random.default_rng(0).integers(0, 22_000, 400 * 120).astype(np.uint64)",
-        "dothash_build_many(Codebook(seed=1, dims=8192), np.arange(401) * 120, elements, weight)",
+        "dothash_build_many(Codebook(seed=1, dims=8192), distinct_sets(np.arange(401) * 120, elements), weight)",
     )
     output = 400 * 8192 * 8
     assert added < output + 4 * 2**20, f"batch build added {added / 2**20:.1f} MiB of peak RSS"

@@ -75,6 +75,16 @@ class TestSketchCommand:
         summary = json.loads(capsys.readouterr().out)
         assert summary == {"kind": "dothash", "dims_or_k": 4096, "cardinality": 100, "seed": 3}
 
+    def test_summary_prints_the_seed_as_given(self, tmp_path, element_file, capsys):
+        # The codebook keeps -1 as 2**64 - 1, so both seeds write one file.
+        files = []
+        for seed in ("-1", str(2**64 - 1)):
+            files.append(tmp_path / f"seed{seed}.bin")
+            assert main(["sketch", "--estimator", "simhash", "--dims", "64", "--seed", seed,
+                         "--input", str(element_file), "--out", str(files[-1])]) == 0
+            assert json.loads(capsys.readouterr().out)["seed"] == int(seed)
+        assert files[0].read_bytes() == files[1].read_bytes()
+
     @pytest.mark.parametrize("estimator, flag", [("dothash", "--dims"), ("simhash", "--dims"), ("minhash", "--k")])
     def test_size_past_the_file_header_exits_two_before_building(
         self, tmp_path, element_file, monkeypatch, capsys, estimator, flag

@@ -31,7 +31,7 @@ from dothash.dedup import (
 from dothash.encoding import element_id
 from dothash.exact import SortedSet, exact_weighted
 from dothash.linkpred import Estimator
-from dothash.sketches import WeightKind
+from dothash.sketches import WeightKind, distinct_sets
 
 
 def _doc_freq(sets) -> dict[int, int]:
@@ -48,8 +48,9 @@ def _reference_idf(corpus_size: int, doc_freq: dict[int, int], element: int) -> 
     return math.log(corpus_size / doc_freq.get(element, 1))
 
 
-def _csr_rows(indptr, ids) -> list[tuple[int, ...]]:
-    return [tuple(ids[lo:hi].tolist()) for lo, hi in zip(indptr[:-1], indptr[1:])]
+def _csr_rows(sets) -> list[tuple[int, ...]]:
+    ids = sets.distinct[sets.ranks]
+    return [tuple(ids[lo:hi].tolist()) for lo, hi in zip(sets.indptr[:-1], sets.indptr[1:])]
 
 
 class TestShingle:
@@ -100,12 +101,12 @@ class TestShingle:
     def test_batches_equal_single_documents(self, texts, w):
         docs = [Document(f"d{i}", text) for i, text in enumerate(texts)]
         expected = [shingle(doc, w).shingles.elements for doc in docs]
-        assert _csr_rows(*shingle_csr(docs, w)) == expected
+        assert _csr_rows(shingle_csr(docs, w)) == expected
 
     def test_corpus_larger_than_one_batch(self):
         # About 3 MiB of shingle text at w=3, so several batches.
         docs, _ = make_planted_corpus(n_docs=2000, n_dup_pairs=10, words_per_doc=200, seed=3)
-        rows = _csr_rows(*shingle_csr(docs, 3))
+        rows = _csr_rows(shingle_csr(docs, 3))
         assert len(rows) == len(docs)
         for doc in docs[::97] + docs[-3:]:
             tokens = normalize_text(doc.text).split()
@@ -124,8 +125,9 @@ class TestShingle:
         docs = [Document(f"d{i}", text) for i, text in enumerate(texts)]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(encoding, "_CHUNK_BYTES", chunk_bytes)
-            indptr, ids = shingle_csr(docs, w)
+            sets = shingle_csr(docs, w)
             singles = [shingle(doc, w) for doc in docs]
+        indptr, ids = sets.indptr, sets.distinct[sets.ranks]
         assert indptr.tolist()[0] == 0 and len(indptr) == len(docs) + 1 and ids.dtype == np.uint64
         for i, doc in enumerate(docs):
             tokens = normalize_text(doc.text).split()
@@ -156,7 +158,7 @@ class TestIdf:
 
     def test_unseen_shingle_uses_unit_frequency(self):
         # 100 empty documents: nothing is seen.
-        w = csr_idf(np.zeros(101, dtype=np.int64), np.empty(0, dtype=np.uint64))
+        w = csr_idf(distinct_sets(np.zeros(101, dtype=np.int64), np.empty(0, dtype=np.uint64)))
         assert w(12345) == pytest.approx(math.log(100))
 
     def test_batch_weights_equal_scalar_path(self):
@@ -173,7 +175,7 @@ class TestIdf:
 
     def test_batch_weights_on_empty_table(self):
         # 7 empty documents: no shingle has a document frequency.
-        w = csr_idf(np.zeros(8, dtype=np.int64), np.empty(0, dtype=np.uint64))
+        w = csr_idf(distinct_sets(np.zeros(8, dtype=np.int64), np.empty(0, dtype=np.uint64)))
         probe = np.array([0, 5, 2**64 - 1], dtype=np.uint64)
         assert w.weights_for(probe).tolist() == [math.log(7)] * 3
 
@@ -192,15 +194,15 @@ class TestIdf:
         with pytest.raises(ValueError, match="empty corpus"):
             build_idf([])
         with pytest.raises(ValueError, match="empty corpus"):
-            csr_idf(*shingle_csr([]))
+            csr_idf(shingle_csr([]))
 
     def test_doc_freq_equals_a_per_document_count(self):
         docs, _ = make_planted_corpus(n_docs=80, n_dup_pairs=20, words_per_doc=30, vocab_size=20, seed=4)
-        indptr, ids = shingle_csr(docs)
-        doc_freq = _doc_freq(_csr_rows(indptr, ids))
+        sets = shingle_csr(docs)
+        doc_freq = _doc_freq(_csr_rows(sets))
         probe = np.array(sorted(doc_freq), dtype=np.uint64)
         expected = np.array([_reference_idf(80, doc_freq, int(e)) for e in probe])
-        assert csr_idf(indptr, ids).weights_for(probe).tobytes() == expected.tobytes()
+        assert csr_idf(sets).weights_for(probe).tobytes() == expected.tobytes()
         assert build_idf(shingle(doc) for doc in docs).weights_for(probe).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("chunk_bytes", [64, 1 << 20])
@@ -208,14 +210,14 @@ class TestIdf:
         docs, _ = make_planted_corpus(n_docs=80, n_dup_pairs=20, words_per_doc=30, vocab_size=20, seed=4)
         docs += [Document("short", "two words"), Document("blank", "")]
         monkeypatch.setattr(encoding, "_CHUNK_BYTES", chunk_bytes)
-        indptr, ids = shingle_csr(docs)
+        csr = shingle_csr(docs)
         sets = [shingle(doc) for doc in docs]
         doc_freq = _doc_freq(s.shingles for s in sets)
         seen = np.array(sorted(doc_freq), dtype=np.uint64)
         unseen = np.array([0, 2**64 - 1, element_id("never in the corpus")], dtype=np.uint64)
         probe = np.concatenate([seen, unseen, seen + np.uint64(1)])
         expected = np.array([_reference_idf(82, doc_freq, int(e)) for e in probe])
-        got = csr_idf(indptr, ids)
+        got = csr_idf(csr)
         assert got.weights_for(probe).tobytes() == expected.tobytes()
         assert got.weights_for(probe).tobytes() == build_idf(sets).weights_for(probe).tobytes()
         assert [got(int(e)) for e in probe] == expected.tolist()
@@ -428,6 +430,16 @@ class TestBenchmark:
             estimator=Estimator.DOTHASH, metric=DedupMetric.IDF,
             dims_or_k=1 << 16, negatives=1000, seed=81))
         assert abs(exact.hits - estimated.hits) <= 0.02
+
+    @pytest.mark.parametrize("chunk_bytes", [64, 1 << 20])
+    def test_one_distinct_pass_per_run(self, monkeypatch, distinct_passes, chunk_bytes):
+        # Shingling, in many hashing batches or in one, makes the corpus's
+        # one DistinctSets; the IDF counts and the build reuse it.
+        docs, pairs = make_planted_corpus(n_docs=40, n_dup_pairs=10, words_per_doc=30, seed=11)
+        monkeypatch.setattr(encoding, "_CHUNK_BYTES", chunk_bytes)
+        run_dedup_benchmark(docs, pairs, DedupConfig(estimator=Estimator.DOTHASH, metric=DedupMetric.IDF,
+                                                     dims_or_k=64, negatives=100, seed=2))
+        assert len(distinct_passes) == 1
 
     def test_unknown_doc_id_in_labels(self):
         docs, pairs = make_planted_corpus(n_docs=20, n_dup_pairs=5, seed=9)

@@ -24,7 +24,7 @@ from dothash.linkpred import (
     sketch_neighborhoods,
     split_edges,
 )
-from dothash.sketches import WeightFn
+from dothash.sketches import WeightFn, distinct_sets
 
 
 def _text(content: str) -> io.StringIO:
@@ -233,12 +233,19 @@ class TestScorers:
             scorer.score_pairs(np.array([(0, 2), pair]))
 
     @pytest.mark.parametrize("estimator", list(Estimator), ids=lambda e: e.value)
+    def test_one_distinct_pass_per_graph(self, distinct_passes, estimator):
+        g = preferential_attachment_graph(60, 3, seed=4)
+        size = None if estimator is Estimator.EXACT else 64
+        sketch_neighborhoods(g, Metric.JACCARD, estimator, size, seed=1)
+        assert len(distinct_passes) == 1
+
+    @pytest.mark.parametrize("estimator", list(Estimator), ids=lambda e: e.value)
     def test_repeated_ids_count_once_in_set_sizes(self, estimator):
         # Sets [1, 1, 2] and [1, 2] are one set: every build and the exact
         # join drop the repeat, so the Jaccard sizes must too (they once
         # scored 0.667 under exact and DotHash but 1.0 under MinHash).
-        repeated = (np.array([0, 3, 5]), np.array([1, 1, 2, 1, 2], dtype=np.uint64))
-        distinct = (np.array([0, 2, 4]), np.array([1, 2, 1, 2], dtype=np.uint64))
+        repeated = distinct_sets(np.array([0, 3, 5]), np.array([1, 1, 2, 1, 2], dtype=np.uint64))
+        distinct = distinct_sets(np.array([0, 2, 4]), np.array([1, 2, 1, 2], dtype=np.uint64))
         size = None if estimator is Estimator.EXACT else 4096
         got = sketch_neighborhoods(repeated, Metric.JACCARD, estimator, size, seed=3)
         want = sketch_neighborhoods(distinct, Metric.JACCARD, estimator, size, seed=3)

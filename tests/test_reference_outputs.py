@@ -1,0 +1,126 @@
+"""Every CLI primary output against the frozen seed implementation, byte for byte.
+
+``bench/reference/dothash`` is the code the project started from.  It is
+loaded in-process under the package name ``dothash_ref``, without writing
+bytecode under ``bench/``, and both CLIs run one fixed table of small seeded
+calls: ``dedup`` and ``linkpred`` CSVs for every estimator and metric the
+pipelines accept, ``.skch`` files of all three kinds with the ``compare``
+JSON of each pair, and one ``bounds`` CSV.  The two trees must write the
+same bytes.
+"""
+
+import importlib
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from dothash import cli
+from dothash.dedup import make_planted_corpus
+from dothash.linkpred import preferential_attachment_graph
+
+REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference" / "dothash"
+
+SIZE_FLAGS = {"exact": [], "dothash": ["--dims", "1024"], "minhash": ["--k", "32"],
+              "simhash": ["--dims", "128"]}
+
+
+@pytest.fixture(scope="module")
+def reference():
+    """The reference package's ``cli`` module, imported as ``dothash_ref.cli``."""
+    writes_bytecode = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec = importlib.util.spec_from_file_location(
+            "dothash_ref", REFERENCE / "__init__.py", submodule_search_locations=[str(REFERENCE)])
+        package = importlib.util.module_from_spec(spec)
+        sys.modules["dothash_ref"] = package
+        spec.loader.exec_module(package)
+        reference_cli = importlib.import_module("dothash_ref.cli")
+    finally:
+        sys.dont_write_bytecode = writes_bytecode
+    yield reference_cli
+    for name in [name for name in sys.modules if name.partition(".")[0] == "dothash_ref"]:
+        del sys.modules[name]
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory) -> dict[str, str]:
+    """A small graph, a corpus with heavily edited duplicates, and two overlapping token files."""
+    root = tmp_path_factory.mktemp("inputs")
+    graph = preferential_attachment_graph(150, 4, seed=40)
+    (root / "edges.txt").write_text("".join(f"{u} {v}\n" for u, v in graph.edges().tolist()))
+    docs, pairs = make_planted_corpus(60, 15, 40, vocab_size=300, edit_rate=0.6, seed=20)
+    (root / "corpus.jsonl").write_text(
+        "".join(json.dumps({"id": d.doc_id, "text": d.text}) + "\n" for d in docs))
+    (root / "labels.csv").write_text("id_a,id_b\n" + "".join(f"{a},{b}\n" for a, b in pairs))
+    (root / "a.txt").write_text("".join(f"item-{i}\n" for i in range(300)))
+    (root / "b.txt").write_text("".join(f"item-{i}\n" for i in range(150, 400)))
+    return {name: str(root / name) for name in ("edges.txt", "corpus.jsonl", "labels.csv", "a.txt", "b.txt")}
+
+
+def _outputs(main, argv: list[str], directory: Path, capsys) -> tuple[int, str, dict[str, bytes]]:
+    """Exit code, stdout and the bytes of every file ``main(argv)`` wrote into ``directory``.
+
+    ``{out}`` in an argument stands for ``directory``.
+    """
+    directory.mkdir(parents=True)
+    code = main([arg.replace("{out}", str(directory)) for arg in argv])
+    files = {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+    return code, capsys.readouterr().out, files
+
+
+def _assert_same_outputs(reference, tmp_path, capsys, *calls: list[str]) -> None:
+    """Run ``calls`` in order through each CLI, call ``i`` writing into ``<tree>/<i>``."""
+    current = [_outputs(cli.main, argv, tmp_path / "current" / str(i), capsys) for i, argv in enumerate(calls)]
+    ref = [_outputs(reference.main, argv, tmp_path / "reference" / str(i), capsys) for i, argv in enumerate(calls)]
+    assert all(code == 0 and files for code, _, files in current)
+    assert current == ref
+
+
+@pytest.mark.parametrize("estimator, metric", [
+    ("exact", "jaccard"), ("exact", "idf"), ("dothash", "jaccard"), ("dothash", "idf"),
+    ("minhash", "jaccard"), ("simhash", "jaccard"),
+])
+def test_dedup_csv(reference, inputs, tmp_path, capsys, estimator, metric):
+    _assert_same_outputs(reference, tmp_path, capsys, [
+        "dedup", "--corpus", inputs["corpus.jsonl"], "--labels", inputs["labels.csv"],
+        "--estimator", estimator, "--metric", metric, *SIZE_FLAGS[estimator],
+        "--k-at", "10", "--negatives", "200", "--seed", "42", "--out", "{out}/dedup.csv"])
+
+
+@pytest.mark.parametrize("estimator, metric", [
+    *[(estimator, metric) for estimator in ("exact", "dothash")
+      for metric in ("jaccard", "common_neighbors", "adamic_adar", "resource_allocation")],
+    ("minhash", "jaccard"), ("simhash", "jaccard"),
+])
+def test_linkpred_csv(reference, inputs, tmp_path, capsys, estimator, metric):
+    _assert_same_outputs(reference, tmp_path, capsys, [
+        "linkpred", "--edges", inputs["edges.txt"], "--estimator", estimator, "--metric", metric,
+        *SIZE_FLAGS[estimator], "--k-at", "5", "20", "--repeats", "2", "--seed", "41",
+        "--out", "{out}/linkpred.csv"])
+
+
+@pytest.mark.parametrize("estimator", ["dothash", "minhash", "simhash"])
+def test_sketch_files_and_compare_json(reference, inputs, tmp_path, capsys, estimator):
+    # compare reads the two files the same call list wrote, in the same tree.
+    sketch = ["sketch", "--estimator", estimator, *SIZE_FLAGS[estimator], "--seed", "7"]
+    _assert_same_outputs(
+        reference, tmp_path, capsys,
+        [*sketch, "--input", inputs["a.txt"], "--out", "{out}/a.skch"],
+        [*sketch, "--input", inputs["b.txt"], "--out", "{out}/b.skch"],
+    )
+    for tree, main in (("current", cli.main), ("reference", reference.main)):
+        directory = tmp_path / tree
+        assert main(["compare", str(directory / "0" / "a.skch"), str(directory / "1" / "b.skch")]) == 0
+    current, ref = capsys.readouterr().out.splitlines()
+    assert json.loads(current)["kind"] == estimator
+    assert current == ref
+
+
+def test_bounds_csv(reference, tmp_path, capsys):
+    _assert_same_outputs(reference, tmp_path, capsys, [
+        "bounds", "--size-a", "60", "--size-b", "80", "--size-int", "30", "--dims", "64", "256",
+        "--eps-points", "5", "--trials", "200", "--seed", "3", "--out", "{out}/bounds.csv"])

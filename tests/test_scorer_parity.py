@@ -24,6 +24,7 @@ from dothash.linkpred import (
 )
 from dothash.sketches import (
     WeightFn,
+    distinct_sets,
     dothash_build,
     dothash_intersection,
     dothash_jaccard,
@@ -108,7 +109,7 @@ def test_corpus_scores_equal_direct_builds(estimator, metric_name):
     metric = build_idf(shingle_sets) if metric_name == "idf" else Metric.JACCARD
     sets = [s.shingles.elements for s in shingle_sets]
     pairs = all_pairs(len(sets))
-    # As run_dedup_benchmark passes them: the whole corpus as one CSR pair.
+    # As run_dedup_benchmark passes them: the whole corpus as one DistinctSets.
     scorer = sketch_neighborhoods(shingle_csr(docs), metric, estimator, SIZES[estimator], seed=SEED)
     weights = metric if metric_name == "idf" else WeightFn.unit()
     expected = direct_scores(estimator, metric, weights, sets, pairs)
@@ -117,12 +118,15 @@ def test_corpus_scores_equal_direct_builds(estimator, metric_name):
 
 def test_degree_metrics_need_a_graph():
     with pytest.raises(ValueError, match="adamic_adar weights need a graph"):
-        sketch_neighborhoods((np.array([0, 3]), np.arange(3, dtype=np.uint64)), Metric.ADAMIC_ADAR,
-                             Estimator.EXACT)
+        sketch_neighborhoods(distinct_sets(np.array([0, 3]), np.arange(3, dtype=np.uint64)),
+                             Metric.ADAMIC_ADAR, Estimator.EXACT)
 
 
-@pytest.mark.parametrize("sets", [[[1, 2], [2, 3]], [np.arange(3, dtype=np.uint64)], np.zeros(3)],
-                         ids=["lists", "arrays", "array"])
+# A raw (indptr, elements) pair must go through distinct_sets first, so a
+# repeated id cannot reach a build or the set sizes.
+@pytest.mark.parametrize("sets", [[[1, 2], [2, 3]], [np.arange(3, dtype=np.uint64)], np.zeros(3),
+                                  (np.array([0, 2, 3]), np.array([1, 1, 2], dtype=np.uint64))],
+                         ids=["lists", "arrays", "array", "csr-pair"])
 def test_sets_other_than_a_graph_or_a_csr_pair_are_rejected(sets):
-    with pytest.raises(ValueError, match="a Graph or an .indptr, elements. CSR pair"):
+    with pytest.raises(ValueError, match="a Graph or DistinctSets"):
         sketch_neighborhoods(sets, Metric.JACCARD, Estimator.EXACT)

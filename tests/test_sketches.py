@@ -18,6 +18,7 @@ from dothash.sketches import (
     MinHashSketch,
     SimHashSketch,
     WeightFn,
+    distinct_sets,
     dothash_build,
     dothash_intersection,
     dothash_jaccard,
@@ -72,7 +73,7 @@ class TestWeightFn:
             w.weights_for(np.array([0, element], dtype=np.uint64))
         with pytest.raises(ValueError, match=match):
             dothash_build(Codebook(seed=0, dims=16), [1, element], w)
-        csr = np.array([0, 1, 2]), np.array([1, element], dtype=np.uint64)
+        csr = distinct_sets(np.array([0, 1, 2]), np.array([1, element], dtype=np.uint64))
         with pytest.raises(ValueError, match=match):
             sketch_neighborhoods(csr, w, Estimator.EXACT)
 
@@ -314,6 +315,31 @@ class TestSimHash:
         b = simhash_build(Codebook(seed=1, dims=128), [1])
         with pytest.raises(ValueError, match="incompatible sketches: dims mismatch"):
             simhash_similarity(a, b)
+
+
+@pytest.mark.parametrize("kind", ["dothash", "minhash", "simhash"])
+def test_seeds_equal_modulo_2_to_the_64_make_compatible_sketches(kind):
+    # -1 and 2**64 - 1 name one codebook (or hash family); their sketches,
+    # and a sketch read back from its file, compare without a seed mismatch.
+    elements = [1, 2, 3, 5, 8, 13]
+
+    def build(seed):
+        if kind == "minhash":
+            return minhash_build(MinwiseFamily(seed=seed, k=16), elements)
+        return (dothash_build if kind == "dothash" else simhash_build)(Codebook(seed=seed, dims=16), elements)
+
+    compare = {"dothash": dothash_intersection, "minhash": minhash_jaccard,
+               "simhash": simhash_similarity}[kind]
+    # A numpy integer seed names the same codebook as the Python int.
+    negative, wrapped, numpy_seed = build(-1), build(2**64 - 1), build(np.int64(-1))
+    assert negative.seed == wrapped.seed == numpy_seed.seed == 2**64 - 1
+    files = [io.BytesIO(), io.BytesIO(), io.BytesIO()]
+    for sketch, fp in zip((negative, wrapped, numpy_seed), files):
+        write_sketch(sketch, fp)
+    assert files[0].getvalue() == files[1].getvalue() == files[2].getvalue()
+    loaded = read_sketch(io.BytesIO(files[0].getvalue()))
+    for other in (wrapped, loaded):
+        assert compare(negative, other) == compare(wrapped, wrapped)
 
 
 class TestSerialization:

@@ -1,6 +1,6 @@
 """The exact oracle's sort-join against the scalar merge, byte for byte.
 
-``sketch_neighborhoods((indptr, elements), metric, Estimator.EXACT)``'s
+``sketch_neighborhoods(distinct_sets(indptr, elements), metric, Estimator.EXACT)``'s
 ``score_pairs`` joins the pairs' ranks a chunk of pairs at a time.  On any
 sets and pairs, and whatever the chunk size, its scores must equal
 ``exact_jaccard``, ``exact_intersection`` and ``exact_weighted`` run on
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from dothash import encoding
 from dothash.exact import SortedSet, exact_intersection, exact_jaccard, exact_weighted
 from dothash.linkpred import Estimator, Metric, sketch_neighborhoods
-from dothash.sketches import WeightFn
+from dothash.sketches import WeightFn, distinct_sets
 
 # Few distinct ids, so that sets overlap, among them the largest 64-bit ones.
 element_ids = st.one_of(st.integers(0, 12), st.sampled_from([2**63, 2**64 - 2, 2**64 - 1]))
@@ -29,9 +29,9 @@ def _weight(element: int) -> float:
 
 
 def _csr(sets):
-    """A list of sets as the CSR pair ``(indptr, elements)``."""
+    """A list of sets as DistinctSets."""
     indptr = np.cumsum([0] + [len(s) for s in sets])
-    return indptr, np.array([e for s in sets for e in s], dtype=np.uint64)
+    return distinct_sets(indptr, np.array([e for s in sets for e in s], dtype=np.uint64))
 
 
 def _merge_scores(sets, pairs, metric, weights):
