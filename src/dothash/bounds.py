@@ -98,21 +98,24 @@ def variance(q: BoundsQuery) -> float:
     return _variance_numerator(q) / q.dims
 
 
-def chebyshev_tail(q: BoundsQuery) -> float:
-    """Chebyshev bound on P(|X - i| >= eps * i), capped at 1."""
+def _check_relative_error(q: BoundsQuery) -> None:
+    """Raise ValueError unless ``eps * i`` is a finite positive error: i > 0 and 0 < eps < inf."""
     if q.size_int == 0:
         raise ValueError("relative error undefined for empty intersection")
-    if q.epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    # NaN fails every comparison, so test for a finite epsilon first.
+    if not math.isfinite(q.epsilon) or q.epsilon <= 0:
+        raise ValueError(f"epsilon must be positive and finite, got {q.epsilon!r}")
+
+
+def chebyshev_tail(q: BoundsQuery) -> float:
+    """Chebyshev bound on P(|X - i| >= eps * i), capped at 1."""
+    _check_relative_error(q)
     return float(min(1.0, variance(q) / (q.epsilon * q.size_int) ** 2))
 
 
 def clt_tail(q: BoundsQuery) -> float:
     """CLT approximation 2 * (1 - Phi(eps * i / sqrt(Var))) of the same event."""
-    if q.size_int == 0:
-        raise ValueError("relative error undefined for empty intersection")
-    if q.epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    _check_relative_error(q)
     z = q.epsilon * q.size_int / math.sqrt(variance(q))
     return 2.0 * (1.0 - normal_cdf(z))
 
@@ -122,10 +125,7 @@ def required_dims(q: BoundsQuery) -> int:
 
     Substitutes Var = numerator / d into the CLT bound and solves for d.
     """
-    if q.size_int == 0:
-        raise ValueError("relative error undefined for empty intersection")
-    if q.epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    _check_relative_error(q)
     if not 0.0 < q.prob < 1.0:
         raise ValueError("target probability must lie strictly in (0, 1)")
     z = normal_ppf(1.0 - q.prob / 2.0)

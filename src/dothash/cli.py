@@ -196,7 +196,9 @@ def _csv_out(path: str) -> Iterator[Any]:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
-    epsilons = np.linspace(args.eps_min, args.eps_max, args.eps_points)
+    # A NaN or infinite end makes NaN grid points, which bounds_sweep rejects.
+    with np.errstate(invalid="ignore"):
+        epsilons = np.linspace(args.eps_min, args.eps_max, args.eps_points)
     rows = bounds_mod.bounds_sweep(
         args.size_a, args.size_b, args.size_int,
         dims_list=args.dims, epsilons=epsilons, trials=args.trials, seed0=args.seed,
@@ -376,6 +378,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     except (ValueError, OSError) as exc:
         print(f"dothash: error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # sizes the host cannot allocate, such as --dims 5000000000
+        print(f"dothash: error: out of memory: {exc or 'allocation failed'}", file=sys.stderr)
         return 2
     except Exception as exc:  # invariant violations and bugs
         print(f"dothash: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

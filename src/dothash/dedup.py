@@ -1,11 +1,12 @@
 """Near-duplicate document detection over shingled text.
 
-Documents are normalized (lowercase, punctuation to spaces, collapsed
-whitespace), tokenized on whitespace, and turned into sets of hashed
-w-word shingles.  Corpus-level inverse document frequency supplies the
-weights for the weighted similarity sum(idf(x)) over shared shingles,
-which DotHash estimates directly; MinHash and SimHash provide unweighted
-Jaccard baselines.  The benchmark scores labeled duplicate pairs against
+Documents are normalized (lowercased, each run of characters other than
+letters and digits turned into one space, ASCII text on bytes), tokenized
+on whitespace, and turned into sets of hashed w-word shingles.
+Corpus-level inverse document frequency supplies the weights for the
+weighted similarity sum(idf(x)) over shared shingles, which DotHash
+estimates directly; MinHash and SimHash provide unweighted Jaccard
+baselines.  The benchmark scores labeled duplicate pairs against
 sampled non-duplicate pairs and reports Hits@K.
 """
 
@@ -35,6 +36,9 @@ from .sketches import dothash_build, dothash_intersection, dothash_jaccard  # no
 from .sketches import minhash_build, minhash_jaccard, simhash_build, simhash_similarity  # noqa: F401
 
 _NON_WORD = re.compile(r"[\W_]+", re.UNICODE)
+# Keeps the bytes ``_NON_WORD`` leaves in ASCII text, the letters and digits;
+# every other byte becomes a space.
+_ASCII_WORD = bytes(byte if bytes([byte]).isalnum() else ord(" ") for byte in range(256))
 
 
 class DedupMetric(enum.Enum):
@@ -89,8 +93,23 @@ def csr_idf(sets: DistinctSets) -> WeightFn:
 
 
 def normalize_text(text: str) -> str:
-    """Lowercase, replace punctuation runs with one space, trim the ends."""
-    return _NON_WORD.sub(" ", text.lower()).strip()
+    """Lowercase ``text``, turn each run of non-alphanumerics (``_`` too) into one space, trim the ends."""
+    return _normalized_utf8(text).decode("utf-8")
+
+
+def _normalized_utf8(text: str) -> bytes:
+    """:func:`normalize_text` as UTF-8: ASCII text on bytes, other text by the regex ``[\\W_]+``.
+
+    On ASCII, ``[\\W_]`` is every character but ``[0-9A-Za-z]`` and
+    ``bytes.lower`` is ``str.lower``.  So after the lowercased bytes go
+    through ``_ASCII_WORD`` only letters, digits and spaces are left, and
+    joining the space-separated words with one space gives the regex path's
+    text, with no per-word ``str``.  The regex turns lone surrogates into
+    spaces too, so the UTF-8 encoding cannot fail.
+    """
+    if text.isascii():
+        return b" ".join(text.encode("ascii").lower().translate(_ASCII_WORD).split())
+    return _NON_WORD.sub(" ", text.lower()).strip().encode("utf-8")
 
 
 def shingle(doc: Document, w: int = 3) -> ShingleSet:
@@ -114,7 +133,7 @@ def shingle_csr(docs: Sequence[Document], w: int = 3) -> DistinctSets:
     """
     if w < 1:
         raise ValueError("shingle width must be >= 1")
-    texts = [normalize_text(doc.text).encode("utf-8") for doc in docs]
+    texts = [_normalized_utf8(doc.text) for doc in docs]
     sizes = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
     counts, pieces = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.uint64)]
     for lo, hi in chunk_ranges(w * sizes):
@@ -156,7 +175,12 @@ def build_idf(corpus: Iterable[ShingleSet]) -> WeightFn:
 
 
 def load_corpus_jsonl(source: Union[str, Path]) -> list[Document]:
-    """Read a JSON-lines corpus with one {"id": ..., "text": ...} per line."""
+    """Read a JSON-lines corpus with one {"id": ..., "text": ...} per line.
+
+    ``text`` must be a JSON string and ``id`` a string or an integer, read
+    as its decimal digits; any other record raises ``ValueError("line N:
+    invalid corpus record (...)")``.
+    """
     docs: list[Document] = []
     seen: set[str] = set()
     with open(source, "r", encoding="utf-8", errors="surrogateescape") as fp:
@@ -166,7 +190,7 @@ def load_corpus_jsonl(source: Union[str, Path]) -> list[Document]:
                 continue
             try:
                 record = json.loads(line)
-                doc_id, text = str(record["id"]), str(record["text"])
+                doc_id, text = _record_fields(record)
             except (ValueError, KeyError, TypeError, RecursionError) as exc:
                 raise ValueError(f"line {lineno}: invalid corpus record ({exc})") from None
             if doc_id in seen:
@@ -176,6 +200,23 @@ def load_corpus_jsonl(source: Union[str, Path]) -> list[Document]:
     if not docs:
         raise ValueError("corpus has no documents")
     return docs
+
+
+def _record_fields(record: object) -> tuple[str, str]:
+    """A corpus record's ``(doc_id, text)``.
+
+    Raises TypeError unless the record is an object whose ``text`` is a
+    string and whose ``id`` is a string or an integer.
+    """
+    if not isinstance(record, dict):
+        raise TypeError(f"expected a JSON object, got {type(record).__name__}")
+    doc_id, text = record["id"], record["text"]
+    # bool is an int subclass, but JSON true and false are not ids.
+    if not isinstance(doc_id, (str, int)) or isinstance(doc_id, bool):
+        raise TypeError(f"id must be a string or an integer, got {type(doc_id).__name__}")
+    if not isinstance(text, str):
+        raise TypeError(f"text must be a string, got {type(text).__name__}")
+    return str(doc_id), text
 
 
 def load_pairs_csv(source: Union[str, Path]) -> list[tuple[str, str]]:

@@ -140,6 +140,14 @@ class TestRequiredDims:
         assert dims_p == sorted(dims_p, reverse=True)
 
 
+@pytest.mark.parametrize("analytic", [chebyshev_tail, clt_tail, required_dims])
+@pytest.mark.parametrize("epsilon", [0.0, -0.1, math.nan, math.inf, -math.inf])
+def test_epsilon_must_be_finite_and_positive(analytic, epsilon):
+    # NaN compares False with everything, so ``epsilon <= 0`` alone let it through.
+    with pytest.raises(ValueError, match="^epsilon must be positive"):
+        analytic(q(epsilon=epsilon))
+
+
 class TestNormalFunctions:
     @given(st.floats(min_value=-6.0, max_value=6.0))
     def test_mutual_inverses(self, x):

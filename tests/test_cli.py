@@ -402,6 +402,25 @@ class TestBoundsCommand:
         assert sampled == []
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [
+        ["--eps-min", "nan"], ["--eps-max", "nan"], ["--eps-min", "inf", "--eps-max", "inf"],
+        ["--eps-max", "inf"], ["--eps-min=-inf"],
+    ])
+    @pytest.mark.parametrize("to_stdout", [False, True])
+    def test_non_finite_epsilon_exits_two(self, tmp_path, monkeypatch, capsys, flags, to_stdout):
+        sampled = []
+        monkeypatch.setattr(bounds_mod, "sign_sums", lambda *args: sampled.append(args))
+        out = tmp_path / "bounds.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["bounds", "--size-a", "20", "--size-b", "20", "--size-int", "10",
+                         "--dims", "16", "--eps-points", "3", *flags,
+                         "--out", "-" if to_stdout else str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("dothash: error: epsilon must be positive")
+        assert captured.out == "" and not out.exists() and sampled == []
+
 
 class TestLinkpredCommand:
     def test_exact_run_and_rerun_identical(self, tmp_path):
@@ -544,6 +563,33 @@ class TestPinnedPipelineOutputs:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("command, target", [
+        (["linkpred", "--estimator", "dothash", "--metric", "jaccard", "--dims", "64"],
+         "dothash.linkpred.dothash_build_many"),
+        (["linkpred", "--estimator", "minhash", "--metric", "jaccard", "--k", "64"],
+         "dothash.linkpred.minhash_build_many"),
+        (["dedup", "--estimator", "dothash", "--metric", "idf", "--dims", "64"],
+         "dothash.linkpred.dothash_build_many"),
+        (["bounds", "--size-a", "20", "--size-b", "20", "--size-int", "10", "--dims", "64"],
+         "dothash.bounds.sign_sums"),
+    ])
+    def test_out_of_memory_is_a_data_error(self, tmp_path, monkeypatch, capsys, command, target):
+        # Stands in for a size the host cannot allocate, such as --dims 5000000000.
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 37.3 GiB for an array")
+
+        monkeypatch.setattr(target, refuse)
+        edges = _write_graph(tmp_path, erdos_renyi_graph(30, 0.3, seed=3))
+        corpus, labels = _write_corpus(tmp_path)
+        inputs = {"linkpred": ["--edges", str(edges)],
+                  "dedup": ["--corpus", str(corpus), "--labels", str(labels), "--negatives", "50"],
+                  "bounds": []}[command[0]]
+        out = tmp_path / "out.csv"
+        assert main([*command, *inputs, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "dothash: error: out of memory: Unable to allocate 37.3 GiB for an array\n")
+        assert not out.exists()
+
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
         assert main(["sketch", "--help"]) == 0

@@ -1,6 +1,7 @@
 """Tests for shingling, IDF weighting, and the deduplication benchmark."""
 
 import math
+import re
 import subprocess
 import sys
 import textwrap
@@ -8,10 +9,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dothash import encoding
+from dothash import dedup, encoding
 from dothash.dedup import (
     DedupConfig,
     DedupMetric,
@@ -51,6 +52,48 @@ def _reference_idf(corpus_size: int, doc_freq: dict[int, int], element: int) -> 
 def _csr_rows(sets) -> list[tuple[int, ...]]:
     ids = sets.distinct[sets.ranks]
     return [tuple(ids[lo:hi].tolist()) for lo, hi in zip(sets.indptr[:-1], sets.indptr[1:])]
+
+
+def _regex_normalize(text: str) -> str:
+    """The regex normalizer, the reference for both of ``normalize_text``'s paths."""
+    return re.sub(r"[\W_]+", " ", text.lower()).strip()
+
+
+def _reference_shingles(text: str, w: int) -> list[int]:
+    """Sorted distinct ids of ``text``'s w-word shingles, one ``element_id`` call per shingle."""
+    tokens = _regex_normalize(text).split()
+    return sorted({element_id(" ".join(tokens[i : i + w])) for i in range(len(tokens) - w + 1)})
+
+
+# Every ASCII code point, plus characters on which the regex and ASCII rules
+# could part: underscore, letters whose lowercase differs in length or form,
+# an Arabic-Indic digit, no-break space, line separator and CJK.
+_ASCII = [chr(c) for c in range(128)]
+_MIXED = _ASCII + ["_", "\u00e9", "\u00df", "\u0130", "\u0663", "\u00a0", "\u2028", "\u4e2d", "\u6587"]
+_TEXTS = st.one_of(st.text(alphabet=_ASCII, max_size=80), st.text(alphabet=_MIXED, max_size=80))
+
+
+class TestNormalize:
+    @given(_TEXTS)
+    @example("".join(_ASCII))
+    @example(" _Hello,\tWORLD_again\r\n42\x00x\x7f ")
+    @example("Stra\u00dfe \u0130stanbul caf\u00e9 \u0663\u00a0\u2028\u4e2d\u6587_x")
+    @example("a\ud800B \udfff")
+    @settings(max_examples=500)
+    def test_equals_the_regex(self, text):
+        expected = _regex_normalize(text)
+        assert normalize_text(text) == expected
+        assert dedup._normalized_utf8(text) == expected.encode("utf-8")
+
+    def test_ascii_text_skips_the_regex(self, monkeypatch):
+        class Refuse:
+            def sub(self, *args):
+                raise AssertionError("the regex ran on ASCII text")
+
+        monkeypatch.setattr(dedup, "_NON_WORD", Refuse())
+        assert normalize_text("It's A_b\tC-3!") == "it s a b c 3"
+        assert _csr_rows(shingle_csr([Document("d", "One, two: THREE")], 3)) == [
+            (element_id("one two three"),)]
 
 
 class TestShingle:
@@ -134,6 +177,21 @@ class TestShingle:
             expected = {element_id(" ".join(tokens[j : j + w])) for j in range(len(tokens) - w + 1)}
             assert ids[indptr[i] : indptr[i + 1]].tolist() == sorted(expected)
             assert singles[i] == ShingleSet(doc.doc_id, SortedSet(tuple(sorted(expected))))
+
+    @given(st.lists(st.one_of(_TEXTS, st.sampled_from(["", "one", "Two words", "_ \t\r\n"])),
+                    max_size=20),
+           st.integers(1, 4), st.sampled_from([1, 16, 64, 1 << 20]))
+    @example(["", "Hello, World_again\tTAB\r\nline 42", "Stra\u00dfe \u0130stanbul caf\u00e9 \u0663",
+              "x", "A b", "\u00a0", "plain ascii words here"], 3, 16)
+    @settings(max_examples=150, deadline=None)
+    def test_mixed_corpus_equals_reference_shingling(self, texts, w, chunk_bytes):
+        # ASCII and non-ASCII documents, empty ones and ones shorter than w,
+        # in batches small enough to split the corpus.
+        docs = [Document(f"d{i}", text) for i, text in enumerate(texts)]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(encoding, "_CHUNK_BYTES", chunk_bytes)
+            rows = _csr_rows(shingle_csr(docs, w))
+        assert rows == [tuple(_reference_shingles(text, w)) for text in texts]
 
 
 class TestIdf:
@@ -250,6 +308,31 @@ class TestLoaders:
         path.write_text('{"id": "a"}\n')
         with pytest.raises(ValueError, match="line 1"):
             load_corpus_jsonl(path)
+
+    @pytest.mark.parametrize("record, reason", [
+        ('{"id": "b", "text": null}', "text must be a string, got NoneType"),
+        ('{"id": "b", "text": 7}', "text must be a string, got int"),
+        ('{"id": "b", "text": true}', "text must be a string, got bool"),
+        ('{"id": "b", "text": ["x"]}', "text must be a string, got list"),
+        ('{"id": "b", "text": {"x": "y"}}', "text must be a string, got dict"),
+        ('{"id": null, "text": "x"}', "id must be a string or an integer, got NoneType"),
+        ('{"id": true, "text": "x"}', "id must be a string or an integer, got bool"),
+        ('{"id": 1.0, "text": "x"}', "id must be a string or an integer, got float"),
+        ('{"id": ["b"], "text": "x"}', "id must be a string or an integer, got list"),
+        ('{"id": {}, "text": "x"}', "id must be a string or an integer, got dict"),
+        ('["b", "x"]', "expected a JSON object, got list"),
+        ('"b x"', "expected a JSON object, got str"),
+    ])
+    def test_corpus_record_types_are_checked(self, tmp_path, record, reason):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"id": "a", "text": "x"}\n' + record + "\n")
+        with pytest.raises(ValueError, match=f"^line 2: invalid corpus record \\({re.escape(reason)}\\)$"):
+            load_corpus_jsonl(path)
+
+    def test_corpus_integer_ids_read_as_decimal(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"id": 7, "text": "x"}\n{"id": -12, "text": "y"}\n{"id": "7a", "text": ""}\n')
+        assert load_corpus_jsonl(path) == [Document("7", "x"), Document("-12", "y"), Document("7a", "")]
 
     def test_corpus_deeply_nested_record(self, tmp_path):
         # json.loads raises RecursionError here; the loader reports the line.

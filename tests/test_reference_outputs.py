@@ -6,12 +6,14 @@ bytecode under ``bench/``, and both CLIs run one fixed table of small seeded
 calls: ``dedup`` and ``linkpred`` CSVs for every estimator and metric the
 pipelines accept, ``.skch`` files of all three kinds with the ``compare``
 JSON of each pair, and one ``bounds`` CSV.  The two trees must write the
-same bytes.
+same bytes.  Inputs the reference misread, and this tree rejects, are
+listed with the exit code and message they now give.
 """
 
 import importlib
 import importlib.util
 import json
+import random
 import sys
 from pathlib import Path
 
@@ -48,7 +50,11 @@ def reference():
 
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory) -> dict[str, str]:
-    """A small graph, a corpus with heavily edited duplicates, and two overlapping token files."""
+    """The test inputs, by file name.
+
+    A small graph, a corpus with heavily edited duplicates, the same corpus
+    in mixed text, and two overlapping token files.
+    """
     root = tmp_path_factory.mktemp("inputs")
     graph = preferential_attachment_graph(150, 4, seed=40)
     (root / "edges.txt").write_text("".join(f"{u} {v}\n" for u, v in graph.edges().tolist()))
@@ -56,9 +62,32 @@ def inputs(tmp_path_factory) -> dict[str, str]:
     (root / "corpus.jsonl").write_text(
         "".join(json.dumps({"id": d.doc_id, "text": d.text}) + "\n" for d in docs))
     (root / "labels.csv").write_text("id_a,id_b\n" + "".join(f"{a},{b}\n" for a, b in pairs))
+    (root / "mixed.jsonl").write_text("".join(
+        json.dumps({"id": d.doc_id, "text": _decorate(d.text, i)}) + "\n" for i, d in enumerate(docs)))
     (root / "a.txt").write_text("".join(f"item-{i}\n" for i in range(300)))
     (root / "b.txt").write_text("".join(f"item-{i}\n" for i in range(150, 400)))
-    return {name: str(root / name) for name in ("edges.txt", "corpus.jsonl", "labels.csv", "a.txt", "b.txt")}
+    names = ("edges.txt", "corpus.jsonl", "mixed.jsonl", "labels.csv", "a.txt", "b.txt")
+    return {name: str(root / name) for name in names}
+
+
+_SEPARATORS = [" ", ", ", "\t", "\r\n", "_", " -- ", "... ", "\r", "'s "]
+_NON_ASCII = ["Stra\u00dfe", "caf\u00e9", "\u0130stanbul", "\u0663\u0664", "\u00a0", "\u2028", "\u4e2d\u6587"]
+
+
+def _decorate(text: str, seed: int) -> str:
+    """``text`` with mixed case, digits, punctuation, underscores, tabs and CRs.
+
+    Every third document also gets non-ASCII words, so it takes the regex
+    path.
+    """
+    rng = random.Random(seed)
+    pieces = []
+    for word in text.split():
+        word = rng.choice([word, word.upper(), word.title(), f"{word}:{rng.randrange(100)}"])
+        if seed % 3 == 0 and rng.random() < 0.2:
+            word = f"{rng.choice(_NON_ASCII)} {word}"
+        pieces += [word, rng.choice(_SEPARATORS)]
+    return "".join(pieces)
 
 
 def _outputs(main, argv: list[str], directory: Path, capsys) -> tuple[int, str, dict[str, bytes]]:
@@ -89,6 +118,42 @@ def test_dedup_csv(reference, inputs, tmp_path, capsys, estimator, metric):
         "dedup", "--corpus", inputs["corpus.jsonl"], "--labels", inputs["labels.csv"],
         "--estimator", estimator, "--metric", metric, *SIZE_FLAGS[estimator],
         "--k-at", "10", "--negatives", "200", "--seed", "42", "--out", "{out}/dedup.csv"])
+
+
+@pytest.mark.parametrize("estimator, metric", [
+    ("exact", "jaccard"), ("exact", "idf"), ("dothash", "jaccard"), ("dothash", "idf"),
+])
+def test_dedup_csv_on_mixed_text(reference, inputs, tmp_path, capsys, estimator, metric):
+    # ASCII documents take the byte normalizer, the rest the regex; the
+    # reference runs the regex on all of them.
+    _assert_same_outputs(reference, tmp_path, capsys, [
+        "dedup", "--corpus", inputs["mixed.jsonl"], "--labels", inputs["labels.csv"],
+        "--estimator", estimator, "--metric", metric, *SIZE_FLAGS[estimator],
+        "--k-at", "10", "--negatives", "200", "--seed", "42", "--out", "{out}/dedup.csv"])
+
+
+# Corpus records the reference read as the str() of a non-string, which now
+# exit 2 naming the line, since load_corpus_jsonl checks the record types.
+@pytest.mark.parametrize("record", [
+    '{"id": "z", "text": null}',
+    '{"id": "z", "text": 42}',
+    '{"id": "z", "text": ["a", "b"]}',
+    '{"id": "z", "text": {"a": "b"}}',
+    '{"id": true, "text": "a b c"}',
+    '{"id": null, "text": "a b c"}',
+    '{"id": 1.5, "text": "a b c"}',
+    '{"id": ["z"], "text": "a b c"}',
+])
+def test_dedup_rejects_records_the_reference_read(reference, inputs, tmp_path, capsys, record):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(Path(inputs["corpus.jsonl"]).read_text() + record + "\n")
+    argv = ["dedup", "--corpus", str(corpus), "--labels", inputs["labels.csv"],
+            "--estimator", "exact", "--metric", "jaccard", "--k-at", "10", "--negatives", "200",
+            "--out", str(tmp_path / "dedup.csv")]
+    assert reference.main(argv) == 0
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("dothash: error: line 61: invalid corpus record (")
 
 
 @pytest.mark.parametrize("estimator, metric", [
