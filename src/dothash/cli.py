@@ -10,8 +10,12 @@ seed and the primary output file is byte-identical.  Wall-clock columns
 in benchmark CSVs are written as 0.000000 unless --timings is given,
 because measured times are inherently not reproducible.
 
-Exit codes: 0 success, 1 usage error, 2 data/format error, 3 internal
-error.
+Each subcommand imports the pipeline module it runs when it runs, so
+``sketch``, ``compare`` and ``bounds`` start without loading ``linkpred``
+or ``dedup``.
+
+Exit codes: 0 success (also when the reader of stdout closes the pipe
+early), 1 usage error, 2 data/format error, 3 internal error.
 """
 
 from __future__ import annotations
@@ -20,16 +24,13 @@ import argparse
 import contextlib
 import csv
 import json
+import os
 import sys
 from typing import Any, Iterator, Sequence
 
 import numpy as np
 
-from . import bounds as bounds_mod
-from . import dedup as dedup_mod
-from . import linkpred as linkpred_mod
-from .encoding import Codebook, MinwiseFamily, element_ids, slice_ids
-from .linkpred import _SPACE
+from .encoding import _SPACE, Codebook, MinwiseFamily, element_ids, slice_ids
 from .sketches import (
     MAX_SKETCH_SIZE,
     DotHashSketch,
@@ -196,6 +197,8 @@ def _csv_out(path: str) -> Iterator[Any]:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
+    from . import bounds as bounds_mod
+
     # A NaN or infinite end makes NaN grid points, which bounds_sweep rejects.
     with np.errstate(invalid="ignore"):
         epsilons = np.linspace(args.eps_min, args.eps_max, args.eps_points)
@@ -216,6 +219,8 @@ def _fmt_seconds(value: float, timings: bool) -> str:
 
 
 def _cmd_linkpred(args: argparse.Namespace) -> int:
+    from . import linkpred as linkpred_mod
+
     size = _resolve_size(args)
     graph = linkpred_mod.load_edge_list(args.edges)
     point = linkpred_mod.SweepPoint(
@@ -243,11 +248,13 @@ def _cmd_linkpred(args: argparse.Namespace) -> int:
 
 
 def _cmd_dedup(args: argparse.Namespace) -> int:
+    from . import dedup as dedup_mod
+
     size = _resolve_size(args)
     corpus = dedup_mod.load_corpus_jsonl(args.corpus)
     pairs = dedup_mod.load_pairs_csv(args.labels)
     config = dedup_mod.DedupConfig(
-        estimator=linkpred_mod.Estimator(args.estimator),
+        estimator=dedup_mod.Estimator(args.estimator),
         metric=dedup_mod.DedupMetric(args.metric),
         dims_or_k=size,
         shingle_width=args.shingle_width,
@@ -365,6 +372,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _stdout_to_devnull() -> None:
+    """Point stdout's file descriptor at os.devnull, so the flush at exit cannot raise."""
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):  # no descriptor, such as a StringIO
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -372,10 +390,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # Flushed here, so a reader that closed the pipe early is caught below, not at exit.
+        sys.stdout.flush()
+        return code
     except _UsageError as exc:
         print(f"dothash: error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # The reader took what it wanted, as ``dothash bounds | head -1`` does.
+        _stdout_to_devnull()
+        return 0
     except (ValueError, OSError) as exc:
         print(f"dothash: error: {exc}", file=sys.stderr)
         return 2

@@ -25,7 +25,7 @@ from typing import IO, Iterable, Sequence, Union
 
 import numpy as np
 
-from .encoding import Codebook, MinwiseFamily, chunk_ranges, sorted_distinct
+from .encoding import _SPACE, Codebook, MinwiseFamily, chunk_ranges, sorted_distinct
 from .sketches import DistinctSets, WeightFn, WeightKind, distinct_sets
 from .sketches import dothash_build_many, minhash_build_many, simhash_build_many
 
@@ -134,10 +134,6 @@ def decode_line(raw: bytes | str, lineno: int) -> str:
         return raw.decode("utf-8")
     except UnicodeError as exc:
         raise ValueError(f"line {lineno}: {exc}") from None
-
-
-# The ASCII bytes that str.split and str.strip take as whitespace.
-_SPACE = np.array([chr(c).isspace() for c in range(128)])
 
 
 def load_edge_list(source: Union[str, Path, IO[bytes], IO[str]]) -> Graph:

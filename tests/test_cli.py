@@ -27,6 +27,13 @@ from dothash.linkpred import erdos_renyi_graph, preferential_attachment_graph
 from dothash.sketches import dothash_build, dothash_intersection, read_sketch
 
 
+def _subprocess_env() -> dict[str, str]:
+    """The environment for a fresh interpreter that imports this checkout's dothash."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 @pytest.fixture()
 def element_file(tmp_path):
     path = tmp_path / "elements.txt"
@@ -280,11 +287,8 @@ class TestCompareCommand:
             "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))\n"
             "sys.exit(main(['compare', sys.argv[1], sys.argv[1]]))\n"
         )
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         result = subprocess.run([sys.executable, "-c", script, str(sketch)], capture_output=True,
-                                text=True, env=env, timeout=120)
+                                text=True, env=_subprocess_env(), timeout=120)
         assert result.returncode == 2, result.stderr
         assert "payload too short" in result.stderr
 
@@ -599,3 +603,48 @@ class TestExitCodes:
 
     def test_missing_subcommand_is_usage_error(self):
         assert main([]) == 1
+
+    def test_closed_stdout_pipe_exits_zero_quietly(self):
+        # About 1.6 MB of CSV: far more than the pipe holds, so writes go on
+        # after the reader has taken one line and closed its end.
+        argv = [sys.executable, "-m", "dothash.cli", "bounds", "--size-a", "60", "--size-b", "80",
+                "--size-int", "30", "--dims", "8", "--eps-points", "20000", "--trials", "1"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              text=True, env=_subprocess_env()) as proc:
+            assert proc.stdout.readline() == "d,epsilon,chebyshev,clt,empirical\n"
+            proc.stdout.close()
+            _, stderr = proc.communicate(timeout=120)
+        assert (proc.returncode, stderr) == (0, "")
+
+
+_IMPORTED_PIPELINES = """
+import json, sys
+from dothash import cli
+
+def run(*argv):
+    assert cli.main(list(argv)) == 0, argv
+    return [name for name in ("dothash.linkpred", "dothash.dedup") if name in sys.modules]
+
+tokens, edges, out = sys.argv[1:]
+loaded = {
+    "sketch": run("sketch", "--estimator", "dothash", "--dims", "64", "--input", tokens,
+                  "--out", out + "/a.skch"),
+    "compare": run("compare", out + "/a.skch", out + "/a.skch"),
+    "bounds": run("bounds", "--size-a", "10", "--size-b", "10", "--size-int", "5", "--dims", "64",
+                  "--eps-points", "2", "--trials", "5", "--out", out + "/bounds.csv"),
+    "linkpred": run("linkpred", "--edges", edges, "--estimator", "exact", "--metric", "jaccard",
+                    "--k-at", "5", "--repeats", "1", "--out", out + "/linkpred.csv"),
+}
+print(json.dumps(loaded))
+"""
+
+
+def test_each_subcommand_loads_only_the_pipelines_it_runs(tmp_path, element_file):
+    edges = _write_graph(tmp_path, erdos_renyi_graph(30, 0.3, seed=3))
+    result = subprocess.run([sys.executable, "-c", _IMPORTED_PIPELINES, str(element_file),
+                             str(edges), str(tmp_path)],
+                            capture_output=True, text=True, env=_subprocess_env(), timeout=120)
+    assert result.returncode == 0, result.stderr
+    # Modules in sys.modules after each call, in order, in one fresh interpreter.
+    assert json.loads(result.stdout.splitlines()[-1]) == {
+        "sketch": [], "compare": [], "bounds": [], "linkpred": ["dothash.linkpred"]}

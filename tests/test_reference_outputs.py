@@ -6,18 +6,24 @@ bytecode under ``bench/``, and both CLIs run one fixed table of small seeded
 calls: ``dedup`` and ``linkpred`` CSVs for every estimator and metric the
 pipelines accept, ``.skch`` files of all three kinds with the ``compare``
 JSON of each pair, and one ``bounds`` CSV.  The two trees must write the
-same bytes.  Inputs the reference misread, and this tree rejects, are
-listed with the exit code and message they now give.
+same bytes.  ``sketch`` and ``compare`` are also driven with hypothesis over
+generated token files, estimators, sizes and seeds.  Inputs the reference
+misread, and this tree rejects, are listed with the exit code and message
+they now give.
 """
 
+import contextlib
 import importlib
 import importlib.util
+import io
 import json
 import random
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dothash import cli
 from dothash.dedup import make_planted_corpus
@@ -189,3 +195,85 @@ def test_bounds_csv(reference, tmp_path, capsys):
     _assert_same_outputs(reference, tmp_path, capsys, [
         "bounds", "--size-a", "60", "--size-b", "80", "--size-int", "30", "--dims", "64", "256",
         "--eps-points", "5", "--trials", "200", "--seed", "3", "--out", "{out}/bounds.csv"])
+
+
+# Short ASCII words, and any UTF-8 text, which may hold whitespace and line
+# breaks of its own; whitespace that str.strip removes from a line's ends.
+_ascii_tokens = st.from_regex(r"[a-z0-9_.-]{1,10}", fullmatch=True)
+_utf8_tokens = st.text(st.characters(codec="utf-8"), min_size=1, max_size=6)
+_ASCII_EDGES = ["", " ", "\t", "\x1f"]
+_OTHER_EDGES = ["\u3000", "\xa0", "\x85"]
+
+
+@st.composite
+def _token_file_pairs(draw) -> tuple[bytes, bytes]:
+    """Two token files over one pool of tokens, so their sets overlap.
+
+    Half the pairs are all ASCII, so the byte path reads them.  Lines repeat
+    tokens, are blank, or pad a token with whitespace, and end in LF, CRLF
+    or CR, with or without a break after the last line.
+    """
+    ascii_only = draw(st.booleans())
+    tokens = _ascii_tokens if ascii_only else st.one_of(_ascii_tokens, _utf8_tokens)
+    edges = st.sampled_from(_ASCII_EDGES if ascii_only else _ASCII_EDGES + _OTHER_EDGES)
+    pool = draw(st.lists(tokens, min_size=1, max_size=12))
+    line = st.one_of(st.sampled_from(pool), st.just(""),
+                     st.tuples(edges, st.sampled_from(pool), edges).map("".join))
+
+    def token_file() -> bytes:
+        lines = draw(st.lists(st.tuples(line, st.sampled_from(["\n", "\r\n", "\r"])), max_size=40))
+        text = "".join(token + end for token, end in lines)
+        if lines and draw(st.booleans()):
+            text = text[: -len(lines[-1][1])]
+        return text.encode("utf-8")
+
+    return token_file(), token_file()
+
+
+@pytest.fixture(scope="module")
+def token_dir(tmp_path_factory) -> Path:
+    return tmp_path_factory.mktemp("tokens")
+
+
+def _sketch_and_compare(main, directory: Path, inputs: tuple[Path, Path], flags: list[str]) -> list:
+    """Exit code and stdout of ``sketch`` of each input and of ``compare`` of the two,
+    with the bytes of each sketch file; ``compare`` runs only when both sketches were written.
+    """
+    directory.mkdir(exist_ok=True)
+    results = []
+    for name, source in zip("ab", inputs):
+        out = directory / f"{name}.skch"
+        out.unlink(missing_ok=True)
+        results.append(_quiet_call(main, ["sketch", *flags, "--input", str(source), "--out", str(out)]))
+        results.append(out.read_bytes() if out.exists() else None)
+    if results[0][0] == results[2][0] == 0:
+        results.append(_quiet_call(main, ["compare", str(directory / "a.skch"), str(directory / "b.skch")]))
+    return results
+
+
+def _quiet_call(main, argv: list[str]) -> tuple[int, str]:
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, stdout.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(files=_token_file_pairs(), estimator=st.sampled_from(["dothash", "minhash", "simhash"]),
+       size=st.integers(0, 200),
+       seed=st.one_of(st.integers(0, 2**64 - 1), st.integers(-2**65, 2**65)))
+@example(files=(b"a\nb\nc\n", b"b\r\nc\r\nd"), estimator="dothash", size=100, seed=2**63)
+@example(files=(b"", b"\n\r\n\r"), estimator="minhash", size=7, seed=2**64 - 1)
+@example(files=(b" x \r\x1fy\t\n", "caf\u00e9\u2028x".encode()), estimator="simhash",
+         size=65, seed=2**63 + 1)
+def test_sketch_and_compare_on_generated_tokens(reference, token_dir, files, estimator, size, seed):
+    inputs = (token_dir / "a.txt", token_dir / "b.txt")
+    for path, data in zip(inputs, files):
+        path.write_bytes(data)
+    flags = ["--estimator", estimator, "--k" if estimator == "minhash" else "--dims", str(size),
+             "--seed", str(seed)]
+    current = _sketch_and_compare(cli.main, token_dir / "current", inputs, flags)
+    ref = _sketch_and_compare(reference.main, token_dir / "reference", inputs, flags)
+    # Sizes below 1 exit 2 in both trees; everything else runs through compare.
+    assert len(current) == (5 if size >= 1 else 4)
+    assert current == ref
