@@ -15,7 +15,8 @@ Each subcommand imports the pipeline module it runs when it runs, so
 or ``dedup``.
 
 Exit codes: 0 success (also when the reader of stdout closes the pipe
-early), 1 usage error, 2 data/format error, 3 internal error.
+early), 1 usage error, 2 data/format error (also a subcommand that writes
+to stdout started with stdout closed), 3 internal error.
 """
 
 from __future__ import annotations
@@ -389,10 +390,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    writes_stdout = args.func in (_cmd_sketch, _cmd_compare) or getattr(args, "out", None) == "-"
+    if sys.stdout is None and writes_stdout:  # started with stdout closed
+        print("dothash: error: stdout is closed", file=sys.stderr)
+        return 2
     try:
         code = args.func(args)
         # Flushed here, so a reader that closed the pipe early is caught below, not at exit.
-        sys.stdout.flush()
+        if sys.stdout is not None:
+            sys.stdout.flush()
         return code
     except _UsageError as exc:
         print(f"dothash: error: {exc}", file=sys.stderr)

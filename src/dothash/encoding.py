@@ -36,7 +36,7 @@ import operator
 import struct
 import sys
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -71,6 +71,12 @@ _SCALAR_TAIL = 16
 
 # Mask of the bytes kept from the word at a slice's end, by length % 8.
 _TAIL_MASKS = np.array([_MASK64] + [(1 << (8 * r)) - 1 for r in range(1, 8)], dtype=np.uint64)
+
+# (shift, mask) of the three delta swaps of an 8x8 bit transpose.
+_TRANSPOSE8_ROUNDS = tuple(
+    (np.uint64(shift), np.uint64(mask))
+    for shift, mask in ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
+)
 
 
 def splitmix64(x: int) -> int:
@@ -245,6 +251,43 @@ def sorted_distinct(values: np.ndarray) -> np.ndarray:
     return out
 
 
+def _transpose8(x: np.ndarray) -> None:
+    """Transpose the 8x8 bit matrix held in every uint64 of ``x``, in place.
+
+    Bit ``8*i + j`` trades places with bit ``8*j + i`` (Hacker's Delight,
+    section 7-3), so byte ``j`` of the result holds bit ``j`` of input byte
+    ``i`` as its bit ``i``.
+    """
+    t = np.empty_like(x)
+    for shift, mask in _TRANSPOSE8_ROUNDS:
+        np.right_shift(x, shift, out=t)
+        t ^= x
+        t &= mask
+        x ^= t
+        t <<= shift
+        x ^= t
+
+
+def _byte_columns(rows: Sequence[np.ndarray]) -> np.ndarray:
+    """One byte per bit lane of up to 8 rows of packed bits, shape (n, 64 * blocks), uint8.
+
+    Each row is a uint64 array of shape (n, blocks) whose lane ``c`` is bit
+    ``c % 64`` of word ``c // 64``; rows past the last are zero.  Bit ``i``
+    of output byte ``c`` is lane ``c`` of ``rows[i]``.  Little-endian words
+    put lanes 64j+8k..64j+8k+7 in byte k of block j, so each row's bytes are
+    shuffled into one word per byte position, byte ``i`` from row ``i``,
+    and an 8x8 bit transpose of that word gives each of its lanes a byte.
+    """
+    n, blocks = rows[0].shape
+    # (n, block, byte, row): one uint64 per byte position.
+    packed = np.zeros((n, blocks, 8, 8), dtype=np.uint8)
+    for i, row in enumerate(rows):
+        packed[..., i] = row.astype("<u8", copy=False).view(np.uint8).reshape(n, blocks, 8)
+    words = packed.view("<u8").reshape(n, 8 * blocks)
+    _transpose8(words)
+    return words.view(np.uint8).reshape(n, 64 * blocks)
+
+
 def _bits_from_words(words: np.ndarray, dims: int) -> np.ndarray:
     """Unpack uint64 blocks (last axis) into `dims` sign bits, LSB first."""
     if sys.byteorder != "little":  # pragma: no cover - exotic platforms
@@ -326,8 +369,9 @@ def sign_sums(seeds: np.ndarray, elements: np.ndarray, dims: int) -> np.ndarray:
     ``2**p`` into a sum of that weight and a carry of weight ``2**(p+1)``,
     a half adder takes the last two, and the one word left is bit plane
     ``p``; the carries are the words of the next weight.  For m elements
-    that leaves ``m.bit_length()`` planes, and only those are unpacked, each
-    added as ``plane << p``.  Elements are taken in chunks of about
+    that leaves ``m.bit_length()`` planes, and only those are turned into
+    integers: each 8 planes, as the rows of :func:`_byte_columns`, give one
+    byte of every count at once.  Elements are taken in chunks of about
     ``_CHUNK_BYTES`` of words and the integer counts of the chunks added,
     so the temporaries stay bounded whatever n is.  Unit-weight sketch
     builds count their sets with the same counter, :func:`_add_sign_counts`.
@@ -364,8 +408,9 @@ def _add_sign_counts(
     word adds nothing to a popcount.  The sign words are computed in place
     in `buffer`, a uint64 array of at least ``2 * keys.size * blocks``
     words that is reused across calls, and counted by :func:`_bit_planes`
-    along the rows; only the planes are unpacked, each added as
-    ``plane << p``.
+    along the rows.  Planes ``8k .. 8k+7`` go through :func:`_byte_columns`
+    as its 8 rows, zero rows past the last plane, and each count adds its
+    byte ``<< 8k``.
     """
     dims = counts.shape[1]
     blocks = (dims + 63) // 64
@@ -373,10 +418,13 @@ def _add_sign_counts(
     words = buffer[:size].reshape(keys.shape + (blocks,))
     np.add(keys[:, :, None], np.arange(1, blocks + 1, dtype=np.uint64) * _U64_GOLDEN, out=words)
     _splitmix64_into(words, buffer[size : 2 * size].reshape(words.shape), words)
-    if valid is not None:
+    if valid is not None and not valid.all():
         words *= valid[:, :, None]
-    for p, plane in enumerate(_bit_planes(words)):
-        counts += np.left_shift(_bits_from_words(plane, dims), p, dtype=counts.dtype)
+    planes = _bit_planes(words)
+    for p in range(0, len(planes), 8):
+        columns = _byte_columns(planes[p : p + 8])[:, :dims]
+        # The first byte is cast as it is added, with no wider temporary.
+        counts += np.left_shift(columns, p, dtype=counts.dtype) if p else columns
 
 
 def _bit_planes(x: np.ndarray) -> list[np.ndarray]:

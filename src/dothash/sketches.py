@@ -44,6 +44,7 @@ from .encoding import (
     Codebook,
     MinwiseFamily,
     _add_sign_counts,
+    _byte_columns,
     _count_dtype,
     as_element_array,
     sorted_distinct,
@@ -53,12 +54,6 @@ MINHASH_EMPTY_SENTINEL = (1 << 64) - 1
 
 # Elements per lookup group: eight sign bits make one byte per coordinate.
 _GROUP = 8
-
-# (shift, mask) of the three delta swaps of an 8x8 bit transpose.
-_TRANSPOSE8_ROUNDS = tuple(
-    (np.uint64(shift), np.uint64(mask))
-    for shift, mask in ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
-)
 
 
 class WeightKind(enum.Enum):
@@ -176,23 +171,6 @@ def _require_compatible(size_a: int, size_b: int, seed_a: int, seed_b: int, size
         raise ValueError(f"incompatible sketches: seed mismatch ({seed_a} vs {seed_b})")
 
 
-def _transpose8(x: np.ndarray) -> None:
-    """Transpose the 8x8 bit matrix held in every uint64 of ``x``, in place.
-
-    Bit ``8*i + j`` trades places with bit ``8*j + i`` (Hacker's Delight,
-    section 7-3), so byte ``j`` of the result holds bit ``j`` of input byte
-    ``i`` as its bit ``i``.
-    """
-    t = np.empty_like(x)
-    for shift, mask in _TRANSPOSE8_ROUNDS:
-        np.right_shift(x, shift, out=t)
-        t ^= x
-        t &= mask
-        x ^= t
-        t <<= shift
-        x ^= t
-
-
 def _sign_tables(roots: np.ndarray) -> np.ndarray:
     """Lookup tables of signed root sums, shape (groups, 256), from (8, groups) roots.
 
@@ -297,9 +275,10 @@ def _root_sums(
 
     The sets are a :class:`DistinctSets`, each taken in ascending
     element order.  Each set's elements are taken 8 at a time, the last
-    group padded with zero weight.  An 8x8 bit transpose turns a group's
-    sign words into one byte per coordinate, and the coordinate adds
-    ``table[byte]`` from the group's 256-entry table of signed root sums.
+    group padded with zero weight.  The group's sign words, as the 8 rows
+    of :func:`dothash.encoding._byte_columns`, give one byte per coordinate,
+    and the coordinate adds ``table[byte]`` from the group's 256-entry
+    table of signed root sums.
     Groups are added in order, starting from +0.0, with elementwise float64
     operations only, so the result does not depend on the CPU or BLAS, a
     set of zero weights sums to +0.0, and unit weights give exact integers,
@@ -349,12 +328,7 @@ def _root_sums(
         group_roots = np.where(real, roots[ids], 0.0).T
         ids = ids.ravel()
         words = shared[ids] if shared is not None else cb.sign_words(distinct[ids])
-        # Little-endian words, so byte k of block j holds coordinates 64j+8k..64j+8k+7.
-        # (group, row, block, byte) -> (group, block, byte, row): one uint64 per byte position.
-        words = words.astype("<u8", copy=False).view(np.uint8).reshape(hi - lo, _GROUP, blocks, 8)
-        packed = np.ascontiguousarray(words.transpose(0, 2, 3, 1)).view("<u8").reshape(hi - lo, -1)
-        _transpose8(packed)
-        codes = packed.astype("<u8", copy=False).view(np.uint8).reshape(hi - lo, width)
+        codes = _byte_columns(words.reshape(hi - lo, _GROUP, blocks).transpose(1, 0, 2))
         tables = _sign_tables(group_roots)
         for g in range(hi - lo):
             out[owner[lo + g]] += tables[g].take(codes[g, :dims])

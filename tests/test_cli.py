@@ -616,6 +616,41 @@ class TestExitCodes:
             _, stderr = proc.communicate(timeout=120)
         assert (proc.returncode, stderr) == (0, "")
 
+    def _run_with_stdout_closed(self, cwd, *args):
+        # A shell closes descriptor 1 before exec, so the interpreter starts
+        # with sys.stdout None, as ``dothash ... >&-`` starts it.
+        argv = ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "dothash.cli", *map(str, args)]
+        return subprocess.run(argv, cwd=cwd, stderr=subprocess.PIPE, text=True,
+                              env=_subprocess_env(), timeout=120)
+
+    @pytest.mark.parametrize("command", [
+        ["sketch", "--estimator", "dothash", "--dims", "8", "--input", "tokens.txt", "--out", "out.skch"],
+        ["compare", "a.skch", "a.skch"],
+        ["bounds", "--size-a", "6", "--size-b", "8", "--size-int", "3", "--dims", "8",
+         "--eps-points", "3", "--trials", "2"],
+        ["linkpred", "--edges", "graph.txt", "--estimator", "exact", "--metric", "jaccard",
+         "--k-at", "5", "--repeats", "1", "--out", "-"],
+        ["dedup", "--corpus", "corpus.jsonl", "--labels", "labels.csv", "--estimator", "exact",
+         "--metric", "jaccard", "--negatives", "50", "--out", "-"],
+    ], ids=lambda command: command[0])
+    def test_closed_stdout_is_a_data_error(self, tmp_path, command):
+        (tmp_path / "tokens.txt").write_text("a\nb\n")
+        assert main(["sketch", "--estimator", "dothash", "--dims", "8",
+                     "--input", str(tmp_path / "tokens.txt"), "--out", str(tmp_path / "a.skch")]) == 0
+        _write_graph(tmp_path, erdos_renyi_graph(30, 0.3, seed=3))
+        _write_corpus(tmp_path)
+        result = self._run_with_stdout_closed(tmp_path, *command)
+        assert (result.returncode, result.stderr) == (2, "dothash: error: stdout is closed\n")
+        assert not (tmp_path / "out.skch").exists()
+
+    def test_closed_stdout_with_an_output_file_runs(self, tmp_path, capsys):
+        flags = ["bounds", "--size-a", "6", "--size-b", "8", "--size-int", "3", "--dims", "8",
+                 "--eps-points", "3", "--trials", "2"]
+        result = self._run_with_stdout_closed(tmp_path, *flags, "--out", "closed.csv")
+        assert (result.returncode, result.stderr) == (0, "")
+        assert main([*flags, "--out", str(tmp_path / "open.csv")]) == 0
+        assert (tmp_path / "closed.csv").read_bytes() == (tmp_path / "open.csv").read_bytes()
+
 
 _IMPORTED_PIPELINES = """
 import json, sys

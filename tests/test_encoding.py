@@ -8,12 +8,13 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dothash import encoding
+from dothash import encoding, sketches
 from dothash.encoding import (
     _CHUNK_BYTES,
     _ELEMENT_DOMAIN,
     Codebook,
     MinwiseFamily,
+    _byte_columns,
     _splitmix64_np,
     element_id,
     element_ids,
@@ -22,6 +23,7 @@ from dothash.encoding import (
     sorted_distinct,
     splitmix64,
 )
+from dothash.sketches import dothash_build, simhash_build
 
 U64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
 
@@ -333,6 +335,105 @@ class TestSignSums:
         small = Codebook(seed=seed, dims=dims).sign_bits(elements)
         large = Codebook(seed=seed, dims=dims + extra).sign_bits(elements)
         assert np.array_equal(small, large[:, :dims])
+
+
+def reference_byte_columns(rows: list[np.ndarray], lanes: int) -> np.ndarray:
+    """Bit i of byte c is bit c % 64 of word c // 64 of rows[i], one bit at a time."""
+    n = rows[0].shape[0]
+    out = np.zeros((n, lanes), dtype=np.uint8)
+    for r in range(n):
+        for c in range(lanes):
+            for i, row in enumerate(rows):
+                out[r, c] |= ((int(row[r, c // 64]) >> (c % 64)) & 1) << i
+    return out
+
+
+class TestByteColumns:
+    @given(
+        n=st.integers(min_value=1, max_value=3),
+        lanes=st.sampled_from([1, 7, 8, 9, 63, 64, 65, 130]) | st.integers(min_value=1, max_value=200),
+        nrows=st.integers(min_value=1, max_value=8),
+        fill=st.sampled_from(["random", "zeros", "ones"]),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_scalar_reference(self, n, lanes, nrows, fill, seed):
+        blocks = (lanes + 63) // 64
+        shape = (nrows, n, blocks)
+        words = {
+            "random": np.random.default_rng(seed).integers(0, 2**64, size=shape, dtype=np.uint64),
+            "zeros": np.zeros(shape, dtype=np.uint64),
+            "ones": np.full(shape, 2**64 - 1, dtype=np.uint64),
+        }[fill]
+        out = _byte_columns(list(words))
+        assert out.shape == (n, 64 * blocks) and out.dtype == np.uint8
+        assert np.array_equal(out[:, :lanes], reference_byte_columns(list(words), lanes))
+
+    def test_rows_as_strided_views_of_one_array(self):
+        # The weighted build passes a group's (n, 8, blocks) words as 8 strided rows.
+        words = np.random.default_rng(5).integers(0, 2**64, size=(3, 8, 2), dtype=np.uint64)
+        rows = words.transpose(1, 0, 2)
+        assert np.array_equal(_byte_columns(rows), _byte_columns([row.copy() for row in rows]))
+        assert np.array_equal(_byte_columns(rows), reference_byte_columns(list(rows), 128))
+
+
+def _chunked_reference_sign_sums(seeds: np.ndarray, elements: np.ndarray, dims: int) -> np.ndarray:
+    """reference_sign_sums over consecutive element slices, added: the same sums in bounded memory."""
+    return sum(reference_sign_sums(seeds, elements[lo : lo + 8192], dims) for lo in range(0, len(elements), 8192))
+
+
+@pytest.fixture()
+def counted_rows(monkeypatch):
+    """Rows of every chunk that the sign counter counts, through either caller."""
+    seen = []
+    count = encoding._add_sign_counts
+
+    def spy(keys, *args):
+        seen.append(keys.shape[0])
+        return count(keys, *args)
+
+    monkeypatch.setattr(encoding, "_add_sign_counts", spy)
+    monkeypatch.setattr(sketches, "_add_sign_counts", spy)
+    return seen
+
+
+class TestThreeByteCounts:
+    """Counts past 65,535: 17 or more bit planes, so a third byte of every count."""
+
+    SEED = 3
+
+    @staticmethod
+    def positive_at_both_ends(dims: int, n: int = 70_000) -> np.ndarray:
+        """n distinct elements whose signs at coordinates 0 and dims - 1 are all +1.
+
+        Those two coordinates then count every element, past 65,535, where
+        random signs count only about half of them.
+        """
+        pool = _splitmix64_np(np.arange(8 * n, dtype=np.uint64))  # distinct: splitmix64 is a bijection
+        words = Codebook(seed=TestThreeByteCounts.SEED, dims=dims).sign_words(pool)
+        last = np.uint64(dims - 1)
+        keep = (words[:, 0] & np.uint64(1)) & (words[:, (dims - 1) // 64] >> (last % np.uint64(64)))
+        return pool[(keep & np.uint64(1)).astype(bool)][:n]
+
+    @pytest.mark.parametrize("dims", [1, 8, 64, 65])
+    def test_sign_sums(self, dims, counted_rows):
+        elements = self.positive_at_both_ends(dims)
+        seeds = np.array([self.SEED], dtype=np.uint64)
+        sums = sign_sums(seeds, elements, dims)
+        assert max(counted_rows) > 65_535
+        assert sums[0, 0] == sums[0, -1] == elements.size == 70_000
+        assert np.array_equal(sums, _chunked_reference_sign_sums(seeds, elements, dims))
+
+    @pytest.mark.parametrize("dims", [1, 8, 64, 65])
+    def test_unit_builds(self, dims, counted_rows):
+        elements = self.positive_at_both_ends(dims)
+        expected = _chunked_reference_sign_sums(np.array([self.SEED], dtype=np.uint64), elements, dims)[0]
+        cb = Codebook(seed=self.SEED, dims=dims)
+        assert np.array_equal(dothash_build(cb, elements).values, expected / np.sqrt(dims))
+        assert np.array_equal(simhash_build(cb, elements).bits, np.packbits(expected > 0, bitorder="little"))
+        # A batch's words and scratch fill _CHUNK_BYTES, so past 64 dims a
+        # chunk holds 32,768 rows and only the sum of chunks passes 65,535.
+        assert max(counted_rows) > (65_535 if dims <= 64 else 32_767)
 
 
 class TestMinwiseFamily:

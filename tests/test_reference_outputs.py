@@ -7,7 +7,8 @@ calls: ``dedup`` and ``linkpred`` CSVs for every estimator and metric the
 pipelines accept, ``.skch`` files of all three kinds with the ``compare``
 JSON of each pair, and one ``bounds`` CSV.  The two trees must write the
 same bytes.  ``sketch`` and ``compare`` are also driven with hypothesis over
-generated token files, estimators, sizes and seeds.  Inputs the reference
+generated token files, estimators, sizes and seeds, and ``bounds`` over
+generated set sizes, dims lists, trials, epsilon counts and seeds.  Inputs the reference
 misread, and this tree rejects, are listed with the exit code and message
 they now give.
 """
@@ -195,6 +196,35 @@ def test_bounds_csv(reference, tmp_path, capsys):
     _assert_same_outputs(reference, tmp_path, capsys, [
         "bounds", "--size-a", "60", "--size-b", "80", "--size-int", "30", "--dims", "64", "256",
         "--eps-points", "5", "--trials", "200", "--seed", "3", "--out", "{out}/bounds.csv"])
+
+
+@st.composite
+def _bounds_flags(draw) -> list[str]:
+    """``bounds`` flags: sets of up to 60 elements, some overlap larger than a
+    set, 1-3 dims in any order and repeated, and seeds up to 2**64 - 1 - trials."""
+    size_a, size_b = draw(st.integers(0, 60)), draw(st.integers(0, 60))
+    size_int = draw(st.integers(0, min(size_a, size_b)) | st.integers(0, 60))
+    dims = draw(st.lists(st.sampled_from([1, 7, 8, 63, 64, 65, 129, 300]) | st.integers(1, 300),
+                         min_size=1, max_size=3))
+    trials = draw(st.integers(1, 20))
+    seed = draw(st.integers(0, 2**64 - 1 - trials) | st.integers(2**64 - 1 - trials - 3, 2**64 - 1 - trials))
+    return ["bounds", "--size-a", str(size_a), "--size-b", str(size_b), "--size-int", str(size_int),
+            "--dims", *map(str, dims), "--eps-points", str(draw(st.integers(0, 5))),
+            "--trials", str(trials), "--seed", str(seed)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(flags=_bounds_flags())
+@example(flags=["bounds", "--size-a", "60", "--size-b", "60", "--size-int", "60", "--dims", "300", "65", "300",
+                "--eps-points", "5", "--trials", "20", "--seed", str(2**64 - 21)])
+def test_bounds_csv_on_generated_flags(reference, tmp_path_factory, flags):
+    directory = tmp_path_factory.mktemp("bounds")
+    results = []
+    for tree, main in (("current", cli.main), ("reference", reference.main)):
+        out = directory / f"{tree}.csv"
+        code, stdout = _quiet_call(main, [*flags, "--out", str(out)])
+        results.append((code, stdout, out.read_bytes() if out.exists() else None))
+    assert results[0] == results[1]
 
 
 # Short ASCII words, and any UTF-8 text, which may hold whitespace and line
