@@ -5,10 +5,12 @@ Subcommands: ``sketch`` (build a binary sketch from element tokens),
 ``linkpred`` (link-prediction benchmark CSV), ``dedup`` (document
 deduplication benchmark CSV).
 
-Every run is fully determined by its flags: pass the same arguments and
-seed and the primary output file is byte-identical.  Wall-clock columns
-in benchmark CSVs are written as 0.000000 unless --timings is given,
-because measured times are inherently not reproducible.
+Every run is fully determined by its flags: on one machine and numpy/BLAS
+build, the same arguments and seed give a byte-identical primary output.
+Across CPUs, sketch files, bounds and MinHash, SimHash and exact scores
+stay identical; DotHash compare estimates and pair scores are BLAS dot
+products, whose last bits may differ.  Wall-clock columns in benchmark
+CSVs are 0.000000 unless --timings is given, as times are not reproducible.
 
 Each subcommand imports the pipeline module it runs when it runs, so
 ``sketch``, ``compare`` and ``bounds`` start without loading ``linkpred``
@@ -31,7 +33,7 @@ from typing import Any, Iterator, Sequence
 
 import numpy as np
 
-from .encoding import _SPACE, Codebook, MinwiseFamily, element_ids, slice_ids
+from .encoding import Codebook, MinwiseFamily, element_ids, slice_ids
 from .sketches import (
     MAX_SKETCH_SIZE,
     DotHashSketch,
@@ -63,44 +65,59 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-# The ASCII bytes that end a line for ``str.splitlines``, from Python's own definition.
+# The ASCII bytes that end a line for ``str.splitlines``, and the ones that
+# ``str.strip`` removes, from Python's own definitions.
 _LINE_BREAK = np.array([len(f"a{chr(c)}a".splitlines()) == 2 for c in range(128)])
+_SPACE = np.array([chr(c).isspace() for c in range(128)])
+
+# Bytes of an ASCII token file hashed at a time: 12k 20-byte tokens, whose
+# line bounds and hashing temporaries come to about 2 MiB.
+_TOKEN_WINDOW = 1 << 18
 
 
-def _ascii_line_bounds(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
-    """``(starts, stops)`` of the non-blank lines of ASCII `data`, or None.
+def _ascii_token_ids(data: bytes) -> np.ndarray | None:
+    """The element ids of the tokens of ASCII `data`, hashed straight from its bytes, or None.
 
     The lines are the ones ``str.splitlines`` gives, so CRLF, lone CR and
-    the other ASCII line breaks end a line, and each slice is its line after
-    ``str.strip``.  None when a byte is not ASCII or a line has a byte that
-    ``str.strip`` would remove at either end: those take the decoding path.
+    the other ASCII line breaks end a line, and each token is its line after
+    ``str.strip``.  A window of about ``_TOKEN_WINDOW`` bytes, cut after a
+    LF, is hashed at a time (:func:`~dothash.encoding.slice_ids`), so the
+    temporaries stay bounded for any token count.  None when a byte is not
+    ASCII or a line has a byte that ``str.strip`` would remove at either
+    end: those take the decoding path.
     """
     if not data.isascii():
         return None
-    codes = np.frombuffer(data, dtype=np.uint8)
-    # Every line break is a control byte, below 32: look only those up.
-    controls = np.flatnonzero(codes < 32)
-    breaks = controls[_LINE_BREAK[codes[controls]]]
-    starts = np.concatenate(([0], breaks + 1))
-    stops = np.concatenate((breaks, [codes.size]))
-    lines = stops > starts
-    starts, stops = starts[lines], stops[lines]
-    if np.any(_SPACE[codes[starts]]) or np.any(_SPACE[codes[stops - 1]]):
-        return None
-    return starts, stops
+    pieces, lo = [np.empty(0, dtype=np.uint64)], 0
+    while lo < len(data):
+        hi = min(lo + _TOKEN_WINDOW, len(data))
+        if hi < len(data):  # end after the window's last LF, or failing that the next one
+            hi = data.rfind(b"\n", lo, hi) + 1 or data.find(b"\n", hi) + 1 or len(data)
+        window = memoryview(data)[lo:hi]
+        codes = np.frombuffer(window, dtype=np.uint8)
+        # Every line break is a control byte, below 32: look only those up.
+        controls = np.flatnonzero(codes < 32)
+        breaks = controls[_LINE_BREAK[codes[controls]]]
+        starts = np.concatenate(([0], breaks + 1))
+        stops = np.concatenate((breaks, [codes.size]))
+        lines = stops > starts
+        starts, stops = starts[lines], stops[lines]
+        if np.any(_SPACE[codes[starts]]) or np.any(_SPACE[codes[stops - 1]]):
+            return None
+        pieces.append(slice_ids(window, starts, stops))
+        lo = hi
+    return np.concatenate(pieces)
 
 
 def _read_elements(path: str) -> np.ndarray:
     """The element ids of the tokens, one per line; blank lines are skipped.
 
     A token is its line with ``str.strip`` applied, and lines are split as
-    ``str.splitlines`` splits them.  The whole input is read as bytes.  When
-    it is ASCII and no line has whitespace at its ends, the tokens are
-    hashed straight from those bytes (:func:`~dothash.encoding.slice_ids`),
-    at line bounds found with numpy.  Any other input is decoded as UTF-8
-    and split and stripped as text, which gives the same ids for the same
-    tokens; a byte that is not UTF-8 is reported with its line number, as
-    ValueError.
+    ``str.splitlines`` splits them.  The whole input is read as bytes, and
+    hashed straight from them when :func:`_ascii_token_ids` can.  Any other
+    input is decoded as UTF-8 and split and stripped as text, which gives
+    the same ids for the same tokens; a byte that is not UTF-8 is reported
+    with its line number, as ValueError.
     """
     if path == "-":
         stdin = sys.stdin
@@ -108,9 +125,9 @@ def _read_elements(path: str) -> np.ndarray:
     else:
         with open(path, "rb") as fp:
             data = fp.read()
-    bounds = _ascii_line_bounds(data)
-    if bounds is not None:
-        return slice_ids(data, *bounds)
+    ids = _ascii_token_ids(data)
+    if ids is not None:
+        return ids
     try:
         lines = data.decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:

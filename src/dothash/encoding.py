@@ -127,11 +127,6 @@ def element_id(data: bytes | bytearray | memoryview | str) -> int:
     return state
 
 
-# The ASCII bytes that str.split and str.strip take as whitespace, for the
-# token and edge readers that find slice bounds in a byte buffer.
-_SPACE = np.array([chr(c).isspace() for c in range(128)])
-
-
 def slice_ids(buffer: bytes, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
     """``element_id(buffer[starts[i]:stops[i]])`` for every i, as a uint64 array.
 

@@ -21,11 +21,11 @@ import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Sequence, Union
+from typing import IO, Sequence, Union
 
 import numpy as np
 
-from .encoding import _SPACE, Codebook, MinwiseFamily, chunk_ranges, sorted_distinct
+from .encoding import Codebook, MinwiseFamily, chunk_ranges, sorted_distinct
 from .sketches import DistinctSets, WeightFn, WeightKind, distinct_sets
 from .sketches import dothash_build_many, minhash_build_many, simhash_build_many
 
@@ -144,24 +144,26 @@ def load_edge_list(source: Union[str, Path, IO[bytes], IO[str]]) -> Graph:
     ``Graph.labels``).  Lines starting with '#' are comments.  Self-loops
     are dropped and counted on ``Graph.self_loops_dropped``.
 
-    A path or binary stream is read whole, as bytes whose lines end at
-    b"\\n"; any other whitespace, CR included, separates labels.  When the
-    bytes are ASCII and every line that is not a comment holds 0 or 2
-    labels, they are parsed in one pass over the buffer
-    (:func:`_edge_labels`).  Any other bytes, and text streams, which keep
-    their own line splitting, go through the line parser.  It gives the
-    same Graph, and raises ValueError naming the first line that is not
-    UTF-8 or holds another number of labels.
+    The input is read whole, a path or binary stream decoded as UTF-8 with
+    ``surrogateescape``, and split at "\\n"; any other whitespace, CR
+    included, separates labels.  Raises ValueError naming the first line
+    that holds another number of labels or is not UTF-8, as
+    :func:`decode_line` finds from the line with its "\\n".
     """
     if isinstance(source, (str, Path)):
         with open(source, "rb") as fp:
             return load_edge_list(fp)
-    if isinstance(source, io.TextIOBase):
-        return _parse_edge_lines(source)
     data = source.read()
-    labels = _edge_labels(data)
-    if labels is None:
-        return _parse_edge_lines(io.BytesIO(data))
+    text = data if isinstance(data, str) else data.decode("utf-8", "surrogateescape")
+    labels, all_ascii = [], text.isascii()
+    for lineno, line in enumerate(io.StringIO(text), start=1):
+        if not (all_ascii or line.isascii()):  # bytes that are not UTF-8 are lone surrogates here
+            decode_line(line, lineno)
+        tokens = line.split()
+        if len(tokens) == 2 and tokens[0][0] != "#":
+            labels += tokens
+        elif tokens and tokens[0][0] != "#":
+            raise ValueError(f"line {lineno}: expected 2 tokens, got {len(tokens)}")
     index = dict(zip(dict.fromkeys(labels), itertools.count()))
     ids = np.fromiter(map(index.__getitem__, labels), dtype=np.int64, count=len(labels)).reshape(-1, 2)
     loops = ids[:, 0] == ids[:, 1]
@@ -169,66 +171,6 @@ def load_edge_list(source: Union[str, Path, IO[bytes], IO[str]]) -> Graph:
         raise ValueError("graph has no edges")
     return graph_from_edges(len(index), ids[~loops], labels=list(index),
                             self_loops_dropped=int(np.count_nonzero(loops)))
-
-
-def _edge_labels(data: bytes) -> list[str] | None:
-    """The labels of the edge lines of `data`, in order, or None.
-
-    Whitespace is found with numpy, so each label's line, and so the
-    comment lines, are known without a Python loop over lines; the labels
-    themselves come from one ``str.split``.  None when `data` is not ASCII
-    or a line that is not a comment holds other than 0 or 2 labels.
-    """
-    if not data.isascii():
-        return None
-    codes = np.frombuffer(data, dtype=np.uint8)
-    # Whitespace bytes are all at most 32: look only those up.
-    space = codes <= 32
-    low = np.flatnonzero(space)
-    space[low] = _SPACE[codes[low]]
-    # A label starts at a byte that is not whitespace and follows whitespace.
-    begins = ~space
-    begins[1:] &= space[:-1]
-    starts = np.flatnonzero(begins)
-    line = np.searchsorted(np.flatnonzero(codes == ord("\n")), starts)
-    first = np.ones(starts.size, dtype=bool)
-    np.not_equal(line[1:], line[:-1], out=first[1:])
-    group = np.cumsum(first) - 1
-    comment = codes[starts[first]] == ord("#")
-    if np.any(np.bincount(group)[~comment] != 2):
-        return None
-    labels = data.decode("ascii").split()
-    if np.any(comment):
-        labels = list(itertools.compress(labels, (~comment[group]).tolist()))
-    return labels
-
-
-def _parse_edge_lines(lines: Iterable[bytes] | Iterable[str]) -> Graph:
-    """:func:`load_edge_list` one line at a time, for any input."""
-    label_index: dict[str, int] = {}
-    edges: list[tuple[int, int]] = []
-    self_loops = 0
-    for lineno, raw in enumerate(lines, start=1):
-        line = decode_line(raw, lineno).strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if len(tokens) != 2:
-            raise ValueError(f"line {lineno}: expected 2 tokens, got {len(tokens)}")
-        idx = []
-        for token in tokens:
-            if token not in label_index:
-                label_index[token] = len(label_index)
-            idx.append(label_index[token])
-        u, v = idx
-        if u == v:
-            self_loops += 1
-            continue
-        edges.append((u, v))
-    if not edges:
-        raise ValueError("graph has no edges")
-    labels = sorted(label_index, key=label_index.__getitem__)
-    return graph_from_edges(len(label_index), edges, labels=labels, self_loops_dropped=self_loops)
 
 
 def erdos_renyi_graph(n: int, p: float, seed: int = 0) -> Graph:

@@ -206,14 +206,13 @@ def test_token_reader_matches_the_decoding_path(token_file, data, from_stdin):
 
 @pytest.mark.parametrize("data", [b"", b"\n\n", b"tok-1\n", b"a b\r\nc\x00d\x1c\x0b\x0c\r\x1d\x1eLast"])
 def test_plain_ascii_tokens_take_the_byte_path(data):
-    starts, stops = cli._ascii_line_bounds(data)
     tokens = [t for t in map(str.strip, data.decode("ascii").splitlines()) if t]
-    assert [data[a:b].decode("ascii") for a, b in zip(starts, stops)] == tokens
+    assert cli._ascii_token_ids(data).tolist() == element_ids(tokens).tolist()
 
 
 @pytest.mark.parametrize("data", [b" a\n", b"a \n", b"a\t", b"a\x1f\n", "caf\u00e9\n".encode("utf-8"), b"\xff"])
 def test_edge_whitespace_and_other_bytes_take_the_decoding_path(data):
-    assert cli._ascii_line_bounds(data) is None
+    assert cli._ascii_token_ids(data) is None
 
 
 class TestCompareCommand:
@@ -683,3 +682,15 @@ def test_each_subcommand_loads_only_the_pipelines_it_runs(tmp_path, element_file
     # Modules in sys.modules after each call, in order, in one fresh interpreter.
     assert json.loads(result.stdout.splitlines()[-1]) == {
         "sketch": [], "compare": [], "bounds": [], "linkpred": ["dothash.linkpred"]}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.text(alphabet="ab#\x00 \t\x1f\n\r\v\x1c", max_size=40).map(str.encode),
+       window=st.integers(1, 12))
+@example(data=b"a\r\nb\rc\n\nd\ne", window=2)
+def test_token_windows_give_the_same_ids(token_file, data, window):
+    # ASCII files in windows of a few bytes, so most lines end one.
+    token_file.write_bytes(data)
+    with mock.patch.object(cli, "_TOKEN_WINDOW", window):
+        got = cli._read_elements(str(token_file))
+    assert got.tolist() == _reference_read_elements(data).tolist()

@@ -185,6 +185,16 @@ class TestElementIds:
         )
         assert added < 12 * 2**20, f"hashing added {added / 2**20:.1f} MiB of peak RSS"
 
+    def test_reading_many_tokens_adds_bounded_memory(self, added_peak_rss, tmp_path):
+        # The same tokens as a file for the sketch command's ASCII path: its
+        # 4 MiB of bytes and the ids, hashed a window at a time, added 9 MiB;
+        # one slice_ids call over every line added 28 MiB.
+        path = tmp_path / "tokens.txt"
+        with path.open("w") as fp:
+            fp.writelines(f"tok-{i:016x}\n" for i in range(200_000))
+        added = added_peak_rss("from dothash.cli import _read_elements", f"ids = _read_elements({str(path)!r})")
+        assert added < 12 * 2**20, f"reading added {added / 2**20:.1f} MiB of peak RSS"
+
 
 class TestSortedDistinct:
     @pytest.mark.parametrize(

@@ -2,7 +2,7 @@
 
 The CLI maps ValueError to exit code 2, so every other exception type a
 reader lets escape would be an internal error (exit 3) on malformed input.
-The edge-list loader is also checked against its line-by-line parser, kept
+The edge-list loader is also checked against a line-by-line parser, kept
 here as the reference.
 """
 
@@ -11,7 +11,7 @@ import json
 import struct
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from dothash.dedup import load_corpus_jsonl, load_pairs_csv
@@ -70,12 +70,16 @@ def test_edge_list(data):
     parses_or_value_error(lambda d: load_edge_list(io.BytesIO(d)), data)
 
 
-def reference_edge_list(data: bytes):
-    """The edge-list loader as a Python loop over the lines of a binary stream."""
+def stream(data: bytes | str):
+    return io.StringIO(data) if isinstance(data, str) else io.BytesIO(data)
+
+
+def reference_edge_list(data: bytes | str):
+    """The edge-list loader as a Python loop over the lines of a binary or text stream."""
     label_index: dict[str, int] = {}
     edges: list[tuple[int, int]] = []
     self_loops = 0
-    for lineno, raw in enumerate(io.BytesIO(data), start=1):
+    for lineno, raw in enumerate(stream(data), start=1):
         line = decode_line(raw, lineno).strip()
         if not line or line.startswith("#"):
             continue
@@ -130,9 +134,18 @@ edge_files = st.builds(
 
 @fuzz
 @given(edge_files)
+# A multibyte sequence cut short before LF and at the end of the input.
+@example(b"1 2\na \xc3\n3 4\n")
+@example(b"1 2\na \xc3")
+@example(b"\xed\xa0\x80 a\n")  # an encoded surrogate
+@example(b"# \xff\n1 2\n")  # a comment is decoded too
+# The first bad line is reported, whichever of the two errors it holds.
+@example(b"1 2\n1 2 3\n\xff\n")
+@example(b"1 2\n\xff\n1 2 3\n")
+@example("1 2\na \ud800\n")  # a text stream with a lone surrogate
 def test_edge_list_matches_the_line_parser(data):
     expected = graph_or_error(reference_edge_list, data)
-    assert graph_or_error(lambda d: load_edge_list(io.BytesIO(d)), data) == expected
+    assert graph_or_error(lambda d: load_edge_list(stream(d)), data) == expected
 
 
 @fuzz

@@ -26,9 +26,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+
 from dothash import cli
-from dothash.dedup import make_planted_corpus
-from dothash.linkpred import preferential_attachment_graph
+from dothash.dedup import Document, csr_idf, make_planted_corpus, shingle_csr
+from dothash.linkpred import Estimator, Metric, graph_from_edges, preferential_attachment_graph
+from dothash.linkpred import sketch_neighborhoods
 
 REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference" / "dothash"
 
@@ -173,6 +176,64 @@ def test_linkpred_csv(reference, inputs, tmp_path, capsys, estimator, metric):
         "linkpred", "--edges", inputs["edges.txt"], "--estimator", estimator, "--metric", metric,
         *SIZE_FLAGS[estimator], "--k-at", "5", "20", "--repeats", "2", "--seed", "41",
         "--out", "{out}/linkpred.csv"])
+
+
+# Scores, not only the hits@K a CSV reduces them to: this tree's batch scorer
+# against the reference's per-pair scorers, on one small graph and one corpus,
+# each with some empty sets.  Exact, MinHash, SimHash and unit DotHash scores
+# must have equal bits.  Weighted DotHash scores may differ in their last
+# bits, because the reference adds a set's weighted sign rows with a BLAS
+# matmul and this tree through the byte table of ``sketches._root_sums``,
+# which rounds in another order; they must agree to WEIGHTED_RTOL of the
+# largest score, since an estimate near 0 is a difference of large sums.
+WEIGHTED_RTOL = 1e-12
+SCORE_SIZES = {"exact": None, "dothash": 256, "minhash": 32, "simhash": 100}
+LINKPRED_CASES = [*[(estimator, metric) for estimator in ("exact", "dothash")
+                    for metric in ("jaccard", "common_neighbors", "adamic_adar", "resource_allocation")],
+                  ("minhash", "jaccard"), ("simhash", "jaccard")]
+
+
+def _assert_same_scores(current: np.ndarray, ref: np.ndarray, weighted_dothash: bool) -> None:
+    assert current.dtype == ref.dtype == np.float64 and current.shape == ref.shape
+    if weighted_dothash:
+        np.testing.assert_allclose(current, ref, rtol=0, atol=WEIGHTED_RTOL * np.abs(ref).max())
+    else:
+        assert current.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("estimator, metric", LINKPRED_CASES)
+def test_linkpred_scores(reference, estimator, metric):
+    ref = importlib.import_module("dothash_ref.linkpred")
+    # 60 attached nodes and 4 isolated ones; every pair, a node with itself included.
+    edges = preferential_attachment_graph(60, 3, seed=9).edges().tolist()
+    pairs = np.stack(np.triu_indices(64), axis=1)
+    size = SCORE_SIZES[estimator]
+    current = sketch_neighborhoods(graph_from_edges(64, edges), Metric(metric), Estimator(estimator),
+                                   size, seed=11).score_pairs(pairs)
+    expected = ref.sketch_neighborhoods(ref.graph_from_edges(64, edges), ref.Metric(metric),
+                                        ref.Estimator(estimator), size, seed=11).score_pairs(pairs)
+    _assert_same_scores(current, expected, estimator == "dothash" and metric in ("adamic_adar",
+                                                                                  "resource_allocation"))
+
+
+@pytest.mark.parametrize("estimator, metric", [
+    ("exact", "jaccard"), ("exact", "idf"), ("dothash", "jaccard"), ("dothash", "idf"),
+    ("minhash", "jaccard"), ("simhash", "jaccard"),
+])
+def test_dedup_scores(reference, estimator, metric):
+    ref = importlib.import_module("dothash_ref.dedup")
+    docs, _ = make_planted_corpus(40, 10, 30, vocab_size=200, edit_rate=0.3, seed=3)
+    docs += [Document("short", "two words"), Document("blank", "")]
+    pairs = np.stack(np.triu_indices(len(docs)), axis=1)
+    size = SCORE_SIZES[estimator]
+    sets = shingle_csr(docs)
+    weights = csr_idf(sets) if metric == "idf" else Metric.JACCARD
+    current = sketch_neighborhoods(sets, weights, Estimator(estimator), size, seed=11).score_pairs(pairs)
+    shingles = {doc.doc_id: ref.shingle(ref.Document(doc.doc_id, doc.text)) for doc in docs}
+    scorer = ref._DocScorer(shingles, ref.build_idf(shingles.values()), ref.Estimator(estimator),
+                            ref.DedupMetric(metric), size, 11)
+    expected = np.array([scorer.score(docs[a].doc_id, docs[b].doc_id) for a, b in pairs.tolist()])
+    _assert_same_scores(current, expected, estimator == "dothash" and metric == "idf")
 
 
 @pytest.mark.parametrize("estimator", ["dothash", "minhash", "simhash"])
