@@ -7,10 +7,10 @@ deduplication benchmark CSV).
 
 Every run is fully determined by its flags: on one machine and numpy/BLAS
 build, the same arguments and seed give a byte-identical primary output.
-Across CPUs, sketch files, bounds and MinHash, SimHash and exact scores
-stay identical; DotHash compare estimates and pair scores are BLAS dot
-products, whose last bits may differ.  Wall-clock columns in benchmark
-CSVs are 0.000000 unless --timings is given, as times are not reproducible.
+Across CPUs, sketch files and MinHash, SimHash and unit or 1/degree exact
+scores stay identical; DotHash compare estimates and pair scores (BLAS
+dots) and Adamic-Adar and IDF weights (logs) may differ in the last bits.
+Wall-clock CSV columns are 0.000000 unless --timings is given.
 
 Each subcommand imports the pipeline module it runs when it runs, so
 ``sketch``, ``compare`` and ``bounds`` start without loading ``linkpred``
