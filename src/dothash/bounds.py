@@ -12,9 +12,9 @@ A seed-driven Monte-Carlo sampler produces the matching empirical
 exceedance curves (the dashed lines next to the solid CLT ones).
 
 The normal CDF is ``0.5 * (1 + erf(x / sqrt(2)))`` via the C-library
-``math.erf`` (accurate to double precision).  The quantile uses Acklam's
-rational approximation refined with one Halley step of the exact CDF,
-giving roughly 1e-14 accuracy with no statistics dependency.
+``math.erf``.  The quantile is the standard library's
+``statistics.NormalDist().inv_cdf`` (Wichura's AS241, accurate to about
+1e-16 relative over the whole open interval (0, 1)).
 """
 
 from __future__ import annotations
@@ -53,40 +53,15 @@ def normal_cdf(x: float) -> float:
     return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
 
 
-# Acklam's coefficients for the initial inverse-CDF estimate.
-_PPF_A = (-3.969683028665376e01, 2.209460984245205e02, -2.759285104469687e02,
-          1.383577518672690e02, -3.066479806614716e01, 2.506628277459239e00)
-_PPF_B = (-5.447609879822406e01, 1.615858368580409e02, -1.556989798598866e02,
-          6.680131188771972e01, -1.328068155288572e01)
-_PPF_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e00,
-          -2.549732539343734e00, 4.374664141464968e00, 2.938163982698783e00)
-_PPF_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e00,
-          3.754408661907416e00)
-
-
 def normal_ppf(p: float) -> float:
-    """Standard normal quantile: rational estimate plus one Halley refinement."""
+    """Standard normal quantile, ``statistics.NormalDist().inv_cdf``."""
     if not 0.0 < p < 1.0:
         raise ValueError("quantile argument must lie strictly in (0, 1)")
-    a, b, c, d = _PPF_A, _PPF_B, _PPF_C, _PPF_D
-    p_low, p_high = 0.02425, 1.0 - 0.02425
-    if p < p_low:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    elif p <= p_high:
-        q = p - 0.5
-        r = q * q
-        x = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
-            (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
-    else:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        x = -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    # One Halley step against the erf-exact CDF.
-    err = normal_cdf(x) - p
-    u = err * math.sqrt(2.0 * math.pi) * math.exp(0.5 * x * x)
-    return x - u / (1.0 + 0.5 * x * u)
+    # Imported here, as ``import dothash`` loads this module and statistics
+    # takes a few milliseconds to import.
+    from statistics import NormalDist
+
+    return NormalDist().inv_cdf(p)
 
 
 def _variance_numerator(q: BoundsQuery) -> float:
@@ -128,7 +103,8 @@ def required_dims(q: BoundsQuery) -> int:
     _check_relative_error(q)
     if not 0.0 < q.prob < 1.0:
         raise ValueError("target probability must lie strictly in (0, 1)")
-    z = normal_ppf(1.0 - q.prob / 2.0)
+    # The lower tail, so that a tiny ``prob`` is not lost in ``1 - prob / 2``.
+    z = -normal_ppf(q.prob / 2.0)
     d = math.ceil(_variance_numerator(q) * (z / (q.epsilon * q.size_int)) ** 2)
     return max(1, d)
 

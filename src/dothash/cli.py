@@ -33,7 +33,7 @@ from typing import Any, Iterator, Sequence
 
 import numpy as np
 
-from .encoding import Codebook, MinwiseFamily, element_ids, slice_ids
+from .encoding import _CHUNK_BYTES, _PER_INPUT_BYTES, Codebook, MinwiseFamily, element_ids, slice_ids
 from .sketches import (
     MAX_SKETCH_SIZE,
     DotHashSketch,
@@ -70,8 +70,9 @@ class _Parser(argparse.ArgumentParser):
 _LINE_BREAK = np.array([len(f"a{chr(c)}a".splitlines()) == 2 for c in range(128)])
 _SPACE = np.array([chr(c).isspace() for c in range(128)])
 
-# Bytes of an ASCII token file hashed at a time: 12k 20-byte tokens, whose
-# line bounds and hashing temporaries come to about 2 MiB.
+# Bytes of an ASCII token file searched for line breaks at a time.  Its
+# lines are hashed at most ``_CHUNK_BYTES // _PER_INPUT_BYTES`` (16k) at a
+# time, whose bounds and hashing temporaries come to about 1 MiB.
 _TOKEN_WINDOW = 1 << 18
 
 
@@ -80,32 +81,38 @@ def _ascii_token_ids(data: bytes) -> np.ndarray | None:
 
     The lines are the ones ``str.splitlines`` gives, so CRLF, lone CR and
     the other ASCII line breaks end a line, and each token is its line after
-    ``str.strip``.  A window of about ``_TOKEN_WINDOW`` bytes, cut after a
-    LF, is hashed at a time (:func:`~dothash.encoding.slice_ids`), so the
-    temporaries stay bounded for any token count.  None when a byte is not
+    ``str.strip``.  The bytes are searched for line breaks a window of
+    ``_TOKEN_WINDOW`` at a time, and the lines that end in a window are
+    hashed (:func:`~dothash.encoding.slice_ids`) in batches of at most
+    ``_CHUNK_BYTES // _PER_INPUT_BYTES``, so the temporaries stay bounded
+    whatever the line count, length or ending.  None when a byte is not
     ASCII or a line has a byte that ``str.strip`` would remove at either
     end: those take the decoding path.
     """
     if not data.isascii():
         return None
-    pieces, lo = [np.empty(0, dtype=np.uint64)], 0
-    while lo < len(data):
-        hi = min(lo + _TOKEN_WINDOW, len(data))
-        if hi < len(data):  # end after the window's last LF, or failing that the next one
-            hi = data.rfind(b"\n", lo, hi) + 1 or data.find(b"\n", hi) + 1 or len(data)
-        window = memoryview(data)[lo:hi]
-        codes = np.frombuffer(window, dtype=np.uint8)
+    codes = np.frombuffer(data, dtype=np.uint8)
+    batch_lines = _CHUNK_BYTES // _PER_INPUT_BYTES
+    pieces, start = [np.empty(0, dtype=np.uint64)], 0  # start: of the line not yet hashed
+    for lo in range(0, len(data), _TOKEN_WINDOW):
+        window = codes[lo : lo + _TOKEN_WINDOW]
         # Every line break is a control byte, below 32: look only those up.
-        controls = np.flatnonzero(codes < 32)
-        breaks = controls[_LINE_BREAK[codes[controls]]]
-        starts = np.concatenate(([0], breaks + 1))
-        stops = np.concatenate((breaks, [codes.size]))
-        lines = stops > starts
-        starts, stops = starts[lines], stops[lines]
-        if np.any(_SPACE[codes[starts]]) or np.any(_SPACE[codes[stops - 1]]):
-            return None
-        pieces.append(slice_ids(window, starts, stops))
-        lo = hi
+        ends = np.flatnonzero(window < 32)
+        ends = ends[_LINE_BREAK[window[ends]]]
+        ends += lo
+        if lo + _TOKEN_WINDOW >= len(data):  # the last line may end without a break
+            ends = np.append(ends, len(data))
+        for first in range(0, ends.size, batch_lines):
+            # The batch's lines, in bytes from `start`; a CRLF leaves an empty line.
+            stops = ends[first : first + batch_lines] - start
+            starts = np.concatenate(([0], stops[:-1] + 1))
+            text = codes[start : start + stops[-1]]
+            start += int(stops[-1]) + 1
+            lines = stops > starts
+            starts, stops = starts[lines], stops[lines]
+            if np.any(_SPACE[text[starts]]) or np.any(_SPACE[text[stops - 1]]):
+                return None
+            pieces.append(slice_ids(text, starts, stops))
     return np.concatenate(pieces)
 
 
@@ -136,24 +143,23 @@ def _read_elements(path: str) -> np.ndarray:
     return element_ids(token for token in map(str.strip, lines) if token)
 
 
-def _resolve_size(args: argparse.Namespace) -> int | None:
+def _resolve_size(args: argparse.Namespace, limit: int | None = None) -> int | None:
+    """The --k (minhash) or --dims (dothash, simhash) value, None for exact; any other size flag is a usage error."""
     estimator = args.estimator
-    if estimator == "minhash":
-        if args.k is None:
-            raise _UsageError("minhash requires --k")
-        return args.k
-    if estimator in ("dothash", "simhash"):
-        if args.dims is None:
-            raise _UsageError(f"{estimator} requires --dims")
-        return args.dims
-    return None
+    used = {"minhash": "k", "dothash": "dims", "simhash": "dims"}.get(estimator)
+    size = None if used is None else getattr(args, used)
+    if used is not None and size is None:
+        raise _UsageError(f"{estimator} requires --{used}")
+    for name in ("dims", "k"):
+        if name != used and getattr(args, name) is not None:
+            raise _UsageError(f"{estimator} does not take --{name}")
+    if limit is not None and size > limit:
+        raise ValueError(f"--{used} {size} exceeds the sketch file's limit of {limit}")
+    return size
 
 
 def _cmd_sketch(args: argparse.Namespace) -> int:
-    size = _resolve_size(args)
-    if size > MAX_SKETCH_SIZE:
-        flag = "--k" if args.estimator == "minhash" else "--dims"
-        raise ValueError(f"{flag} {size} exceeds the sketch file's limit of {MAX_SKETCH_SIZE}")
+    size = _resolve_size(args, limit=MAX_SKETCH_SIZE)
     elements = _read_elements(args.input)
     if args.estimator == "minhash":
         sketch = minhash_build(MinwiseFamily(seed=args.seed, k=size), elements)

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import operator
 import struct
-import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -283,16 +282,6 @@ def _byte_columns(rows: Sequence[np.ndarray]) -> np.ndarray:
     return words.view(np.uint8).reshape(n, 64 * blocks)
 
 
-def _bits_from_words(words: np.ndarray, dims: int) -> np.ndarray:
-    """Unpack uint64 blocks (last axis) into `dims` sign bits, LSB first."""
-    if sys.byteorder != "little":  # pragma: no cover - exotic platforms
-        words = words.byteswap()
-    as_bytes = np.ascontiguousarray(words).view(np.uint8)
-    as_bytes = as_bytes.reshape(words.shape[:-1] + (words.shape[-1] * 8,))
-    bits = np.unpackbits(as_bytes, axis=-1, bitorder="little")
-    return bits[..., :dims]
-
-
 @dataclass(frozen=True)
 class Codebook:
     """Deterministic mapping from element ids to d-dimensional ±1/√d vectors.
@@ -336,7 +325,7 @@ class Codebook:
 
         Bit 1 means coordinate +1/sqrt(dims), bit 0 means -1/sqrt(dims).
         """
-        return _bits_from_words(self.sign_words(elements), self.dims)
+        return _byte_columns([self.sign_words(elements)])[:, :self.dims]
 
     def sign_rows(self, elements: Iterable[int] | np.ndarray) -> np.ndarray:
         """Sign matrix for a batch of elements, shape (n, dims), int8 in {-1, +1}."""

@@ -9,6 +9,7 @@ sparse standard-basis encodings as a dot product.
 
 from __future__ import annotations
 
+import bisect
 import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
@@ -40,14 +41,8 @@ class SortedSet:
         return iter(self.elements)
 
     def __contains__(self, element: int) -> bool:
-        lo, hi = 0, len(self.elements)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.elements[mid] < element:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo < len(self.elements) and self.elements[lo] == element
+        i = bisect.bisect_left(self.elements, element)
+        return i < len(self.elements) and self.elements[i] == element
 
     def as_array(self) -> np.ndarray:
         return np.array(self.elements, dtype=np.uint64)

@@ -133,6 +133,11 @@ class TestRequiredDims:
         assert required_dims(q(prob=0.999999)) >= 1
         assert required_dims(q(prob=0.999999)) <= 2
 
+    def test_target_below_double_epsilon(self):
+        # 1 - 1e-17 / 2 rounds to 1.0, so the upper-tail quantile rejected it.
+        z = scipy.special.ndtri(1e-17 / 2)
+        assert required_dims(q(prob=1e-17)) == math.ceil(49800 * (z / 30) ** 2) == 4068
+
     def test_monotone_in_epsilon_and_prob(self):
         dims_e = [required_dims(q(epsilon=e)) for e in (0.05, 0.1, 0.2, 0.4)]
         assert dims_e == sorted(dims_e, reverse=True)
@@ -161,9 +166,11 @@ class TestNormalFunctions:
         xs = np.linspace(-6, 6, 101)
         for x in xs:
             assert abs(normal_cdf(float(x)) - scipy.special.ndtr(x)) < 1e-12
-        ps = np.linspace(0.001, 0.999, 101)
+        # Both tails down to the smallest subnormal double.
+        ps = np.concatenate((np.linspace(0.001, 0.999, 101), np.logspace(-300, -3),
+                             1 - np.logspace(-16, -3), [5e-324]))
         for p in ps:
-            assert abs(normal_ppf(float(p)) - scipy.special.ndtri(p)) < 1e-9
+            assert normal_ppf(float(p)) == pytest.approx(scipy.special.ndtri(p), rel=1e-12, abs=1e-15)
 
     def test_ppf_domain(self):
         with pytest.raises(ValueError):

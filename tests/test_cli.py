@@ -115,6 +115,17 @@ class TestSketchCommand:
                      "--out", str(tmp_path / "x.bin")])
         assert code == 1
 
+    @pytest.mark.parametrize("estimator, flags", [("minhash", ["--k", "8", "--dims", "999"]),
+                                                  ("dothash", ["--dims", "8", "--k", "999"]),
+                                                  ("simhash", ["--dims", "8", "--k", "999"])])
+    def test_size_flag_of_another_estimator_is_usage_error(self, tmp_path, element_file, capsys,
+                                                           estimator, flags):
+        out = tmp_path / "x.bin"
+        assert main(["sketch", "--estimator", estimator, *flags, "--input", str(element_file),
+                     "--out", str(out)]) == 1
+        assert f"dothash: error: {estimator} does not take {flags[2]}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unreadable_input_is_data_error(self, tmp_path):
         code = main(["sketch", "--estimator", "dothash", "--dims", "8",
                      "--input", str(tmp_path / "missing.txt"), "--out", str(tmp_path / "x.bin")])
@@ -475,6 +486,19 @@ class TestLinkpredCommand:
                      "--metric", "jaccard", "--dims", "64", "--out",
                      str(tmp_path / "x.csv")]) == 1
 
+    @pytest.mark.parametrize("estimator, flags, unused", [("exact", ["--dims", "64", "--k", "9"], "--dims"),
+                                                          ("exact", ["--k", "9"], "--k"),
+                                                          ("dothash", ["--dims", "64", "--k", "9"], "--k"),
+                                                          ("minhash", ["--k", "9", "--dims", "64"], "--dims")])
+    def test_size_flag_the_estimator_does_not_take_is_usage_error(self, tmp_path, capsys, estimator, flags,
+                                                                  unused):
+        edges = _write_graph(tmp_path, erdos_renyi_graph(20, 0.3, seed=35))
+        out = tmp_path / "x.csv"
+        assert main(["linkpred", "--edges", str(edges), "--estimator", estimator,
+                     "--metric", "jaccard", *flags, "--out", str(out)]) == 1
+        assert f"dothash: error: {estimator} does not take {unused}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_simhash_nonjaccard_is_data_error(self, tmp_path):
         graph = erdos_renyi_graph(20, 0.3, seed=33)
         edges = _write_graph(tmp_path, graph)
@@ -514,6 +538,17 @@ class TestDedupCommand:
                      "--estimator", "exact", "--metric", "jaccard",
                      "--out", str(tmp_path / "x.csv")]) == 2
         assert "dothash: error: line 41: 'utf-8' codec" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("estimator, flags", [("exact", ["--dims", "64"]),
+                                                  ("simhash", ["--dims", "64", "--k", "9"]),
+                                                  ("minhash", ["--k", "9", "--dims", "64"])])
+    def test_size_flag_the_estimator_does_not_take_is_usage_error(self, tmp_path, capsys, estimator, flags):
+        corpus, labels = _write_corpus(tmp_path)
+        out = tmp_path / "x.csv"
+        assert main(["dedup", "--corpus", str(corpus), "--labels", str(labels),
+                     "--estimator", estimator, "--metric", "jaccard", *flags, "--out", str(out)]) == 1
+        assert f"dothash: error: {estimator} does not take {flags[-2]}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_labels_file(self, tmp_path):
         corpus, _ = _write_corpus(tmp_path)
@@ -686,11 +721,14 @@ def test_each_subcommand_loads_only_the_pipelines_it_runs(tmp_path, element_file
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.text(alphabet="ab#\x00 \t\x1f\n\r\v\x1c", max_size=40).map(str.encode),
-       window=st.integers(1, 12))
-@example(data=b"a\r\nb\rc\n\nd\ne", window=2)
-def test_token_windows_give_the_same_ids(token_file, data, window):
-    # ASCII files in windows of a few bytes, so most lines end one.
+       window=st.integers(1, 12), batch_lines=st.integers(1, 4))
+@example(data=b"a\r\nb\rc\n\nd\ne", window=2, batch_lines=1)
+@example(data=b"abcdefgh\ri\rj", window=3, batch_lines=1)
+def test_token_windows_give_the_same_ids(token_file, data, window, batch_lines):
+    # ASCII files in windows of a few bytes and batches of a few lines, so
+    # most lines end a window or a batch and some span windows.
     token_file.write_bytes(data)
-    with mock.patch.object(cli, "_TOKEN_WINDOW", window):
+    with mock.patch.object(cli, "_TOKEN_WINDOW", window), \
+            mock.patch.object(cli, "_CHUNK_BYTES", batch_lines * cli._PER_INPUT_BYTES):
         got = cli._read_elements(str(token_file))
     assert got.tolist() == _reference_read_elements(data).tolist()

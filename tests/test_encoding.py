@@ -185,13 +185,17 @@ class TestElementIds:
         )
         assert added < 12 * 2**20, f"hashing added {added / 2**20:.1f} MiB of peak RSS"
 
-    def test_reading_many_tokens_adds_bounded_memory(self, added_peak_rss, tmp_path):
-        # The same tokens as a file for the sketch command's ASCII path: its
-        # 4 MiB of bytes and the ids, hashed a window at a time, added 9 MiB;
-        # one slice_ids call over every line added 28 MiB.
+    @pytest.mark.parametrize("width, count", [(1, 400_000), (20, 200_000)])
+    @pytest.mark.parametrize("ending", ["\n", "\r"], ids=["LF", "CR"])
+    def test_reading_many_tokens_adds_bounded_memory(self, added_peak_rss, tmp_path, width, count, ending):
+        # Token files for the sketch command's ASCII path, hashed at most
+        # 16k lines at a time: each added under 10 MiB with the bytes and the
+        # ids.  Windows of 256 KiB cut only after a LF added 19 MiB for the
+        # one-byte LF tokens (131k lines a window) and 31 and 46 MiB for the
+        # CR files (one window).
         path = tmp_path / "tokens.txt"
-        with path.open("w") as fp:
-            fp.writelines(f"tok-{i:016x}\n" for i in range(200_000))
+        with path.open("w", newline="") as fp:
+            fp.writelines(f"{i:0{width}x}"[-width:] + ending for i in range(count))
         added = added_peak_rss("from dothash.cli import _read_elements", f"ids = _read_elements({str(path)!r})")
         assert added < 12 * 2**20, f"reading added {added / 2**20:.1f} MiB of peak RSS"
 

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dothash.exact import (
@@ -48,6 +48,15 @@ class TestSortedSet:
         assert s.elements == (1, 3, 5)
         assert len(s) == 3
         assert 3 in s and 2 not in s
+
+
+    @given(st.lists(st.integers(min_value=0, max_value=15), max_size=16),
+           st.integers(min_value=-1, max_value=16))
+    @example([], 0)
+    @example([3, 7], -1)
+    @example([3, 7], 16)
+    def test_membership_equals_set_membership(self, xs, x):
+        assert (x in SortedSet.from_iterable(xs)) == (x in set(xs))
 
 
 class TestExactIntersection:
