@@ -93,7 +93,7 @@ def _ascii_token_ids(data: bytes) -> np.ndarray | None:
         return None
     codes = np.frombuffer(data, dtype=np.uint8)
     batch_lines = _CHUNK_BYTES // _PER_INPUT_BYTES
-    pieces, start = [np.empty(0, dtype=np.uint64)], 0  # start: of the line not yet hashed
+    pieces, start = [np.empty(0, dtype=np.uint64)], 0  # start: the first byte not yet hashed
     for lo in range(0, len(data), _TOKEN_WINDOW):
         window = codes[lo : lo + _TOKEN_WINDOW]
         # Every line break is a control byte, below 32: look only those up.

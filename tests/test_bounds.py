@@ -134,7 +134,7 @@ class TestRequiredDims:
         assert required_dims(q(prob=0.999999)) <= 2
 
     def test_target_below_double_epsilon(self):
-        # 1 - 1e-17 / 2 rounds to 1.0, so the upper-tail quantile rejected it.
+        # 1 - 1e-17 / 2 rounds to 1.0, so the quantile must be taken in the lower tail.
         z = scipy.special.ndtri(1e-17 / 2)
         assert required_dims(q(prob=1e-17)) == math.ceil(49800 * (z / 30) ** 2) == 4068
 

@@ -118,12 +118,12 @@ class TestSketchCommand:
     @pytest.mark.parametrize("estimator, flags", [("minhash", ["--k", "8", "--dims", "999"]),
                                                   ("dothash", ["--dims", "8", "--k", "999"]),
                                                   ("simhash", ["--dims", "8", "--k", "999"])])
-    def test_size_flag_of_another_estimator_is_usage_error(self, tmp_path, element_file, capsys,
-                                                           estimator, flags):
+    def test_size_flag_the_estimator_does_not_take_is_usage_error(self, tmp_path, element_file, capsys,
+                                                                  estimator, flags):
         out = tmp_path / "x.bin"
         assert main(["sketch", "--estimator", estimator, *flags, "--input", str(element_file),
                      "--out", str(out)]) == 1
-        assert f"dothash: error: {estimator} does not take {flags[2]}" in capsys.readouterr().err
+        assert f"dothash: error: {estimator} does not take {flags[-2]}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unreadable_input_is_data_error(self, tmp_path):

@@ -49,7 +49,6 @@ class TestSortedSet:
         assert len(s) == 3
         assert 3 in s and 2 not in s
 
-
     @given(st.lists(st.integers(min_value=0, max_value=15), max_size=16),
            st.integers(min_value=-1, max_value=16))
     @example([], 0)
