@@ -5,9 +5,13 @@ dimension ``d``, the estimator's variance is::
 
     Var = (|A| * |B| + i**2 - 2 * i) / d
 
-From it this module derives the Chebyshev tail bound on the relative-error
-event ``|X - i| >= eps * i``, the CLT approximation of the same
-probability, and the dimension required to hit a target error probability.
+With element weights w, the weighted estimate of ``c = sum of w over A & B``
+has variance ``(W_A * W_B + c**2 - 2 * q) / d`` (:func:`weighted_variance`),
+where ``W_A`` and ``W_B`` sum w over each set and ``q`` sums w**2 over the
+intersection.  From the unit-weight variance this module derives the
+Chebyshev tail bound on the relative-error event ``|X - i| >= eps * i``,
+the CLT approximation of the same probability, and the dimension required
+to hit a target error probability.
 A seed-driven Monte-Carlo sampler produces the matching empirical
 exceedance curves (the dashed lines next to the solid CLT ones).
 
@@ -71,6 +75,23 @@ def _variance_numerator(q: BoundsQuery) -> float:
 def variance(q: BoundsQuery) -> float:
     """(|A||B| + i^2 - 2i) / d, the estimator variance."""
     return _variance_numerator(q) / q.dims
+
+
+def weighted_variance(
+    weight_a: float, weight_b: float, common: float, common_squares: float, dims: int
+) -> float:
+    """(W_A W_B + c^2 - 2q) / d, the variance of the weighted estimate of ``c``.
+
+    ``weight_a`` and ``weight_b`` are W_A and W_B, the sums of the weights
+    over A and over B; ``common`` is c, their sum over A ∩ B, and
+    ``common_squares`` is q, the sum of the squared weights over A ∩ B.
+    Each coordinate's product of signed root sums has mean c/d and second
+    moment (W_A W_B + 2c^2 - 2q)/d^2, and the d coordinates are independent.
+    Unit weights give W_A = |A|, W_B = |B| and c = q = i: :func:`variance`.
+    """
+    if dims < 1:
+        raise ValueError("dims must be >= 1")
+    return (weight_a * weight_b + common**2 - 2.0 * common_squares) / dims
 
 
 def _check_relative_error(q: BoundsQuery) -> None:

@@ -54,7 +54,8 @@ _U64_C2 = np.uint64(0x94D049BB133111EB)
 # Bytes of temporaries that one chunk of a batched computation may hold: the
 # text and per-input arrays of one batch of element ids and the PRF words of
 # one element chunk of ``sign_sums`` here, the looked-up table values of one
-# accumulation chunk in ``sketches._root_sums``, the words, scratch and
+# accumulation chunk in ``sketches._root_sums`` (and a quarter of it for
+# the 256-entry tables of one batch of groups), the words, scratch and
 # counts of one batch of sets in ``sketches._unit_sums``, and one seed
 # chunk's sign sums in ``bounds``.
 _CHUNK_BYTES = 1 << 20

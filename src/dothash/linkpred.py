@@ -361,8 +361,9 @@ class NeighborhoodScorer:
         Each equals the estimator's scalar compare function bit for bit.  The
         exact oracle sort-joins a chunk of pairs at a time, MinHash and
         SimHash count over gathered rows, and DotHash takes one dot product
-        per pair of row views.  Raises ValueError on an index outside
-        ``0..n-1`` for n sets.
+        per pair of row views, visiting the pairs in stable order of their
+        first set and returning the scores in input order.  Raises
+        ValueError on an index outside ``0..n-1`` for n sets.
         """
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
         if np.any((pairs < 0) | (pairs >= len(self.sizes))):
@@ -372,7 +373,12 @@ class NeighborhoodScorer:
         scores = np.zeros(len(u))
         rows = self.sets
         if self.estimator is Estimator.DOTHASH:
-            scores[:] = [rows[a] @ rows[b] for a, b in zip(u.tolist(), v.tolist())]
+            # Pairs in order of their first set, so a row is read while it
+            # is still cached.  ndarray.dot makes the BLAS ddot call of ``@``
+            # without the ufunc dispatch, so each score keeps its bits.
+            order = np.argsort(u, kind="stable")
+            views = list(rows)
+            scores[order] = [views[a].dot(views[b]) for a, b in zip(u[order].tolist(), v[order].tolist())]
             if jaccard:
                 union = size_u + size_v - scores
                 ratio = np.divide(scores, union, out=np.ones_like(scores), where=union > 0.0)

@@ -175,7 +175,8 @@ def _sign_tables(roots: np.ndarray) -> np.ndarray:
     """Lookup tables of signed root sums, shape (groups, 256), from (8, groups) roots.
 
     Entry ``b`` of a group's table is ``±r_0 ± r_1 ... ± r_7`` added left to
-    right, with ``+r_i`` where bit ``i`` of ``b`` is set.
+    right, with ``+r_i`` where bit ``i`` of ``b`` is set, and then 0.0
+    added, which turns -0.0 into +0.0 and leaves every other value as it is.
     """
     tables = np.empty((256, roots.shape[1]))
     np.negative(roots[0], out=tables[0])
@@ -184,7 +185,13 @@ def _sign_tables(roots: np.ndarray) -> np.ndarray:
         half = 1 << i
         np.add(tables[:half], roots[i], out=tables[half : 2 * half])
         tables[:half] -= roots[i]
-    return tables.T.copy()
+    return np.add(tables.T, 0.0, out=np.empty(tables.shape[::-1]))
+
+
+def _table_rows(roots: np.ndarray, batch: int):
+    """Yield the :func:`_sign_tables` rows of (8, groups) ``roots``, built ``batch`` groups at a time."""
+    for lo in range(0, roots.shape[1], batch):
+        yield from _sign_tables(roots[:, lo : lo + batch])
 
 
 class DistinctSets(NamedTuple):
@@ -282,7 +289,18 @@ def _root_sums(
     Groups are added in order, starting from +0.0, with elementwise float64
     operations only, so the result does not depend on the CPU or BLAS, a
     set of zero weights sums to +0.0, and unit weights give exact integers,
-    the same as :func:`_unit_sums`.
+    the same as :func:`_unit_sums`.  Since a table holds no -0.0, a set's
+    first group is written into its row, which gives the bits of adding it
+    to +0.0; only the rows of empty sets are zeroed.
+
+    Groups are looked up a chunk at a time: a chunk's words, byte codes and
+    looked-up values fill about ``_CHUNK_BYTES``.  Their tables are built a
+    batch at a time, 128 groups whose tables fill ``_CHUNK_BYTES // 4``.
+    Element ids and zero-padded roots are gathered once per span of groups.
+    Where a batch holds more groups than a chunk, a span is one batch, whose
+    chunks share its tables (4 chunks of 32 groups at d=4096); otherwise a
+    span is one chunk, whose groups read batch after batch of tables (16
+    batches for a chunk of 2048 groups at d=64).
     """
     nsets = indptr.size - 1
     weights = w.weights_for(distinct)
@@ -298,10 +316,13 @@ def _root_sums(
     owner = np.repeat(np.arange(nsets), groups)
     start = indptr[owner] + _GROUP * (np.arange(owner.size) - (np.cumsum(groups) - groups)[owner])
     stop = indptr[owner + 1]
+    leads = np.diff(owner, prepend=-1) != 0
 
     dims, blocks = cb.dims, cb.blocks
     width = 64 * blocks
-    out = np.zeros((nsets, dims))
+    out = np.empty((nsets, dims))
+    out[groups == 0] = 0.0
+    set_rows = list(out)
     # Words of every distinct element up front, filled a chunk at a time,
     # where elements recur and there are no more of them than sets: a table
     # row is ceil(dims / 64) words beside an output row of dims float64
@@ -316,22 +337,31 @@ def _root_sums(
             shared[lo : lo + rows] = cb.sign_words(distinct[lo : lo + rows])
     # _CHUNK_BYTES of float64 table values looked up per chunk (8 per group
     # and coordinate) sizes the chunk's word and code temporaries.  About
-    # 1 MiB measured fastest; 256 KiB and 16 MiB were both slower.
+    # 1 MiB measured fastest; 256 KiB and 16 MiB were both slower.  A table
+    # is 256 float64 values, so at 1 MiB a batch of tables is 128 groups.
     step = max(1, _CHUNK_BYTES // (8 * width))
-    for lo in range(0, owner.size, step):
-        hi = min(owner.size, lo + step)
-        # The chunk's groups as (group, 8) slots into members; past a set's
+    batch = max(1, _CHUNK_BYTES // 4 // (8 * 256))
+    span = max(step, batch)
+    for base in range(0, owner.size, span):
+        end = min(owner.size, base + span)
+        # The span's groups as (group, 8) slots into members; past a set's
         # end, slots are padding of zero weight.
-        slots = start[lo:hi, None] + np.arange(_GROUP)
-        real = slots < stop[lo:hi, None]
+        slots = start[base:end, None] + np.arange(_GROUP)
+        real = slots < stop[base:end, None]
         ids = np.where(real, members[np.minimum(slots, max(members.size - 1, 0))], 0)
-        group_roots = np.where(real, roots[ids], 0.0).T
-        ids = ids.ravel()
-        words = shared[ids] if shared is not None else cb.sign_words(distinct[ids])
-        codes = _byte_columns(words.reshape(hi - lo, _GROUP, blocks).transpose(1, 0, 2))
-        tables = _sign_tables(group_roots)
-        for g in range(hi - lo):
-            out[owner[lo + g]] += tables[g].take(codes[g, :dims])
+        tables = _table_rows(np.where(real, roots[ids], 0.0).T, batch)
+        for lo in range(base, end, step):
+            hi = min(end, lo + step)
+            chunk = ids[lo - base : hi - base].ravel()
+            words = shared[chunk] if shared is not None else cb.sign_words(distinct[chunk])
+            codes = _byte_columns(words.reshape(hi - lo, _GROUP, blocks).transpose(1, 0, 2))[:, :dims]
+            # zip stops at the chunk's last code before it takes another table.
+            for code, table, s, lead in zip(codes, tables, owner[lo:hi].tolist(), leads[lo:hi].tolist()):
+                if lead:
+                    # "clip" takes straight into the row; the codes are all below 256.
+                    table.take(code, out=set_rows[s], mode="clip")
+                else:
+                    set_rows[s] += table.take(code)
     return out
 
 

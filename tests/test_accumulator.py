@@ -407,3 +407,105 @@ def test_weighted_dedup_sized_batch_adds_little_beside_its_output(added_peak_rss
     )
     output = 400 * 8192 * 8
     assert added < output + 4 * 2**20, f"batch build added {added / 2**20:.1f} MiB of peak RSS"
+
+
+def _build_with_layout(cb: Codebook, sets, weight, chunk_bytes: int):
+    """Weighted rows built with ``_CHUNK_BYTES`` patched, and the groups of each table batch and lookup chunk."""
+    batches, chunks = [], []
+    sign_tables, byte_columns = sketches._sign_tables, sketches._byte_columns
+
+    def tables(roots):
+        batches.append(roots.shape[1])
+        return sign_tables(roots)
+
+    def columns(rows):
+        chunks.append(len(rows[0]))
+        return byte_columns(rows)
+
+    csr = distinct_sets(*_csr(sets))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sketches, "_CHUNK_BYTES", chunk_bytes)
+        patch.setattr(sketches, "_sign_tables", tables)
+        patch.setattr(sketches, "_byte_columns", columns)
+        rows = dothash_build_many(cb, csr, WeightFn.from_array(np.array(weight)))
+    return csr, rows, batches, chunks
+
+
+def _layout_sets(shared: bool) -> list[list[int]]:
+    """Sets over elements 0..51 whose fourth set straddles two 2-group table batches.
+
+    The fourth set holds 18 elements, groups 2-4, so it spans the batches
+    of groups 2-3 and 4-5.  Shared: 45 sets of 40 distinct elements, which
+    recur and are no more than the sets, so their words are hashed once
+    into a shared table.  Otherwise 6 sets of 42 distinct elements, whose
+    words are hashed per lookup chunk.
+    """
+    rng = np.random.default_rng(40)
+    sets = [list(range(0, 16, 2)), [], [1, 3, 5], list(range(20, 38)), [39, 2, 5, 6, 1]]
+    if shared:
+        sets += [rng.choice(40, size, replace=False).tolist() for size in rng.integers(0, 7, 40)]
+    else:
+        sets.append(list(range(40, 52)))
+    return sets
+
+
+# Patched to 16 KiB, a table batch is 2 groups, and a lookup chunk is 16
+# groups at d=65, 2 at d=1000 and 1 at d=4096: a batch holds fewer groups
+# than a chunk, as many, or more.
+@pytest.mark.parametrize("dims, relation", [(65, "fewer"), (1000, "as many"), (4096, "more")])
+@pytest.mark.parametrize("shared", [True, False], ids=["shared-words", "words-per-chunk"])
+def test_table_batches_and_lookup_chunks_follow_documented_order(dims, relation, shared):
+    weight = (1.0 / np.log(np.arange(60) + 2.0)).tolist()
+    sets = _layout_sets(shared)
+    csr, rows, batches, chunks = _build_with_layout(Codebook(seed=7, dims=dims), sets, weight, 1 << 14)
+    assert (csr.distinct.size <= len(sets) and csr.distinct.size < csr.ranks.size) == shared
+    assert max(batches) == 2 and sum(batches) == sum(chunks)
+    first = sum(-(-len(set(members)) // 8) for members in sets[:3])
+    assert first // 2 != (first + 2) // 2  # the fourth set straddles two batches
+    assert {"fewer": max(batches) < max(chunks), "as many": max(batches) == max(chunks),
+            "more": max(batches) > max(chunks)}[relation]
+    for row, members in zip(rows, sets):
+        expected = np.array(reference_in_order(7, dims, members, weight))
+        assert row.tobytes() == expected.tobytes()
+        assert not has_negative_zero(row)
+
+
+@pytest.mark.parametrize("dims", (65, 1000))
+@pytest.mark.parametrize("shared", [True, False], ids=["shared-words", "words-per-chunk"])
+def test_zero_weight_set_inside_a_table_batch_is_positive_zero(dims, shared):
+    # One default batch of 128 tables holds every set.  The middle set's
+    # only group has all-zero weights: its table values are all zero, so
+    # writing that group into the row must leave +0.0, and the rows of the
+    # sets around it, written and added through the same batch, keep the
+    # documented order.
+    weight = (1.0 / np.log(np.arange(60) + 2.0)).tolist()
+    zeros = [50, 52, 54, 57]
+    weight = [0.0 if e in zeros else w for e, w in enumerate(weight)]
+    sets = _layout_sets(shared)
+    middle = len(sets) // 2
+    sets[middle] = zeros
+    csr, rows, batches, chunks = _build_with_layout(Codebook(seed=8, dims=dims), sets, weight, 1 << 20)
+    assert len(batches) == 1 and len(chunks) == 1
+    assert rows[middle].tobytes() == np.zeros(dims).tobytes()
+    for row, members in zip(rows, sets):
+        expected = np.array(reference_in_order(8, dims, members, weight))
+        assert row.tobytes() == expected.tobytes()
+        assert not has_negative_zero(row)
+
+
+def test_linkpred_sized_weighted_build_adds_little_beside_its_output(added_peak_rss):
+    # 2,000 Adamic-Adar weighted neighbourhoods at d=4096, as the linkpred
+    # benchmark builds them: the output is 62.5 MiB, and the nodes recur and
+    # are no more than the sets, so the build hashes their words once into a
+    # 1 MiB shared table.
+    added = added_peak_rss(
+        "from dothash.linkpred import adamic_adar_weights, preferential_attachment_graph\n"
+        "g = preferential_attachment_graph(2000, 12, seed=3)\n"
+        "weight = adamic_adar_weights(g)\n"
+        "sets = distinct_sets(g.indptr, g.indices)\n"
+        "assert sets.distinct.size <= 2000 and sets.distinct.size < sets.ranks.size\n"
+        "dothash_build_many(Codebook(seed=1, dims=4096), distinct_sets(np.array([0, 9]), np.arange(9, dtype=np.uint64)), weight)",
+        "dothash_build_many(Codebook(seed=1, dims=4096), sets, weight)",
+    )
+    output = 2000 * 4096 * 8
+    assert added < output + 2 * 2**20, f"batch build added {added / 2**20:.1f} MiB of peak RSS"

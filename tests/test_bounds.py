@@ -21,9 +21,10 @@ from dothash.bounds import (
     required_dims,
     sample_intersection_estimates,
     variance,
+    weighted_variance,
 )
 from dothash.encoding import Codebook
-from dothash.sketches import dothash_build, dothash_intersection
+from dothash.sketches import WeightFn, distinct_sets, dothash_build, dothash_build_many, dothash_intersection
 
 
 def q(size_a=200, size_b=200, size_int=100, dims=1024, epsilon=0.3, prob=0.05):
@@ -58,6 +59,42 @@ class TestVariance:
         for overlap, estimates in unit_mc_estimates.items():
             expected = variance(q(size_int=overlap))
             assert estimates.var(ddof=1) == pytest.approx(expected, rel=0.10)
+
+
+class TestWeightedVariance:
+    def test_unit_weights_give_variance(self):
+        for a, b, i in ((200, 200, 100), (200, 200, 0), (5, 50, 5), (1, 1, 1), (0, 7, 0)):
+            for dims in (1, 64, 1024):
+                expected = variance(q(size_a=a, size_b=b, size_int=i, dims=dims))
+                assert weighted_variance(a, b, i, i, dims) == pytest.approx(expected, rel=1e-15)
+
+    def test_rejects_nonpositive_dims(self):
+        with pytest.raises(ValueError, match="dims"):
+            weighted_variance(1.0, 1.0, 1.0, 1.0, 0)
+
+    def test_matches_monte_carlo(self):
+        # Three sets built by dothash_build_many over 3,000 codebook seeds at
+        # d=64: |A| = |B| = 40 overlapping in 20 elements with weights from
+        # 0.05 to 3, and a set D of 6 elements with weights from 4 down to
+        # 0.1, scored against itself, where c^2 and q are most of the
+        # variance.  For A, B and for D, D the mean must lie within 4
+        # standard errors of c, and the sample variance within 10% of the
+        # formula, as for unit weights.
+        rng = np.random.default_rng(5)
+        weights = np.concatenate([rng.uniform(0.05, 3.0, 60), [4.0, 2.0, 1.0, 0.5, 0.25, 0.1]])
+        a, b, d = np.arange(40), np.arange(20, 60), np.arange(60, 66)
+        sets = distinct_sets(np.array([0, 40, 80, 86]), np.concatenate([a, b, d]).astype(np.uint64))
+        w = WeightFn.from_array(weights)
+        trials, dims = 3000, 64
+        estimates = np.empty((2, trials))
+        for t in range(trials):
+            rows = dothash_build_many(Codebook(seed=90_000 + t, dims=dims), sets, w)
+            estimates[:, t] = rows[0] @ rows[1], rows[2] @ rows[2]
+        for (x, y), sample in zip([(a, b), (d, d)], estimates):
+            both = weights[np.intersect1d(x, y)]
+            expected = weighted_variance(weights[x].sum(), weights[y].sum(), both.sum(), (both**2).sum(), dims)
+            assert abs(sample.mean() - both.sum()) < 4 * math.sqrt(expected / trials)
+            assert sample.var(ddof=1) == pytest.approx(expected, rel=0.10)
 
 
 class TestChebyshevTail:

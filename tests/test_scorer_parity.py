@@ -23,6 +23,7 @@ from dothash.linkpred import (
     sketch_neighborhoods,
 )
 from dothash.sketches import (
+    DotHashSketch,
     WeightFn,
     distinct_sets,
     dothash_build,
@@ -130,3 +131,29 @@ def test_degree_metrics_need_a_graph():
 def test_sets_other_than_a_graph_or_a_csr_pair_are_rejected(sets):
     with pytest.raises(ValueError, match="a Graph or DistinctSets"):
         sketch_neighborhoods(sets, Metric.JACCARD, Estimator.EXACT)
+
+
+@pytest.mark.parametrize("metric", [Metric.ADAMIC_ADAR, Metric.JACCARD], ids=lambda m: m.value)
+def test_dothash_pairs_come_back_in_input_order(metric):
+    # DotHash scores its pairs in order of their first set and scatters the
+    # scores back.  Unsorted pairs with repeated first sets, reversed and
+    # self pairs, and pairs of the isolated nodes 40..44, then 500 random
+    # pairs: each score is the dot product of the two rows, through the
+    # Jaccard clamp for Jaccard, and a pair of two empty sets scores 0.0.
+    g = graph_from_edges(45, preferential_attachment_graph(40, 3, seed=6).edges())
+    scorer = sketch_neighborhoods(g, metric, Estimator.DOTHASH, SIZES[Estimator.DOTHASH], seed=SEED)
+    rows, sizes = scorer.sets, scorer.sizes
+    pairs = [(7, 3), (2, 9), (7, 1), (3, 7), (7, 7), (41, 42), (2, 2), (0, 39), (7, 3), (40, 40),
+             (39, 0), (2, 41), (44, 7), (7, 44)]
+    pairs += np.random.default_rng(3).integers(0, 45, (500, 2)).tolist()
+    scores = scorer.score_pairs(np.array(pairs))
+    assert scores.shape == (len(pairs),)
+    for (u, v), score in zip(pairs, scores):
+        if sizes[u] == 0 and sizes[v] == 0:
+            expected = 0.0
+        elif metric is Metric.JACCARD:
+            sketches = [DotHashSketch(rows[s], rows.shape[1], SEED, int(sizes[s])) for s in (u, v)]
+            expected = dothash_jaccard(*sketches)
+        else:
+            expected = float(rows[u] @ rows[v])
+        assert np.float64(score).tobytes() == np.float64(expected).tobytes(), (u, v)
