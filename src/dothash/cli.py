@@ -9,7 +9,8 @@ Every run is fully determined by its flags: on one machine and numpy/BLAS
 build, the same arguments and seed give a byte-identical primary output.
 Across CPUs, sketch files and MinHash, SimHash and unit or 1/degree exact
 scores stay identical; DotHash compare estimates and pair scores (BLAS
-dots) and Adamic-Adar and IDF weights (logs) may differ in the last bits.
+dots) may differ in the last bits.  Adamic-Adar and IDF weights take the
+C library's ``log`` through ``math.log``.
 Wall-clock CSV columns are 0.000000 unless --timings is given.
 
 Each subcommand imports the pipeline module it runs when it runs, so
@@ -18,7 +19,7 @@ or ``dedup``.
 
 Exit codes: 0 success (also when the reader of stdout closes the pipe
 early), 1 usage error, 2 data/format error (also a subcommand that writes
-to stdout started with stdout closed), 3 internal error.
+to stdout or reads stdin started with that stream closed), 3 internal error.
 """
 
 from __future__ import annotations
@@ -128,6 +129,8 @@ def _read_elements(path: str) -> np.ndarray:
     """
     if path == "-":
         stdin = sys.stdin
+        if stdin is None:  # started with stdin closed
+            raise ValueError("stdin is closed")
         data = stdin.buffer.read() if hasattr(stdin, "buffer") else stdin.read().encode("utf-8")
     else:
         with open(path, "rb") as fp:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .encoding import chunk_ranges, slice_ids
 from .exact import SortedSet
-from .linkpred import Estimator, Metric, decode_line, hits_at_k, sketch_neighborhoods
+from .linkpred import Estimator, Metric, decode_line, hits_at_k, per_level, sample_pairs, sketch_neighborhoods
 from .sketches import DistinctSets, WeightFn, WeightKind, distinct_sets
 
 # Not called here; bench/spans.py wraps these names until ROADMAP item 1 moves its probes.
@@ -66,25 +66,21 @@ def csr_idf(sets: DistinctSets) -> WeightFn:
     An element's doc_freq is the number of sets that hold it, counted by one
     ``np.bincount`` of the ranks, since a set holds each rank once; unseen
     elements use doc_freq = 1.  A weight is ``math.log(corpus_size /
-    doc_freq)`` read from a table over the distinct doc_freq values, so the
-    batch and scalar paths agree bit for bit.
+    doc_freq)``, taken once per distinct doc_freq by
+    :func:`~dothash.linkpred.per_level`, so batch and scalar paths agree.
     """
     corpus_size = sets.indptr.size - 1
     if corpus_size < 1:
         raise ValueError("cannot build IDF table from an empty corpus")
-    keys, freqs = sets.distinct, np.bincount(sets.ranks, minlength=sets.distinct.size)
-    # The leading doc_freq = 1 is the unseen shingles' level.
-    levels, slots = np.unique(np.concatenate(([1], freqs)), return_inverse=True)
-    logs = np.array([math.log(corpus_size / int(df)) for df in levels])
-    unseen = slots[0]
-    # A sentinel past the last key maps to the unseen level, whatever it matches.
-    keys = np.append(keys, np.uint64(0))
-    slots = np.append(slots[1:], unseen)
+    freqs = np.bincount(sets.ranks, minlength=sets.distinct.size)
+    # A sentinel past the last key has the unseen level doc_freq = 1, whatever it matches.
+    keys = np.append(sets.distinct, np.uint64(0))
+    weights = per_level(np.append(freqs, 1), lambda df: math.log(corpus_size / df))
 
     def batch(elements: np.ndarray) -> np.ndarray:
         elements = np.asarray(elements, dtype=np.uint64)
         at = np.searchsorted(keys[:-1], elements)
-        return logs[np.where(keys[at] == elements, slots[at], unseen)]
+        return np.where(keys[at] == elements, weights[at], weights[-1])
 
     def scalar(element: int) -> float:
         return float(batch(np.array([element], dtype=np.uint64))[0])
@@ -315,33 +311,21 @@ def sample_negative_pairs(
 ) -> list[tuple[str, str]]:
     """Uniform distinct document pairs that are not labeled duplicates.
 
-    Index pairs are drawn as ``rng.integers(0, n, size=2)`` would draw them
-    one at a time, in batches, and taken in draw order when the two indices
-    differ and the pair is neither labeled nor drawn before.  Raises
-    ValueError on a repeated doc id and when fewer than ``count`` pairs are
-    available.
+    Index pairs are drawn by :func:`~dothash.linkpred.sample_pairs`, the
+    sampler of link prediction's negatives, with the labeled pairs as its
+    exclusion, and returned in draw order as ``(doc_ids[i], doc_ids[j])``
+    for each taken draw ``(i, j)``.  Raises ValueError on a repeated doc id,
+    when fewer than ``count`` pairs are available, and when the sampler's
+    budget of ``max(100 * count, 10_000)`` draws runs out.
     """
     rows, n = _doc_rows(doc_ids), len(doc_ids)
-    # Pair (i, j) as the key min(i, j) * n + max(i, j).
-    labeled = {min(rows[a], rows[b]) * n + max(rows[a], rows[b])
+    labeled = {(min(rows[a], rows[b]), max(rows[a], rows[b]))
                for a, b in positive_pairs if a in rows and b in rows and a != b}
     max_pairs = n * (n - 1) // 2 - len(labeled)
     if count > max_pairs:
         raise ValueError(f"cannot sample {count} negative pairs from {max_pairs} available")
-    rng = np.random.default_rng(seed)
-    taken = np.fromiter(labeled, dtype=np.int64, count=len(labeled))
-    accepted = [np.empty((0, 2), dtype=np.int64)]
-    found = 0
-    while found < count:
-        draws = rng.integers(0, n, size=(2 * (count - found), 2))
-        keys = draws.min(axis=1) * n + draws.max(axis=1)
-        fresh = np.flatnonzero((draws[:, 0] != draws[:, 1]) & ~np.isin(keys, taken))
-        # First draw of every fresh pair, in draw order.
-        fresh = np.sort(fresh[np.unique(keys[fresh], return_index=True)[1]])[: count - found]
-        accepted.append(draws[fresh])
-        taken = np.concatenate([taken, keys[fresh]])
-        found += fresh.size
-    return [(doc_ids[i], doc_ids[j]) for i, j in np.concatenate(accepted).tolist()]
+    pairs = sample_pairs(np.random.default_rng(seed), n, count, lambda i, j: (i, j) in labeled)
+    return [(doc_ids[i], doc_ids[j]) for i, j in pairs.tolist()]
 
 
 def run_dedup_benchmark(

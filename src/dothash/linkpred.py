@@ -21,7 +21,7 @@ import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Sequence, Union
+from typing import IO, Callable, Sequence, Union
 
 import numpy as np
 
@@ -217,13 +217,42 @@ class EvalSplit:
     negatives: np.ndarray
 
 
+def sample_pairs(rng: np.random.Generator, n: int, count: int,
+                 excluded: Callable[[int, int], bool]) -> np.ndarray:
+    """``count`` distinct unordered pairs of ``0..n-1``, by rejection sampling.
+
+    Draws are ``rng.integers(0, n, size=2)`` one at a time, read from
+    ``(4096, 2)`` batches, which consume the generator as single draws do.
+    A draw ``(u, v)`` is taken when u != v, its pair ``(min, max)`` is new
+    and then ``excluded(min, max)`` is False.  Returns the taken draws as
+    drawn, in draw order, as a ``(count, 2)`` int64 array.  Raises
+    ValueError when ``max(100 * count, 10_000)`` draws take fewer.
+    """
+    budget = max(100 * count, 10_000)
+    taken: dict[tuple[int, int], tuple[int, int]] = {}  # (min, max) -> the draw, in draw order
+    draws = 0
+    while len(taken) < count:
+        if draws >= budget:
+            raise ValueError(f"could not sample {count} non-edges within {budget} draws; graph too dense")
+        batch = min(4096, budget - draws)
+        draws += batch
+        for u, v in rng.integers(0, n, size=(batch, 2)).tolist():
+            pair = (u, v) if u < v else (v, u)
+            if u != v and pair not in taken and not excluded(*pair):
+                taken[pair] = (u, v)
+                if len(taken) == count:
+                    break
+    return np.array(list(taken.values()), dtype=np.int64).reshape(-1, 2)
+
+
 def split_edges(g: Graph, test_fraction: float, neg_per_pos: int, seed: int = 0) -> EvalSplit:
     """Hold out ceil(test_fraction * |E|) edges and sample negative non-edges.
 
-    Positives are removed from the train graph.  Negatives are uniform
-    distinct non-edges of the full graph found by rejection sampling;
-    exhausting the retry budget (100 draws per required negative, minimum
-    10000) raises.  Deterministic given the seed.
+    Positives are removed from the train graph.  Negatives are
+    ``neg_per_pos`` per positive: distinct non-edges ``(u, v)``, u < v, of
+    the full graph, drawn by :func:`sample_pairs` excluding ``g.has_edge``,
+    which raises when its budget of ``max(100 * count, 10_000)`` draws runs
+    out.  Deterministic given the seed.
     """
     if not 0.0 < test_fraction < 1.0:
         raise ValueError("test_fraction must lie strictly in (0, 1)")
@@ -236,46 +265,28 @@ def split_edges(g: Graph, test_fraction: float, neg_per_pos: int, seed: int = 0)
     positives = edges[np.sort(chosen)]
     train_edges = np.delete(edges, chosen, axis=0)
     train_graph = graph_from_edges(g.node_count, train_edges, labels=g.labels)
+    negatives = sample_pairs(rng, g.node_count, neg_per_pos * n_pos, g.has_edge)
+    return EvalSplit(train_graph=train_graph, positives=positives, negatives=np.sort(negatives, axis=1))
 
-    n_neg = neg_per_pos * n_pos
-    budget = max(100 * n_neg, 10_000)
-    negatives: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    draws = 0
-    while len(negatives) < n_neg:
-        if draws >= budget:
-            raise ValueError(
-                f"could not sample {n_neg} non-edges within {budget} draws; graph too dense"
-            )
-        batch = min(4096, budget - draws)
-        pairs = rng.integers(0, g.node_count, size=(batch, 2))
-        draws += batch
-        for u, v in pairs.tolist():
-            if u == v:
-                continue
-            pair = (min(u, v), max(u, v))
-            if pair in seen or g.has_edge(*pair):
-                continue
-            seen.add(pair)
-            negatives.append(pair)
-            if len(negatives) == n_neg:
-                break
-    return EvalSplit(
-        train_graph=train_graph,
-        positives=positives,
-        negatives=np.array(negatives, dtype=np.int64),
-    )
+
+def per_level(values: np.ndarray, fn: Callable[[int], float]) -> np.ndarray:
+    """``fn(v)`` of every integer ``v`` in ``values`` as float64, calling ``fn`` once per distinct value.
+
+    Weights that take ``math.log`` this way get the C library's ``log``,
+    not numpy's, whose float64 kernel numpy picks per CPU.
+    """
+    levels, slots = np.unique(values, return_inverse=True)
+    return np.array([fn(level) for level in levels.tolist()], dtype=np.float64)[slots]
 
 
 def adamic_adar_weights(g: Graph) -> WeightFn:
     """Per-node weight 1/ln(degree); degree <= 1 gets weight 0.
 
     A degree-1 node can never be a common neighbor, so zeroing it changes
-    no metric value while keeping the weight finite.
+    no metric value while keeping the weight finite.  The log is
+    ``math.log``, once per distinct degree (:func:`per_level`).
     """
-    deg = g.degrees().astype(np.float64)
-    with np.errstate(divide="ignore"):
-        w = np.where(deg > 1, 1.0 / np.log(np.maximum(deg, 2.0)), 0.0)
+    w = per_level(g.degrees(), lambda deg: 1.0 / math.log(deg) if deg > 1 else 0.0)
     return WeightFn.from_array(w, kind=WeightKind.ADAMIC_ADAR)
 
 

@@ -650,10 +650,11 @@ class TestExitCodes:
             _, stderr = proc.communicate(timeout=120)
         assert (proc.returncode, stderr) == (0, "")
 
-    def _run_with_stdout_closed(self, cwd, *args):
-        # A shell closes descriptor 1 before exec, so the interpreter starts
-        # with sys.stdout None, as ``dothash ... >&-`` starts it.
-        argv = ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "dothash.cli", *map(str, args)]
+    def _run_with_closed(self, cwd, redirect, *args):
+        # A shell closes descriptor 1 (``>&-``) or 0 (``<&-``) before exec, so
+        # the interpreter starts with sys.stdout or sys.stdin None.
+        argv = ["sh", "-c", f'exec "$@" {redirect}', "sh", sys.executable, "-m", "dothash.cli",
+                *map(str, args)]
         return subprocess.run(argv, cwd=cwd, stderr=subprocess.PIPE, text=True,
                               env=_subprocess_env(), timeout=120)
 
@@ -673,17 +674,24 @@ class TestExitCodes:
                      "--input", str(tmp_path / "tokens.txt"), "--out", str(tmp_path / "a.skch")]) == 0
         _write_graph(tmp_path, erdos_renyi_graph(30, 0.3, seed=3))
         _write_corpus(tmp_path)
-        result = self._run_with_stdout_closed(tmp_path, *command)
+        result = self._run_with_closed(tmp_path, ">&-", *command)
         assert (result.returncode, result.stderr) == (2, "dothash: error: stdout is closed\n")
         assert not (tmp_path / "out.skch").exists()
 
     def test_closed_stdout_with_an_output_file_runs(self, tmp_path, capsys):
         flags = ["bounds", "--size-a", "6", "--size-b", "8", "--size-int", "3", "--dims", "8",
                  "--eps-points", "3", "--trials", "2"]
-        result = self._run_with_stdout_closed(tmp_path, *flags, "--out", "closed.csv")
+        result = self._run_with_closed(tmp_path, ">&-", *flags, "--out", "closed.csv")
         assert (result.returncode, result.stderr) == (0, "")
         assert main([*flags, "--out", str(tmp_path / "open.csv")]) == 0
         assert (tmp_path / "closed.csv").read_bytes() == (tmp_path / "open.csv").read_bytes()
+
+    def test_closed_stdin_is_a_data_error(self, tmp_path):
+        # ``sketch`` reads '-' by default.
+        result = self._run_with_closed(tmp_path, "<&-", "sketch", "--estimator", "dothash",
+                                       "--dims", "8", "--out", "out.skch")
+        assert (result.returncode, result.stderr) == (2, "dothash: error: stdin is closed\n")
+        assert not (tmp_path / "out.skch").exists()
 
 
 _IMPORTED_PIPELINES = """

@@ -150,6 +150,45 @@ class TestSplitEdges:
         full = graph_from_edges(6, [(u, v) for u in range(6) for v in range(u + 1, 6)])
         with pytest.raises(ValueError, match="graph too dense"):
             split_edges(full, 0.1, 1000, seed=0)
+        got = self._outcome(lambda *a: split_edges(*a).negatives, full, 0.1, 1, 0)
+        assert got == self._outcome(self._scalar_negatives, full, 0.1, 1, 0)
+        assert got == "could not sample 2 non-edges within 10000 draws; graph too dense"
+
+    @staticmethod
+    def _scalar_negatives(g, test_fraction, neg_per_pos, seed):
+        """The one-draw-at-a-time rejection loop that split_edges' negatives must reproduce."""
+        rng = np.random.default_rng(seed)
+        n_pos = math.ceil(test_fraction * g.edge_count)
+        rng.choice(g.edge_count, size=n_pos, replace=False)  # the positives' draw comes first
+        n_neg = neg_per_pos * n_pos
+        budget = max(100 * n_neg, 10_000)
+        negatives = []
+        for _ in range(budget):
+            if len(negatives) == n_neg:
+                break
+            u, v = rng.integers(0, g.node_count, size=2).tolist()
+            pair = (min(u, v), max(u, v))
+            if u != v and pair not in negatives and not g.has_edge(*pair):
+                negatives.append(pair)
+        if len(negatives) < n_neg:
+            raise ValueError(f"could not sample {n_neg} non-edges within {budget} draws; graph too dense")
+        return negatives
+
+    @staticmethod
+    def _outcome(fn, *args):
+        try:
+            return [tuple(pair) for pair in np.asarray(fn(*args)).tolist()]
+        except ValueError as exc:
+            return str(exc)
+
+    @given(st.integers(2, 12), st.data(), st.sampled_from([0.1, 0.3, 0.6]), st.integers(1, 4),
+           st.integers(0, 2**32))
+    @settings(max_examples=100, deadline=None)
+    def test_negatives_equal_scalar_loop(self, n, data, test_fraction, neg_per_pos, seed):
+        index = st.integers(0, n - 1)
+        g = graph_from_edges(n, data.draw(st.lists(st.tuples(index, index), max_size=3 * n)))
+        got = self._outcome(lambda *a: split_edges(*a).negatives, g, test_fraction, neg_per_pos, seed)
+        assert got == self._outcome(self._scalar_negatives, g, test_fraction, neg_per_pos, seed)
 
     def test_parameter_validation(self):
         g = erdos_renyi_graph(10, 0.3, seed=0)
@@ -405,3 +444,10 @@ def test_adamic_adar_weights_zero_low_degree():
     w = adamic_adar_weights(g)
     assert w(0) == 0.0  # degree 1
     assert w(1) == pytest.approx(1 / math.log(3))
+
+
+def test_adamic_adar_weights_take_the_c_librarys_log():
+    # numpy picks its float64 log kernel per CPU; with AVX-512, np.log(9170.0)
+    # differs from the C library's log in the last bit.
+    star = graph_from_edges(9171, [(0, leaf) for leaf in range(1, 9171)])
+    assert adamic_adar_weights(star)(0) == 1 / math.log(9170)
