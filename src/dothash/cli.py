@@ -34,7 +34,7 @@ from typing import Any, Iterator, Sequence
 
 import numpy as np
 
-from .encoding import _CHUNK_BYTES, _PER_INPUT_BYTES, Codebook, MinwiseFamily, element_ids, slice_ids
+from .encoding import _CHUNK_BYTES, _PER_INPUT_BYTES, Codebook, MinwiseFamily, slice_ids
 from .sketches import (
     MAX_SKETCH_SIZE,
     DotHashSketch,
@@ -71,61 +71,42 @@ class _Parser(argparse.ArgumentParser):
 _LINE_BREAK = np.array([len(f"a{chr(c)}a".splitlines()) == 2 for c in range(128)])
 _SPACE = np.array([chr(c).isspace() for c in range(128)])
 
-# Bytes of an ASCII token file searched for line breaks at a time.  Its
-# lines are hashed at most ``_CHUNK_BYTES // _PER_INPUT_BYTES`` (16k) at a
-# time, whose bounds and hashing temporaries come to about 1 MiB.
+# Most bytes and lines of a token file hashed at a time; 16k lines' bounds
+# and hashing temporaries come to about 1 MiB.
 _TOKEN_WINDOW = 1 << 18
+_TOKEN_LINES = _CHUNK_BYTES // _PER_INPUT_BYTES
 
 
-def _ascii_token_ids(data: bytes) -> np.ndarray | None:
-    """The element ids of the tokens of ASCII `data`, hashed straight from its bytes, or None.
+def _line_ends(codes: np.ndarray, lo: int) -> np.ndarray:
+    """The positions of the line breaks in ``codes[lo : lo + _TOKEN_WINDOW]``, and ``len(codes)`` if it ends there."""
+    part = codes[lo : lo + _TOKEN_WINDOW]
+    # Every line break is a control byte, below 32: look only those up.
+    found = np.flatnonzero(part < 32)
+    found = found[_LINE_BREAK[part[found]]]
+    found += lo
+    return found if lo + part.size < codes.size else np.append(found, codes.size)
 
-    The lines are the ones ``str.splitlines`` gives, so CRLF, lone CR and
-    the other ASCII line breaks end a line, and each token is its line after
-    ``str.strip``.  The bytes are searched for line breaks a window of
-    ``_TOKEN_WINDOW`` at a time, and the lines that end in a window are
-    hashed (:func:`~dothash.encoding.slice_ids`) in batches of at most
-    ``_CHUNK_BYTES // _PER_INPUT_BYTES``, so the temporaries stay bounded
-    whatever the line count, length or ending.  None when a byte is not
-    ASCII or a line has a byte that ``str.strip`` would remove at either
-    end: those take the decoding path.
-    """
-    if not data.isascii():
-        return None
-    codes = np.frombuffer(data, dtype=np.uint8)
-    batch_lines = _CHUNK_BYTES // _PER_INPUT_BYTES
-    pieces, start = [np.empty(0, dtype=np.uint64)], 0  # start: the first byte not yet hashed
-    for lo in range(0, len(data), _TOKEN_WINDOW):
-        window = codes[lo : lo + _TOKEN_WINDOW]
-        # Every line break is a control byte, below 32: look only those up.
-        ends = np.flatnonzero(window < 32)
-        ends = ends[_LINE_BREAK[window[ends]]]
-        ends += lo
-        if lo + _TOKEN_WINDOW >= len(data):  # the last line may end without a break
-            ends = np.append(ends, len(data))
-        for first in range(0, ends.size, batch_lines):
-            # The batch's lines, in bytes from `start`; a CRLF leaves an empty line.
-            stops = ends[first : first + batch_lines] - start
-            starts = np.concatenate(([0], stops[:-1] + 1))
-            text = codes[start : start + stops[-1]]
-            start += int(stops[-1]) + 1
-            lines = stops > starts
-            starts, stops = starts[lines], stops[lines]
-            if np.any(_SPACE[text[starts]]) or np.any(_SPACE[text[stops - 1]]):
-                return None
-            pieces.append(slice_ids(text, starts, stops))
-    return np.concatenate(pieces)
+
+def _token_bytes(data: bytes, start: int, stop: int) -> bytes:
+    """The tokens of ``data[start:stop]`` in UTF-8, each ended by a LF; ValueError names a byte that is not UTF-8."""
+    try:
+        lines = data[start:stop].decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        exc = UnicodeDecodeError(exc.encoding, data, start + exc.start, start + exc.end, exc.reason)
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"line {lineno}: {exc}") from None
+    return "\n".join([*filter(None, map(str.strip, lines)), ""]).encode("utf-8")
 
 
 def _read_elements(path: str) -> np.ndarray:
     """The element ids of the tokens, one per line; blank lines are skipped.
 
-    A token is its line with ``str.strip`` applied, and lines are split as
-    ``str.splitlines`` splits them.  The whole input is read as bytes, and
-    hashed straight from them when :func:`_ascii_token_ids` can.  Any other
-    input is decoded as UTF-8 and split and stripped as text, which gives
-    the same ids for the same tokens; a byte that is not UTF-8 is reported
-    with its line number, as ValueError.
+    Lines split as ``str.splitlines`` splits them, and a token is its line
+    after ``str.strip``.  The input is read whole and hashed a window at a
+    time (:func:`~dothash.encoding.slice_ids`): from its bytes when its
+    lines are ASCII and ``str.strip`` would not change them, else through
+    :func:`_token_bytes`.  A byte that is not UTF-8 is a ValueError naming
+    its line.
     """
     if path == "-":
         stdin = sys.stdin
@@ -135,15 +116,32 @@ def _read_elements(path: str) -> np.ndarray:
     else:
         with open(path, "rb") as fp:
             data = fp.read()
-    ids = _ascii_token_ids(data)
-    if ids is not None:
-        return ids
-    try:
-        lines = data.decode("utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        lineno = data.count(b"\n", 0, exc.start) + 1
-        raise ValueError(f"line {lineno}: {exc}") from None
-    return element_ids(token for token in map(str.strip, lines) if token)
+    codes = np.frombuffer(data, dtype=np.uint8)
+    pieces = [np.empty(0, dtype=np.uint64)]
+    # Line ends at or after `start`: its breaks, then the input's end once searched.
+    ends = np.empty(0, dtype=np.int64)
+    start = scanned = 0
+    while start < len(data):
+        # Search each byte once: a whole window past `start`, or on to the next break.
+        while scanned < len(data) and (scanned < start + _TOKEN_WINDOW or not ends.size):
+            ends = np.concatenate((ends, _line_ends(codes, scanned)))
+            scanned += _TOKEN_WINDOW
+        # At most _TOKEN_WINDOW bytes and _TOKEN_LINES lines, cut after a break, which
+        # is never inside a UTF-8 sequence; a longer line runs on to its break.
+        lines = min(max(int(np.searchsorted(ends, start + _TOKEN_WINDOW)), 1), _TOKEN_LINES)
+        stop = int(ends[lines - 1]) + 1
+        # The window's lines, in bytes from `start`; a CRLF leaves an empty line.
+        window, stops = codes[start:stop], ends[:lines] - start
+        starts = np.concatenate(([0], stops + 1))[:-1]
+        keep = stops > starts
+        starts, stops = starts[keep], stops[keep]
+        if window.max() >= 128 or np.any(_SPACE[window[starts]]) or np.any(_SPACE[window[stops - 1]]):
+            window = np.frombuffer(_token_bytes(data, start, stop), dtype=np.uint8)
+            stops = np.flatnonzero(window == 10)
+            starts = np.concatenate(([0], stops + 1))[:-1]
+        pieces.append(slice_ids(window, starts, stops))
+        ends, start = ends[lines:], stop
+    return np.concatenate(pieces)
 
 
 def _resolve_size(args: argparse.Namespace, limit: int | None = None) -> int | None:

@@ -170,11 +170,12 @@ def slice_ids(buffer: bytes, starts: np.ndarray, stops: np.ndarray) -> np.ndarra
         pos[:c] += 8
         j += 1
     for i in range(running[j]):
-        tail = data[pos[i] : stops[i]].tobytes()
+        # The words left, read in place; the last one masked as above.
+        final = int(pos[i]) + 8 * ((int(stops[i]) - int(pos[i]) - 1) // 8)
         word_state = int(state[i])
-        for (word,) in struct.iter_unpack("<Q", tail + bytes(-len(tail) % 8)):
+        for (word,) in struct.iter_unpack("<Q", data[pos[i] : final]):
             word_state = splitmix64(word_state ^ word)
-        state[i] = word_state
+        state[i] = splitmix64(word_state ^ (int(words[final]) & int(last[i])))
     out = np.empty_like(state)
     out[order] = state
     return out

@@ -24,6 +24,14 @@ from dothash.bounds import (
     weighted_variance,
 )
 from dothash.encoding import Codebook
+from dothash.linkpred import (
+    Estimator,
+    Metric,
+    adamic_adar_weights,
+    preferential_attachment_graph,
+    sketch_neighborhoods,
+    split_edges,
+)
 from dothash.sketches import WeightFn, distinct_sets, dothash_build, dothash_build_many, dothash_intersection
 
 
@@ -95,6 +103,65 @@ class TestWeightedVariance:
             expected = weighted_variance(weights[x].sum(), weights[y].sum(), both.sum(), (both**2).sum(), dims)
             assert abs(sample.mean() - both.sum()) < 4 * math.sqrt(expected / trials)
             assert sample.var(ddof=1) == pytest.approx(expected, rel=0.10)
+
+
+class TestPredictedError:
+    """Each estimator's error over link-prediction pairs against its error model.
+
+    The pairs are the 7,158 held-out positives and sampled negatives of a
+    preferential-attachment graph, scored on its train graph at d = k = 256
+    under codebook seeds 100-104.  The root mean square error over pairs
+    and seeds must lie within 10% of the root of the mean predicted
+    variance: the paper's ``(|A||B| + i^2 - 2i)/d`` for DotHash common
+    neighbours, its weighted form for DotHash Adamic-Adar, and the binomial
+    ``J(1 - J)/k`` for MinHash Jaccard.  Ratios measured at d = 64, 256 and
+    1024 lay in 0.979-1.006.
+    """
+
+    DIMS = 256
+    SEEDS = range(100, 105)
+
+    @pytest.fixture(scope="class")
+    def split(self):
+        split = split_edges(preferential_attachment_graph(2000, 12, seed=5), 0.1, 2, seed=6)
+        pairs = np.concatenate([split.positives, split.negatives])
+        assert len(pairs) == 7158
+        return split.train_graph, pairs
+
+    def scores(self, graph, pairs, metric, estimator, seed=0):
+        size = None if estimator is Estimator.EXACT else self.DIMS
+        return sketch_neighborhoods(graph, metric, estimator, size, seed=seed).score_pairs(pairs)
+
+    def rmse_ratio(self, graph, pairs, metric, estimator, exact, predicted):
+        errors = [self.scores(graph, pairs, metric, estimator, seed) - exact for seed in self.SEEDS]
+        return math.sqrt(np.mean(np.square(errors)) / np.mean(predicted))
+
+    def test_dothash_common_neighbours(self, split):
+        graph, pairs = split
+        common = self.scores(graph, pairs, Metric.COMMON_NEIGHBORS, Estimator.EXACT)
+        sizes = graph.degrees()[pairs]
+        predicted = [variance(BoundsQuery(int(a), int(b), int(i), self.DIMS))
+                     for (a, b), i in zip(sizes.tolist(), common.tolist())]
+        ratio = self.rmse_ratio(graph, pairs, Metric.COMMON_NEIGHBORS, Estimator.DOTHASH, common, predicted)
+        assert 0.9 < ratio < 1.1
+
+    def test_dothash_adamic_adar(self, split):
+        graph, pairs = split
+        w = adamic_adar_weights(graph).weights_for(np.arange(graph.node_count, dtype=np.uint64))
+        common = self.scores(graph, pairs, Metric.ADAMIC_ADAR, Estimator.EXACT)
+        squares = self.scores(graph, pairs, WeightFn.from_array(w**2), Estimator.EXACT)
+        owners = np.repeat(np.arange(graph.node_count), graph.degrees())
+        totals = np.bincount(owners, w[graph.indices], graph.node_count)[pairs]
+        predicted = weighted_variance(totals[:, 0], totals[:, 1], common, squares, self.DIMS)
+        ratio = self.rmse_ratio(graph, pairs, Metric.ADAMIC_ADAR, Estimator.DOTHASH, common, predicted)
+        assert 0.9 < ratio < 1.1
+
+    def test_minhash_jaccard(self, split):
+        graph, pairs = split
+        jaccard = self.scores(graph, pairs, Metric.JACCARD, Estimator.EXACT)
+        predicted = jaccard * (1.0 - jaccard) / self.DIMS
+        ratio = self.rmse_ratio(graph, pairs, Metric.JACCARD, Estimator.MINHASH, jaccard, predicted)
+        assert 0.9 < ratio < 1.1
 
 
 class TestChebyshevTail:

@@ -160,7 +160,7 @@ class TestSketchCommand:
 
 
 def _reference_read_elements(data: bytes) -> np.ndarray:
-    """The token reader without its ASCII fast path: decode, split lines, strip, hash."""
+    """The token reader without windows: decode the whole input, split lines, strip, hash."""
     try:
         lines = data.decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:
@@ -187,6 +187,14 @@ _token_files = st.one_of(
 @pytest.fixture(scope="module")
 def token_file(tmp_path_factory):
     return tmp_path_factory.mktemp("tokens") / "tokens.txt"
+
+
+def _ids_or_error(read, source) -> list | str:
+    """``read(source)``'s ids as a list, or the text of the ValueError it raised."""
+    try:
+        return read(source).tolist()
+    except ValueError as exc:
+        return str(exc)
 
 
 @settings(max_examples=300, deadline=None)
@@ -216,14 +224,20 @@ def test_token_reader_matches_the_decoding_path(token_file, data, from_stdin):
 
 
 @pytest.mark.parametrize("data", [b"", b"\n\n", b"tok-1\n", b"a b\r\nc\x00d\x1c\x0b\x0c\r\x1d\x1eLast"])
-def test_plain_ascii_tokens_take_the_byte_path(data):
-    tokens = [t for t in map(str.strip, data.decode("ascii").splitlines()) if t]
-    assert cli._ascii_token_ids(data).tolist() == element_ids(tokens).tolist()
+def test_plain_ascii_tokens_take_the_byte_path(token_file, data):
+    token_file.write_bytes(data)
+    with mock.patch.object(cli, "_token_bytes", side_effect=AssertionError("window decoded")):
+        got = _ids_or_error(cli._read_elements, str(token_file))
+    assert got == _ids_or_error(_reference_read_elements, data)
 
 
 @pytest.mark.parametrize("data", [b" a\n", b"a \n", b"a\t", b"a\x1f\n", "caf\u00e9\n".encode("utf-8"), b"\xff"])
-def test_edge_whitespace_and_other_bytes_take_the_decoding_path(data):
-    assert cli._ascii_token_ids(data) is None
+def test_edge_whitespace_and_other_bytes_take_the_decoding_path(token_file, data):
+    token_file.write_bytes(data)
+    with mock.patch.object(cli, "_token_bytes", wraps=cli._token_bytes) as decode:
+        got = _ids_or_error(cli._read_elements, str(token_file))
+    assert got == _ids_or_error(_reference_read_elements, data)
+    decode.assert_called_once()
 
 
 class TestCompareCommand:
@@ -727,16 +741,19 @@ def test_each_subcommand_loads_only_the_pipelines_it_runs(tmp_path, element_file
         "sketch": [], "compare": [], "bounds": [], "linkpred": ["dothash.linkpred"]}
 
 
-@settings(max_examples=200, deadline=None)
-@given(data=st.text(alphabet="ab#\x00 \t\x1f\n\r\v\x1c", max_size=40).map(str.encode),
-       window=st.integers(1, 12), batch_lines=st.integers(1, 4))
-@example(data=b"a\r\nb\rc\n\nd\ne", window=2, batch_lines=1)
-@example(data=b"abcdefgh\ri\rj", window=3, batch_lines=1)
-def test_token_windows_give_the_same_ids(token_file, data, window, batch_lines):
-    # ASCII files in windows of a few bytes and batches of a few lines, so
-    # most lines end a window or a batch and some span windows.
+@settings(max_examples=300, deadline=None)
+@given(data=st.one_of(st.text(alphabet="ab#\x00 \t\x1f\n\r\v\x1c", max_size=40).map(str.encode), _token_files),
+       window=st.integers(1, 12), lines=st.integers(1, 4))
+@example(data=b"a\r\nb\rc\n\nd\ne", window=2, lines=1)
+@example(data=b"abcdefgh\ri\rj", window=3, lines=1)
+@example(data="a\n\u00e9\u00e9\u00e9 \u2028b\x85\nc".encode("utf-8"), window=2, lines=1)
+@example(data=b"ab\ncd\n\xffx", window=2, lines=1)
+@example(data=b"abc\n\xe2\x82", window=2, lines=1)
+def test_token_windows_give_the_same_ids(token_file, data, window, lines):
+    # Files in windows of a few bytes and a few lines, so most lines end a
+    # window and some span windows; non-ASCII windows are decoded on their
+    # own, and an undecodable byte names its line and position in the file.
     token_file.write_bytes(data)
-    with mock.patch.object(cli, "_TOKEN_WINDOW", window), \
-            mock.patch.object(cli, "_CHUNK_BYTES", batch_lines * cli._PER_INPUT_BYTES):
-        got = cli._read_elements(str(token_file))
-    assert got.tolist() == _reference_read_elements(data).tolist()
+    with mock.patch.object(cli, "_TOKEN_WINDOW", window), mock.patch.object(cli, "_TOKEN_LINES", lines):
+        got = _ids_or_error(cli._read_elements, str(token_file))
+    assert got == _ids_or_error(_reference_read_elements, data)

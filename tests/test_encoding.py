@@ -185,17 +185,28 @@ class TestElementIds:
         )
         assert added < 12 * 2**20, f"hashing added {added / 2**20:.1f} MiB of peak RSS"
 
-    @pytest.mark.parametrize("width, count", [(1, 400_000), (20, 200_000)])
-    @pytest.mark.parametrize("ending", ["\n", "\r"], ids=["LF", "CR"])
-    def test_reading_many_tokens_adds_bounded_memory(self, added_peak_rss, tmp_path, width, count, ending):
-        # Token files for the sketch command's ASCII path, hashed at most
-        # 16k lines at a time: each added under 10 MiB with the bytes and the
-        # ids.  Windows of 256 KiB cut only after a LF added 19 MiB for the
-        # one-byte LF tokens (131k lines a window) and 31 and 46 MiB for the
-        # CR files (one window).
+    @pytest.mark.parametrize("count, line", [
+        pytest.param(400_000, lambda i: f"{i % 16:x}\n", id="LF-1-400000"),
+        pytest.param(400_000, lambda i: f"{i % 16:x}\r", id="CR-1-400000"),
+        pytest.param(200_000, lambda i: f"{i:020x}\n", id="LF-20-200000"),
+        pytest.param(200_000, lambda i: f"{i:020x}\r", id="CR-20-200000"),
+        pytest.param(200_000, lambda i: f"\u00e9{i:019x}\n", id="non-ascii"),
+        pytest.param(200_000, lambda i: f" {i:019x}\n", id="leading-space"),
+        # One line of three windows among 20-byte lines.
+        pytest.param(200_000, lambda i: "x" * (3 << 18) + "\n" if i == 100_000 else f"{i:020x}\n",
+                     id="long-line"),
+    ])
+    def test_reading_many_tokens_adds_bounded_memory(self, added_peak_rss, tmp_path, count, line):
+        # Token files for the sketch command, read a window of at most 256
+        # KiB and 16k lines at a time: each added under 11 MiB, with the
+        # bytes and the ids.  Windows of 256 KiB cut only after a LF added
+        # 19 MiB for the one-byte LF tokens (131k lines a window) and 31 and
+        # 46 MiB for the CR files (one window); decoding the whole file when
+        # any window needed it added 33 MiB for the non-ASCII tokens and 45
+        # MiB for the leading spaces.
         path = tmp_path / "tokens.txt"
-        with path.open("w", newline="") as fp:
-            fp.writelines(f"{i:0{width}x}"[-width:] + ending for i in range(count))
+        with path.open("w", encoding="utf-8", newline="") as fp:
+            fp.writelines(map(line, range(count)))
         added = added_peak_rss("from dothash.cli import _read_elements", f"ids = _read_elements({str(path)!r})")
         assert added < 12 * 2**20, f"reading added {added / 2**20:.1f} MiB of peak RSS"
 
