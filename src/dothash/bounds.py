@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .encoding import _CHUNK_BYTES, sign_sums
+from .encoding import _CHUNK_BYTES, _sign_sums_buffer, sign_sums
 
 
 @dataclass(frozen=True)
@@ -159,19 +159,49 @@ def _sample_estimates(
 ) -> np.ndarray:
     """``sample_intersection_estimates`` at every d of ``dims_list``, one row each.
 
-    The sign sums of ``A - B``, ``A & B`` and ``B - A`` are counted once per
-    seed, and S_A and S_B are exact integer sums of them.  They are counted
-    at the largest d only: a codebook's first d coordinates do not depend on
-    its dims, so each d takes a prefix of the same sums.
+    Beside the ``(len(dims_list), trials)`` float64 output it holds only
+    the fixed working set of :func:`_estimate_chunks`.
+    """
+    out = np.empty((len(dims_list), trials), dtype=np.float64)
+    for start, estimates in _estimate_chunks(size_a, size_b, size_int, dims_list, trials, seed0):
+        out[:, start : start + estimates.shape[1]] = estimates
+    return out
+
+
+def _estimate_chunks(
+    size_a: int,
+    size_b: int,
+    size_int: int,
+    dims_list: Sequence[int],
+    trials: int,
+    seed0: int,
+) -> Iterator[tuple[int, np.ndarray]]:
+    """The estimates of :func:`_sample_estimates`, a seed chunk at a time.
+
+    Yields ``(start, estimates)`` for consecutive chunks of trials, where
+    ``estimates[k, j]`` is trial ``start + j`` at ``dims_list[k]``; the
+    array is reused by the next chunk.  The sign sums of ``A - B``,
+    ``A & B`` and ``B - A`` are counted once per seed, and S_A and S_B are
+    exact integer sums of them.  They are counted at the largest d only: a
+    codebook's first d coordinates do not depend on its dims, so each d
+    takes a prefix of the same sums.
+
+    The working set is allocated once and reused by every chunk: two int64
+    arrays of sums of shape ``(seeds, d_max)``, about ``_CHUNK_BYTES``
+    each, the ``sign_sums`` PRF buffer of at most about twice that, and the
+    chunk's estimates; each ``sign_sums`` call adds one int32 array of
+    counts, half a sums array.  The ``A & B`` sums are counted into the
+    first array and copied to the second, the ``A - B`` and ``B - A`` sums
+    are added to them to give S_A and S_B, their product overwrites S_A,
+    and its prefix sums, the dot product at every d, overwrite S_B.
     """
     if min(size_a, size_b, size_int) < 0:
         raise ValueError("set sizes must be nonnegative")
     if size_int > min(size_a, size_b):
         raise ValueError("intersection cannot exceed the smaller set")
     dims = np.asarray(dims_list, dtype=np.int64)
-    out = np.empty((dims.size, trials), dtype=np.float64)
     if not dims.size:
-        return out
+        return
     if dims.min() < 1:
         raise ValueError("dims must be >= 1")
     d_max = int(dims.max())
@@ -180,24 +210,45 @@ def _sample_estimates(
     only_b = np.arange(size_a, size_a + size_b - size_int, dtype=np.uint64)
     # Seeds per chunk, so that one (seeds, d_max) int64 array of sums is
     # about _CHUNK_BYTES.
-    chunk = max(1, _CHUNK_BYTES // (8 * d_max))
+    chunk = max(1, min(trials, _CHUNK_BYTES // (8 * d_max)))
+    sums = np.empty((2, chunk, d_max), dtype=np.int64)
+    # A shorter last chunk takes more elements at a time in the same words.
+    buffer = _sign_sums_buffer(chunk, max(map(len, (only_a, both, only_b))), d_max)
+    estimates = np.empty((dims.size, chunk), dtype=np.float64)
     for start in range(0, trials, chunk):
         stop = min(start + chunk, trials)
         # Trial t's seed is (seed0 + t) mod 2**64, as Codebook masks any seed.
         seeds = np.uint64(seed0 % 2**64) + np.arange(start, stop, dtype=np.uint64)
-        s_only_a, s_both, s_only_b = (sign_sums(seeds, part, d_max) for part in (only_a, both, only_b))
-        s_only_a += s_both
-        s_only_b += s_both
+        s_a, s_b = sums[:, : stop - start]
+        s_a[...] = 0
+        sign_sums(seeds, both, d_max, s_a, buffer)
+        np.copyto(s_b, s_a)
+        sign_sums(seeds, only_a, d_max, s_a, buffer)
+        sign_sums(seeds, only_b, d_max, s_b, buffer)
+        np.multiply(s_a, s_b, out=s_a)
         # Exact integer dot products of every prefix, one column per d.
-        prefix_dots = np.cumsum(s_only_a * s_only_b, axis=1)
-        out[:, start:stop] = (prefix_dots[:, dims - 1] / dims).T
-    return out
+        prefix_dots = np.cumsum(s_a, axis=1, out=s_b)
+        chunk_estimates = estimates[:, : stop - start]
+        np.divide(prefix_dots[:, dims - 1].T, dims[:, None], out=chunk_estimates)
+        yield start, chunk_estimates
+
+
+def _exceedances(estimates: np.ndarray, mu: float, epsilons: Sequence[float]) -> np.ndarray:
+    """Count, per row of `estimates` and per epsilon, the estimates with |X - mu| >= eps * mu.
+
+    Each row's deviations are sorted once, and the count at eps is the
+    number past the first deviation not below ``eps * mu``.
+    """
+    deviations = np.sort(np.abs(estimates - mu), axis=1)
+    thresholds = np.array([eps * mu for eps in epsilons], dtype=np.float64)
+    below = np.array([np.searchsorted(row, thresholds) for row in deviations], dtype=np.int64)
+    return deviations.shape[1] - below
 
 
 def empirical_exceedance(estimates: np.ndarray, mu: float, epsilons: Sequence[float]) -> np.ndarray:
     """Fraction of estimates with |X - mu| >= eps * mu, per epsilon."""
-    deviations = np.abs(np.asarray(estimates) - mu)
-    return np.array([np.mean(deviations >= eps * mu) for eps in epsilons])
+    estimates = np.asarray(estimates).reshape(1, -1)
+    return _exceedances(estimates, mu, epsilons)[0] / estimates.shape[1]
 
 
 @dataclass(frozen=True)
@@ -237,9 +288,13 @@ def bounds_sweep(
         for eps in epsilons:
             q = replace(query, epsilon=float(eps))
             analytic.append((dims, float(eps), chebyshev_tail(q), clt_tail(q)))
-    # An empty grid samples nothing, but its set sizes are still checked.
-    estimates = _sample_estimates(size_a, size_b, size_int, dims_list if analytic else [], trials,
-                                  seed0)
-    empirical = [emp for row in estimates for emp in empirical_exceedance(row, size_int, epsilons)]
+    # Exceedances are counted a seed chunk at a time, so the estimates are
+    # never all held.  An empty grid samples nothing, but its set sizes are
+    # still checked.
+    exceeded = np.zeros((len(dims_list), len(epsilons)), dtype=np.int64)
+    for _, estimates in _estimate_chunks(size_a, size_b, size_int, dims_list if analytic else [],
+                                         trials, seed0):
+        exceeded += _exceedances(estimates, size_int, epsilons)
+    empirical = (exceeded / trials).ravel()
     return [BoundsRow(dims=dims, epsilon=eps, chebyshev=cheb, clt=clt, empirical=float(emp))
             for (dims, eps, cheb, clt), emp in zip(analytic, empirical)]

@@ -53,11 +53,15 @@ _U64_C2 = np.uint64(0x94D049BB133111EB)
 
 # Bytes of temporaries that one chunk of a batched computation may hold: the
 # text and per-input arrays of one batch of element ids and the PRF words of
-# one element chunk of ``sign_sums`` here, the looked-up table values of one
-# accumulation chunk in ``sketches._root_sums`` (and a quarter of it for
-# the 256-entry tables of one batch of groups), the words, scratch and
-# counts of one batch of sets in ``sketches._unit_sums``, and one seed
-# chunk's sign sums in ``bounds``.
+# one element chunk of ``sign_sums`` here (with their scratch, twice this),
+# the looked-up table values of one accumulation chunk in
+# ``sketches._root_sums`` (and a quarter of it for the 256-entry tables of
+# one batch of groups), the words, scratch and counts of one batch of sets
+# in ``sketches._unit_sums``, and each of the two int64 arrays of one seed
+# chunk's sign sums in ``bounds``.  The Monte-Carlo sampler there holds
+# those two, one ``sign_sums`` buffer and one int32 array of counts at a
+# time, so its working set is at most about 4.5 times this, whatever the
+# number of trials.
 _CHUNK_BYTES = 1 << 20
 
 # Per-input arrays of a batched element-id chain, in bytes per input.
@@ -340,7 +344,13 @@ class Codebook:
         return signs.astype(np.float64) / np.sqrt(self.dims)
 
 
-def sign_sums(seeds: np.ndarray, elements: np.ndarray, dims: int) -> np.ndarray:
+def sign_sums(
+    seeds: np.ndarray,
+    elements: np.ndarray,
+    dims: int,
+    total: np.ndarray | None = None,
+    buffer: np.ndarray | None = None,
+) -> np.ndarray:
     """Column sums of codebook signs over `elements`, per seed.
 
     Returns an int64 array of shape ``(len(seeds), dims)`` whose row ``s``
@@ -357,10 +367,18 @@ def sign_sums(seeds: np.ndarray, elements: np.ndarray, dims: int) -> np.ndarray:
     ``p``; the carries are the words of the next weight.  For m elements
     that leaves ``m.bit_length()`` planes, and only those are turned into
     integers: each 8 planes, as the rows of :func:`_byte_columns`, give one
-    byte of every count at once.  Elements are taken in chunks of about
-    ``_CHUNK_BYTES`` of words and the integer counts of the chunks added,
-    so the temporaries stay bounded whatever n is.  Unit-weight sketch
-    builds count their sets with the same counter, :func:`_add_sign_counts`.
+    byte of every count at once.  Elements are taken in chunks and the
+    integer counts of the chunks added, so the temporaries stay bounded
+    whatever n is.  Unit-weight sketch builds count their sets with the
+    same counter, :func:`_add_sign_counts`.
+
+    When `total` is given, an int64 array of that shape, the sums are added
+    to it in place and it is returned, so the sums of a union of disjoint
+    sets can be built up one set at a time in one array.  The PRF words of
+    a chunk are computed in `buffer`, a uint64 array of at least ``2 *
+    len(seeds) * ceil(dims / 64)`` words, and a chunk takes as many
+    elements as it holds; when not given, :func:`_sign_sums_buffer` makes
+    one.
     """
     if dims < 1:
         raise ValueError("codebook dims must be >= 1")
@@ -368,14 +386,42 @@ def sign_sums(seeds: np.ndarray, elements: np.ndarray, dims: int) -> np.ndarray:
     elements = as_element_array(elements)
     n = elements.shape[0]
     roots = _splitmix64_np(seeds ^ np.uint64(_CODEBOOK_DOMAIN))
-    blocks = (dims + 63) // 64
+    if buffer is None:
+        buffer = _sign_sums_buffer(seeds.size, n, dims)
+    step = buffer.size // _element_words(seeds.size, dims)
+    if not step:
+        raise ValueError(f"buffer of {buffer.size} words holds no element's words")
+    if total is None:
+        total = np.zeros((seeds.size, dims), dtype=np.int64)
+    elif total.shape != (seeds.size, dims) or total.dtype != np.int64:
+        raise ValueError(f"total must be an int64 array of shape {(seeds.size, dims)}")
     counts = np.zeros((seeds.size, dims), dtype=_count_dtype(n))
-    step = max(1, _CHUNK_BYTES // (8 * blocks * max(1, seeds.size)))
-    buffer = np.empty(2 * min(n, step) * seeds.size * blocks, dtype=np.uint64)
     for start in range(0, n, step):
-        keys = _splitmix64_np(elements[start : start + step, None] ^ roots[None, :])
+        keys = elements[start : start + step, None] ^ roots[None, :]
+        _splitmix64_into(keys, np.empty_like(keys), keys)
         _add_sign_counts(keys, counts, buffer)
-    return 2 * counts.astype(np.int64) - n
+    # 2 * count - n in the counts' own dtype: int32 arithmetic wraps, and
+    # the result lies in [-n, n], so it comes out exact.
+    counts *= 2
+    counts -= n
+    total += counts
+    return total
+
+
+def _element_words(seeds: int, dims: int) -> int:
+    """Buffer words that one element takes in :func:`sign_sums`: its PRF words and their scratch."""
+    return 2 * max(1, seeds) * ((dims + 63) // 64)
+
+
+def _sign_sums_buffer(seeds: int, n: int, dims: int) -> np.ndarray:
+    """The PRF word buffer that :func:`sign_sums` makes for `seeds` seeds and `n` elements.
+
+    It holds the words of as many elements as fill about ``2 * _CHUNK_BYTES``,
+    at least one and at most `n`.
+    """
+    words = _element_words(seeds, dims)
+    step = max(1, _CHUNK_BYTES // (4 * words))
+    return np.empty(max(1, min(n, step)) * words, dtype=np.uint64)
 
 
 def _count_dtype(n: int) -> type:

@@ -8,7 +8,7 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dothash import bounds
+from dothash import bounds, encoding
 from dothash.bounds import (
     BoundsQuery,
     BoundsRow,
@@ -379,6 +379,48 @@ class TestMonteCarloSampler:
             "sample_intersection_estimates(200_000, 200_000, 100_000, 256, 2)",
         )
         assert added < 16 * 2**20, f"sampling added {added / 2**20:.1f} MiB of peak RSS"
+
+    @pytest.mark.parametrize("build, bound_mib", [
+        # The bounds-mc benchmark sweep: 16 seed chunks at d = 2048.
+        pytest.param("bounds_sweep(200, 200, 100, [512, 1024, 2048],"
+                     " [0.05 + 0.0125 * i for i in range(20)], 1000)", 7, id="bench-sweep"),
+        # One seed per chunk, each int64 array of sums 8 MiB.
+        pytest.param("sample_intersection_estimates(200, 200, 100, 2**20, 2)", 40, id="large-dims"),
+        # 245 seed chunks: the sweep holds no array that grows with the trials.
+        pytest.param("bounds_sweep(20, 20, 10, [64], [0.1, 0.2], 500_000)", 4, id="many-trials"),
+    ])
+    def test_sweeps_add_bounded_memory(self, added_peak_rss, build, bound_mib):
+        # Fresh sums, counts and estimates per chunk added 11.3, 62.3 and
+        # 13.5 MiB; the sampler now reuses one working set for every chunk.
+        added = added_peak_rss(
+            "from dothash.bounds import bounds_sweep, sample_intersection_estimates\n"
+            "bounds_sweep(20, 20, 10, [64], [0.1], 10)",
+            build,
+        )
+        assert added < bound_mib * 2**20, f"sampling added {added / 2**20:.1f} MiB of peak RSS"
+
+    def test_chunk_boundaries_leave_every_result_unchanged(self, monkeypatch):
+        # |A| = 130, |B| = 150, i = 90: B is {40..189}.  Chunks of 5 seeds at
+        # d = 300 put 37 trials in 8 seed chunks, the last of 2, and split
+        # the 90 shared elements into two element chunks of sign_sums.
+        sizes, dims_list, epsilons, trials = (130, 150, 90), [300, 64, 64, 65], [0.05, 0.1, 0.3], 37
+        whole = bounds._sample_estimates(*sizes, dims_list, trials, 5)
+        alone = [sample_intersection_estimates(*sizes, dims, trials, seed0=5) for dims in dims_list]
+        rows = bounds_sweep(*sizes, dims_list, epsilons, trials=trials, seed0=5)
+        monkeypatch.setattr(bounds, "_CHUNK_BYTES", 8 * 300 * 5)
+        monkeypatch.setattr(encoding, "_CHUNK_BYTES", 8 * 300 * 5)
+        assert np.array_equal(bounds._sample_estimates(*sizes, dims_list, trials, 5), whole)
+        for dims, estimates in zip(dims_list, alone):
+            assert np.array_equal(sample_intersection_estimates(*sizes, dims, trials, seed0=5), estimates)
+        assert bounds_sweep(*sizes, dims_list, epsilons, trials=trials, seed0=5) == rows
+
+        elements = np.arange(190, dtype=np.uint64)
+        for t in range(trials):
+            signs = Codebook(seed=5 + t, dims=300).sign_rows(elements).astype(np.int64)
+            products = signs[:130].sum(axis=0) * signs[40:].sum(axis=0)
+            assert [whole[k, t] for k in range(len(dims_list))] == [products[:d].sum() / d for d in dims_list]
+        expected = [float(np.mean(np.abs(row - 90) >= eps * 90)) for row in whole for eps in epsilons]
+        assert [row.empirical for row in rows] == expected
 
     @given(st.integers(min_value=0, max_value=20))
     @settings(max_examples=10, deadline=None)

@@ -347,6 +347,24 @@ class TestSignSums:
     def test_no_seeds(self):
         assert sign_sums(np.array([], dtype=np.uint64), np.arange(5), 70).shape == (0, 70)
 
+    def test_adds_to_a_given_total_through_a_given_buffer(self):
+        # At d = 70 an element takes 2 seeds * 2 blocks * 2 words; the buffer
+        # holds 7 elements, so 30 elements are counted in 5 chunks.
+        seeds = np.array([3, 2**64 - 1], dtype=np.uint64)
+        elements = np.arange(50, dtype=np.uint64)
+        total = sign_sums(seeds, elements[:20], 70)
+        assert sign_sums(seeds, elements[20:], 70, total, np.empty(56, dtype=np.uint64)) is total
+        assert np.array_equal(total, reference_sign_sums(seeds, elements, 70))
+
+    @pytest.mark.parametrize("total, buffer", [
+        (None, np.empty(7, dtype=np.uint64)),
+        (np.zeros((2, 70), dtype=np.int32), None),
+        (np.zeros((2, 69), dtype=np.int64), None),
+    ])
+    def test_rejects_a_total_or_buffer_that_does_not_fit(self, total, buffer):
+        with pytest.raises(ValueError):
+            sign_sums(np.array([3, 4], dtype=np.uint64), np.arange(5), 70, total, buffer)
+
     def test_dims_validation(self):
         with pytest.raises(ValueError):
             sign_sums(np.array([1], dtype=np.uint64), np.arange(5), 0)
