@@ -15,7 +15,8 @@ Wall-clock CSV columns are 0.000000 unless --timings is given.
 
 Each subcommand imports the pipeline module it runs when it runs, so
 ``sketch``, ``compare`` and ``bounds`` start without loading ``linkpred``
-or ``dedup``.
+or ``dedup``.  The argument parser is built once, when this module is
+imported, and every :func:`main` call parses with it.
 
 Exit codes: 0 success (also when the reader of stdout closes the pipe
 early), 1 usage error, 2 data/format error (also a subcommand that writes
@@ -365,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_link.add_argument("--k", type=int, help="number of hash functions (minhash)")
     p_link.add_argument("--test-fraction", type=float, default=0.1)
     p_link.add_argument("--neg-per-pos", type=int, default=2)
-    p_link.add_argument("--k-at", type=int, nargs="+", default=[50], help="Hits@K cutoffs")
+    p_link.add_argument("--k-at", type=int, nargs="+", default=(50,), help="Hits@K cutoffs")
     p_link.add_argument("--repeats", type=int, default=3)
     p_link.add_argument("--seed", type=int, default=0)
     p_link.add_argument("--out", default="-", help="CSV path, or '-' for stdout (default)")
@@ -397,6 +398,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once, at import, and shared by every main() call: a parse hands its
+# defaults to the namespace as they are, so no default may be mutable.
+_PARSER = build_parser()
+
+
 def _stdout_to_devnull() -> None:
     """Point stdout's file descriptor at os.devnull, so the flush at exit cannot raise."""
     try:
@@ -409,9 +415,8 @@ def _stdout_to_devnull() -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     writes_stdout = args.func in (_cmd_sketch, _cmd_compare) or getattr(args, "out", None) == "-"

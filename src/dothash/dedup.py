@@ -215,9 +215,29 @@ def _record_fields(record: object) -> tuple[str, str]:
     return str(doc_id), text
 
 
+def _label_error(a: str, b: str, seen: set[tuple[str, str]]) -> str | None:
+    """Why the label ``(a, b)`` is invalid, else None and the pair joins ``seen``.
+
+    A label may not pair a document with itself, nor repeat a pair in
+    ``seen``, in either order.
+    """
+    if a == b:
+        return f"label pairs document {a!r} with itself"
+    key = (a, b) if a < b else (b, a)
+    if key in seen:
+        return f"label pair ({a!r}, {b!r}) is listed twice"
+    seen.add(key)
+    return None
+
+
 def load_pairs_csv(source: Union[str, Path]) -> list[tuple[str, str]]:
-    """Read duplicate-pair labels from a CSV with header id_a,id_b."""
+    """Read duplicate-pair labels from a CSV with header id_a,id_b.
+
+    A row that pairs a document with itself or repeats an earlier pair, in
+    either order, raises ValueError naming its line.
+    """
     pairs: list[tuple[str, str]] = []
+    seen: set[tuple[str, str]] = set()
     with open(source, "r", encoding="utf-8", errors="surrogateescape") as fp:
         header = decode_line(fp.readline(), 1).strip()
         if header != "id_a,id_b":
@@ -229,6 +249,9 @@ def load_pairs_csv(source: Union[str, Path]) -> list[tuple[str, str]]:
             fields = line.split(",")
             if len(fields) != 2:
                 raise ValueError(f"line {lineno}: expected 2 fields, got {len(fields)}")
+            error = _label_error(fields[0], fields[1], seen)
+            if error:
+                raise ValueError(f"line {lineno}: {error}")
             pairs.append((fields[0], fields[1]))
     return pairs
 
@@ -335,13 +358,19 @@ def run_dedup_benchmark(
 ) -> DedupResult:
     """Shingle, weight, sketch, and rank labeled duplicates against negatives.
 
-    Raises ValueError on a repeated doc id or a label naming an unknown one.
+    Raises ValueError on a repeated doc id, a label naming an unknown one,
+    and a label that pairs a document with itself or repeats an earlier
+    pair, in either order.
     """
     doc_ids = [doc.doc_id for doc in corpus]
     row = _doc_rows(doc_ids)
-    for a, b in duplicate_pairs:
+    seen: set[tuple[str, str]] = set()
+    for index, (a, b) in enumerate(duplicate_pairs, start=1):
         if a not in row or b not in row:
             raise ValueError(f"unknown doc_id in labels: {a if a not in row else b!r}")
+        error = _label_error(a, b, seen)
+        if error:
+            raise ValueError(f"label {index}: {error}")
     if config.negatives < config.hits_k:
         raise ValueError(
             f"fewer negatives available than K ({config.negatives} < {config.hits_k})"

@@ -1,5 +1,6 @@
 """Tests for the command-line interface: wiring, formats, and exit codes."""
 
+import argparse
 import hashlib
 import io
 import json
@@ -564,6 +565,23 @@ class TestDedupCommand:
         assert f"dothash: error: {estimator} does not take {flags[-2]}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("rows, error", [
+        ("a,a\n", "line 2: label pairs document 'a' with itself"),
+        ("a,b\nb,a\n", "line 3: label pair ('b', 'a') is listed twice"),
+    ])
+    def test_self_or_repeated_label_exits_two(self, tmp_path, capsys, rows, error):
+        # A self label once read Hits@1 = 1.0 with exit 0 on this corpus.
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(json.dumps({"id": doc_id, "text": text}) + "\n" for doc_id, text in
+                                  [("a", "one two three four"), ("b", "one two three five"), ("c", "six seven eight")]))
+        labels = tmp_path / "labels.csv"
+        labels.write_text("id_a,id_b\n" + rows)
+        out = tmp_path / "x.csv"
+        assert main(["dedup", "--corpus", str(corpus), "--labels", str(labels), "--estimator", "exact",
+                     "--metric", "idf", "--k-at", "1", "--negatives", "2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"dothash: error: {error}\n"
+        assert not out.exists()
+
     def test_missing_labels_file(self, tmp_path):
         corpus, _ = _write_corpus(tmp_path)
         assert main(["dedup", "--corpus", str(corpus), "--labels", str(tmp_path / "no.csv"),
@@ -706,6 +724,91 @@ class TestExitCodes:
                                        "--dims", "8", "--out", "out.skch")
         assert (result.returncode, result.stderr) == (2, "dothash: error: stdin is closed\n")
         assert not (tmp_path / "out.skch").exists()
+
+
+class TestSharedParser:
+    """``main`` parses every call with the one parser built at import."""
+
+    @staticmethod
+    def _argvs(tmp_path) -> list[list[str]]:
+        """Every subcommand, with its defaults and with explicit flags."""
+        path = str(tmp_path / "f")
+        return [
+            ["sketch", "--estimator", "dothash", "--dims", "64", "--out", path],
+            ["sketch", "--estimator", "minhash", "--k", "8", "--input", path, "--seed", "3", "--out", path],
+            ["compare", path, path],
+            ["bounds", "--size-a", "6", "--size-b", "8", "--size-int", "3", "--dims", "8"],
+            ["bounds", "--size-a", "6", "--size-b", "8", "--size-int", "3", "--dims", "8", "16",
+             "--eps-min", "0.1", "--eps-max", "0.2", "--eps-points", "3", "--trials", "5",
+             "--seed", "4", "--out", path],
+            ["linkpred", "--edges", path, "--estimator", "exact", "--metric", "jaccard"],
+            ["linkpred", "--edges", path, "--estimator", "dothash", "--metric", "adamic_adar",
+             "--dims", "64", "--test-fraction", "0.2", "--neg-per-pos", "3", "--k-at", "5", "20",
+             "--repeats", "2", "--seed", "5", "--out", path, "--timings"],
+            ["dedup", "--corpus", path, "--labels", path, "--estimator", "exact", "--metric", "jaccard"],
+            ["dedup", "--corpus", path, "--labels", path, "--estimator", "minhash", "--metric", "jaccard",
+             "--k", "16", "--shingle-width", "2", "--k-at", "5", "--negatives", "40", "--seed", "6",
+             "--out", path, "--timings"],
+        ]
+
+    def test_each_parse_equals_a_fresh_parsers(self, tmp_path):
+        argvs = self._argvs(tmp_path)
+        for argv in argvs:
+            cli._PARSER.parse_args(argv)
+        for argv in argvs:
+            assert vars(cli._PARSER.parse_args(argv)) == vars(cli.build_parser().parse_args(argv)), argv
+
+    def test_no_parse_shares_a_mutable_default(self):
+        argv = ["linkpred", "--edges", "e.txt", "--estimator", "exact", "--metric", "jaccard"]
+        first = cli._PARSER.parse_args(argv)
+        first.k_at += (7,)  # extends a shared list in place
+        assert tuple(cli._PARSER.parse_args(argv).k_at) == (50,)
+        subcommands = next(a for a in cli._PARSER._actions if isinstance(a, argparse._SubParsersAction))
+        for parser in [cli._PARSER, *subcommands.choices.values()]:
+            for action in parser._actions:
+                hash(action.default)  # a list, dict or set default would raise TypeError
+
+    def test_main_builds_no_parser(self, tmp_path, element_file, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(type(self))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        sketch = str(tmp_path / "a.skch")
+        assert main(["sketch", "--estimator", "dothash", "--dims", "64", "--input", str(element_file),
+                     "--out", sketch]) == 0
+        assert main(["compare", sketch, sketch]) == 0
+        assert main(["bounds", "--size-a", "6", "--size-b", "8", "--size-int", "3", "--dims", "8",
+                     "--eps-points", "3", "--trials", "2", "--out", str(tmp_path / "b.csv")]) == 0
+        assert built == []
+
+    def test_a_second_pass_repeats_the_first(self, tmp_path, element_file, capsys):
+        sketch, csv_path = tmp_path / "a.skch", tmp_path / "b.csv"
+        sequence = [
+            [],  # usage error
+            ["--help"],
+            ["sketch", "--estimator", "simhash", "--dims", "64", "--input", str(element_file),
+             "--out", str(sketch)],
+            ["compare", str(sketch), str(sketch)],
+            ["bounds", "--size-a", "6", "--size-b", "8", "--size-int", "3", "--dims", "8",
+             "--eps-points", "3", "--trials", "2", "--out", str(csv_path)],
+        ]
+        passes = []
+        for _ in range(2):
+            results = []
+            for argv in sequence:
+                code = main(argv)
+                captured = capsys.readouterr()
+                results.append((code, captured.out, captured.err))
+            passes.append((results, sketch.read_bytes(), csv_path.read_bytes()))
+        results = passes[0][0]
+        assert [code for code, _, _ in results] == [1, 0, 0, 0, 0]
+        assert results[0][2].startswith("usage: dothash") and results[0][1] == ""
+        assert results[1][1].startswith("usage: dothash")
+        assert passes[1] == passes[0]
 
 
 _IMPORTED_PIPELINES = """

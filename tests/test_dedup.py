@@ -380,6 +380,23 @@ class TestLoaders:
         with pytest.raises(ValueError, match="header"):
             load_pairs_csv(path)
 
+    def test_pairs_csv_self_label_names_its_line(self, tmp_path):
+        # Scored, it was a positive with the top score.
+        path = tmp_path / "labels.csv"
+        path.write_text("id_a,id_b\na,b\n\nc,c\n")
+        with pytest.raises(ValueError, match="^line 4: label pairs document 'c' with itself$"):
+            load_pairs_csv(path)
+
+    @pytest.mark.parametrize("repeat", ["a,b", "b,a"])
+    def test_pairs_csv_repeated_pair_names_its_line(self, tmp_path, repeat):
+        # Scored, it counted twice.
+        path = tmp_path / "labels.csv"
+        path.write_text(f"id_a,id_b\na,b\nc,d\n{repeat}\n")
+        first, second = repeat.split(",")
+        with pytest.raises(ValueError, match=re.escape(
+                f"line 4: label pair ('{first}', '{second}') is listed twice")):
+            load_pairs_csv(path)
+
 
 class TestPlantedCorpus:
     def test_shape_and_determinism(self):
@@ -528,6 +545,16 @@ class TestBenchmark:
         docs, pairs = make_planted_corpus(n_docs=20, n_dup_pairs=5, seed=9)
         with pytest.raises(ValueError, match="unknown doc_id"):
             run_dedup_benchmark(docs, pairs + [("ghost", docs[0].doc_id)], DedupConfig(
+                estimator=Estimator.EXACT, metric=DedupMetric.JACCARD, negatives=50))
+
+    @pytest.mark.parametrize("extra, error", [
+        (("doc0002", "doc0002"), "label 6: label pairs document 'doc0002' with itself"),
+        (("doc0001-dup", "doc0001"), "label 6: label pair ('doc0001-dup', 'doc0001') is listed twice"),
+    ])
+    def test_self_and_repeated_labels_rejected(self, extra, error):
+        docs, pairs = make_planted_corpus(n_docs=20, n_dup_pairs=5, seed=9)
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+            run_dedup_benchmark(docs, pairs + [extra], DedupConfig(
                 estimator=Estimator.EXACT, metric=DedupMetric.JACCARD, negatives=50))
 
     def test_repeated_doc_id_rejected(self):
