@@ -751,7 +751,7 @@ class TestSharedParser:
              "--out", path, "--timings"],
         ]
 
-    def test_each_parse_equals_a_fresh_parsers(self, tmp_path):
+    def test_each_parse_matches_a_fresh_parser(self, tmp_path):
         argvs = self._argvs(tmp_path)
         for argv in argvs:
             cli._PARSER.parse_args(argv)
@@ -761,7 +761,7 @@ class TestSharedParser:
     def test_no_parse_shares_a_mutable_default(self):
         argv = ["linkpred", "--edges", "e.txt", "--estimator", "exact", "--metric", "jaccard"]
         first = cli._PARSER.parse_args(argv)
-        first.k_at += (7,)  # extends a shared list in place
+        first.k_at += (7,)  # would extend a shared list default in place
         assert tuple(cli._PARSER.parse_args(argv).k_at) == (50,)
         subcommands = next(a for a in cli._PARSER._actions if isinstance(a, argparse._SubParsersAction))
         for parser in [cli._PARSER, *subcommands.choices.values()]:
