@@ -7,10 +7,12 @@ calls: ``dedup`` and ``linkpred`` CSVs for every estimator and metric the
 pipelines accept, ``.skch`` files of all three kinds with the ``compare``
 JSON of each pair, and one ``bounds`` CSV.  The two trees must write the
 same bytes.  ``sketch`` and ``compare`` are also driven with hypothesis over
-generated token files, estimators, sizes and seeds, and ``bounds`` over
-generated set sizes, dims lists, trials, epsilon counts and seeds.  Inputs the reference
-misread, and this tree rejects, are listed with the exit code and message
-they now give.
+generated token files, estimators, sizes and seeds, ``bounds`` over
+generated set sizes, dims lists, trials, epsilon counts and seeds,
+``linkpred`` over generated sparse graphs and ``dedup`` over generated
+planted corpora, each with every estimator, metric, size, seed and
+sampling flag.  Inputs the reference misread, and this tree rejects, are
+listed with the exit code and message they now give.
 """
 
 import contextlib
@@ -18,6 +20,7 @@ import importlib
 import importlib.util
 import io
 import json
+import math
 import random
 import sys
 from pathlib import Path
@@ -176,6 +179,93 @@ def test_linkpred_csv(reference, inputs, tmp_path, capsys, estimator, metric):
         "linkpred", "--edges", inputs["edges.txt"], "--estimator", estimator, "--metric", metric,
         *SIZE_FLAGS[estimator], "--k-at", "5", "20", "--repeats", "2", "--seed", "41",
         "--out", "{out}/linkpred.csv"])
+
+
+_ESTIMATORS = ["exact", "dothash", "minhash", "simhash"]
+_LINKPRED_METRICS = ["jaccard", "common_neighbors", "adamic_adar", "resource_allocation"]
+
+
+def _size_flags(draw, estimator: str) -> list[str]:
+    """The estimator's size flag with a small value; the exact oracle takes none."""
+    size = str(draw(st.integers(1, 300)))
+    return {"exact": [], "minhash": ["--k", size]}.get(estimator, ["--dims", size])
+
+
+@st.composite
+def _linkpred_runs(draw) -> tuple[str, list[str]]:
+    """A sparse edge list and ``linkpred`` flags for it.
+
+    A random tree over 6-40 nodes plus a few random edges, self-loops and
+    repeats among them, in any order.  Most metrics are ones the estimator
+    can express, and most Hits@K cutoffs are at most the negatives drawn.
+    """
+    nodes = draw(st.integers(6, 40))
+    parents = draw(st.lists(st.integers(0, 2**16), min_size=nodes - 1, max_size=nodes - 1))
+    node = st.integers(0, nodes - 1)
+    extra = draw(st.lists(st.tuples(node, node), max_size=nodes // 2))
+    edges = draw(st.permutations([(child, parent % child) for child, parent in enumerate(parents, 1)] + extra))
+    estimator = draw(st.sampled_from(_ESTIMATORS))
+    weighted = estimator in ("exact", "dothash") or draw(st.integers(0, 9)) == 0
+    metric = draw(st.sampled_from(_LINKPRED_METRICS) if weighted else st.just("jaccard"))
+    test_fraction, neg_per_pos = draw(st.sampled_from([0.1, 0.25, 0.5])), draw(st.integers(1, 3))
+    distinct = len({(min(u, v), max(u, v)) for u, v in edges if u != v})
+    negatives = neg_per_pos * math.ceil(test_fraction * distinct)
+    k_at = draw(st.lists(st.integers(1, negatives) | st.integers(1, negatives + 3), min_size=1, max_size=3))
+    flags = ["linkpred", "--estimator", estimator, "--metric", metric, *_size_flags(draw, estimator),
+             "--test-fraction", str(test_fraction), "--neg-per-pos", str(neg_per_pos),
+             "--k-at", *map(str, k_at), "--repeats", str(draw(st.integers(1, 3))),
+             "--seed", str(draw(st.integers(0, 2**64 - 1)))]
+    return "".join(f"{u} {v}\n" for u, v in edges), flags
+
+
+@st.composite
+def _dedup_runs(draw) -> tuple[str, str, list[str]]:
+    """A planted corpus of up to 24 documents with its labels, and ``dedup`` flags for it."""
+    pairs = draw(st.integers(1, 6))
+    docs, labels = make_planted_corpus(draw(st.integers(2 * pairs, 24)), pairs, draw(st.integers(1, 30)),
+                                       vocab_size=draw(st.integers(2, 60)),
+                                       edit_rate=draw(st.sampled_from([0.0, 0.2, 0.6])),
+                                       seed=draw(st.integers(0, 2**32)))
+    estimator = draw(st.sampled_from(_ESTIMATORS))
+    metric = draw(st.sampled_from(["jaccard", "idf"]) if estimator in ("exact", "dothash") else st.just("jaccard"))
+    negatives = draw(st.integers(1, 40))
+    flags = ["dedup", "--estimator", estimator, "--metric", metric, *_size_flags(draw, estimator),
+             "--shingle-width", str(draw(st.integers(1, 5))), "--k-at", str(draw(st.integers(1, negatives))),
+             "--negatives", str(negatives), "--seed", str(draw(st.integers(0, 2**64 - 1)))]
+    corpus = "".join(json.dumps({"id": d.doc_id, "text": d.text}) + "\n" for d in docs)
+    return corpus, "id_a,id_b\n" + "".join(f"{a},{b}\n" for a, b in labels), flags
+
+
+def _csv_runs(reference, directory: Path, flags: list[str]) -> list:
+    """Exit code, stdout and CSV bytes of ``flags`` in each tree, this one first."""
+    results = []
+    for tree, main in (("current", cli.main), ("reference", reference.main)):
+        out = directory / f"{tree}.csv"
+        out.unlink(missing_ok=True)
+        results.append((*_quiet_call(main, [*flags, "--out", str(out)]), out.read_bytes() if out.exists() else None))
+    return results
+
+
+@settings(max_examples=150, deadline=None)
+@given(run=_linkpred_runs())
+def test_linkpred_csv_on_generated_graphs(reference, tmp_path_factory, run):
+    edges, flags = run
+    directory = tmp_path_factory.mktemp("linkpred")
+    (directory / "edges.txt").write_text(edges)
+    current, ref = _csv_runs(reference, directory, [*flags, "--edges", str(directory / "edges.txt")])
+    assert current == ref
+
+
+@settings(max_examples=150, deadline=None)
+@given(run=_dedup_runs())
+def test_dedup_csv_on_generated_corpora(reference, tmp_path_factory, run):
+    corpus, labels, flags = run
+    directory = tmp_path_factory.mktemp("dedup")
+    (directory / "corpus.jsonl").write_text(corpus)
+    (directory / "labels.csv").write_text(labels)
+    current, ref = _csv_runs(reference, directory, [*flags, "--corpus", str(directory / "corpus.jsonl"),
+                                                    "--labels", str(directory / "labels.csv")])
+    assert current == ref
 
 
 # Scores, not only the hits@K a CSV reduces them to: this tree's batch scorer
