@@ -13,6 +13,9 @@ dots) may differ in the last bits.  Adamic-Adar and IDF weights take the
 C library's ``log`` through ``math.log``.
 Wall-clock CSV columns are 0.000000 unless --timings is given.
 
+``sketch`` and ``compare`` go through the estimator table of
+:mod:`dothash.sketches`: ``compare`` scores with the pair scorer that link
+prediction and dedup use, once kind, size and seed are found to match.
 Each subcommand imports the pipeline module it runs when it runs, so
 ``sketch``, ``compare`` and ``bounds`` start without loading ``linkpred``
 or ``dedup``.  The argument parser is built once, when this module is
@@ -35,25 +38,13 @@ from typing import Any, Iterator, Sequence
 
 import numpy as np
 
-from .encoding import _CHUNK_BYTES, _PER_INPUT_BYTES, Codebook, MinwiseFamily, slice_ids
-from .sketches import (
-    MAX_SKETCH_SIZE,
-    DotHashSketch,
-    MinHashSketch,
-    dothash_build,
-    dothash_intersection,
-    dothash_jaccard,
-    minhash_build,
-    minhash_jaccard,
-    read_sketch,
-    simhash_build,
-    simhash_similarity,
-    sketch_kind,
-    write_sketch,
-)
+from .encoding import _CHUNK_BYTES, _PER_INPUT_BYTES, slice_ids
+from .sketches import ESTIMATORS, MAX_SKETCH_SIZE, build_sketch, read_sketch, require_same_form, write_sketch
 
-# Not called here; bench/spans.py wraps this name until ROADMAP item 1 moves its probes.
+# Not called here; bench/spans.py wraps these names until ROADMAP item 1 moves its probes.
 from .encoding import element_id  # noqa: F401
+from .sketches import dothash_build, dothash_intersection, dothash_jaccard, minhash_build  # noqa: F401
+from .sketches import minhash_jaccard, simhash_build, simhash_similarity  # noqa: F401
 
 
 class _UsageError(Exception):
@@ -148,7 +139,7 @@ def _read_elements(path: str) -> np.ndarray:
 def _resolve_size(args: argparse.Namespace, limit: int | None = None) -> int | None:
     """The --k (minhash) or --dims (dothash, simhash) value, None for exact; any other size flag is a usage error."""
     estimator = args.estimator
-    used = {"minhash": "k", "dothash": "dims", "simhash": "dims"}.get(estimator)
+    used = ESTIMATORS[estimator].size_flag
     size = None if used is None else getattr(args, used)
     if used is not None and size is None:
         raise _UsageError(f"{estimator} requires --{used}")
@@ -162,16 +153,11 @@ def _resolve_size(args: argparse.Namespace, limit: int | None = None) -> int | N
 
 def _cmd_sketch(args: argparse.Namespace) -> int:
     size = _resolve_size(args, limit=MAX_SKETCH_SIZE)
-    elements = _read_elements(args.input)
-    if args.estimator == "minhash":
-        sketch = minhash_build(MinwiseFamily(seed=args.seed, k=size), elements)
-    else:
-        build = dothash_build if args.estimator == "dothash" else simhash_build
-        sketch = build(Codebook(seed=args.seed, dims=size), elements)
+    sketch = build_sketch(args.estimator, args.seed, size, _read_elements(args.input))
     with open(args.out, "wb") as fp:
         write_sketch(sketch, fp)
     summary = {
-        "kind": sketch_kind(sketch),
+        "kind": args.estimator,
         "dims_or_k": size,
         "cardinality": sketch.cardinality,
         "seed": args.seed,
@@ -185,28 +171,20 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         a = read_sketch(fp)
     with open(args.sketch_b, "rb") as fp:
         b = read_sketch(fp)
-    kind_a, kind_b = sketch_kind(a), sketch_kind(b)
-    if kind_a != kind_b:
-        raise ValueError(f"incompatible sketches: kind mismatch ({kind_a} vs {kind_b})")
+    entry, size = require_same_form(a, b)
+    # The two payloads as rows 0 and 1, scored as one pair by the scorer score_pairs uses.
+    rows = np.stack([getattr(a, entry.payload), getattr(b, entry.payload)])
+    pair, cardinalities = np.arange(2)[:, None], np.array([[a.cardinality], [b.cardinality]])
     record: dict = {
-        "kind": kind_a,
+        "kind": entry.name,
         "cardinalities": [a.cardinality, b.cardinality],
+        "dims_or_k": size,
+        "metric": entry.metric,
     }
-    # Jaccard is undefined for two empty sets; compare reports it as null.
-    both_empty = a.cardinality == 0 and b.cardinality == 0
-    if isinstance(a, DotHashSketch):
-        record["dims_or_k"] = a.dims
-        record["metric"] = "intersection"
-        record["estimate"] = dothash_intersection(a, b)
-        record["jaccard"] = None if both_empty else dothash_jaccard(a, b)
-    elif isinstance(a, MinHashSketch):
-        record["dims_or_k"] = a.k
-        record["metric"] = "jaccard"
-        record["estimate"] = None if both_empty else minhash_jaccard(a, b)
-    else:
-        record["dims_or_k"] = a.dims
-        record["metric"] = "similarity"
-        record["estimate"] = simhash_similarity(a, b)
+    for key, jaccard in entry.views:
+        # Jaccard is undefined for two empty sets; compare reports it as null.
+        defined = not jaccard or cardinalities.any()
+        record[key] = float(entry.score(rows, size, *pair, *cardinalities, jaccard)[0]) if defined else None
     print(json.dumps(record, sort_keys=True))
     return 0
 
@@ -315,7 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Read one element token per line (blank lines skipped), hash "
                     "each to a 64-bit element id, and write the binary sketch. "
                     "Prints a JSON summary to stdout.")
-    p_sketch.add_argument("--estimator", required=True, choices=["dothash", "minhash", "simhash"])
+    p_sketch.add_argument("--estimator", required=True,
+                          choices=[name for name, entry in ESTIMATORS.items() if entry.code])
     p_sketch.add_argument("--input", default="-", help="token file, or '-' for stdin (default)")
     p_sketch.add_argument("--out", required=True, help="output sketch file")
     p_sketch.add_argument("--dims", type=int, help="sketch dimensions (dothash/simhash)")
@@ -358,8 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "fraction of edges, sample negative non-edges, score pairs "
                     "by neighborhood similarity, and write Hits@K rows as CSV.")
     p_link.add_argument("--edges", required=True, help="edge-list file: two labels per line")
-    p_link.add_argument("--estimator", required=True,
-                        choices=["dothash", "minhash", "simhash", "exact"])
+    p_link.add_argument("--estimator", required=True, choices=list(ESTIMATORS))
     p_link.add_argument("--metric", required=True,
                         choices=["jaccard", "common_neighbors", "adamic_adar", "resource_allocation"])
     p_link.add_argument("--dims", type=int, help="sketch dimensions (dothash/simhash)")
@@ -382,8 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "Hits@K CSV row.")
     p_dedup.add_argument("--corpus", required=True, help="JSON-lines corpus file")
     p_dedup.add_argument("--labels", required=True, help="CSV of duplicate pairs")
-    p_dedup.add_argument("--estimator", required=True,
-                         choices=["dothash", "minhash", "simhash", "exact"])
+    p_dedup.add_argument("--estimator", required=True, choices=list(ESTIMATORS))
     p_dedup.add_argument("--metric", required=True, choices=["jaccard", "idf"])
     p_dedup.add_argument("--dims", type=int, help="sketch dimensions (dothash/simhash)")
     p_dedup.add_argument("--k", type=int, help="number of hash functions (minhash)")

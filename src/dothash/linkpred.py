@@ -25,9 +25,8 @@ from typing import IO, Callable, Sequence, Union
 
 import numpy as np
 
-from .encoding import Codebook, MinwiseFamily, chunk_ranges, sorted_distinct
-from .sketches import DistinctSets, WeightFn, WeightKind, distinct_sets
-from .sketches import dothash_build_many, minhash_build_many, simhash_build_many
+from .encoding import sorted_distinct
+from .sketches import ESTIMATORS, DistinctSets, WeightFn, WeightKind, distinct_sets
 
 # Not called here; bench/spans.py wraps these names until ROADMAP item 1 moves its probes.
 from .exact import exact_intersection, exact_jaccard, exact_weighted  # noqa: F401
@@ -42,11 +41,8 @@ class Metric(enum.Enum):
     RESOURCE_ALLOCATION = "resource_allocation"
 
 
-class Estimator(enum.Enum):
-    DOTHASH = "dothash"
-    MINHASH = "minhash"
-    SIMHASH = "simhash"
-    EXACT = "exact"
+# One member per entry of the estimator table, such as Estimator.DOTHASH = "dothash".
+Estimator = enum.Enum("Estimator", [(name.upper(), name) for name in ESTIMATORS], module=__name__)
 
 
 @dataclass(frozen=True)
@@ -307,51 +303,11 @@ def _metric_weights(g: Graph | None, metric: Metric | WeightFn) -> WeightFn:
     return adamic_adar_weights(g) if metric is Metric.ADAMIC_ADAR else resource_allocation_weights(g)
 
 
-def build_sets(estimator: Estimator, dims_or_k: int | None, seed: int,
-               sets: DistinctSets, w: WeightFn) -> np.ndarray | tuple:
-    """Every one of ``sets`` built in one batch.
-
-    Sketches are one row per set: DotHash values under ``w`` (float64),
-    MinHash minima (uint64) or packed SimHash bits (uint8).  The exact oracle
-    gets ``(indptr, ranks, weights)``, the sets as ranks into their sorted
-    distinct elements and ``w`` of each of those elements.
-    """
-    if estimator is Estimator.DOTHASH:
-        return dothash_build_many(Codebook(seed=seed, dims=dims_or_k), sets, w)
-    if estimator is Estimator.MINHASH:
-        return minhash_build_many(MinwiseFamily(seed=seed, k=dims_or_k), sets)
-    if estimator is Estimator.SIMHASH:
-        return simhash_build_many(Codebook(seed=seed, dims=dims_or_k), sets)
-    return sets.indptr, sets.ranks, w.weights_for(sets.distinct)
-
-
-def _sort_join(indptr: np.ndarray, ranks: np.ndarray, weights: np.ndarray, u: np.ndarray,
-               v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Intersection sizes and weight sums of the ranked sets ``u[i]`` and ``v[i]``.
-
-    Sorting the keys ``i * m + rank`` puts each intersection's equal
-    neighbours in pair order, then in ascending element order, so
-    ``np.bincount`` adds a pair's weights from 0.0 in the order
-    :func:`~dothash.exact.exact_weighted` does.  Like it, raises ValueError
-    on a negative weight of an intersecting element only.
-    """
-    m = max(len(weights), 1)
-    starts = np.stack([indptr[u], indptr[v]], axis=1).ravel()
-    lengths = np.stack([indptr[u + 1], indptr[v + 1]], axis=1).ravel() - starts
-    # Every gathered rank's position: its slice's start plus its offset in the slice.
-    at = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths) + np.arange(lengths.sum())
-    keys = np.sort(np.repeat(np.arange(len(u)) * m, lengths.reshape(-1, 2).sum(axis=1)) + ranks[at])
-    pair, rank = np.divmod(keys[1:][keys[1:] == keys[:-1]], m)
-    if np.any(weights[rank] < 0):
-        raise ValueError("weight function must be nonnegative")
-    return np.bincount(pair, minlength=len(u)), np.bincount(pair, weights[rank], len(u))
-
-
 @dataclass(frozen=True, eq=False)
 class NeighborhoodScorer:
-    """Similarity of pairs of sets, all built once by :func:`build_sets`.
+    """Similarity of pairs of sets, all built once by the estimator's table entry.
 
-    ``sets`` is what :func:`build_sets` returned and ``sizes[i]`` is set
+    ``sets`` is what the entry's ``build_many`` returned and ``sizes[i]`` is set
     ``i``'s number of distinct elements.  Pairs where both sets are empty score 0.0
     for every estimator: empty sets carry no similarity evidence, and a
     uniform convention keeps the rankings comparable.
@@ -369,45 +325,18 @@ class NeighborhoodScorer:
     def score_pairs(self, pairs: np.ndarray) -> np.ndarray:
         """Scores of the (u, v) rows of ``pairs``, as float64.
 
-        Each equals the estimator's scalar compare function bit for bit.  The
-        exact oracle sort-joins a chunk of pairs at a time, MinHash and
-        SimHash count over gathered rows, and DotHash takes one dot product
-        per pair of row views, visiting the pairs in stable order of their
-        first set and returning the scores in input order.  Raises
-        ValueError on an index outside ``0..n-1`` for n sets.
+        Each equals the estimator's scalar compare function bit for bit: the
+        estimator's table entry scores them, as ``dothash compare`` scores two
+        sketch files.  Raises ValueError on an index outside ``0..n-1`` for n
+        sets.
         """
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
         if np.any((pairs < 0) | (pairs >= len(self.sizes))):
             raise ValueError(f"pair index outside 0..{len(self.sizes) - 1}")
         u, v = pairs.T
-        size_u, size_v, jaccard = self.sizes[u], self.sizes[v], self.metric is Metric.JACCARD
-        scores = np.zeros(len(u))
-        rows = self.sets
-        if self.estimator is Estimator.DOTHASH:
-            # Pairs in order of their first set, so a row is read while it
-            # is still cached.  ndarray.dot makes the BLAS ddot call of ``@``
-            # without the ufunc dispatch, so each score keeps its bits.
-            order = np.argsort(u, kind="stable")
-            views = list(rows)
-            scores[order] = [views[a].dot(views[b]) for a, b in zip(u[order].tolist(), v[order].tolist())]
-            if jaccard:
-                union = size_u + size_v - scores
-                ratio = np.divide(scores, union, out=np.ones_like(scores), where=union > 0.0)
-                scores = np.where(ratio > 0.0, np.minimum(ratio, 1.0), 0.0)
-        elif self.estimator is Estimator.EXACT:
-            for lo, hi in chunk_ranges(8 * (size_u + size_v + 1)):
-                counts, sums = _sort_join(*self.sets, u[lo:hi], v[lo:hi])
-                if jaccard:
-                    union = size_u[lo:hi] + size_v[lo:hi] - counts
-                    sums = np.divide(counts, union, out=np.zeros(hi - lo), where=union > 0)
-                scores[lo:hi] = sums
-        else:
-            for lo, hi in chunk_ranges(np.full(len(u), 2 * rows[:1].nbytes)):
-                a, b = rows[u[lo:hi]], rows[v[lo:hi]]
-                if self.estimator is Estimator.MINHASH:
-                    scores[lo:hi] = np.count_nonzero(a == b, axis=1) / self.dims_or_k
-                else:
-                    scores[lo:hi] = 1.0 - np.bitwise_count(a ^ b).sum(axis=1) / self.dims_or_k
+        size_u, size_v = self.sizes[u], self.sizes[v]
+        scores = ESTIMATORS[self.estimator.value].score(self.sets, self.dims_or_k, u, v, size_u, size_v,
+                                                        self.metric is Metric.JACCARD)
         scores[(size_u == 0) & (size_v == 0)] = 0.0
         return scores
 
@@ -424,17 +353,18 @@ def sketch_neighborhoods(
     ``sets`` is a Graph's node neighborhoods, put in distinct form by one
     :func:`~dothash.sketches.distinct_sets` call, or sets already in that
     form, such as :func:`~dothash.dedup.shingle_csr` returns; either is
-    built in one :func:`build_sets` batch, and anything else, a raw
+    built in one batch by the estimator's table entry, and anything else, a raw
     ``(indptr, elements)`` pair included, raises ValueError.  Set sizes,
     which the Jaccard scores use, count each element once.
     ``metric`` is a Metric, or the WeightFn of a weighted intersection such
     as IDF; degree weights come from the graph.  MinHash and SimHash can
     only rank by Jaccard; DotHash and the exact oracle support every metric.
     """
+    entry = ESTIMATORS[estimator.value]
     name = metric.kind.value if isinstance(metric, WeightFn) else metric.value
-    if estimator in (Estimator.MINHASH, Estimator.SIMHASH) and metric is not Metric.JACCARD:
+    if not entry.weighted and metric is not Metric.JACCARD:
         raise ValueError(f"estimator cannot express metric: {estimator.value} / {name}")
-    if estimator is not Estimator.EXACT and (dims_or_k is None or dims_or_k < 1):
+    if entry.size_flag is not None and (dims_or_k is None or dims_or_k < 1):
         raise ValueError("sketch estimators need a positive dims_or_k")
     if isinstance(sets, Graph):
         graph, sets = sets, distinct_sets(sets.indptr, sets.indices)
@@ -442,7 +372,7 @@ def sketch_neighborhoods(
         graph = None
     else:
         raise ValueError("sets must be a Graph or DistinctSets")
-    built = build_sets(estimator, dims_or_k, seed, sets, _metric_weights(graph, metric))
+    built = entry.build_many(seed, dims_or_k, sets, _metric_weights(graph, metric))
     return NeighborhoodScorer(estimator, metric, dims_or_k, built, np.diff(sets.indptr))
 
 
@@ -511,7 +441,7 @@ def run_linkpred_benchmark(
         hits: dict[int, list[float]] = {k: [] for k in k_values}
         build_times: list[float] = []
         compare_times: list[float] = []
-        runs = 1 if point.estimator is Estimator.EXACT else repeats
+        runs = repeats if ESTIMATORS[point.estimator.value].size_flag else 1
         for r in range(runs):
             t0 = time.perf_counter()
             scorer = sketch_neighborhoods(

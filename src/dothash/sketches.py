@@ -1,14 +1,12 @@
-"""Fixed-size set sketches and their similarity estimators.
+"""Fixed-size set sketches, their similarity estimators, and the estimator table.
 
-Three sketch kinds share the encodings from :mod:`dothash.encoding`:
-
-* DotHashSketch: the weighted sum of codebook vectors.  The dot product of
-  two sketches is an unbiased estimate of ``sum(f(x))`` over the
-  intersection (``|A ∩ B|`` for unit weights).
-* MinHashSketch: per-hash minima; the fraction of matching minima
-  estimates the Jaccard index.
-* SimHashSketch: the sign pattern of the ±1 element-vector sum; one minus
-  the normalized Hamming distance is a ranking similarity.
+:data:`ESTIMATORS` holds one :class:`EstimatorEntry` for each of DotHash (the
+dot product of two weighted codebook-vector sums estimates ``sum(f(x))``
+over the intersection), MinHash (the share of matching per-hash minima
+estimates Jaccard), SimHash (the signs of the ±1 vector sum give a ranking
+similarity) and the exact oracle: its batch build, the one pair scorer that
+``dothash compare`` and ``NeighborhoodScorer.score_pairs`` share, and a
+sketch's size flag and file form.  Every estimator choice reads this table.
 
 Serialized sketch files use a little-endian binary layout::
 
@@ -33,20 +31,24 @@ from __future__ import annotations
 
 import enum
 import json
+import operator
 import struct
 from dataclasses import dataclass
+from functools import partial
 from typing import BinaryIO, Callable, Iterable, Mapping, NamedTuple, Union
 
 import numpy as np
 
 from .encoding import (
     _CHUNK_BYTES,
+    _MASK64,
     Codebook,
     MinwiseFamily,
     _add_sign_counts,
     _byte_columns,
     _count_dtype,
     as_element_array,
+    chunk_ranges,
     sorted_distinct,
 )
 
@@ -164,13 +166,6 @@ class SimHashSketch:
 Sketch = Union[DotHashSketch, MinHashSketch, SimHashSketch]
 
 
-def _require_compatible(size_a: int, size_b: int, seed_a: int, seed_b: int, size_name: str) -> None:
-    if size_a != size_b:
-        raise ValueError(f"incompatible sketches: {size_name} mismatch ({size_a} vs {size_b})")
-    if seed_a != seed_b:
-        raise ValueError(f"incompatible sketches: seed mismatch ({seed_a} vs {seed_b})")
-
-
 def _sign_tables(roots: np.ndarray) -> np.ndarray:
     """Lookup tables of signed root sums, shape (groups, 256), from (8, groups) roots.
 
@@ -229,12 +224,6 @@ def distinct_sets(indptr: np.ndarray, elements: Iterable[int] | np.ndarray) -> D
     pairs = sorted_distinct(set_of * distinct.size + inverse)
     indptr = np.searchsorted(pairs, np.arange(nsets + 1, dtype=np.int64) * distinct.size)
     return DistinctSets(distinct, indptr, pairs % max(distinct.size, 1))
-
-
-def _one_set(elements: Iterable[int] | np.ndarray) -> DistinctSets:
-    """The distinct elements of one set, sorted, as a one-set :class:`DistinctSets`."""
-    distinct = sorted_distinct(as_element_array(elements))
-    return DistinctSets(distinct, np.array([0, distinct.size]), np.arange(distinct.size))
 
 
 def _unit_sums(cb: Codebook, distinct: np.ndarray, indptr: np.ndarray, ranks: np.ndarray):
@@ -393,9 +382,7 @@ def dothash_build(cb: Codebook, elements: Iterable[int] | np.ndarray, w: WeightF
     Duplicates in the stream are skipped (set semantics).  Raises if any
     weight is negative or not finite.
     """
-    sets = _one_set(elements)
-    values = dothash_build_many(cb, sets, w)[0]
-    return DotHashSketch(values=values, dims=cb.dims, seed=cb.seed, cardinality=int(sets.distinct.size))
+    return build_sketch("dothash", cb.seed, cb.dims, elements, w)
 
 
 def dothash_intersection(a: DotHashSketch, b: DotHashSketch) -> float:
@@ -403,7 +390,7 @@ def dothash_intersection(a: DotHashSketch, b: DotHashSketch) -> float:
 
     Deliberately unclamped; clamping would bias the estimator.
     """
-    _require_compatible(a.dims, b.dims, a.seed, b.seed, "dims")
+    require_same_form(a, b)
     return float(a.values @ b.values)
 
 
@@ -413,10 +400,9 @@ def dothash_jaccard(a: DotHashSketch, b: DotHashSketch) -> float:
     The union size is recovered by inclusion-exclusion from the stored
     exact cardinalities.
     """
-    _require_compatible(a.dims, b.dims, a.seed, b.seed, "dims")
+    est = dothash_intersection(a, b)
     if a.cardinality == 0 and b.cardinality == 0:
         raise ValueError("Jaccard undefined for two empty sets")
-    est = dothash_intersection(a, b)
     union = a.cardinality + b.cardinality - est
     if union <= 0.0:
         return 1.0
@@ -453,15 +439,12 @@ def minhash_build_many(f: MinwiseFamily, sets: DistinctSets) -> np.ndarray:
 
 def minhash_build(f: MinwiseFamily, elements: Iterable[int] | np.ndarray) -> MinHashSketch:
     """Minimum of each hash function over the distinct elements."""
-    sets = _one_set(elements)
-    minima = minhash_build_many(f, sets)[0]
-    minima.setflags(write=False)
-    return MinHashSketch(minima=minima, k=f.k, seed=f.seed, cardinality=int(sets.distinct.size))
+    return build_sketch("minhash", f.seed, f.k, elements)
 
 
 def minhash_jaccard(a: MinHashSketch, b: MinHashSketch) -> float:
     """Fraction of matching minima: the MinHash Jaccard estimate."""
-    _require_compatible(a.k, b.k, a.seed, b.seed, "k")
+    require_same_form(a, b)
     if a.cardinality == 0 and b.cardinality == 0:
         raise ValueError("Jaccard undefined for two empty sets")
     return float(np.count_nonzero(a.minima == b.minima)) / a.k
@@ -483,17 +466,170 @@ def simhash_build_many(cb: Codebook, sets: DistinctSets) -> np.ndarray:
 
 def simhash_build(cb: Codebook, elements: Iterable[int] | np.ndarray) -> SimHashSketch:
     """Bit j is 1 iff the j-th coordinate of the ±1 vector sum is > 0."""
-    sets = _one_set(elements)
-    packed = simhash_build_many(cb, sets)[0]
-    packed.setflags(write=False)
-    return SimHashSketch(bits=packed, dims=cb.dims, seed=cb.seed, cardinality=int(sets.distinct.size))
+    return build_sketch("simhash", cb.seed, cb.dims, elements)
 
 
 def simhash_similarity(a: SimHashSketch, b: SimHashSketch) -> float:
     """1 - hamming(a, b) / dims: a [0, 1] score used for ranking only."""
-    _require_compatible(a.dims, b.dims, a.seed, b.seed, "dims")
+    require_same_form(a, b)
     distance = int(np.bitwise_count(a.bits ^ b.bits).sum())
     return 1.0 - distance / a.dims
+
+
+def _sort_join(indptr: np.ndarray, ranks: np.ndarray, weights: np.ndarray, u: np.ndarray,
+               v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Intersection sizes and weight sums of the ranked sets ``u[i]`` and ``v[i]``.
+
+    Sorting the keys ``i * m + rank`` puts each intersection's equal
+    neighbours in pair order, then in ascending element order, so
+    ``np.bincount`` adds a pair's weights from 0.0 in the order
+    :func:`~dothash.exact.exact_weighted` does.  Like it, raises ValueError
+    on a negative weight of an intersecting element only.
+    """
+    m = max(len(weights), 1)
+    starts = np.stack([indptr[u], indptr[v]], axis=1).ravel()
+    lengths = np.stack([indptr[u + 1], indptr[v + 1]], axis=1).ravel() - starts
+    # Every gathered rank's position: its slice's start plus its offset in the slice.
+    at = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths) + np.arange(lengths.sum())
+    keys = np.sort(np.repeat(np.arange(len(u)) * m, lengths.reshape(-1, 2).sum(axis=1)) + ranks[at])
+    pair, rank = np.divmod(keys[1:][keys[1:] == keys[:-1]], m)
+    if np.any(weights[rank] < 0):
+        raise ValueError("weight function must be nonnegative")
+    return np.bincount(pair, minlength=len(u)), np.bincount(pair, weights[rank], len(u))
+
+
+def _exact_scores(built: tuple, size: int | None, u: np.ndarray, v: np.ndarray, size_u: np.ndarray,
+                  size_v: np.ndarray, jaccard: bool) -> np.ndarray:
+    """Exact weight sums, or Jaccard from integer counts: one sort-join per chunk of pairs."""
+    scores = np.zeros(len(u))
+    for lo, hi in chunk_ranges(8 * (size_u + size_v + 1)):
+        counts, sums = _sort_join(*built, u[lo:hi], v[lo:hi])
+        if jaccard:
+            union = size_u[lo:hi] + size_v[lo:hi] - counts
+            sums = np.divide(counts, union, out=np.zeros(hi - lo), where=union > 0)
+        scores[lo:hi] = sums
+    return scores
+
+
+def _dothash_scores(rows: np.ndarray, dims: int, u: np.ndarray, v: np.ndarray, size_u: np.ndarray,
+                    size_v: np.ndarray, jaccard: bool) -> np.ndarray:
+    """Dot products of row pairs, clamped into the Jaccard of the exact set sizes when asked.
+
+    Pairs are taken in order of their first set, so a row is read while it
+    is still cached.  ndarray.dot makes the BLAS ddot call of ``@`` without
+    the ufunc dispatch, so each score keeps its bits.
+    """
+    order = np.argsort(u, kind="stable")
+    views = list(rows)
+    scores = np.zeros(len(u))
+    scores[order] = [views[a].dot(views[b]) for a, b in zip(u[order].tolist(), v[order].tolist())]
+    # At d=1 ndarray.dot returns the lone product, which may be -0.0; ``@`` adds it to +0.0.
+    scores += 0.0
+    if jaccard:
+        union = size_u + size_v - scores
+        ratio = np.divide(scores, union, out=np.ones_like(scores), where=union > 0.0)
+        scores = np.where(ratio > 0.0, np.minimum(ratio, 1.0), 0.0)
+    return scores
+
+
+def _gathered_scores(score_rows: Callable[[np.ndarray, np.ndarray, int], np.ndarray], rows: np.ndarray,
+                     size: int, u: np.ndarray, v: np.ndarray, *sizes_and_jaccard) -> np.ndarray:
+    """``score_rows(rows_u, rows_v, size)`` of the pairs' rows, gathered about 1 MiB at a time."""
+    scores = np.zeros(len(u))
+    for lo, hi in chunk_ranges(np.full(len(u), 2 * rows[:1].nbytes)):
+        scores[lo:hi] = score_rows(rows[u[lo:hi]], rows[v[lo:hi]], size)
+    return scores
+
+
+def _malformed_if(bad: object, what: str) -> None:
+    if bad:
+        raise ValueError(f"malformed sketch file: {what}")
+
+
+class EstimatorEntry(NamedTuple):
+    """One estimator: its batch build, its pair scorer and, for a sketch, its size flag and file form."""
+
+    name: str
+    build_many: Callable  # (seed, size, sets, w) -> every set of a DistinctSets, built at once
+    # (built, size, u, v, sizes_u, sizes_v, jaccard) -> float64 scores of built sets u[i] and v[i], of
+    # the scalar compare function's bits, given their distinct counts; jaccard asks for the Jaccard index.
+    score: Callable
+    weighted: bool  # scores any weighted intersection; else it ranks by Jaccard only
+    size_flag: str | None = None  # "dims" or "k"; None: not a sketch, so no size, seed or file form
+    code: int | None = None  # the .skch kind code
+    sketch: type | None = None  # the class, called as sketch(payload, size, seed, cardinality)
+    payload: str | None = None  # the class's payload field
+    dtype: np.dtype | None = None  # payload items, little-endian in a file
+    width: Callable[[int], int] = lambda size: size  # payload items of a sketch of this size
+    empty: bytes = b"\0"  # the byte an empty set's payload repeats
+    check: Callable[[np.ndarray, int], None] = lambda payload, size: None  # rejects what a file must not hold
+    # (payload field, payload) -> its sketch_to_json key and value
+    to_json: Callable[[str, np.ndarray], tuple] = lambda name, payload: (name, payload.tolist())
+    metric: str | None = None  # compare's "metric"
+    views: tuple[tuple[str, bool], ...] = ()  # compare's (key, jaccard) scores; null for Jaccard of two empty sets
+
+
+# The estimators, in the order the CLI lists them.
+ESTIMATORS: dict[str, EstimatorEntry] = {entry.name: entry for entry in (
+    EstimatorEntry(
+        "dothash", weighted=True, size_flag="dims",
+        build_many=lambda seed, size, sets, w: dothash_build_many(Codebook(seed=seed, dims=size), sets, w),
+        score=_dothash_scores,
+        code=1, sketch=DotHashSketch, payload="values", dtype=np.dtype(np.float64),
+        check=lambda values, d: _malformed_if(not np.all(np.isfinite(values)), "non-finite dothash values"),
+        metric="intersection", views=(("estimate", False), ("jaccard", True))),
+    EstimatorEntry(
+        "minhash", weighted=False, size_flag="k",
+        build_many=lambda seed, size, sets, w: minhash_build_many(MinwiseFamily(seed=seed, k=size), sets),
+        score=partial(_gathered_scores, lambda a, b, k: np.count_nonzero(a == b, axis=1) / k),
+        code=2, sketch=MinHashSketch, payload="minima", dtype=np.dtype(np.uint64), empty=b"\xff",
+        metric="jaccard", views=(("estimate", True),)),
+    EstimatorEntry(
+        "simhash", weighted=False, size_flag="dims",
+        build_many=lambda seed, size, sets, w: simhash_build_many(Codebook(seed=seed, dims=size), sets),
+        score=partial(_gathered_scores, lambda a, b, dims: 1.0 - np.bitwise_count(a ^ b).sum(axis=1) / dims),
+        code=3, sketch=SimHashSketch, payload="bits", dtype=np.dtype(np.uint8),
+        width=lambda d: (d + 7) // 8, to_json=lambda name, bits: ("bits_hex", bits.tobytes().hex()),
+        check=lambda bits, d: _malformed_if(d % 8 and bits[-1] >> (d % 8), "simhash padding bits are set"),
+        metric="similarity", views=(("estimate", False),)),
+    # The sets as ranks into their sorted distinct elements, and w of each of those elements.
+    EstimatorEntry(
+        "exact", weighted=True,
+        build_many=lambda seed, size, sets, w: (sets.indptr, sets.ranks, w.weights_for(sets.distinct)),
+        score=_exact_scores),
+)}
+_BY_CODE = {entry.code: entry for entry in ESTIMATORS.values() if entry.code}
+_BY_CLASS = {entry.sketch: entry for entry in ESTIMATORS.values() if entry.code}
+
+
+def sketch_entry(sketch: Sketch) -> EstimatorEntry:
+    """The :data:`ESTIMATORS` entry of a sketch's kind; TypeError for anything else."""
+    entry = _BY_CLASS.get(type(sketch))
+    if entry is None:
+        raise TypeError(f"not a sketch: {type(sketch).__name__}")
+    return entry
+
+
+def build_sketch(kind: str, seed: int, size: int, elements: Iterable[int] | np.ndarray,
+                 w: WeightFn | None = None) -> Sketch:
+    """The ``kind`` sketch of the distinct ``elements``, built by its table entry; its payload is read-only."""
+    entry = ESTIMATORS[kind]
+    distinct = sorted_distinct(as_element_array(elements))
+    sets = DistinctSets(distinct, np.array([0, distinct.size]), np.arange(distinct.size))
+    row = entry.build_many(seed, size, sets, w)[0]
+    row.setflags(write=False)
+    return entry.sketch(row, size, operator.index(seed) & _MASK64, distinct.size)
+
+
+def require_same_form(a: Sketch, b: Sketch) -> tuple[EstimatorEntry, int]:
+    """The entry and size of two sketches of one kind, size and seed; ValueError names the first difference."""
+    entry, other = sketch_entry(a), sketch_entry(b)
+    size = getattr(a, entry.size_flag)
+    for what, mine, theirs in (("kind", entry.name, other.name), (entry.size_flag, size, getattr(b, other.size_flag)),
+                               ("seed", a.seed, b.seed)):
+        if mine != theirs:
+            raise ValueError(f"incompatible sketches: {what} mismatch ({mine} vs {theirs})")
+    return entry, size
 
 
 _MAGIC = b"SKCH"
@@ -501,22 +637,6 @@ _VERSION = 1
 _HEADER = struct.Struct("<4sBBQIQ")
 # The header stores a sketch's size (dims or k) as a u32.
 MAX_SKETCH_SIZE = (1 << 32) - 1
-_KIND_CODES = {"dothash": 1, "minhash": 2, "simhash": 3}
-_KIND_NAMES = {code: name for name, code in _KIND_CODES.items()}
-
-
-def sketch_kind(sketch: Sketch) -> str:
-    if isinstance(sketch, DotHashSketch):
-        return "dothash"
-    if isinstance(sketch, MinHashSketch):
-        return "minhash"
-    if isinstance(sketch, SimHashSketch):
-        return "simhash"
-    raise TypeError(f"not a sketch: {type(sketch).__name__}")
-
-
-def _sketch_size(sketch: Sketch) -> int:
-    return sketch.k if isinstance(sketch, MinHashSketch) else sketch.dims
 
 
 def write_sketch(sketch: Sketch, fp: BinaryIO) -> None:
@@ -525,25 +645,12 @@ def write_sketch(sketch: Sketch, fp: BinaryIO) -> None:
     Raises ValueError for a size the header cannot store (0, or more than
     ``MAX_SKETCH_SIZE``).
     """
-    kind = sketch_kind(sketch)
-    size = _sketch_size(sketch)
+    entry = sketch_entry(sketch)
+    size = getattr(sketch, entry.size_flag)
     if not 1 <= size <= MAX_SKETCH_SIZE:
         raise ValueError(f"sketch size {size} does not fit the file header (1 to {MAX_SKETCH_SIZE})")
-    header = _HEADER.pack(
-        _MAGIC,
-        _VERSION,
-        _KIND_CODES[kind],
-        sketch.seed & ((1 << 64) - 1),
-        size,
-        sketch.cardinality,
-    )
-    fp.write(header)
-    if isinstance(sketch, DotHashSketch):
-        fp.write(sketch.values.astype("<f8").tobytes())
-    elif isinstance(sketch, MinHashSketch):
-        fp.write(sketch.minima.astype("<u8").tobytes())
-    else:
-        fp.write(sketch.bits.tobytes())
+    fp.write(_HEADER.pack(_MAGIC, _VERSION, entry.code, sketch.seed & _MASK64, size, sketch.cardinality))
+    fp.write(getattr(sketch, entry.payload).astype(entry.dtype.newbyteorder("<")).tobytes())
 
 
 def read_sketch(fp: BinaryIO) -> Sketch:
@@ -551,7 +658,8 @@ def read_sketch(fp: BinaryIO) -> Sketch:
 
     The size must be positive, the stream must end with the payload, DotHash
     values must be finite, and the padding bits of a SimHash payload must be
-    zero.  A cardinality of 0 must carry the empty set's payload.
+    zero.  A cardinality of 0 must carry the empty set's payload.  The
+    payload is read-only.
     """
     raw = fp.read(_HEADER.size)
     if len(raw) != _HEADER.size:
@@ -561,12 +669,11 @@ def read_sketch(fp: BinaryIO) -> Sketch:
         raise ValueError("not a sketch file: bad magic bytes")
     if version != _VERSION:
         raise ValueError(f"unsupported sketch file version {version}")
-    kind = _KIND_NAMES.get(kind_code)
-    if kind is None:
+    entry = _BY_CODE.get(kind_code)
+    if entry is None:
         raise ValueError(f"unknown sketch kind code {kind_code}")
-    if size == 0:
-        raise ValueError("malformed sketch file: size 0")
-    nbytes = 8 * size if kind in ("dothash", "minhash") else (size + 7) // 8
+    _malformed_if(size == 0, "size 0")
+    nbytes = entry.width(size) * entry.dtype.itemsize
     # The size comes from the file: read in bounded pieces, so a header that
     # declares more than the file holds fails without allocating that much.
     pieces = []
@@ -577,41 +684,25 @@ def read_sketch(fp: BinaryIO) -> Sketch:
         pieces.append(piece)
         nbytes -= len(piece)
     payload = b"".join(pieces)
-    if fp.read(1):
-        raise ValueError("malformed sketch file: trailing bytes after the payload")
-    # The empty set's payload is all +0.0 values, all-ones minima or all-zero bits.
-    if cardinality == 0 and payload != (b"\xff" if kind == "minhash" else b"\0") * len(payload):
-        raise ValueError("malformed sketch file: cardinality 0 with a non-empty payload")
-    if kind == "dothash":
-        values = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-        if not np.all(np.isfinite(values)):
-            raise ValueError("malformed sketch file: non-finite dothash values")
-        return DotHashSketch(values=values, dims=size, seed=seed, cardinality=cardinality)
-    if kind == "minhash":
-        minima = np.frombuffer(payload, dtype="<u8").astype(np.uint64)
-        minima.setflags(write=False)
-        return MinHashSketch(minima=minima, k=size, seed=seed, cardinality=cardinality)
-    if size % 8 and payload[-1] >> (size % 8):
-        raise ValueError("malformed sketch file: simhash padding bits are set")
-    bits = np.frombuffer(payload, dtype=np.uint8).copy()
-    bits.setflags(write=False)
-    return SimHashSketch(bits=bits, dims=size, seed=seed, cardinality=cardinality)
+    _malformed_if(fp.read(1), "trailing bytes after the payload")
+    _malformed_if(cardinality == 0 and payload != entry.empty * len(payload),
+                  "cardinality 0 with a non-empty payload")
+    row = np.frombuffer(payload, dtype=entry.dtype.newbyteorder("<")).astype(entry.dtype)
+    entry.check(row, size)
+    row.setflags(write=False)
+    return entry.sketch(row, size, seed, cardinality)
 
 
 def sketch_to_json(sketch: Sketch) -> str:
     """Human-readable debug form with the same fields as the binary layout."""
-    kind = sketch_kind(sketch)
-    record: dict = {
-        "kind": kind,
+    entry = sketch_entry(sketch)
+    key, payload = entry.to_json(entry.payload, getattr(sketch, entry.payload))
+    record = {
+        "kind": entry.name,
         "version": _VERSION,
         "seed": sketch.seed,
-        "dims_or_k": _sketch_size(sketch),
+        "dims_or_k": getattr(sketch, entry.size_flag),
         "cardinality": sketch.cardinality,
+        key: payload,
     }
-    if isinstance(sketch, DotHashSketch):
-        record["values"] = sketch.values.tolist()
-    elif isinstance(sketch, MinHashSketch):
-        record["minima"] = [int(v) for v in sketch.minima]
-    else:
-        record["bits_hex"] = sketch.bits.tobytes().hex()
     return json.dumps(record, sort_keys=True)

@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dothash import bounds as bounds_mod
-from dothash import cli
+from dothash import cli, sketches
 from dothash.bounds import BoundsQuery, clt_tail
 from dothash.cli import main
 from dothash.dedup import make_planted_corpus
@@ -102,8 +102,8 @@ class TestSketchCommand:
         def refuse(*args, **kwargs):
             raise AssertionError("no codebook, family or sketch may be built")
 
-        for name in ("Codebook", "MinwiseFamily", "dothash_build", "simhash_build", "minhash_build"):
-            monkeypatch.setattr(cli, name, refuse)
+        for name in ("Codebook", "MinwiseFamily", "dothash_build_many", "simhash_build_many", "minhash_build_many"):
+            monkeypatch.setattr(sketches, name, refuse)
         out = tmp_path / "s.bin"
         code = main(["sketch", "--estimator", estimator, flag, str(2**32),
                      "--input", str(element_file), "--out", str(out)])
@@ -261,6 +261,21 @@ class TestCompareCommand:
         capsys.readouterr()
         assert main(["compare", str(a), str(b)]) == 2
         assert "kind mismatch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, error", [(["--k", "16", "--seed", "2"], "k mismatch (8 vs 16)"),
+                                              (["--k", "8", "--seed", "2"], "seed mismatch (1 vs 2)")],
+                             ids=["k", "seed"])
+    def test_mismatched_empty_minhash_sketches_exit_two(self, tmp_path, capsys, flags, error):
+        # Two empty sets have no Jaccard estimate, but sketches of another k
+        # or seed are still not comparable; such a pair once printed null.
+        empty, a, b = tmp_path / "empty.txt", tmp_path / "a.bin", tmp_path / "b.bin"
+        empty.write_text("")
+        sketch = ["sketch", "--estimator", "minhash", "--input", str(empty)]
+        assert main([*sketch, "--k", "8", "--seed", "1", "--out", str(a)]) == 0
+        assert main([*sketch, *flags, "--out", str(b)]) == 0
+        capsys.readouterr()
+        assert main(["compare", str(a), str(b)]) == 2
+        assert capsys.readouterr().err == f"dothash: error: incompatible sketches: {error}\n"
 
     def test_malformed_sketch_files_exit_two(self, tmp_path, element_file, capsys):
         good = tmp_path / "d.bin"
@@ -635,11 +650,11 @@ class TestPinnedPipelineOutputs:
 class TestExitCodes:
     @pytest.mark.parametrize("command, target", [
         (["linkpred", "--estimator", "dothash", "--metric", "jaccard", "--dims", "64"],
-         "dothash.linkpred.dothash_build_many"),
+         "dothash.sketches.dothash_build_many"),
         (["linkpred", "--estimator", "minhash", "--metric", "jaccard", "--k", "64"],
-         "dothash.linkpred.minhash_build_many"),
+         "dothash.sketches.minhash_build_many"),
         (["dedup", "--estimator", "dothash", "--metric", "idf", "--dims", "64"],
-         "dothash.linkpred.dothash_build_many"),
+         "dothash.sketches.dothash_build_many"),
         (["bounds", "--size-a", "20", "--size-b", "20", "--size-int", "10", "--dims", "64"],
          "dothash.bounds.sign_sums"),
     ])

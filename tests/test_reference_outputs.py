@@ -169,6 +169,25 @@ def test_dedup_rejects_records_the_reference_read(reference, inputs, tmp_path, c
     assert capsys.readouterr().err.startswith("dothash: error: line 61: invalid corpus record (")
 
 
+# Two empty MinHash sketches of another k or seed, which the reference
+# compared as a null estimate, now exit 2, since compare checks the kind,
+# size and seed of every pair before it looks at the cardinalities.
+@pytest.mark.parametrize("flags, error", [(["--k", "16", "--seed", "2"], "k mismatch (8 vs 16)"),
+                                          (["--k", "8", "--seed", "2"], "seed mismatch (1 vs 2)")],
+                         ids=["k", "seed"])
+def test_compare_rejects_empty_sketch_pairs_the_reference_read(reference, tmp_path, capsys, flags, error):
+    empty, a, b = tmp_path / "empty.txt", tmp_path / "a.skch", tmp_path / "b.skch"
+    empty.write_text("")
+    sketch = ["sketch", "--estimator", "minhash", "--input", str(empty)]
+    assert cli.main([*sketch, "--k", "8", "--seed", "1", "--out", str(a)]) == 0
+    assert cli.main([*sketch, *flags, "--out", str(b)]) == 0
+    capsys.readouterr()
+    assert reference.main(["compare", str(a), str(b)]) == 0
+    assert json.loads(capsys.readouterr().out)["estimate"] is None
+    assert cli.main(["compare", str(a), str(b)]) == 2
+    assert capsys.readouterr().err == f"dothash: error: incompatible sketches: {error}\n"
+
+
 @pytest.mark.parametrize("estimator, metric", [
     *[(estimator, metric) for estimator in ("exact", "dothash")
       for metric in ("jaccard", "common_neighbors", "adamic_adar", "resource_allocation")],

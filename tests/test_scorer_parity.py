@@ -157,3 +157,16 @@ def test_dothash_pairs_come_back_in_input_order(metric):
         else:
             expected = float(rows[u] @ rows[v])
         assert np.float64(score).tobytes() == np.float64(expected).tobytes(), (u, v)
+
+
+def test_dothash_scores_at_one_dimension_have_the_scalar_bits():
+    # At d=1 ndarray.dot returns the lone product, -0.0 for an empty set's
+    # +0.0 row against a negative one, where ``@`` gives +0.0.
+    g = graph_from_edges(45, preferential_attachment_graph(40, 3, seed=6).edges())
+    sets = [g.neighbors(v) for v in range(g.node_count)]
+    built = [dothash_build(Codebook(seed=SEED, dims=1), s) for s in sets]
+    pairs = all_pairs(g.node_count)
+    expected = np.array([0.0 if len(sets[u]) == len(sets[v]) == 0 else dothash_intersection(built[u], built[v])
+                         for u, v in pairs])
+    scorer = sketch_neighborhoods(g, Metric.COMMON_NEIGHBORS, Estimator.DOTHASH, 1, seed=SEED)
+    assert scorer.score_pairs(pairs).tobytes() == expected.tobytes()
