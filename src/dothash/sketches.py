@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 import operator
 import struct
 from dataclasses import dataclass
@@ -174,6 +175,11 @@ def _sign_tables(roots: np.ndarray) -> np.ndarray:
     added, which turns -0.0 into +0.0 and leaves every other value as it is.
     """
     tables = np.empty((256, roots.shape[1]))
+    # Keep ``out`` a contiguous row.  numpy 2.4.6 on AVX-512 gives wrong
+    # float64 values from np.negative when the input stride is 8 elements
+    # and ``out`` is not contiguous: for an (n, 8) array A,
+    # np.negative(A.T[0], out=T[:, 0]) writes -A.ravel()[:n], not -A[:, 0].
+    # _root_sums passes roots as just such a transposed (8, groups) view.
     np.negative(roots[0], out=tables[0])
     tables[1] = roots[0]
     for i in range(1, _GROUP):
@@ -365,6 +371,12 @@ def dothash_build_many(cb: Codebook, sets: DistinctSets, w: WeightFn | None = No
     once per occurrence, and so codebook words where elements recur and are
     no more than the sets, which keeps their table small beside the output.
     Raises ValueError on any negative or non-finite weight.
+
+    The sums are scaled by ``1 / sqrt(dims)`` as if divided by
+    ``np.sqrt(dims)``.  When that root is a power of two, 2^k (dims = 4^k),
+    they are multiplied by 2^-k instead, which is about twice as fast: both
+    operations round the exact value ``x * 2^-k`` once, so every float64,
+    ±0 and subnormals included, gets the bits the division gives.
     """
     if w is None or w.kind is WeightKind.UNIT:
         values = np.zeros((sets.indptr.size - 1, cb.dims))
@@ -372,7 +384,11 @@ def dothash_build_many(cb: Codebook, sets: DistinctSets, w: WeightFn | None = No
             values[rows] = sums
     else:
         values = _root_sums(cb, *sets, w)
-    values /= np.sqrt(cb.dims)
+    root = np.sqrt(cb.dims)
+    if math.frexp(root)[0] == 0.5:  # root is a power of two, so 1 / root is exact
+        values *= 1.0 / root
+    else:
+        values /= root
     return values
 
 

@@ -409,6 +409,50 @@ def test_weighted_dedup_sized_batch_adds_little_beside_its_output(added_peak_rss
     assert added < output + 4 * 2**20, f"batch build added {added / 2**20:.1f} MiB of peak RSS"
 
 
+# d = 4^k, whose root 2^k makes the build multiply by 2^-k, and d whose root is not a power of two.
+@pytest.mark.parametrize("dims", [1, 4, 16, 64, 4096, 2, 3, 8, 100, 8192])
+def test_build_many_scales_as_dividing_by_the_root(dims):
+    cb = Codebook(seed=12, dims=dims)
+    sets = distinct_sets(*_csr([[], [0, 1, 2], list(range(3, 40)), [40, 41], [42, 43, 44, 45]]))
+    # Weights: varied, zero for set 3 (+0.0), and tiny or subnormal for set 4.
+    weight = np.concatenate([1.0 / np.log(np.arange(40) + 2.0), [0.0, 0.0], [1e-300, 5e-324, 2e-310, 3e-320]])
+    w = WeightFn.from_array(weight)
+    unit = np.zeros((len(sets.indptr) - 1, dims))
+    for rows, sums in sketches._unit_sums(cb, *sets):
+        unit[rows] = sums
+    for built, sums in ((dothash_build_many(cb, sets), unit),
+                        (dothash_build_many(cb, sets, w), sketches._root_sums(cb, *sets, w))):
+        assert built.tobytes() == (sums / np.sqrt(dims)).tobytes()
+    assert not has_negative_zero(dothash_build_many(cb, sets, w)[3])
+    # No float64 weight gives sums small enough to scale to a subnormal (the
+    # least root is about 2.2e-162), so the scaling's subnormal and signed
+    # zero cases are fed through the weighted path's sums directly.
+    tiny = np.array([5e-324, -5e-324, 1e-310, -3e-308, 2.2250738585072014e-308, 0.0, -0.0, 1.5, -7.0, 1e300])
+    sums = np.resize(tiny, (len(sets.indptr) - 1, dims))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sketches, "_root_sums", lambda *args: sums.copy())
+        assert dothash_build_many(cb, sets, w).tobytes() == (sums / np.sqrt(dims)).tobytes()
+
+
+def test_sign_tables_of_a_transposed_view_follow_documented_order():
+    # The lookup passes (8, groups) roots as the transpose of (groups, 8)
+    # values, an input stride of 8 elements, where numpy 2.4.6's
+    # np.negative misreads a strided input into a strided output.
+    rng = np.random.default_rng(13)
+    grouped = rng.random((130, 8)) * rng.integers(0, 2, (130, 8))  # zeros among the roots
+    grouped[0] = 0.0
+    tables = sketches._sign_tables(grouped.T)
+    assert tables.shape == (130, 256)
+    for g, roots in enumerate(grouped.tolist()):
+        expected = []
+        for b in range(256):
+            entry = roots[0] if b & 1 else -roots[0]
+            for i in range(1, 8):
+                entry = entry + roots[i] if b >> i & 1 else entry - roots[i]
+            expected.append(entry + 0.0)
+        assert tables[g].tobytes() == np.array(expected).tobytes()
+
+
 def _build_with_layout(cb: Codebook, sets, weight, chunk_bytes: int):
     """Weighted rows built with ``_CHUNK_BYTES`` patched, and the groups of each table batch and lookup chunk."""
     batches, chunks = [], []

@@ -1,11 +1,15 @@
 """Tests for graph loading, edge splitting, neighborhood scoring, and Hits@K."""
 
+import copy
+import dataclasses
 import io
 import math
+import pickle
+import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dothash import linkpred
@@ -76,6 +80,65 @@ class TestLoadEdgeList:
         for u in range(g.node_count):
             for v in g.neighbors(u):
                 assert g.has_edge(int(v), u)
+
+
+class TestHasEdge:
+    @staticmethod
+    def _assert_has_edge_is_membership(g):
+        edges = {(u, v) for u in range(g.node_count) for v in g.neighbors(u).tolist()}
+        for u in range(g.node_count):
+            for v in range(g.node_count):  # first and last neighbours, non-neighbours and u == v
+                expected = (u, v) in edges
+                assert g.has_edge(u, v) is expected
+                assert g.has_edge(np.int64(u), np.uint64(v)) == expected
+                assert g.has_edge(np.uint64(u), np.int32(v)) == expected
+
+    @given(st.integers(1, 14), st.data())
+    @example(n=4, data=None)  # node 3 isolated; node 1's neighbours are 0 and 2
+    @settings(max_examples=100, deadline=None)
+    def test_equals_membership_in_the_csr_edge_set(self, n, data):
+        if data is None:
+            g = graph_from_edges(n, [(0, 1), (1, 2)])
+        else:
+            index = st.integers(0, n - 1)
+            g = graph_from_edges(n, data.draw(st.lists(st.tuples(index, index), max_size=3 * n)))
+        self._assert_has_edge_is_membership(g)
+
+    def test_graph_pickles_and_deep_copies_after_has_edge(self):
+        g = load_edge_list(_text("a b\nb c\nc a\nc d\n"))
+        assert g.has_edge(0, 1)
+        for other in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
+            assert "_views" not in vars(other)
+            assert np.array_equal(other.indptr, g.indptr) and np.array_equal(other.indices, g.indices)
+            assert (other.labels, other.self_loops_dropped) == (g.labels, g.self_loops_dropped)
+            self._assert_has_edge_is_membership(other)
+
+    @staticmethod
+    def _searchsorted_negatives(g, test_fraction, neg_per_pos, seed):
+        """split_edges' negatives, with each draw checked by np.searchsorted over the CSR row."""
+        rng = np.random.default_rng(seed)
+        n_pos = math.ceil(test_fraction * g.edge_count)
+        rng.choice(g.edge_count, size=n_pos, replace=False)  # the positives' draw comes first
+        count = neg_per_pos * n_pos
+        budget, draws, taken = max(100 * count, 10_000), 0, {}
+        while len(taken) < count:
+            batch = min(4096, budget - draws)
+            draws += batch
+            for u, v in rng.integers(0, g.node_count, size=(batch, 2)).tolist():
+                a, b = min(u, v), max(u, v)
+                nbrs = g.indices[g.indptr[a] : g.indptr[a + 1]]
+                pos = np.searchsorted(nbrs, b)
+                if u != v and (a, b) not in taken and not (pos < len(nbrs) and nbrs[pos] == b):
+                    taken[(a, b)] = (u, v)
+                    if len(taken) == count:
+                        break
+        return np.sort(np.array(list(taken.values()), dtype=np.int64), axis=1)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_split_negatives_equal_a_searchsorted_sampler(self, seed):
+        for g in (preferential_attachment_graph(300, 6, seed=seed), erdos_renyi_graph(60, 0.3, seed=seed)):
+            expected = self._searchsorted_negatives(g, 0.1, 3, seed)
+            assert np.array_equal(split_edges(g, 0.1, 3, seed).negatives, expected)
 
 
 def test_graph_from_edges_rejects_out_of_range_endpoints():
@@ -437,6 +500,70 @@ class TestBenchmark:
                                       neg_per_pos=2, repeats=4, seed=41)
         for lo, hi in zip(rows, rows[1:]):
             assert hi.hits_mean >= lo.hits_mean - (lo.hits_ci95 + hi.hits_ci95)
+
+
+def _rows_rebuilt_per_repeat(g, points, k_values, test_fraction, neg_per_pos, repeats, seed):
+    """run_linkpred_benchmark's rows, each repeat built by sketch_neighborhoods from the train graph."""
+    split = split_edges(g, test_fraction, neg_per_pos, seed)
+    rows = []
+    for point in points:
+        hits = {k: [] for k in k_values}
+        runs = repeats if point.estimator in (Estimator.DOTHASH, Estimator.MINHASH, Estimator.SIMHASH) else 1
+        for r in range(runs):
+            scorer = sketch_neighborhoods(split.train_graph, point.metric, point.estimator, point.dims_or_k,
+                                          seed=seed + r)
+            pos, neg = scorer.score_pairs(split.positives), scorer.score_pairs(split.negatives)
+            for k in k_values:
+                hits[k].append(hits_at_k(pos, neg, k))
+        for k in k_values:
+            samples = np.array(hits[k] * (repeats // runs))
+            ci = 0.0 if repeats < 2 else 1.96 * samples.std(ddof=1) / math.sqrt(repeats)
+            rows.append((point.estimator.value, point.metric.value, point.dims_or_k or 0, k,
+                         float(samples.mean()), float(ci), repeats))
+    return rows
+
+
+class TestPreparedOncePerRun:
+    POINTS = ([SweepPoint(estimator, metric, size) for estimator, size in ((Estimator.DOTHASH, 64),
+                                                                           (Estimator.EXACT, None))
+               for metric in Metric]
+              + [SweepPoint(Estimator.MINHASH, Metric.JACCARD, 32), SweepPoint(Estimator.SIMHASH, Metric.JACCARD, 200)])
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_rows_equal_building_each_repeat_from_the_train_graph(self, seed):
+        g = preferential_attachment_graph(150, 4, seed=seed)
+        got = run_linkpred_benchmark(g, self.POINTS, k_values=[5, 20], test_fraction=0.2, neg_per_pos=2,
+                                     repeats=3, seed=seed)
+        timeless = [tuple(v for f, v in dataclasses.asdict(row).items() if not f.endswith("_seconds"))
+                    for row in got]
+        assert timeless == _rows_rebuilt_per_repeat(g, self.POINTS, [5, 20], 0.2, 2, 3, seed)
+
+    def test_build_seconds_time_only_the_build(self, monkeypatch):
+        # A clock that moves only inside the wrapped calls: the build adds 1 s,
+        # preparing sets or degree weights 1000 s, scoring 10 s per call.
+        clock = [0.0]
+        calls = {"sets": 0, "weights": 0}
+
+        def ticking(fn, seconds, key=None):
+            def wrapped(*args, **kwargs):
+                clock[0] += seconds
+                if key:
+                    calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(linkpred, "time", types.SimpleNamespace(perf_counter=lambda: clock[0]))
+        monkeypatch.setattr(linkpred, "sketch_neighborhoods", ticking(sketch_neighborhoods, 1.0))
+        monkeypatch.setattr(linkpred, "distinct_sets", ticking(distinct_sets, 1000.0, "sets"))
+        for name in ("adamic_adar_weights", "resource_allocation_weights"):
+            monkeypatch.setattr(linkpred, name, ticking(getattr(linkpred, name), 1000.0, "weights"))
+        monkeypatch.setattr(linkpred.NeighborhoodScorer, "score_pairs",
+                            ticking(linkpred.NeighborhoodScorer.score_pairs, 10.0))
+        g = preferential_attachment_graph(150, 4, seed=3)
+        rows = run_linkpred_benchmark(g, self.POINTS, k_values=[5], repeats=3, seed=3)
+        assert [(row.build_seconds, row.compare_seconds) for row in rows] == [(1.0, 20.0)] * len(rows)
+        # One set preparation per run, one degree weighting per weighted sweep point.
+        assert calls == {"sets": 1, "weights": 4}
 
 
 def test_adamic_adar_weights_zero_low_degree():
