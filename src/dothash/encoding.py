@@ -315,16 +315,29 @@ class Codebook:
     def _element_keys(self, elements: np.ndarray) -> np.ndarray:
         return _splitmix64_np(np.uint64(self._root) ^ elements)
 
-    def sign_words(self, elements: Iterable[int] | np.ndarray) -> np.ndarray:
+    def sign_words(
+        self, elements: Iterable[int] | np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+    ) -> np.ndarray:
         """Packed PRF output for a batch of elements, shape (n, blocks), uint64.
 
         Bit ``i`` of word ``j`` is the sign bit of coordinate ``64*j + i``;
         bits at or past ``dims`` in the last word are unused PRF output.
+        The words are computed in place, as :meth:`MinwiseFamily.rows`
+        computes its values: each key ``h + (j+1) * GOLDEN`` is written to
+        `out`, then mixed by :func:`_splitmix64_into` with `scratch` as its
+        working array.  Each is a uint64 array of shape (n, blocks), a fresh
+        one when not given; `out` is returned and `scratch` is left
+        overwritten.
         """
         arr = as_element_array(elements)
-        offsets = (np.arange(1, self.blocks + 1, dtype=np.uint64)) * _U64_GOLDEN
-        keys = self._element_keys(arr)[:, None] + offsets[None, :]
-        return _splitmix64_np(keys)
+        if out is None:
+            out = np.empty((arr.size, self.blocks), dtype=np.uint64)
+        if scratch is None:
+            scratch = np.empty_like(out)
+        offsets = np.arange(1, self.blocks + 1, dtype=np.uint64) * _U64_GOLDEN
+        np.add(self._element_keys(arr)[:, None], offsets[None, :], out=out)
+        _splitmix64_into(out, scratch, out)
+        return out
 
     def sign_bits(self, elements: Iterable[int] | np.ndarray) -> np.ndarray:
         """Raw sign bits for a batch of elements, shape (n, dims), uint8 in {0, 1}.

@@ -362,6 +362,7 @@ def sketch_neighborhoods(
     estimator: Estimator,
     dims_or_k: int | None = None,
     seed: int = 0,
+    out: np.ndarray | None = None,
 ) -> NeighborhoodScorer:
     """Build every set once for the (estimator, metric) combination.
 
@@ -374,6 +375,8 @@ def sketch_neighborhoods(
     ``metric`` is a Metric, or the WeightFn of a weighted intersection such
     as IDF; degree weights come from the graph.  MinHash and SimHash can
     only rank by Jaccard; DotHash and the exact oracle support every metric.
+    A sketch estimator builds into ``out`` when it is given, an earlier
+    scorer's ``sets`` of the same shape, which the new scorer then holds.
     """
     entry = ESTIMATORS[estimator.value]
     name = metric.kind.value if isinstance(metric, WeightFn) else metric.value
@@ -387,7 +390,7 @@ def sketch_neighborhoods(
         graph = None
     else:
         raise ValueError("sets must be a Graph or DistinctSets")
-    built = entry.build_many(seed, dims_or_k, sets, _metric_weights(graph, metric))
+    built = entry.build_many(seed, dims_or_k, sets, _metric_weights(graph, metric), out)
     return NeighborhoodScorer(estimator, metric, dims_or_k, built, np.diff(sets.indptr))
 
 
@@ -448,7 +451,8 @@ def run_linkpred_benchmark(
     The train graph's :class:`~dothash.sketches.DistinctSets` are made once
     per run, and a degree metric's weights once per point; every repeat's
     build reuses them, and build_seconds times only its
-    :func:`sketch_neighborhoods` call.
+    :func:`sketch_neighborhoods` call.  A sketch repeat builds into the
+    previous repeat's sketches, once that repeat is scored.
     hits_ci95 is the normal-approximation 95% half-width over repeats (0
     when repeats == 1).  Raises ValueError unless ``repeats`` is at least 1.
     """
@@ -465,16 +469,18 @@ def run_linkpred_benchmark(
         build_times: list[float] = []
         compare_times: list[float] = []
         runs = repeats if ESTIMATORS[point.estimator.value].size_flag else 1
+        built = None
         for r in range(runs):
             t0 = time.perf_counter()
-            scorer = sketch_neighborhoods(sets, metric, point.estimator, point.dims_or_k, seed=seed + r)
+            scorer = sketch_neighborhoods(sets, metric, point.estimator, point.dims_or_k, seed=seed + r, out=built)
             t1 = time.perf_counter()
             pos_scores = scorer.score_pairs(split.positives)
             neg_scores = scorer.score_pairs(split.negatives)
             t2 = time.perf_counter()
             build_times.append(t1 - t0)
             compare_times.append(t2 - t1)
-            del scorer  # free this repeat's sketches before the next repeat builds its own
+            built = scorer.sets  # the next repeat overwrites these sketches
+            del scorer  # so that the next point frees them before its first build
             for k in k_values:
                 hits[k].append(hits_at_k(pos_scores, neg_scores, k))
         for k in k_values:

@@ -232,6 +232,18 @@ def distinct_sets(indptr: np.ndarray, elements: Iterable[int] | np.ndarray) -> D
     return DistinctSets(distinct, indptr, pairs % max(distinct.size, 1))
 
 
+def _reused(out: np.ndarray | None, shape: tuple[int, int], dtype: type) -> np.ndarray:
+    """``out`` to build into, checked to be a writable C-contiguous array of this shape and dtype; new if None.
+
+    The caller writes every row of it.
+    """
+    if out is None:
+        return np.empty(shape, dtype=dtype)
+    if out.shape != shape or out.dtype != dtype or not (out.flags.c_contiguous and out.flags.writeable):
+        raise ValueError(f"out must be a writable C-contiguous {np.dtype(dtype)} array of shape {shape}")
+    return out
+
+
 def _unit_sums(cb: Codebook, distinct: np.ndarray, indptr: np.ndarray, ranks: np.ndarray):
     """Yield ``(sets, sums)``: the exact sums ``Σ sign(e)`` of batches of CSR sets.
 
@@ -271,9 +283,15 @@ def _unit_sums(cb: Codebook, distinct: np.ndarray, indptr: np.ndarray, ranks: np
 
 
 def _root_sums(
-    cb: Codebook, distinct: np.ndarray, indptr: np.ndarray, members: np.ndarray, w: WeightFn
+    cb: Codebook,
+    distinct: np.ndarray,
+    indptr: np.ndarray,
+    members: np.ndarray,
+    w: WeightFn,
+    scale: float = 1.0,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Unscaled sums ``Σ sqrt(w(e)) * sign(e)`` over each CSR set, shape (nsets, dims).
+    """Sums ``Σ scale * sqrt(w(e)) * sign(e)`` over each CSR set, shape (nsets, dims).
 
     The sets are a :class:`DistinctSets`, each taken in ascending
     element order.  Each set's elements are taken 8 at a time, the last
@@ -286,7 +304,9 @@ def _root_sums(
     set of zero weights sums to +0.0, and unit weights give exact integers,
     the same as :func:`_unit_sums`.  Since a table holds no -0.0, a set's
     first group is written into its row, which gives the bits of adding it
-    to +0.0; only the rows of empty sets are zeroed.
+    to +0.0; only the rows of empty sets are zeroed.  The roots are
+    multiplied by ``scale`` before their tables are built; the rows go to
+    ``out``, an earlier build of the same shape, when it is given.
 
     Groups are looked up a chunk at a time: a chunk's words, byte codes and
     looked-up values fill about ``_CHUNK_BYTES``.  Their tables are built a
@@ -295,7 +315,8 @@ def _root_sums(
     Where a batch holds more groups than a chunk, a span is one batch, whose
     chunks share its tables (4 chunks of 32 groups at d=4096); otherwise a
     span is one chunk, whose groups read batch after batch of tables (16
-    batches for a chunk of 2048 groups at d=64).
+    batches for a chunk of 2048 groups at d=64).  A chunk's codebook words
+    go into one buffer, reused by every chunk, and are hashed in place.
     """
     nsets = indptr.size - 1
     weights = w.weights_for(distinct)
@@ -304,6 +325,8 @@ def _root_sums(
     if np.any(weights < 0):
         raise ValueError("weight function must be nonnegative")
     roots = np.sqrt(weights)
+    if scale != 1.0:
+        roots *= scale
 
     # Groups in set-major order: set s's groups are consecutive and in
     # element order, so adding them in turn keeps each row's group order.
@@ -315,21 +338,9 @@ def _root_sums(
 
     dims, blocks = cb.dims, cb.blocks
     width = 64 * blocks
-    out = np.empty((nsets, dims))
+    out = _reused(out, (nsets, dims), np.float64)
     out[groups == 0] = 0.0
     set_rows = list(out)
-    # Words of every distinct element up front, filled a chunk at a time,
-    # where elements recur and there are no more of them than sets: a table
-    # row is ceil(dims / 64) words beside an output row of dims float64
-    # values, so the table is then at most 1/64 of the output when 64
-    # divides dims.  Otherwise words are hashed per chunk, so build memory
-    # stays bounded.
-    shared = None
-    if distinct.size < members.size and distinct.size <= nsets:
-        shared = np.empty((distinct.size, blocks), dtype=np.uint64)
-        rows = max(1, _CHUNK_BYTES // (8 * blocks))
-        for lo in range(0, distinct.size, rows):
-            shared[lo : lo + rows] = cb.sign_words(distinct[lo : lo + rows])
     # _CHUNK_BYTES of float64 table values looked up per chunk (8 per group
     # and coordinate) sizes the chunk's word and code temporaries.  About
     # 1 MiB measured fastest; 256 KiB and 16 MiB were both slower.  A table
@@ -337,6 +348,23 @@ def _root_sums(
     step = max(1, _CHUNK_BYTES // (8 * width))
     batch = max(1, _CHUNK_BYTES // 4 // (8 * 256))
     span = max(step, batch)
+    # A chunk's words, reused by every chunk.
+    words = np.empty((_GROUP * min(step, owner.size), blocks), dtype=np.uint64)
+    # Words of every distinct element up front, where elements recur and
+    # there are no more of them than sets: a table row is ceil(dims / 64)
+    # words beside an output row of dims float64 values, so the table is
+    # then at most 1/64 of the output when 64 divides dims.  They are hashed
+    # in place, with the chunk buffer, not yet in use, as their scratch.
+    # Otherwise words are hashed per chunk, with a scratch of their own, so
+    # build memory stays bounded.
+    shared = scratch = None
+    if distinct.size < members.size and distinct.size <= nsets:
+        shared = np.empty((distinct.size, blocks), dtype=np.uint64)
+        for lo in range(0, distinct.size, len(words)):
+            hi = min(distinct.size, lo + len(words))
+            cb.sign_words(distinct[lo:hi], shared[lo:hi], words[: hi - lo])
+    else:
+        scratch = np.empty_like(words)
     for base in range(0, owner.size, span):
         end = min(owner.size, base + span)
         # The span's groups as (group, 8) slots into members; past a set's
@@ -348,8 +376,13 @@ def _root_sums(
         for lo in range(base, end, step):
             hi = min(end, lo + step)
             chunk = ids[lo - base : hi - base].ravel()
-            words = shared[chunk] if shared is not None else cb.sign_words(distinct[chunk])
-            codes = _byte_columns(words.reshape(hi - lo, _GROUP, blocks).transpose(1, 0, 2))[:, :dims]
+            if shared is not None:
+                # "clip" takes straight into the buffer; the ids are all in range.
+                shared.take(chunk, axis=0, out=words[: chunk.size], mode="clip")
+            else:
+                cb.sign_words(distinct[chunk], words[: chunk.size], scratch[: chunk.size])
+            grouped = words[: chunk.size].reshape(hi - lo, _GROUP, blocks)
+            codes = _byte_columns(grouped.transpose(1, 0, 2))[:, :dims]
             # zip stops at the chunk's last code before it takes another table.
             for code, table, s, lead in zip(codes, tables, owner[lo:hi].tolist(), leads[lo:hi].tolist()):
                 if lead:
@@ -360,7 +393,9 @@ def _root_sums(
     return out
 
 
-def dothash_build_many(cb: Codebook, sets: DistinctSets, w: WeightFn | None = None) -> np.ndarray:
+def dothash_build_many(
+    cb: Codebook, sets: DistinctSets, w: WeightFn | None = None, out: np.ndarray | None = None
+) -> np.ndarray:
     """DotHash sketch values of many sets at once, shape (nsets, dims), float64.
 
     Row ``s`` equals ``dothash_build(cb, set s, w).values`` bit for bit.
@@ -370,24 +405,33 @@ def dothash_build_many(cb: Codebook, sets: DistinctSets, w: WeightFn | None = No
     (:func:`_root_sums`), which computes them once per distinct element, not
     once per occurrence, and so codebook words where elements recur and are
     no more than the sets, which keeps their table small beside the output.
-    Raises ValueError on any negative or non-finite weight.
+    Raises ValueError on any negative or non-finite weight.  The values are
+    written into ``out`` when it is given: an earlier build of the same
+    shape, whose every row, an empty set's included, is overwritten.
 
     The sums are scaled by ``1 / sqrt(dims)`` as if divided by
     ``np.sqrt(dims)``.  When that root is a power of two, 2^k (dims = 4^k),
-    they are multiplied by 2^-k instead, which is about twice as fast: both
-    operations round the exact value ``x * 2^-k`` once, so every float64,
-    ±0 and subnormals included, gets the bits the division gives.
+    they are multiplied by 2^-k instead, which rounds the exact value
+    ``x * 2^-k`` once, as the division does, so every float64, ±0 and
+    subnormals included, gets the bits the division gives.  Unit sums are
+    scaled as each batch is written.  Weighted sums take the factor in
+    their roots, before the tables are built, and need no pass over the
+    output: every value the tables and the row sums round is then the
+    unscaled one times 2^-k, which rounds alike as long as it is not
+    subnormal, and no root of a float64 weight is below about 2.2e-162.
+    Weighted sums at any other dims are divided once they are summed.
     """
+    nsets, root = sets.indptr.size - 1, np.sqrt(cb.dims)
+    # 1 / root is exact when root is a power of two.
+    scale = 1.0 / root if math.frexp(root)[0] == 0.5 else None
     if w is None or w.kind is WeightKind.UNIT:
-        values = np.zeros((sets.indptr.size - 1, cb.dims))
+        values = _reused(out, (nsets, cb.dims), np.float64)
+        values[np.diff(sets.indptr) == 0] = 0.0
         for rows, sums in _unit_sums(cb, *sets):
-            values[rows] = sums
-    else:
-        values = _root_sums(cb, *sets, w)
-    root = np.sqrt(cb.dims)
-    if math.frexp(root)[0] == 0.5:  # root is a power of two, so 1 / root is exact
-        values *= 1.0 / root
-    else:
+            values[rows] = sums * scale if scale is not None else sums / root
+        return values
+    values = _root_sums(cb, *sets, w, scale=scale or 1.0, out=out)
+    if scale is None:
         values /= root
     return values
 
@@ -425,7 +469,7 @@ def dothash_jaccard(a: DotHashSketch, b: DotHashSketch) -> float:
     return float(min(1.0, max(0.0, est / union)))
 
 
-def minhash_build_many(f: MinwiseFamily, sets: DistinctSets) -> np.ndarray:
+def minhash_build_many(f: MinwiseFamily, sets: DistinctSets, out: np.ndarray | None = None) -> np.ndarray:
     """MinHash minima of many sets at once, shape (nsets, k), uint64.
 
     Row ``s`` equals ``minhash_build(f, set s).minima``; an empty set's row
@@ -434,22 +478,28 @@ def minhash_build_many(f: MinwiseFamily, sets: DistinctSets) -> np.ndarray:
     buffers reused across chunks, which together fill about
     ``_CHUNK_BYTES``.  ``np.minimum.reduceat`` folds each set's rows in a
     chunk into the second buffer, and those minima go to the sets' rows;
-    only a chunk's first set can continue from the chunk before, so only
-    its row is merged with what it held.
+    only a chunk's first set can continue from the chunk before, and then
+    its row is merged with what it held.  The minima are written into
+    ``out`` when it is given, as :func:`dothash_build_many` writes.
     """
     distinct, indptr, ranks = sets
-    out = np.full((indptr.size - 1, f.k), MINHASH_EMPTY_SENTINEL, dtype=np.uint64)
-    set_of = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+    sizes = np.diff(indptr)
+    out = _reused(out, (sizes.size, f.k), np.uint64)
+    out[sizes == 0] = MINHASH_EMPTY_SENTINEL
+    set_of = np.repeat(np.arange(sizes.size), sizes)
     step = max(1, _CHUNK_BYTES // (16 * f.k))
     hashes, scratch = np.empty((2, min(step, ranks.size), f.k), dtype=np.uint64)
+    last = -1  # the previous chunk's last set
     for lo in range(0, ranks.size, step):
         owners = set_of[lo : lo + step]
         first = np.flatnonzero(np.diff(owners, prepend=-1))
         rows = f.rows(distinct[ranks[lo : lo + step]], hashes[: owners.size], scratch[: owners.size])
         minima = np.minimum.reduceat(rows, first, axis=0, out=scratch[: first.size])
         chunk_sets = owners[first]
-        np.minimum(minima[0], out[chunk_sets[0]], out=minima[0])
+        if chunk_sets[0] == last:
+            np.minimum(minima[0], out[last], out=minima[0])
         out[chunk_sets] = minima
+        last = chunk_sets[-1]
     return out
 
 
@@ -466,15 +516,19 @@ def minhash_jaccard(a: MinHashSketch, b: MinHashSketch) -> float:
     return float(np.count_nonzero(a.minima == b.minima)) / a.k
 
 
-def simhash_build_many(cb: Codebook, sets: DistinctSets) -> np.ndarray:
+def simhash_build_many(cb: Codebook, sets: DistinctSets, out: np.ndarray | None = None) -> np.ndarray:
     """SimHash bits of many sets at once, shape (nsets, ceil(dims / 8)), uint8.
 
     Row ``s`` equals ``simhash_build(cb, set s).bits``: bit j is 1 iff
     coordinate j of the set's ±1 vector sum is > 0, packed LSB first.  The
     empty set sums to zero, which is non-positive, so its bits are all zero.
-    The sums are the exact integers of :func:`_unit_sums`.
+    The sums are the exact integers of :func:`_unit_sums`.  The bits are
+    written into ``out`` when it is given, as :func:`dothash_build_many`
+    writes.
     """
-    out = np.zeros((sets.indptr.size - 1, (cb.dims + 7) // 8), dtype=np.uint8)
+    sizes = np.diff(sets.indptr)
+    out = _reused(out, (sizes.size, (cb.dims + 7) // 8), np.uint8)
+    out[sizes == 0] = 0
     for rows, sums in _unit_sums(cb, *sets):
         out[rows] = np.packbits(sums > 0, axis=1, bitorder="little")
     return out
@@ -566,7 +620,9 @@ class EstimatorEntry(NamedTuple):
     """One estimator: its batch build, its pair scorer and, for a sketch, its size flag and file form."""
 
     name: str
-    build_many: Callable  # (seed, size, sets, w) -> every set of a DistinctSets, built at once
+    # (seed, size, sets, w, out=None) -> every set of a DistinctSets, built at once; a sketch is written
+    # into out when given, an earlier build of the same shape.  The exact oracle's build ignores out.
+    build_many: Callable
     # (built, size, u, v, sizes_u, sizes_v, jaccard) -> float64 scores of built sets u[i] and v[i], of
     # the scalar compare function's bits, given their distinct counts; jaccard asks for the Jaccard index.
     score: Callable
@@ -589,20 +645,23 @@ class EstimatorEntry(NamedTuple):
 ESTIMATORS: dict[str, EstimatorEntry] = {entry.name: entry for entry in (
     EstimatorEntry(
         "dothash", weighted=True, size_flag="dims",
-        build_many=lambda seed, size, sets, w: dothash_build_many(Codebook(seed=seed, dims=size), sets, w),
+        build_many=lambda seed, size, sets, w, out=None: dothash_build_many(
+            Codebook(seed=seed, dims=size), sets, w, out),
         score=_dothash_scores,
         code=1, sketch=DotHashSketch, payload="values", dtype=np.dtype(np.float64),
         check=lambda values, d: _malformed_if(not np.all(np.isfinite(values)), "non-finite dothash values"),
         metric="intersection", views=(("estimate", False), ("jaccard", True))),
     EstimatorEntry(
         "minhash", weighted=False, size_flag="k",
-        build_many=lambda seed, size, sets, w: minhash_build_many(MinwiseFamily(seed=seed, k=size), sets),
+        build_many=lambda seed, size, sets, w, out=None: minhash_build_many(
+            MinwiseFamily(seed=seed, k=size), sets, out),
         score=partial(_gathered_scores, lambda a, b, k: np.count_nonzero(a == b, axis=1) / k),
         code=2, sketch=MinHashSketch, payload="minima", dtype=np.dtype(np.uint64), empty=b"\xff",
         metric="jaccard", views=(("estimate", True),)),
     EstimatorEntry(
         "simhash", weighted=False, size_flag="dims",
-        build_many=lambda seed, size, sets, w: simhash_build_many(Codebook(seed=seed, dims=size), sets),
+        build_many=lambda seed, size, sets, w, out=None: simhash_build_many(
+            Codebook(seed=seed, dims=size), sets, out),
         score=partial(_gathered_scores, lambda a, b, dims: 1.0 - np.bitwise_count(a ^ b).sum(axis=1) / dims),
         code=3, sketch=SimHashSketch, payload="bits", dtype=np.dtype(np.uint8),
         width=lambda d: (d + 7) // 8, to_json=lambda name, bits: ("bits_hex", bits.tobytes().hex()),
@@ -611,7 +670,7 @@ ESTIMATORS: dict[str, EstimatorEntry] = {entry.name: entry for entry in (
     # The sets as ranks into their sorted distinct elements, and w of each of those elements.
     EstimatorEntry(
         "exact", weighted=True,
-        build_many=lambda seed, size, sets, w: (sets.indptr, sets.ranks, w.weights_for(sets.distinct)),
+        build_many=lambda seed, size, sets, w, out=None: (sets.indptr, sets.ranks, w.weights_for(sets.distinct)),
         score=_exact_scores),
 )}
 _BY_CODE = {entry.code: entry for entry in ESTIMATORS.values() if entry.code}

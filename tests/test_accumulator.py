@@ -5,6 +5,7 @@ construction with Python integers and sums coordinate by coordinate, so it
 shares no code with the vectorized build.
 """
 
+import functools
 import hashlib
 import math
 
@@ -409,7 +410,8 @@ def test_weighted_dedup_sized_batch_adds_little_beside_its_output(added_peak_rss
     assert added < output + 4 * 2**20, f"batch build added {added / 2**20:.1f} MiB of peak RSS"
 
 
-# d = 4^k, whose root 2^k makes the build multiply by 2^-k, and d whose root is not a power of two.
+# d = 4^k, whose root 2^k the build takes into its unit sums or its roots as
+# 2^-k, and d whose root is not a power of two.
 @pytest.mark.parametrize("dims", [1, 4, 16, 64, 4096, 2, 3, 8, 100, 8192])
 def test_build_many_scales_as_dividing_by_the_root(dims):
     cb = Codebook(seed=12, dims=dims)
@@ -425,13 +427,40 @@ def test_build_many_scales_as_dividing_by_the_root(dims):
         assert built.tobytes() == (sums / np.sqrt(dims)).tobytes()
     assert not has_negative_zero(dothash_build_many(cb, sets, w)[3])
     # No float64 weight gives sums small enough to scale to a subnormal (the
-    # least root is about 2.2e-162), so the scaling's subnormal and signed
-    # zero cases are fed through the weighted path's sums directly.
-    tiny = np.array([5e-324, -5e-324, 1e-310, -3e-308, 2.2250738585072014e-308, 0.0, -0.0, 1.5, -7.0, 1e300])
-    sums = np.resize(tiny, (len(sets.indptr) - 1, dims))
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sketches, "_root_sums", lambda *args: sums.copy())
-        assert dothash_build_many(cb, sets, w).tobytes() == (sums / np.sqrt(dims)).tobytes()
+    # least root is about 2.2e-162), so the division's subnormal and signed
+    # zero cases are fed through the weighted path's sums directly.  Only a
+    # build whose root is not a power of two divides its weighted sums; at
+    # d = 4^k the roots are scaled before they are summed (the test below).
+    if math.frexp(np.sqrt(dims))[0] != 0.5:
+        tiny = np.array([5e-324, -5e-324, 1e-310, -3e-308, 2.2250738585072014e-308, 0.0, -0.0, 1.5, -7.0, 1e300])
+        sums = np.resize(tiny, (len(sets.indptr) - 1, dims))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sketches, "_root_sums", lambda *args, scale, out: sums.copy())
+            assert dothash_build_many(cb, sets, w).tobytes() == (sums / np.sqrt(dims)).tobytes()
+
+
+@pytest.mark.parametrize("k", range(1, 17))
+def test_roots_scaled_by_a_power_of_two_give_the_scaled_sums(k):
+    # At d = 4^k the build multiplies the roots by 2^-k before it sums them.
+    # Every value then rounded is the unscaled one times 2^-k, none of them
+    # subnormal, so the sums are the unscaled sums times 2^-k bit for bit.
+    # The factor is d = 4^k's; the codebook is small.
+    rng = np.random.default_rng(k)
+    cb = Codebook(seed=k, dims=200)
+    extreme = [5e-324, 1e-300, 1e300, 1.7e308]
+    # Equal pairs, whose signed roots cancel, and pairs a float apart, which nearly cancel.
+    near = [w for x in (1.0, 3.0, 1e-300, 5e-324, 1e300, 1.7e308) for w in (x, x, x, np.nextafter(x, np.inf))]
+    weight = np.array(extreme + near + list(rng.random(40) * 10.0 ** rng.integers(-300, 300, 40)))
+    pairs = [[lo, lo + 1] for lo in range(len(extreme), len(extreme) + len(near), 2)]
+    members = [[], list(range(len(extreme))), *pairs, list(range(len(weight)))]
+    members += [sorted(rng.choice(len(weight), size, replace=False).tolist()) for size in (2, 9, 17, 33)]
+    sets = distinct_sets(*_csr(members))
+    w = WeightFn.from_array(weight)
+    unscaled = sketches._root_sums(cb, *sets, w)
+    scaled = sketches._root_sums(cb, *sets, w, scale=2.0**-k)
+    assert scaled.tobytes() == (unscaled * 2.0**-k).tobytes()
+    # The sums hold exact cancellations and values near the least root.
+    assert np.any(unscaled[1:] == 0.0) and np.any((unscaled != 0.0) & (np.abs(unscaled) < 1e-161))
 
 
 def test_sign_tables_of_a_transposed_view_follow_documented_order():
@@ -553,3 +582,54 @@ def test_linkpred_sized_weighted_build_adds_little_beside_its_output(added_peak_
     )
     output = 2000 * 4096 * 8
     assert added < output + 2 * 2**20, f"batch build added {added / 2**20:.1f} MiB of peak RSS"
+
+
+def _dothash_into(dims, w, seed, sets, out=None):
+    return dothash_build_many(Codebook(seed=seed, dims=dims), sets, w, out)
+
+
+# Each batch build as build(seed, sets, out=None): DotHash unit and weighted at d = 4096 and 200, MinHash, SimHash.
+BATCH_BUILDS = {
+    **{f"dothash-{name}-{dims}": functools.partial(_dothash_into, dims, w) for dims in (4096, 200)
+       for name, w in (("unit", None), ("weighted", WeightFn.from_array(1.0 / np.log(np.arange(2000) + 2.0))))},
+    "minhash": lambda seed, sets, out=None: minhash_build_many(MinwiseFamily(seed=seed, k=100), sets, out),
+    "simhash": lambda seed, sets, out=None: simhash_build_many(Codebook(seed=seed, dims=200), sets, out),
+}
+
+
+@pytest.mark.parametrize("name", BATCH_BUILDS)
+@pytest.mark.parametrize("recur", [True, False], ids=["shared-words", "words-per-chunk"])
+def test_build_into_an_earlier_build_equals_a_fresh_one(name, recur):
+    # Empty sets first, in the middle and last.  The earlier build is of
+    # another seed and of the sets rotated by 7, so it held sums where the
+    # empty sets' rows are.  Elements that recur over no more distinct
+    # ids than sets share one word table; the other sets hash words per
+    # chunk.  MinHash folds about 650 rows a chunk, so sets span chunks.
+    rng = np.random.default_rng(21)
+    sizes = rng.integers(1, 50, 60)
+    sizes[[0, 1, 30, 59]] = 0
+    members = [sorted(rng.choice(60 if recur else 2000, size, replace=False).tolist()) for size in sizes]
+    sets, rotated = (distinct_sets(*_csr(order)) for order in (members, members[7:] + members[:7]))
+    assert (sets.distinct.size <= 60) == recur
+    build = BATCH_BUILDS[name]
+    earlier = build(5, rotated)
+    filler = sketches.MINHASH_EMPTY_SENTINEL if name == "minhash" else 0
+    assert not np.any(np.all(earlier[sizes == 0] == filler, axis=1))
+    built = build(4, sets, earlier)
+    assert built is earlier
+    assert built.tobytes() == build(4, sets).tobytes()
+    empty = built[sizes == 0]
+    assert empty.tobytes() == np.full_like(empty, filler).tobytes()  # +0.0, the sentinel, zero bits
+
+
+@pytest.mark.parametrize("name", BATCH_BUILDS)
+def test_build_rejects_an_output_of_another_form(name):
+    sets = distinct_sets(*_csr([[1, 2], [], [3]]))
+    built = BATCH_BUILDS[name](0, sets)
+    read_only = built.copy()
+    read_only.setflags(write=False)
+    width = built.shape[1]
+    for out in (built[:2], np.zeros((3, width + 1), built.dtype), built.astype(np.float32),
+                np.zeros((width, 3), built.dtype).T, read_only):
+        with pytest.raises(ValueError, match="^out must be"):
+            BATCH_BUILDS[name](0, sets, out)

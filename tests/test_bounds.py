@@ -242,6 +242,11 @@ class TestRequiredDims:
         z = scipy.special.ndtri(1e-17 / 2)
         assert required_dims(q(prob=1e-17)) == math.ceil(49800 * (z / 30) ** 2) == 4068
 
+    def test_zero_variance_needs_one_dim(self):
+        # At |A| = |B| = i = 1 the variance numerator 1 + 1 - 2 is 0, so the
+        # solved d is 0, and the least whole sketch size is 1.
+        assert required_dims(q(size_a=1, size_b=1, size_int=1, epsilon=0.1)) == 1
+
     def test_monotone_in_epsilon_and_prob(self):
         dims_e = [required_dims(q(epsilon=e)) for e in (0.05, 0.1, 0.2, 0.4)]
         assert dims_e == sorted(dims_e, reverse=True)

@@ -396,6 +396,23 @@ class TestBoundsCommand:
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == "216c2b2b898997050bbbcba7fc2054076cbbd7646cc6534d45651c4a79157688"
 
+    @pytest.mark.parametrize("dims, digest", [
+        ("256", "8ecf2e7e51a70012d2c947b3e896b55945804671e8105136dda994d277700e77"),
+        ("200", "4f46a679bcd4c4447ba4b9fb708b56bb37850f75682b06b5bb10ebbc667a3132"),
+    ])
+    def test_weighted_dothash_linkpred_output_is_pinned(self, tmp_path, dims, digest):
+        # Adamic-Adar DotHash over 3 repeats at a d whose root is a power of
+        # two, where the build scales its roots, and at one where it divides
+        # its sums.  The digests were recorded before the repeats built into
+        # one output.  The scores take BLAS ddot, whose last bits may depend
+        # on the CPU; Hits@K moves only if that reorders a positive and the
+        # K-th negative.
+        edges = _write_graph(tmp_path, preferential_attachment_graph(300, 6, seed=44))
+        out = tmp_path / "linkpred.csv"
+        assert main(["linkpred", "--edges", str(edges), "--estimator", "dothash", "--metric", "adamic_adar",
+                     "--dims", dims, "--k-at", "5", "20", "--repeats", "3", "--seed", "45", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_unsorted_and_repeated_dims_match_each_dims_alone(self, tmp_path):
         args = ["bounds", "--size-a", "40", "--size-b", "30", "--size-int", "30",
                 "--eps-points", "3", "--trials", "90", "--seed", "5"]

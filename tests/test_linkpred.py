@@ -25,6 +25,7 @@ from dothash.linkpred import (
     load_edge_list,
     preferential_attachment_graph,
     run_linkpred_benchmark,
+    sample_pairs,
     sketch_neighborhoods,
     split_edges,
 )
@@ -216,6 +217,29 @@ class TestSplitEdges:
         got = self._outcome(lambda *a: split_edges(*a).negatives, full, 0.1, 1, 0)
         assert got == self._outcome(self._scalar_negatives, full, 0.1, 1, 0)
         assert got == "could not sample 2 non-edges within 10000 draws; graph too dense"
+
+    @pytest.mark.parametrize("count", [101, 250])
+    def test_sample_pairs_spends_exactly_its_budget(self, count):
+        budget = max(100 * count, 10_000)
+        n = 2**40  # so that no draw here repeats a node or a pair
+
+        class CountingRng:
+            def __init__(self):
+                self.rng, self.draws = np.random.default_rng(count), 0
+
+            def integers(self, low, high, size):
+                self.draws += size[0]
+                return self.rng.integers(low, high, size=size)
+
+        # Every draw is excluded but the last `count` of the budget, so the
+        # count is reached on the budget's last draw.
+        checked, rng = [], CountingRng()
+        pairs = sample_pairs(rng, n, count, lambda u, v: checked.append((u, v)) or len(checked) <= budget - count)
+        assert (len(pairs), len(checked), rng.draws) == (count, budget, budget)
+        rng = CountingRng()
+        with pytest.raises(ValueError, match=f"^could not sample {count} non-edges within {budget} draws;"):
+            sample_pairs(rng, n, count, lambda u, v: True)
+        assert rng.draws == budget
 
     @staticmethod
     def _scalar_negatives(g, test_fraction, neg_per_pos, seed):
@@ -564,6 +588,52 @@ class TestPreparedOncePerRun:
         assert [(row.build_seconds, row.compare_seconds) for row in rows] == [(1.0, 20.0)] * len(rows)
         # One set preparation per run, one degree weighting per weighted sweep point.
         assert calls == {"sets": 1, "weights": 4}
+
+
+class TestRepeatsBuildIntoOneOutput:
+    POINTS = ([SweepPoint(Estimator.DOTHASH, metric, d) for metric in (Metric.ADAMIC_ADAR, Metric.JACCARD)
+               for d in (4096, 200)]
+              + [SweepPoint(Estimator.MINHASH, Metric.JACCARD, 32), SweepPoint(Estimator.SIMHASH, Metric.JACCARD, 200)])
+
+    def test_each_repeat_scores_as_an_independent_build(self, monkeypatch):
+        builds, scores = [], []
+
+        def build(*args, **kwargs):
+            scorer = sketch_neighborhoods(*args, **kwargs)
+            builds.append((kwargs["out"], scorer.sets))
+            return scorer
+
+        def hits(pos, neg, k):
+            scores.append((pos.tobytes(), neg.tobytes()))
+            return hits_at_k(pos, neg, k)
+
+        monkeypatch.setattr(linkpred, "sketch_neighborhoods", build)
+        monkeypatch.setattr(linkpred, "hits_at_k", hits)
+        g = preferential_attachment_graph(150, 4, seed=9)
+        rows = run_linkpred_benchmark(g, self.POINTS, k_values=[5], repeats=3, seed=9)
+        split = split_edges(g, 0.1, 2, 9)
+        for p, point in enumerate(self.POINTS):
+            (first, output), *later = builds[3 * p : 3 * p + 3]
+            assert first is None and all(out is output and built is output for out, built in later)
+            for r in range(3):
+                scorer = sketch_neighborhoods(split.train_graph, point.metric, point.estimator, point.dims_or_k,
+                                              seed=9 + r)
+                fresh = (scorer.score_pairs(split.positives).tobytes(), scorer.score_pairs(split.negatives).tobytes())
+                assert scores[3 * p + r] == fresh
+        timeless = [tuple(v for f, v in dataclasses.asdict(row).items() if not f.endswith("_seconds"))
+                    for row in rows]
+        assert timeless == _rows_rebuilt_per_repeat(g, self.POINTS, [5], 0.1, 2, 3, 9)
+
+    def test_repeats_add_no_peak_memory(self, added_peak_rss):
+        # linkpred-aa's build: 2,000 Adamic-Adar weighted neighbourhoods at
+        # d=4096, whose output is 62.5 MiB.  Later repeats build into it.
+        setup = ("from dothash.linkpred import Estimator, Metric, SweepPoint, preferential_attachment_graph, "
+                 "run_linkpred_benchmark\n"
+                 "g = preferential_attachment_graph(2000, 12)\n"
+                 "points = [SweepPoint(Estimator.DOTHASH, Metric.ADAMIC_ADAR, 4096)]")
+        one, three = (added_peak_rss(setup, f"run_linkpred_benchmark(g, points, [50], repeats={repeats})")
+                      for repeats in (1, 3))
+        assert three - one <= 2**19, f"3 repeats added {(three - one) / 2**20:.2f} MiB more than 1"
 
 
 def test_adamic_adar_weights_zero_low_degree():
