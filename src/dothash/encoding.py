@@ -35,7 +35,7 @@ from __future__ import annotations
 import operator
 import struct
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -52,16 +52,16 @@ _U64_C1 = np.uint64(0xBF58476D1CE4E5B9)
 _U64_C2 = np.uint64(0x94D049BB133111EB)
 
 # Bytes of temporaries that one chunk of a batched computation may hold: the
-# text and per-input arrays of one batch of element ids and the PRF words of
-# one element chunk of ``sign_sums`` here (with their scratch, twice this),
-# the looked-up table values of one accumulation chunk in
-# ``sketches._root_sums`` (and a quarter of it for the 256-entry tables of
-# one batch of groups), the words, scratch and counts of one batch of sets
-# in ``sketches._unit_sums``, and each of the two int64 arrays of one seed
-# chunk's sign sums in ``bounds``.  The Monte-Carlo sampler there holds
-# those two, one ``sign_sums`` buffer and one int32 array of counts at a
-# time, so its working set is at most about 4.5 times this, whatever the
-# number of trials.
+# text and per-input arrays of one batch of element ids, the looked-up table
+# values of one accumulation chunk in ``sketches._root_sums`` (and a quarter
+# of it for the 256-entry tables of one batch of groups), and each of the two
+# int64 sums arrays of one seed chunk in ``bounds``.  The one sign counter,
+# ``_signed_sums``, takes a row chunk's PRF words and scratch in its caller's
+# buffer: twice this for ``sign_sums`` (``_sign_sums_buffer``), and this, with
+# the counts, for a batch of sets of ``sketches._unit_sums``.  The Monte-Carlo
+# sampler in ``bounds`` holds its two arrays, one ``sign_sums`` buffer and one
+# int32 array of counts at a time, so its working set is at most about 4.5
+# times this, whatever the number of trials.
 _CHUNK_BYTES = 1 << 20
 
 # Per-input arrays of a batched element-id chain, in bytes per input.
@@ -93,11 +93,10 @@ def splitmix64(x: int) -> int:
 
 
 def _splitmix64_np(x: np.ndarray) -> np.ndarray:
-    """Vectorized splitmix64 over a uint64 array (wrapping arithmetic)."""
-    z = x + _U64_GOLDEN
-    z = (z ^ (z >> np.uint64(30))) * _U64_C1
-    z = (z ^ (z >> np.uint64(27))) * _U64_C2
-    return z ^ (z >> np.uint64(31))
+    """Vectorized splitmix64 over a uint64 array (wrapping arithmetic), as a new array."""
+    z = np.array(x, dtype=np.uint64)
+    _splitmix64_into(z, np.empty_like(z), z)
+    return z
 
 
 def _splitmix64_into(x: np.ndarray, t: np.ndarray, out: np.ndarray) -> None:
@@ -109,6 +108,19 @@ def _splitmix64_into(x: np.ndarray, t: np.ndarray, out: np.ndarray) -> None:
         x *= factor
     np.right_shift(x, np.uint64(31), out=t)
     np.bitwise_xor(x, t, out=out)
+
+
+def _stream_words(keys: np.ndarray, count: int, out: np.ndarray | None = None,
+                  scratch: np.ndarray | None = None) -> np.ndarray:
+    """The first `count` words of the SplitMix64 output stream seeded at each key, shape ``keys.shape + (count,)``.
+
+    Word ``j`` is ``splitmix64(key + (j+1) * GOLDEN)``, computed in place in
+    `out` with `scratch` as working space, each a fresh uint64 array when
+    not given; `out` is returned and `scratch` is left overwritten.
+    """
+    out = np.add(keys[..., None], np.arange(1, count + 1, dtype=np.uint64) * _U64_GOLDEN, out=out)
+    _splitmix64_into(out, np.empty_like(out) if scratch is None else scratch, out)
+    return out
 
 
 def element_id(data: bytes | bytearray | memoryview | str) -> int:
@@ -123,11 +135,8 @@ def element_id(data: bytes | bytearray | memoryview | str) -> int:
     buf = bytes(data)
     state = splitmix64(_ELEMENT_DOMAIN ^ len(buf))
     for i in range(0, len(buf), 8):
-        chunk = buf[i : i + 8]
-        if len(chunk) < 8:
-            chunk = chunk + b"\x00" * (8 - len(chunk))
-        word = int.from_bytes(chunk, "little")
-        state = splitmix64(state ^ word)
+        # A short last word reads as zero-padded: little-endian, its missing bytes are the high ones.
+        state = splitmix64(state ^ int.from_bytes(buf[i : i + 8], "little"))
     return state
 
 
@@ -229,10 +238,10 @@ def chunk_ranges(costs: np.ndarray) -> list[tuple[int, int]]:
 
 
 def as_element_array(elements: Iterable[int] | np.ndarray) -> np.ndarray:
-    """Coerce element ids to a uint64 array without copying when possible."""
+    """Coerce element ids to a uint64 array, modulo 2**64, without copying when possible."""
     if isinstance(elements, np.ndarray):
         return elements.astype(np.uint64, copy=False)
-    return np.fromiter((e & _MASK64 for e in elements), dtype=np.uint64)
+    return np.fromiter((operator.index(e) & _MASK64 for e in elements), dtype=np.uint64)
 
 
 def sorted_distinct(values: np.ndarray) -> np.ndarray:
@@ -312,9 +321,6 @@ class Codebook:
     def blocks(self) -> int:
         return (self.dims + 63) // 64
 
-    def _element_keys(self, elements: np.ndarray) -> np.ndarray:
-        return _splitmix64_np(np.uint64(self._root) ^ elements)
-
     def sign_words(
         self, elements: Iterable[int] | np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
     ) -> np.ndarray:
@@ -322,22 +328,12 @@ class Codebook:
 
         Bit ``i`` of word ``j`` is the sign bit of coordinate ``64*j + i``;
         bits at or past ``dims`` in the last word are unused PRF output.
-        The words are computed in place, as :meth:`MinwiseFamily.rows`
-        computes its values: each key ``h + (j+1) * GOLDEN`` is written to
-        `out`, then mixed by :func:`_splitmix64_into` with `scratch` as its
-        working array.  Each is a uint64 array of shape (n, blocks), a fresh
-        one when not given; `out` is returned and `scratch` is left
-        overwritten.
+        The words are computed in place by :func:`_stream_words`, in `out`
+        with `scratch` as its working array, each a uint64 array of shape
+        (n, blocks), fresh when not given; `scratch` is left overwritten.
         """
-        arr = as_element_array(elements)
-        if out is None:
-            out = np.empty((arr.size, self.blocks), dtype=np.uint64)
-        if scratch is None:
-            scratch = np.empty_like(out)
-        offsets = np.arange(1, self.blocks + 1, dtype=np.uint64) * _U64_GOLDEN
-        np.add(self._element_keys(arr)[:, None], offsets[None, :], out=out)
-        _splitmix64_into(out, scratch, out)
-        return out
+        keys = _splitmix64_np(np.uint64(self._root) ^ as_element_array(elements))
+        return _stream_words(keys, self.blocks, out, scratch)
 
     def sign_bits(self, elements: Iterable[int] | np.ndarray) -> np.ndarray:
         """Raw sign bits for a batch of elements, shape (n, dims), uint8 in {0, 1}.
@@ -357,33 +353,16 @@ class Codebook:
         return signs.astype(np.float64) / np.sqrt(self.dims)
 
 
-def sign_sums(
-    seeds: np.ndarray,
-    elements: np.ndarray,
-    dims: int,
-    total: np.ndarray | None = None,
-    buffer: np.ndarray | None = None,
-) -> np.ndarray:
+def sign_sums(seeds: np.ndarray, elements: np.ndarray, dims: int, total: np.ndarray | None = None,
+              buffer: np.ndarray | None = None) -> np.ndarray:
     """Column sums of codebook signs over `elements`, per seed.
 
     Returns an int64 array of shape ``(len(seeds), dims)`` whose row ``s``
     equals ``Codebook(seeds[s], dims).sign_rows(elements).sum(axis=0)``.
     Used by Monte-Carlo sweeps that vary the codebook seed; the per-seed
-    result is identical to building sketches one seed at a time.
-
-    A sum of n signs is ``2 * popcount - n``, and the popcounts are counted
-    on the packed PRF words, computed in place, without unpacking them.  A
-    carry-save adder tree runs along the element axis, one weight at a
-    time, on whole arrays of words: full adders turn three words of weight
-    ``2**p`` into a sum of that weight and a carry of weight ``2**(p+1)``,
-    a half adder takes the last two, and the one word left is bit plane
-    ``p``; the carries are the words of the next weight.  For m elements
-    that leaves ``m.bit_length()`` planes, and only those are turned into
-    integers: each 8 planes, as the rows of :func:`_byte_columns`, give one
-    byte of every count at once.  Elements are taken in chunks and the
-    integer counts of the chunks added, so the temporaries stay bounded
-    whatever n is.  Unit-weight sketch builds count their sets with the
-    same counter, :func:`_add_sign_counts`.
+    result is identical to building sketches one seed at a time.  Seeds are
+    taken modulo 2**64, as :class:`Codebook` takes them.  :func:`_signed_sums`
+    counts the sums, a seed per column.
 
     When `total` is given, an int64 array of that shape, the sums are added
     to it in place and it is returned, so the sums of a union of disjoint
@@ -395,75 +374,89 @@ def sign_sums(
     """
     if dims < 1:
         raise ValueError("codebook dims must be >= 1")
-    seeds = np.asarray(seeds, dtype=np.uint64)
+    seeds = as_element_array(seeds)
     elements = as_element_array(elements)
     n = elements.shape[0]
     roots = _splitmix64_np(seeds ^ np.uint64(_CODEBOOK_DOMAIN))
     if buffer is None:
         buffer = _sign_sums_buffer(seeds.size, n, dims)
-    step = buffer.size // _element_words(seeds.size, dims)
-    if not step:
+    if buffer.size < _row_words(seeds.size, dims):
         raise ValueError(f"buffer of {buffer.size} words holds no element's words")
     if total is None:
         total = np.zeros((seeds.size, dims), dtype=np.int64)
     elif total.shape != (seeds.size, dims) or total.dtype != np.int64:
         raise ValueError(f"total must be an int64 array of shape {(seeds.size, dims)}")
-    counts = np.zeros((seeds.size, dims), dtype=_count_dtype(n))
-    for start in range(0, n, step):
-        keys = elements[start : start + step, None] ^ roots[None, :]
-        _splitmix64_into(keys, np.empty_like(keys), keys)
-        _add_sign_counts(keys, counts, buffer)
-    # 2 * count - n in the counts' own dtype: int32 arithmetic wraps, and
-    # the result lies in [-n, n], so it comes out exact.
-    counts *= 2
-    counts -= n
-    total += counts
+    total += _signed_sums(lambda lo, hi, valid: elements[lo:hi, None], roots, n, dims, np.full(seeds.size, n), buffer)
     return total
 
 
-def _element_words(seeds: int, dims: int) -> int:
-    """Buffer words that one element takes in :func:`sign_sums`: its PRF words and their scratch."""
-    return 2 * max(1, seeds) * ((dims + 63) // 64)
+def _row_words(cols: int, dims: int) -> int:
+    """Buffer words of one row of `cols` keys in :func:`_signed_sums`: its PRF words and their scratch."""
+    return 2 * max(1, cols) * ((dims + 63) // 64)
 
 
 def _sign_sums_buffer(seeds: int, n: int, dims: int) -> np.ndarray:
-    """The PRF word buffer that :func:`sign_sums` makes for `seeds` seeds and `n` elements.
+    """The buffer :func:`sign_sums` makes: the words of as many of `n` elements as fill ``2 * _CHUNK_BYTES``, or one."""
+    words = _row_words(seeds, dims)
+    return np.empty(max(1, min(n, _CHUNK_BYTES // (4 * words))) * words, dtype=np.uint64)
 
-    It holds the words of as many elements as fill about ``2 * _CHUNK_BYTES``,
-    at least one and at most `n`.
+
+def _signed_sums(elements_of: Callable[[int, int, np.ndarray], np.ndarray], roots: np.ndarray | np.uint64,
+                 rows: int, dims: int, sizes: np.ndarray, buffer: np.ndarray) -> np.ndarray:
+    """Exact sums of ±1 codebook signs down each column of a grid of elements, shape (len(sizes), dims).
+
+    Column ``c`` holds ``sizes[c]`` elements, at most `rows`.  The ids of
+    rows ``lo`` to ``hi - 1``, ``elements_of(lo, hi, valid)``, are padding
+    where `valid`, shape ``(hi - lo, len(sizes))``, is False, and each is
+    keyed as ``splitmix64(root ^ e)`` under the root it broadcasts against
+    in `roots`.  :func:`sign_sums` puts a seed in each column, the
+    unit-weight builds of :mod:`dothash.sketches` a set.
+
+    A sum of n signs is ``2 * popcount - n``, and the popcounts are counted
+    on the packed PRF words, computed in place, without unpacking them.  A
+    carry-save adder tree runs along the rows, one weight at a time, on
+    whole arrays of words: full adders turn three words of weight ``2**p``
+    into a sum of that weight and a carry of weight ``2**(p+1)``, a half
+    adder takes the last two, and the one word left is bit plane ``p``; the
+    carries are the words of the next weight.  For m rows that leaves
+    ``m.bit_length()`` planes, and only those are turned into integers:
+    each 8 planes, as the rows of :func:`_byte_columns`, give one byte of
+    every count at once.  Padding words are zeroed, so they add nothing.
+
+    Rows are counted a chunk at a time, as many as `buffer` holds at
+    :func:`_row_words` words a row, so the temporaries stay bounded whatever
+    `rows` is.  The counts and sums, at most ``2 * rows``, are int32 unless
+    that is too few bits.
     """
-    words = _element_words(seeds, dims)
-    step = max(1, _CHUNK_BYTES // (4 * words))
-    return np.empty(max(1, min(n, step)) * words, dtype=np.uint64)
+    step = buffer.size // _row_words(sizes.size, dims)
+    counts = np.zeros((sizes.size, dims), dtype=np.int32 if 2 * rows < 2**31 else np.int64)
+    for lo in range(0, rows, step):
+        hi = min(rows, lo + step)
+        valid = np.arange(lo, hi)[:, None] < sizes
+        _add_sign_counts(elements_of(lo, hi, valid) ^ roots, counts, buffer, valid)
+    counts *= 2
+    counts -= sizes[:, None].astype(counts.dtype)
+    return counts
 
 
-def _count_dtype(n: int) -> type:
-    """Integer dtype of counts of at most `n`: int32 is exact for any n below 2**31."""
-    return np.int32 if n < 2**31 else np.int64
-
-
-def _add_sign_counts(
-    keys: np.ndarray, counts: np.ndarray, buffer: np.ndarray, valid: np.ndarray | None = None
-) -> None:
+def _add_sign_counts(keys: np.ndarray, counts: np.ndarray, buffer: np.ndarray, valid: np.ndarray) -> None:
     """Add to ``counts[c]`` the sign bits of the codebook keys ``keys[:, c]``, bit for coordinate.
 
-    `keys` holds element keys ``splitmix64(root ^ e)``, shape (rows, cols),
-    and `counts` the running popcounts, shape (cols, dims).  Where `valid`
-    is False, the row's key is padding: its words are zeroed, and a zero
-    word adds nothing to a popcount.  The sign words are computed in place
-    in `buffer`, a uint64 array of at least ``2 * keys.size * blocks``
-    words that is reused across calls, and counted by :func:`_bit_planes`
+    `keys` holds ``root ^ e``, shape (rows, cols), padding where `valid` is
+    False, and `counts` the running popcounts, shape (cols, dims).  The
+    keys are mixed in place, and their sign words computed in `buffer`,
+    with scratch, the padding's zeroed; :func:`_bit_planes` counts them
     along the rows.  Planes ``8k .. 8k+7`` go through :func:`_byte_columns`
     as its 8 rows, zero rows past the last plane, and each count adds its
     byte ``<< 8k``.
     """
     dims = counts.shape[1]
     blocks = (dims + 63) // 64
-    size = keys.size * blocks
-    words = buffer[:size].reshape(keys.shape + (blocks,))
-    np.add(keys[:, :, None], np.arange(1, blocks + 1, dtype=np.uint64) * _U64_GOLDEN, out=words)
-    _splitmix64_into(words, buffer[size : 2 * size].reshape(words.shape), words)
-    if valid is not None and not valid.all():
+    words, scratch = buffer[: 2 * keys.size * blocks].reshape((2,) + keys.shape + (blocks,))
+    # The keys splitmix64(root ^ e), mixed with the words' scratch before the words use it.
+    _splitmix64_into(keys, scratch.reshape(-1)[: keys.size].reshape(keys.shape), keys)
+    _stream_words(keys, blocks, words, scratch)
+    if not valid.all():
         words *= valid[:, :, None]
     planes = _bit_planes(words)
     for p in range(0, len(planes), 8):
@@ -476,7 +469,7 @@ def _bit_planes(x: np.ndarray) -> list[np.ndarray]:
     """Bit planes of each bit lane's popcount over axis 0 of the uint64 array `x`.
 
     Plane ``p`` holds bit ``p`` of every lane's count of set bits; the adder
-    tree that builds them is described in :func:`sign_sums`.  `x` is
+    tree that builds them is described in :func:`_signed_sums`.  `x` is
     overwritten.
     """
     planes = []
@@ -520,9 +513,7 @@ class MinwiseFamily:
         if self.k < 1:
             raise ValueError("minwise family size k must be >= 1")
         object.__setattr__(self, "seed", operator.index(self.seed) & _MASK64)
-        root = np.uint64(splitmix64(self.seed ^ _MINWISE_DOMAIN))
-        offsets = np.arange(1, self.k + 1, dtype=np.uint64) * _U64_GOLDEN
-        keys = _splitmix64_np(root + offsets)
+        keys = _stream_words(np.uint64(splitmix64(self.seed ^ _MINWISE_DOMAIN)), self.k)
         keys.setflags(write=False)
         object.__setattr__(self, "_keys", keys)
 
@@ -543,11 +534,6 @@ class MinwiseFamily:
         when not given, so a caller that hashes many batches can reuse two
         buffers; `out` is returned and `scratch` is left overwritten.
         """
-        arr = as_element_array(elements)
-        if out is None:
-            out = np.empty((arr.size, self.k), dtype=np.uint64)
-        if scratch is None:
-            scratch = np.empty_like(out)
-        np.bitwise_xor(arr[:, None], self._keys[None, :], out=out)
-        _splitmix64_into(out, scratch, out)
+        out = np.bitwise_xor(as_element_array(elements)[:, None], self._keys[None, :], out=out)
+        _splitmix64_into(out, np.empty_like(out) if scratch is None else scratch, out)
         return out

@@ -45,9 +45,9 @@ from .encoding import (
     _MASK64,
     Codebook,
     MinwiseFamily,
-    _add_sign_counts,
     _byte_columns,
-    _count_dtype,
+    _row_words,
+    _signed_sums,
     as_element_array,
     chunk_ranges,
     sorted_distinct,
@@ -249,13 +249,11 @@ def _unit_sums(cb: Codebook, distinct: np.ndarray, indptr: np.ndarray, ranks: np
 
     The sets are a :class:`DistinctSets`; ``sums`` is an integer array
     of shape (len(sets), dims) whose row ``i`` belongs to set ``sets[i]``.
-    Empty sets are never yielded.  A sum of n signs is ``2 * count - n``,
-    with the counts taken by the bit-plane counter of
-    :func:`dothash.encoding.sign_sums`, one batch of sets per column axis.
-    Sets are taken longest first, so a batch holds sets of similar size,
-    each padded with zero words to the longest.  A batch's words, their
-    scratch and its counts fill about ``_CHUNK_BYTES``, and a set longer
-    than that is counted a row chunk at a time.
+    Empty sets are never yielded.  :func:`dothash.encoding._signed_sums`
+    counts a batch, a set per column.  Sets are taken longest first, so a
+    batch holds sets of similar size, each padded to the longest.  A
+    batch's words, their scratch and its counts fill about ``_CHUNK_BYTES``,
+    and a longer set is counted a row chunk at a time.
     """
     sizes = np.diff(indptr)
     order = np.argsort(-sizes, kind="stable")
@@ -267,19 +265,17 @@ def _unit_sums(cb: Codebook, distinct: np.ndarray, indptr: np.ndarray, ranks: np
         cols = max(1, _CHUNK_BYTES // (16 * blocks * rows + 4 * dims))
         sets = order[lo : min(lo + cols, nonempty)]
         lo += sets.size
-        # Counts reach rows, and doubled 2 * rows, before n is taken off.
-        counts = np.zeros((sets.size, dims), dtype=_count_dtype(2 * rows))
         step = min(rows, max(1, _CHUNK_BYTES // (16 * blocks * sets.size)))
-        if buffer.size < 2 * step * sets.size * blocks:
-            buffer = np.empty(2 * step * sets.size * blocks, dtype=np.uint64)
-        for r in range(0, rows, step):
-            slots = np.arange(r, min(rows, r + step))[:, None]
-            valid = slots < sizes[sets]
-            ids = distinct[ranks[np.where(valid, indptr[sets] + slots, 0)]]
-            _add_sign_counts(cb._element_keys(ids), counts, buffer, valid)
-        counts *= 2
-        counts -= sizes[sets, None].astype(counts.dtype)
-        yield sets, counts
+        words = step * _row_words(sets.size, dims)
+        if buffer.size < words:
+            buffer = np.empty(words, dtype=np.uint64)
+        starts = indptr[sets]
+
+        def elements_of(first: int, stop: int, valid: np.ndarray) -> np.ndarray:
+            # Padding slots read slot 0; their words are zeroed.
+            return distinct[ranks[np.where(valid, starts + np.arange(first, stop)[:, None], 0)]]
+
+        yield sets, _signed_sums(elements_of, np.uint64(cb._root), rows, dims, sizes[sets], buffer[:words])
 
 
 def _root_sums(
@@ -717,24 +713,44 @@ MAX_SKETCH_SIZE = (1 << 32) - 1
 def write_sketch(sketch: Sketch, fp: BinaryIO) -> None:
     """Serialize a sketch in the documented little-endian binary layout.
 
-    Raises ValueError for a size the header cannot store (0, or more than
-    ``MAX_SKETCH_SIZE``).
+    Raises ValueError, before it writes anything, for a size the header
+    cannot store (0, or more than ``MAX_SKETCH_SIZE``) and for any sketch
+    :func:`read_sketch` would reject: both check it with :func:`_payload_row`.
     """
     entry = sketch_entry(sketch)
     size = getattr(sketch, entry.size_flag)
     if not 1 <= size <= MAX_SKETCH_SIZE:
         raise ValueError(f"sketch size {size} does not fit the file header (1 to {MAX_SKETCH_SIZE})")
+    payload = getattr(sketch, entry.payload).astype(entry.dtype.newbyteorder("<")).tobytes()
+    _payload_row(entry, size, sketch.cardinality, payload)
     fp.write(_HEADER.pack(_MAGIC, _VERSION, entry.code, sketch.seed & _MASK64, size, sketch.cardinality))
-    fp.write(getattr(sketch, entry.payload).astype(entry.dtype.newbyteorder("<")).tobytes())
+    fp.write(payload)
+
+
+def _payload_row(entry: EstimatorEntry, size: int, cardinality: int, payload: bytes) -> np.ndarray:
+    """The read-only payload row of a sketch's file fields; ValueError for what a file must not hold.
+
+    The size must be positive and the payload as long as it makes it, the
+    cardinality a u64, 0 only with the empty set's payload, and the payload
+    must pass ``entry.check``.
+    """
+    _malformed_if(size == 0, "size 0")
+    nbytes = entry.width(size) * entry.dtype.itemsize
+    _malformed_if(len(payload) != nbytes, f"payload of {len(payload)} bytes, not the {nbytes} of size {size}")
+    _malformed_if(not 0 <= cardinality <= _MASK64, f"cardinality {cardinality} outside 0 to 2**64 - 1")
+    _malformed_if(cardinality == 0 and payload != entry.empty * len(payload),
+                  "cardinality 0 with a non-empty payload")
+    row = np.frombuffer(payload, dtype=entry.dtype.newbyteorder("<")).astype(entry.dtype)
+    entry.check(row, size)
+    row.setflags(write=False)
+    return row
 
 
 def read_sketch(fp: BinaryIO) -> Sketch:
     """Inverse of :func:`write_sketch`; raises ValueError on malformed input.
 
-    The size must be positive, the stream must end with the payload, DotHash
-    values must be finite, and the padding bits of a SimHash payload must be
-    zero.  A cardinality of 0 must carry the empty set's payload.  The
-    payload is read-only.
+    The stream must end with the payload, and its fields must pass the
+    checks that :func:`write_sketch` makes.  The payload is read-only.
     """
     raw = fp.read(_HEADER.size)
     if len(raw) != _HEADER.size:
@@ -747,7 +763,6 @@ def read_sketch(fp: BinaryIO) -> Sketch:
     entry = _BY_CODE.get(kind_code)
     if entry is None:
         raise ValueError(f"unknown sketch kind code {kind_code}")
-    _malformed_if(size == 0, "size 0")
     nbytes = entry.width(size) * entry.dtype.itemsize
     # The size comes from the file: read in bounded pieces, so a header that
     # declares more than the file holds fails without allocating that much.
@@ -760,12 +775,7 @@ def read_sketch(fp: BinaryIO) -> Sketch:
         nbytes -= len(piece)
     payload = b"".join(pieces)
     _malformed_if(fp.read(1), "trailing bytes after the payload")
-    _malformed_if(cardinality == 0 and payload != entry.empty * len(payload),
-                  "cardinality 0 with a non-empty payload")
-    row = np.frombuffer(payload, dtype=entry.dtype.newbyteorder("<")).astype(entry.dtype)
-    entry.check(row, size)
-    row.setflags(write=False)
-    return entry.sketch(row, size, seed, cardinality)
+    return entry.sketch(_payload_row(entry, size, cardinality, payload), size, seed, cardinality)
 
 
 def sketch_to_json(sketch: Sketch) -> str:

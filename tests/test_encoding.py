@@ -369,6 +369,15 @@ class TestSignSums:
         with pytest.raises(ValueError):
             sign_sums(np.array([1], dtype=np.uint64), np.arange(5), 0)
 
+    def test_seeds_are_taken_modulo_2_to_the_64(self):
+        # As Codebook takes them: a list holding -1 once raised OverflowError.
+        elements = np.array([5, 17, 2**63, 2**64 - 1], dtype=np.uint64)
+        top = sign_sums(np.array([2**64 - 1], dtype=np.uint64), elements, 70)
+        assert np.array_equal(top, reference_sign_sums(np.array([2**64 - 1], dtype=np.uint64), elements, 70))
+        for seeds in ([-1], np.array([-1]), [np.int64(-1)], [2**64 - 1]):
+            assert np.array_equal(sign_sums(seeds, elements, 70), top)
+        assert np.array_equal(sign_sums([2**64, -2**64], elements, 70), sign_sums([0, 0], elements, 70))
+
     @given(seed=SEEDS_NEAR_TOP | U64, dims=st.integers(min_value=1, max_value=300),
            extra=st.integers(min_value=0, max_value=300))
     @settings(max_examples=40, deadline=None)
@@ -436,7 +445,6 @@ def counted_rows(monkeypatch):
         return count(keys, *args)
 
     monkeypatch.setattr(encoding, "_add_sign_counts", spy)
-    monkeypatch.setattr(sketches, "_add_sign_counts", spy)
     return seen
 
 
@@ -477,6 +485,49 @@ class TestThreeByteCounts:
         # A batch's words and scratch fill _CHUNK_BYTES, so past 64 dims a
         # chunk holds 32,768 rows and only the sum of chunks passes 65,535.
         assert max(counted_rows) > (65_535 if dims <= 64 else 32_767)
+
+
+@pytest.mark.parametrize("chunk_bytes", [1024, 8192])
+@pytest.mark.parametrize("dims", [1, 63, 64, 65, 130])
+def test_both_callers_of_the_sign_counter_match_the_unpacked_sum(monkeypatch, dims, chunk_bytes):
+    # One set of each of TREE_SIZES: sign_sums of the set under its one seed,
+    # the unit-sum row of the set counted in one batch build of them all, and
+    # the unpacked reference must agree exactly.  Small chunks make both
+    # callers count the longest sets in several row chunks, and batch small
+    # sets of unequal size together, padded.
+    calls = []  # (caller, the column sizes, the rows of each chunk)
+    signed_sums, add_sign_counts = encoding._signed_sums, encoding._add_sign_counts
+
+    def driver(caller):
+        def spy(*args):
+            calls.append((caller, args[4].tolist(), []))
+            return signed_sums(*args)
+        return spy
+
+    def count(keys, *args):
+        calls[-1][2].append(keys.shape[0])
+        return add_sign_counts(keys, *args)
+
+    for module in (encoding, sketches):
+        monkeypatch.setattr(module, "_CHUNK_BYTES", chunk_bytes)
+    monkeypatch.setattr(encoding, "_signed_sums", driver("sign_sums"))
+    monkeypatch.setattr(sketches, "_signed_sums", driver("unit_sums"))
+    monkeypatch.setattr(encoding, "_add_sign_counts", count)
+    seed = int(np.random.default_rng(dims).integers(0, 2**63)) * 2 + 1
+    indptr = np.cumsum([0] + TREE_SIZES)
+    elements = _splitmix64_np(np.arange(indptr[-1], dtype=np.uint64) + np.uint64(dims))  # distinct
+    unit = {}
+    for sets, sums in sketches._unit_sums(Codebook(seed=seed, dims=dims), *sketches.distinct_sets(indptr, elements)):
+        unit.update(zip(sets.tolist(), sums))
+    for s, n in enumerate(TREE_SIZES):
+        members = elements[indptr[s] : indptr[s + 1]]
+        expected = reference_sign_sums(np.array([seed], dtype=np.uint64), members, dims)[0]
+        assert np.array_equal(sign_sums([seed], members, dims)[0], expected)
+        assert np.array_equal(unit[s], expected) if n else s not in unit
+    for caller in ("sign_sums", "unit_sums"):
+        assert max(len(rows) for who, _, rows in calls if who == caller) > 1
+    if chunk_bytes == 8192:  # at 1024 bytes and d = 130 no two sets fit one batch
+        assert any(len(set(sizes)) > 1 for who, sizes, _ in calls if who == "unit_sums")
 
 
 class TestMinwiseFamily:

@@ -409,12 +409,13 @@ class TestSerialization:
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_dothash_payload_rejected(self, bad):
-        values = np.array([0.5, bad, -0.5, 1.0])
-        sketch = DotHashSketch(values=values, dims=4, seed=0, cardinality=2)
+        # write_sketch refuses such a sketch, so the file is forged: value 1 of 4 replaced.
+        sketch = DotHashSketch(values=np.array([0.5, 1.0, -0.5, 1.0]), dims=4, seed=0, cardinality=2)
         buf = io.BytesIO()
         write_sketch(sketch, buf)
+        raw = buf.getvalue()
         with pytest.raises(ValueError, match="non-finite"):
-            read_sketch(io.BytesIO(buf.getvalue()))
+            read_sketch(io.BytesIO(raw[:-24] + struct.pack("<d", bad) + raw[-16:]))
 
     def test_simhash_padding_bits_rejected(self):
         # With padding bits set, a dims=3 sketch compared with itself scored -0.667.
@@ -438,10 +439,45 @@ class TestSerialization:
             sketch = SimHashSketch(bits=np.zeros(1, dtype=np.uint8), dims=dims, seed=0, cardinality=0)
             with pytest.raises(ValueError, match="does not fit the file header"):
                 write_sketch(sketch, io.BytesIO())
+        # At the limit the size fits, and the one-byte payload, not the 512 MiB
+        # that size takes, is what is refused; nothing is written.
         buf = io.BytesIO()
         at_limit = SimHashSketch(bits=np.zeros(1, dtype=np.uint8), dims=MAX_SKETCH_SIZE, seed=0, cardinality=0)
-        write_sketch(at_limit, buf)
-        assert struct.unpack_from("<I", buf.getvalue(), 14) == (MAX_SKETCH_SIZE,)
+        with pytest.raises(ValueError, match=f"payload of 1 bytes, not the {2**29} of size {MAX_SKETCH_SIZE}"):
+            write_sketch(at_limit, buf)
+        assert buf.getvalue() == b""
+
+    @pytest.mark.parametrize("sketch, error", [
+        (DotHashSketch(values=np.array([0.5, np.nan]), dims=2, seed=0, cardinality=1), "non-finite"),
+        (DotHashSketch(values=np.array([-np.inf, 0.5]), dims=2, seed=0, cardinality=1), "non-finite"),
+        (DotHashSketch(values=np.zeros(3), dims=4, seed=0, cardinality=1), "payload of 24 bytes, not the 32"),
+        (MinHashSketch(minima=np.zeros(5, dtype=np.uint64), k=4, seed=0, cardinality=1), "payload of 40 bytes"),
+        (SimHashSketch(bits=np.zeros(1, dtype=np.uint8), dims=9, seed=0, cardinality=1), "payload of 1 bytes"),
+        (SimHashSketch(bits=np.array([0b1000], dtype=np.uint8), dims=3, seed=0, cardinality=1), "padding bits"),
+        (SimHashSketch(bits=np.array([0, 0b1000_0000], dtype=np.uint8), dims=15, seed=0, cardinality=1),
+         "padding bits"),
+        (DotHashSketch(values=np.array([0.0, 1.0]), dims=2, seed=0, cardinality=0), "cardinality 0"),
+        (MinHashSketch(minima=np.zeros(2, dtype=np.uint64), k=2, seed=0, cardinality=0), "cardinality 0"),
+        (SimHashSketch(bits=np.array([1], dtype=np.uint8), dims=8, seed=0, cardinality=0), "cardinality 0"),
+        (DotHashSketch(values=np.ones(2), dims=2, seed=0, cardinality=-1), "cardinality -1 outside"),
+        (MinHashSketch(minima=np.zeros(2, dtype=np.uint64), k=2, seed=0, cardinality=2**64),
+         f"cardinality {2**64} outside"),
+    ], ids=["nan", "-inf", "short-dothash", "long-minhash", "short-simhash", "padding-bit-3",
+            "padding-bit-15", "empty-dothash", "empty-minhash", "empty-simhash", "cardinality-1", "cardinality-2^64"])
+    def test_write_refuses_what_read_rejects(self, sketch, error):
+        # Nothing is written, and a file of the same fields, where the header
+        # can hold them, is rejected by read_sketch.
+        buf = io.BytesIO()
+        with pytest.raises(ValueError, match=error):
+            write_sketch(sketch, buf)
+        assert buf.getvalue() == b""
+        size = getattr(sketch, "k", None) or sketch.dims
+        payload = next(getattr(sketch, name) for name in ("values", "minima", "bits") if hasattr(sketch, name))
+        if 0 <= sketch.cardinality < 2**64:
+            kind = {DotHashSketch: 1, MinHashSketch: 2, SimHashSketch: 3}[type(sketch)]
+            forged = struct.pack("<4sBBQIQ", b"SKCH", 1, kind, 0, size, sketch.cardinality)
+            with pytest.raises(ValueError):
+                read_sketch(io.BytesIO(forged + payload.astype(payload.dtype.newbyteorder("<")).tobytes()))
 
     @one_element_sketches
     def test_cardinality_zero_needs_the_empty_payload(self, sketch):
