@@ -23,13 +23,15 @@ relative of scipy's ``ndtri`` from 5e-324 to 1 - 1e-16.
 
 from __future__ import annotations
 
+import bisect
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .encoding import _CHUNK_BYTES, _sign_sums_buffer, sign_sums
+from .encoding import _CHUNK_BYTES, _sign_sums_buffer, _sign_sums_rows, sign_sums
 
 
 @dataclass(frozen=True)
@@ -44,6 +46,10 @@ class BoundsQuery:
     prob: float = 0.05
 
     def __post_init__(self) -> None:
+        # Whole numbers only, as Codebook takes its seed: numpy integers
+        # pass, and 30.5 raises TypeError rather than reading as a size.
+        for name in ("size_a", "size_b", "size_int", "dims"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.size_a < 0 or self.size_b < 0 or self.size_int < 0:
             raise ValueError("set sizes must be nonnegative")
         if self.size_int > min(self.size_a, self.size_b):
@@ -184,22 +190,32 @@ def _estimate_chunks(
     ``A & B`` and ``B - A`` are counted once per seed, and S_A and S_B are
     exact integer sums of them.  They are counted at the largest d only: a
     codebook's first d coordinates do not depend on its dims, so each d
-    takes a prefix of the same sums.
+    takes a prefix of the same sums.  Set sizes and dims must be whole
+    numbers (``operator.index``): TypeError otherwise.
 
+    A chunk takes the most seeds, at most the cap of one ``(seeds, d_max)``
+    int64 array of sums in ``_CHUNK_BYTES``, for which the ``sign_sums``
+    buffer counts the largest of the three sets in one row chunk
+    (:func:`_sign_sums_rows`), so that no set is counted as a full row
+    chunk and a short one; when not even one seed lets it fit, the cap.
     The working set is allocated once and reused by every chunk: two int64
-    arrays of sums of shape ``(seeds, d_max)``, about ``_CHUNK_BYTES``
-    each, the ``sign_sums`` PRF buffer of at most about twice that, and the
-    chunk's estimates; each ``sign_sums`` call adds one int32 array of
-    counts, half a sums array.  The ``A & B`` sums are counted into the
+    arrays of sums of shape ``(seeds, d_max)``, at most ``_CHUNK_BYTES``
+    each, the ``sign_sums`` buffer of at most about twice that, of which
+    the sign words of one row chunk and one PRF piece of scratch are
+    written, and the chunk's estimates; each ``sign_sums`` call adds one
+    int32 array of counts, half a sums array.  The ``A & B`` sums are counted into the
     first array and copied to the second, the ``A - B`` and ``B - A`` sums
-    are added to them to give S_A and S_B, their product overwrites S_A,
-    and its prefix sums, the dot product at every d, overwrite S_B.
+    are added to them to give S_A and S_B, and their product overwrites
+    S_A.  Its integer sums between the sorted distinct d, then their
+    prefix sums, the dot product at each requested d, overwrite the first
+    columns of S_B.
     """
+    size_a, size_b, size_int = map(operator.index, (size_a, size_b, size_int))
     if min(size_a, size_b, size_int) < 0:
         raise ValueError("set sizes must be nonnegative")
     if size_int > min(size_a, size_b):
         raise ValueError("intersection cannot exceed the smaller set")
-    dims = np.asarray(dims_list, dtype=np.int64)
+    dims = np.array([operator.index(d) for d in dims_list], dtype=np.int64)
     if not dims.size:
         return
     if dims.min() < 1:
@@ -208,13 +224,22 @@ def _estimate_chunks(
     only_a = np.arange(size_a - size_int, dtype=np.uint64)
     both = np.arange(size_a - size_int, size_a, dtype=np.uint64)
     only_b = np.arange(size_a, size_a + size_b - size_int, dtype=np.uint64)
-    # Seeds per chunk, so that one (seeds, d_max) int64 array of sums is
-    # about _CHUNK_BYTES.
-    chunk = max(1, min(trials, _CHUNK_BYTES // (8 * d_max)))
+    largest = max(map(len, (only_a, both, only_b)))
+    # The cap: one (seeds, d_max) int64 array of sums in about _CHUNK_BYTES.
+    cap = max(1, min(trials, _CHUNK_BYTES // (8 * d_max)))
+    # The number of seeds from 1 to cap whose buffer holds the largest set
+    # in one row chunk; the rows a buffer holds fall as the seeds grow.
+    fits = bisect.bisect(range(1, cap + 1), False, key=lambda seeds: _sign_sums_rows(seeds, d_max) < largest)
+    chunk = fits or cap
     sums = np.empty((2, chunk, d_max), dtype=np.int64)
     # A shorter last chunk takes more elements at a time in the same words.
-    buffer = _sign_sums_buffer(chunk, max(map(len, (only_a, both, only_b))), d_max)
+    buffer = _sign_sums_buffer(chunk, largest, d_max)
     estimates = np.empty((dims.size, chunk), dtype=np.float64)
+    # Dot products are summed between the sorted distinct d: column k of
+    # the prefix sums is the dot product at distinct[k].
+    distinct = np.unique(dims)
+    starts = np.concatenate(([0], distinct[:-1]))
+    columns = np.searchsorted(distinct, dims)
     for start in range(0, trials, chunk):
         stop = min(start + chunk, trials)
         # Trial t's seed is (seed0 + t) mod 2**64, as Codebook masks any seed.
@@ -226,10 +251,11 @@ def _estimate_chunks(
         sign_sums(seeds, only_a, d_max, s_a, buffer)
         sign_sums(seeds, only_b, d_max, s_b, buffer)
         np.multiply(s_a, s_b, out=s_a)
-        # Exact integer dot products of every prefix, one column per d.
-        prefix_dots = np.cumsum(s_a, axis=1, out=s_b)
+        # Exact integer sums, so every dot product is the same in any order.
+        dots = np.add.reduceat(s_a, starts, axis=1, out=s_b[:, : starts.size])
+        np.cumsum(dots, axis=1, out=dots)
         chunk_estimates = estimates[:, : stop - start]
-        np.divide(prefix_dots[:, dims - 1].T, dims[:, None], out=chunk_estimates)
+        np.divide(dots[:, columns].T, dims[:, None], out=chunk_estimates)
         yield start, chunk_estimates
 
 

@@ -54,15 +54,29 @@ _U64_C2 = np.uint64(0x94D049BB133111EB)
 # Bytes of temporaries that one chunk of a batched computation may hold: the
 # text and per-input arrays of one batch of element ids, the looked-up table
 # values of one accumulation chunk in ``sketches._root_sums`` (and a quarter
-# of it for the 256-entry tables of one batch of groups), and each of the two
-# int64 sums arrays of one seed chunk in ``bounds``.  The one sign counter,
-# ``_signed_sums``, takes a row chunk's PRF words and scratch in its caller's
-# buffer: twice this for ``sign_sums`` (``_sign_sums_buffer``), and this, with
-# the counts, for a batch of sets of ``sketches._unit_sums``.  The Monte-Carlo
-# sampler in ``bounds`` holds its two arrays, one ``sign_sums`` buffer and one
+# of it for the 256-entry tables of one batch of groups), and the cap on
+# each of the two int64 sums arrays of one seed chunk in ``bounds``.  The one
+# sign counter, ``_signed_sums``, takes a row chunk's PRF words and scratch
+# in its caller's buffer: twice this for ``sign_sums`` (``_sign_sums_buffer``),
+# and this, with the counts, for a batch of sets of ``sketches._unit_sums``;
+# it writes the words of the whole row chunk and the scratch of one
+# ``_PIECE_BYTES`` piece.  A seed chunk in ``bounds`` takes the most seeds,
+# up to the cap, whose ``sign_sums`` buffer counts the largest of its three
+# sets in one row chunk (the cap when even one seed's cannot).  The
+# Monte-Carlo sampler holds its two arrays, one ``sign_sums`` buffer and one
 # int32 array of counts at a time, so its working set is at most about 4.5
-# times this, whatever the number of trials.
+# times this, of which at most about 3.75 times is written, whatever the
+# number of trials.
 _CHUNK_BYTES = 1 << 20
+
+# Bytes of sign words that the sign counter computes in one piece: small
+# enough that a piece and its scratch stay in a core's L2 cache through the
+# PRF's passes, large enough that each pass's fixed cost is small.  The
+# 128,000 words of one chunk of the bounds sweep (100 rows x 40 seeds x 32
+# words) took 427-440 us in pieces of 250-500 KiB, against 514-534 us in
+# one pass and 553-717 us in pieces of 30-60 KiB (2-vCPU Xeon with 2 MiB
+# of L2 per core, numpy 2.4).
+_PIECE_BYTES = _CHUNK_BYTES // 4
 
 # Per-input arrays of a batched element-id chain, in bytes per input.
 _PER_INPUT_BYTES = 64
@@ -102,6 +116,11 @@ def _splitmix64_np(x: np.ndarray) -> np.ndarray:
 def _splitmix64_into(x: np.ndarray, t: np.ndarray, out: np.ndarray) -> None:
     """Write splitmix64(x) to `out`, using `x` and `t` (same shape) as scratch."""
     x += _U64_GOLDEN
+    _mix64_into(x, t, out)
+
+
+def _mix64_into(x: np.ndarray, t: np.ndarray, out: np.ndarray) -> None:
+    """Write SplitMix64's mixing rounds of `x`, the state already advanced, to `out`; `x` and `t` are scratch."""
     for shift, factor in ((30, _U64_C1), (27, _U64_C2)):
         np.right_shift(x, np.uint64(shift), out=t)
         x ^= t
@@ -117,9 +136,12 @@ def _stream_words(keys: np.ndarray, count: int, out: np.ndarray | None = None,
     Word ``j`` is ``splitmix64(key + (j+1) * GOLDEN)``, computed in place in
     `out` with `scratch` as working space, each a fresh uint64 array when
     not given; `out` is returned and `scratch` is left overwritten.
+    SplitMix64's own advance by GOLDEN is folded into the offsets: `out`
+    starts as ``key + (j+2) * GOLDEN``, the state splitmix64 mixes, so
+    only the mixing rounds make a pass over the words.
     """
-    out = np.add(keys[..., None], np.arange(1, count + 1, dtype=np.uint64) * _U64_GOLDEN, out=out)
-    _splitmix64_into(out, np.empty_like(out) if scratch is None else scratch, out)
+    out = np.add(keys[..., None], np.arange(2, count + 2, dtype=np.uint64) * _U64_GOLDEN, out=out)
+    _mix64_into(out, np.empty_like(out) if scratch is None else scratch, out)
     return out
 
 
@@ -395,10 +417,14 @@ def _row_words(cols: int, dims: int) -> int:
     return 2 * max(1, cols) * ((dims + 63) // 64)
 
 
+def _sign_sums_rows(seeds: int, dims: int) -> int:
+    """Elements whose words under `seeds` seeds fill ``2 * _CHUNK_BYTES``: a :func:`sign_sums` row chunk, or 0."""
+    return _CHUNK_BYTES // (4 * _row_words(seeds, dims))
+
+
 def _sign_sums_buffer(seeds: int, n: int, dims: int) -> np.ndarray:
-    """The buffer :func:`sign_sums` makes: the words of as many of `n` elements as fill ``2 * _CHUNK_BYTES``, or one."""
-    words = _row_words(seeds, dims)
-    return np.empty(max(1, min(n, _CHUNK_BYTES // (4 * words))) * words, dtype=np.uint64)
+    """The buffer :func:`sign_sums` makes: the words of as many of `n` elements as :func:`_sign_sums_rows`, or one."""
+    return np.empty(max(1, min(n, _sign_sums_rows(seeds, dims))) * _row_words(seeds, dims), dtype=np.uint64)
 
 
 def _signed_sums(elements_of: Callable[[int, int, np.ndarray], np.ndarray], roots: np.ndarray | np.uint64,
@@ -444,20 +470,27 @@ def _add_sign_counts(keys: np.ndarray, counts: np.ndarray, buffer: np.ndarray, v
 
     `keys` holds ``root ^ e``, shape (rows, cols), padding where `valid` is
     False, and `counts` the running popcounts, shape (cols, dims).  The
-    keys are mixed in place, and their sign words computed in `buffer`,
-    with scratch, the padding's zeroed; :func:`_bit_planes` counts them
-    along the rows.  Planes ``8k .. 8k+7`` go through :func:`_byte_columns`
-    as its 8 rows, zero rows past the last plane, and each count adds its
-    byte ``<< 8k``.
+    keys are mixed in place, and their sign words computed in the first
+    half of `buffer`, the padding's zeroed; :func:`_bit_planes` counts them
+    along the rows.  The words are computed a range of rows of about
+    ``_PIECE_BYTES`` at a time, with the start of the second half as
+    scratch, so each piece's passes stay in a core's L2 cache.  Planes
+    ``8k .. 8k+7`` go through :func:`_byte_columns` as its 8 rows, zero rows
+    past the last plane, and each count adds its byte ``<< 8k``.
     """
+    rows, cols = keys.shape
     dims = counts.shape[1]
     blocks = (dims + 63) // 64
     words, scratch = buffer[: 2 * keys.size * blocks].reshape((2,) + keys.shape + (blocks,))
     # The keys splitmix64(root ^ e), mixed with the words' scratch before the words use it.
     _splitmix64_into(keys, scratch.reshape(-1)[: keys.size].reshape(keys.shape), keys)
-    _stream_words(keys, blocks, words, scratch)
-    if not valid.all():
-        words *= valid[:, :, None]
+    padded = not valid.all()
+    step = max(1, _PIECE_BYTES // (8 * max(1, cols) * blocks))
+    for lo in range(0, rows, step):
+        hi = min(rows, lo + step)
+        _stream_words(keys[lo:hi], blocks, words[lo:hi], scratch[: hi - lo])
+        if padded:
+            words[lo:hi] *= valid[lo:hi, :, None]
     planes = _bit_planes(words)
     for p in range(0, len(planes), 8):
         columns = _byte_columns(planes[p : p + 8])[:, :dims]

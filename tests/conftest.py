@@ -100,6 +100,21 @@ def distinct_passes(monkeypatch) -> list:
 
 
 @pytest.fixture
+def counted_rows(monkeypatch) -> list:
+    """Rows of every chunk that the sign counter counts, through either caller."""
+    from dothash import encoding
+
+    seen, count = [], encoding._add_sign_counts
+
+    def spy(keys, *args):
+        seen.append(keys.shape[0])
+        return count(keys, *args)
+
+    monkeypatch.setattr(encoding, "_add_sign_counts", spy)
+    return seen
+
+
+@pytest.fixture
 def added_peak_rss():
     """``added_peak_rss(setup, build)``: bytes of peak RSS that ``build`` adds after ``setup``."""
     pytest.importorskip("resource")

@@ -49,6 +49,19 @@ class TestBoundsQuery:
         with pytest.raises(ValueError):
             BoundsQuery(size_a=-1, size_b=1, size_int=0, dims=8)
 
+    @pytest.mark.parametrize("field, value", [("size_a", 30.5), ("size_b", 35.0), ("size_int", 20.2),
+                                              ("dims", 100.5)])
+    def test_rejects_a_size_or_dims_that_is_not_whole(self, field, value):
+        # 30.5 once passed every check, and variance read 14.275.
+        with pytest.raises(TypeError):
+            BoundsQuery(**{"size_a": 30, "size_b": 35, "size_int": 20, "dims": 100, field: value})
+
+    def test_takes_numpy_integers_as_ints(self):
+        query = BoundsQuery(np.int64(30), np.uint16(35), np.int32(20), np.int64(100))
+        assert query == BoundsQuery(30, 35, 20, 100)
+        assert all(type(v) is int for v in (query.size_a, query.size_b, query.size_int, query.dims))
+        assert variance(query) == variance(BoundsQuery(30, 35, 20, 100))
+
 
 class TestVariance:
     def test_worked_example(self):
@@ -288,6 +301,19 @@ class TestNormalFunctions:
             normal_ppf(1.0)
 
 
+@pytest.fixture
+def chunk_seeds(monkeypatch) -> list:
+    """The number of seeds of every ``sign_sums`` call that the sampler makes."""
+    seen, counted = [], bounds.sign_sums
+
+    def spy(seeds, *args):
+        seen.append(len(seeds))
+        return counted(seeds, *args)
+
+    monkeypatch.setattr(bounds, "sign_sums", spy)
+    return seen
+
+
 class TestMonteCarloSampler:
     def test_matches_per_seed_sketch_path(self):
         # the seed-batched sampler must agree with building the two sketches
@@ -405,9 +431,11 @@ class TestMonteCarloSampler:
         assert added < bound_mib * 2**20, f"sampling added {added / 2**20:.1f} MiB of peak RSS"
 
     def test_chunk_boundaries_leave_every_result_unchanged(self, monkeypatch):
-        # |A| = 130, |B| = 150, i = 90: B is {40..189}.  Chunks of 5 seeds at
-        # d = 300 put 37 trials in 8 seed chunks, the last of 2, and split
-        # the 90 shared elements into two element chunks of sign_sums.
+        # |A| = 130, |B| = 150, i = 90: B is {40..189}.  At d = 300 the cap
+        # is 5 seeds and a sign_sums buffer holds 300 // seeds elements, so
+        # a chunk takes 3 seeds, the most that count the 90 shared elements
+        # in one element chunk, and 37 trials take 13 seed chunks, the last
+        # of 1.
         sizes, dims_list, epsilons, trials = (130, 150, 90), [300, 64, 64, 65], [0.05, 0.1, 0.3], 37
         whole = bounds._sample_estimates(*sizes, dims_list, trials, 5)
         alone = [sample_intersection_estimates(*sizes, dims, trials, seed0=5) for dims in dims_list]
@@ -426,6 +454,57 @@ class TestMonteCarloSampler:
             assert [whole[k, t] for k in range(len(dims_list))] == [products[:d].sum() / d for d in dims_list]
         expected = [float(np.mean(np.abs(row - 90) >= eps * 90)) for row in whole for eps in epsilons]
         assert [row.empirical for row in rows] == expected
+
+    def test_a_set_past_one_element_chunk_is_split_and_unchanged(self, monkeypatch, counted_rows):
+        # At d = 300 a cap of 1 seed, whose sign_sums buffer holds 60
+        # elements: the 90 shared elements are counted as 60 + 30 in every
+        # trial, and every estimate keeps its bits.
+        sizes, dims_list, trials = (130, 150, 90), [300, 64, 65], 7
+        whole = bounds._sample_estimates(*sizes, dims_list, trials, 5)
+        monkeypatch.setattr(bounds, "_CHUNK_BYTES", 8 * 300)
+        monkeypatch.setattr(encoding, "_CHUNK_BYTES", 8 * 300)
+        counted_rows.clear()
+        assert np.array_equal(bounds._sample_estimates(*sizes, dims_list, trials, 5), whole)
+        assert counted_rows == [60, 30, 40, 60] * trials
+
+    def test_bench_sweep_counts_each_set_in_one_element_chunk(self, chunk_seeds, counted_rows):
+        # The bounds-mc sweep: sets of 100, 100 and 100 elements at d = 2048.
+        # 40 seeds, not the cap of 64, let each set's 100 elements fill one
+        # element chunk, so 1000 trials take 25 seed chunks of 3 row chunks.
+        bounds_sweep(200, 200, 100, [512, 1024, 2048], [0.05 + 0.0125 * i for i in range(20)], 1000)
+        assert chunk_seeds == [40] * 75
+        assert counted_rows == [100] * 75
+
+    def test_a_set_that_no_seed_count_fits_keeps_the_cap(self, chunk_seeds, counted_rows):
+        # 5,000 elements in A - B and in B - A: one seed's sign_sums buffer
+        # at d = 2048 holds 4,096, so chunks keep the cap of
+        # _CHUNK_BYTES // (8 * 2048) = 64 seeds, and each set is split.
+        sizes, dims_list, trials = (6000, 6000, 1000), [2048, 64], 70
+        whole = bounds._sample_estimates(*sizes, dims_list, trials, 7)
+        assert bounds._CHUNK_BYTES // (8 * 2048) == 64
+        assert chunk_seeds == [64] * 3 + [6] * 3
+        assert max(counted_rows) < 5000
+        for dims, estimates in zip(dims_list, whole):
+            assert np.array_equal(sample_intersection_estimates(*sizes, dims, trials, seed0=7), estimates)
+
+    @pytest.mark.parametrize("sizes, dims", [((30.7, 35, 20), 100), ((30, 35.0, 20), 100), ((30, 35, 20.5), 100),
+                                             ((30, 35, 20), 100.5)])
+    def test_sampler_rejects_a_size_or_dims_that_is_not_whole(self, sizes, dims):
+        # 30.7 once sampled sets that matched neither |A| = 30 nor 31, and
+        # dims 100.5 was cut to 100.
+        with pytest.raises(TypeError):
+            sample_intersection_estimates(*sizes, dims, 3, seed0=1)
+
+    @pytest.mark.parametrize("sizes, dims_list, epsilons", [((30, 35, 20), [100.5], [0.1]),
+                                                            ((30, 35.5, 20), [64], [])])
+    def test_sweep_rejects_a_size_or_dims_that_is_not_whole(self, sizes, dims_list, epsilons):
+        # With no epsilon the grid is empty, and the sampler still checks the sizes.
+        with pytest.raises(TypeError):
+            bounds_sweep(*sizes, dims_list, epsilons, trials=3)
+
+    def test_sampler_takes_numpy_integers(self):
+        got = sample_intersection_estimates(np.int64(30), np.uint16(35), np.int32(20), np.int64(100), 3, seed0=1)
+        assert np.array_equal(got, sample_intersection_estimates(30, 35, 20, 100, 3, seed0=1))
 
     @given(st.integers(min_value=0, max_value=20))
     @settings(max_examples=10, deadline=None)

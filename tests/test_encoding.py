@@ -16,6 +16,7 @@ from dothash.encoding import (
     MinwiseFamily,
     _byte_columns,
     _splitmix64_np,
+    _stream_words,
     element_id,
     element_ids,
     sign_sums,
@@ -70,6 +71,56 @@ class TestSplitMix64:
         arr = np.array(xs, dtype=np.uint64)
         out = _splitmix64_np(arr)
         assert [int(v) for v in out] == [splitmix64(x) for x in xs]
+
+
+GOLDEN = 0x9E3779B97F4A7C15
+# 0, the top key, and keys whose offsets key + (j+1) * GOLDEN, and the
+# folded key + (j+2) * GOLDEN, wrap past 2**64 within the first words.
+STREAM_KEYS = [0, 1, 2**64 - 1, 2**64 - GOLDEN, 2**64 - 2 * GOLDEN % 2**64, 2**63, 2**64 - 3 * GOLDEN % 2**64 + 5]
+
+
+def reference_stream(key: int, count: int) -> list[int]:
+    """The SplitMix64 output stream seeded at `key`, one word at a time in Python ints."""
+    return [splitmix64((key + (j + 1) * GOLDEN) % 2**64) for j in range(count)]
+
+
+class TestStreamWords:
+    @pytest.mark.parametrize("key", STREAM_KEYS)
+    def test_a_0d_key(self, key):
+        # MinwiseFamily keys its hash functions with the stream of a 0-d key.
+        words = _stream_words(np.uint64(key), 5)
+        assert words.shape == (5,) and words.tolist() == reference_stream(key, 5)
+
+    @pytest.mark.parametrize("count", [1, 2, 33])
+    def test_a_1d_batch(self, count):
+        words = _stream_words(np.array(STREAM_KEYS, dtype=np.uint64), count)
+        assert words.shape == (len(STREAM_KEYS), count)
+        assert words.tolist() == [reference_stream(key, count) for key in STREAM_KEYS]
+
+    def test_a_2d_batch_in_given_arrays(self):
+        keys = np.array(STREAM_KEYS[:6], dtype=np.uint64).reshape(2, 3)
+        out, scratch = np.empty((2, 3, 4), dtype=np.uint64), np.empty((2, 3, 4), dtype=np.uint64)
+        assert _stream_words(keys, 4, out, scratch) is out
+        assert out.tolist() == [[reference_stream(key, 4) for key in row] for row in keys.tolist()]
+
+    @pytest.mark.parametrize("dims", [1, 65, 130, 2048])
+    def test_sign_sums_in_one_row_pieces(self, monkeypatch, dims):
+        # The sign counter computes its words a piece of rows at a time;
+        # pieces of one row must give the same sums as the default pieces.
+        seeds = np.array([3, 2**64 - 1, 12345], dtype=np.uint64)
+        elements = _splitmix64_np(np.arange(300, dtype=np.uint64))
+        whole = sign_sums(seeds, elements, dims)
+        pieces, stream = [], encoding._stream_words
+
+        def spy(keys, *args):
+            pieces.append(keys.shape[0])
+            return stream(keys, *args)
+
+        monkeypatch.setattr(encoding, "_PIECE_BYTES", 1)
+        monkeypatch.setattr(encoding, "_stream_words", spy)
+        assert np.array_equal(sign_sums(seeds, elements, dims), whole)
+        assert pieces == [1] * 300
+        assert np.array_equal(whole, reference_sign_sums(seeds, elements, dims))
 
 
 class TestElementId:
@@ -432,20 +483,6 @@ class TestByteColumns:
 def _chunked_reference_sign_sums(seeds: np.ndarray, elements: np.ndarray, dims: int) -> np.ndarray:
     """reference_sign_sums over consecutive element slices, added: the same sums in bounded memory."""
     return sum(reference_sign_sums(seeds, elements[lo : lo + 8192], dims) for lo in range(0, len(elements), 8192))
-
-
-@pytest.fixture()
-def counted_rows(monkeypatch):
-    """Rows of every chunk that the sign counter counts, through either caller."""
-    seen = []
-    count = encoding._add_sign_counts
-
-    def spy(keys, *args):
-        seen.append(keys.shape[0])
-        return count(keys, *args)
-
-    monkeypatch.setattr(encoding, "_add_sign_counts", spy)
-    return seen
 
 
 class TestThreeByteCounts:
