@@ -25,13 +25,20 @@ from __future__ import annotations
 
 import bisect
 import math
-import operator
 from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .encoding import _CHUNK_BYTES, _sign_sums_buffer, _sign_sums_rows, sign_sums
+from .encoding import _CHUNK_BYTES, _sign_sums_buffer, _sign_sums_rows, sign_sums, u64, whole
+
+
+def _set_sizes(size_a: int, size_b: int, size_int: int) -> tuple[int, int, int]:
+    """|A|, |B| and |A & B| as whole numbers; ValueError when the intersection exceeds the smaller set."""
+    sizes = whole("size_a", size_a, 0), whole("size_b", size_b, 0), whole("size_int", size_int, 0)
+    if sizes[2] > min(sizes[:2]):
+        raise ValueError("intersection cannot exceed the smaller set")
+    return sizes
 
 
 @dataclass(frozen=True)
@@ -46,16 +53,8 @@ class BoundsQuery:
     prob: float = 0.05
 
     def __post_init__(self) -> None:
-        # Whole numbers only, as Codebook takes its seed: numpy integers
-        # pass, and 30.5 raises TypeError rather than reading as a size.
-        for name in ("size_a", "size_b", "size_int", "dims"):
-            object.__setattr__(self, name, operator.index(getattr(self, name)))
-        if self.size_a < 0 or self.size_b < 0 or self.size_int < 0:
-            raise ValueError("set sizes must be nonnegative")
-        if self.size_int > min(self.size_a, self.size_b):
-            raise ValueError("intersection cannot exceed the smaller set")
-        if self.dims < 1:
-            raise ValueError("dims must be >= 1")
+        size_a, size_b, size_int = _set_sizes(self.size_a, self.size_b, self.size_int)
+        vars(self).update(size_a=size_a, size_b=size_b, size_int=size_int, dims=whole("dims", self.dims, 1))
 
 
 def normal_cdf(x: float) -> float:
@@ -95,9 +94,7 @@ def weighted_variance(
     moment (W_A W_B + 2c^2 - 2q)/d^2, and the d coordinates are independent.
     Unit weights give W_A = |A|, W_B = |B| and c = q = i: :func:`variance`.
     """
-    if dims < 1:
-        raise ValueError("dims must be >= 1")
-    return (weight_a * weight_b + common**2 - 2.0 * common_squares) / dims
+    return (weight_a * weight_b + common**2 - 2.0 * common_squares) / whole("dims", dims, 1)
 
 
 def _check_relative_error(q: BoundsQuery) -> None:
@@ -168,6 +165,7 @@ def _sample_estimates(
     Beside the ``(len(dims_list), trials)`` float64 output it holds only
     the fixed working set of :func:`_estimate_chunks`.
     """
+    trials = whole("trials", trials, 1)
     out = np.empty((len(dims_list), trials), dtype=np.float64)
     for start, estimates in _estimate_chunks(size_a, size_b, size_int, dims_list, trials, seed0):
         out[:, start : start + estimates.shape[1]] = estimates
@@ -190,8 +188,7 @@ def _estimate_chunks(
     ``A & B`` and ``B - A`` are counted once per seed, and S_A and S_B are
     exact integer sums of them.  They are counted at the largest d only: a
     codebook's first d coordinates do not depend on its dims, so each d
-    takes a prefix of the same sums.  Set sizes and dims must be whole
-    numbers (``operator.index``): TypeError otherwise.
+    takes a prefix of the same sums.
 
     A chunk takes the most seeds, at most the cap of one ``(seeds, d_max)``
     int64 array of sums in ``_CHUNK_BYTES``, for which the ``sign_sums``
@@ -210,16 +207,11 @@ def _estimate_chunks(
     prefix sums, the dot product at each requested d, overwrite the first
     columns of S_B.
     """
-    size_a, size_b, size_int = map(operator.index, (size_a, size_b, size_int))
-    if min(size_a, size_b, size_int) < 0:
-        raise ValueError("set sizes must be nonnegative")
-    if size_int > min(size_a, size_b):
-        raise ValueError("intersection cannot exceed the smaller set")
-    dims = np.array([operator.index(d) for d in dims_list], dtype=np.int64)
+    size_a, size_b, size_int = _set_sizes(size_a, size_b, size_int)
+    dims = np.array([whole("dims", d, 1) for d in dims_list], dtype=np.int64)
+    seed0 = u64("seed0", seed0)
     if not dims.size:
         return
-    if dims.min() < 1:
-        raise ValueError("dims must be >= 1")
     d_max = int(dims.max())
     only_a = np.arange(size_a - size_int, dtype=np.uint64)
     both = np.arange(size_a - size_int, size_a, dtype=np.uint64)
@@ -242,8 +234,8 @@ def _estimate_chunks(
     columns = np.searchsorted(distinct, dims)
     for start in range(0, trials, chunk):
         stop = min(start + chunk, trials)
-        # Trial t's seed is (seed0 + t) mod 2**64, as Codebook masks any seed.
-        seeds = np.uint64(seed0 % 2**64) + np.arange(start, stop, dtype=np.uint64)
+        # Trial t's seed is (seed0 + t) mod 2**64, as Codebook takes any seed.
+        seeds = np.uint64(seed0) + np.arange(start, stop, dtype=np.uint64)
         s_a, s_b = sums[:, : stop - start]
         s_a[...] = 0
         sign_sums(seeds, both, d_max, s_a, buffer)
@@ -303,17 +295,15 @@ def bounds_sweep(
     raises ValueError before any sampling.  One batch of ``trials``
     estimates is then drawn per dimension (seed schedule
     ``seed0 + arange(trials)`` mod 2**64, hashed once at the largest d) and
-    reused across the epsilon grid; an empty grid draws none.  Raises
-    ValueError unless ``trials`` is at least 1.
+    reused across the epsilon grid; an empty grid draws none.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    trials = whole("trials", trials, 1)
     analytic = []
     for dims in dims_list:
         query = BoundsQuery(size_a=size_a, size_b=size_b, size_int=size_int, dims=dims)
         for eps in epsilons:
             q = replace(query, epsilon=float(eps))
-            analytic.append((dims, float(eps), chebyshev_tail(q), clt_tail(q)))
+            analytic.append((query.dims, float(eps), chebyshev_tail(q), clt_tail(q)))
     # Exceedances are counted a seed chunk at a time, so the estimates are
     # never all held.  An empty grid samples nothing, but its set sizes are
     # still checked.

@@ -24,7 +24,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .encoding import chunk_ranges, slice_ids
+from .encoding import as_element_array, chunk_ranges, slice_ids, whole
 from .exact import SortedSet
 from .linkpred import Estimator, Metric, decode_line, hits_at_k, per_level, sample_pairs, sketch_neighborhoods
 from .sketches import DistinctSets, WeightFn, WeightKind, distinct_sets
@@ -78,12 +78,12 @@ def csr_idf(sets: DistinctSets) -> WeightFn:
     weights = per_level(np.append(freqs, 1), lambda df: math.log(corpus_size / df))
 
     def batch(elements: np.ndarray) -> np.ndarray:
-        elements = np.asarray(elements, dtype=np.uint64)
+        elements = as_element_array(elements)
         at = np.searchsorted(keys[:-1], elements)
         return np.where(keys[at] == elements, weights[at], weights[-1])
 
     def scalar(element: int) -> float:
-        return float(batch(np.array([element], dtype=np.uint64))[0])
+        return float(batch([element])[0])
 
     return WeightFn(WeightKind.IDF, scalar, batch)
 
@@ -127,8 +127,7 @@ def shingle_csr(docs: Sequence[Document], w: int = 3) -> DistinctSets:
     stay bounded, and the shingle ids of the whole corpus go through one
     :func:`~dothash.sketches.distinct_sets` call.
     """
-    if w < 1:
-        raise ValueError("shingle width must be >= 1")
+    w = whole("shingle width", w, 1)
     texts = [_normalized_utf8(doc.text) for doc in docs]
     sizes = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
     counts, pieces = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.uint64)]
@@ -271,9 +270,11 @@ def make_planted_corpus(
     ``edit_rate`` of the word positions rewritten to random words.
     Returns the documents plus the labeled (original, copy) pairs.
     """
-    if n_dup_pairs * 2 > n_docs:
-        raise ValueError("need n_docs >= 2 * n_dup_pairs")
-    rng = np.random.default_rng(seed)
+    n_dup_pairs = whole("n_dup_pairs", n_dup_pairs, 0)
+    n_docs = whole("n_docs", n_docs, 2 * n_dup_pairs)
+    words_per_doc = whole("words_per_doc", words_per_doc, 0)
+    vocab_size = whole("vocab_size", vocab_size, 1)
+    rng = np.random.default_rng(whole("seed", seed, 0))
     vocab = [f"w{i:05d}" for i in range(vocab_size)]
     n_base = n_docs - n_dup_pairs
     docs: list[Document] = []
@@ -347,7 +348,7 @@ def sample_negative_pairs(
     max_pairs = n * (n - 1) // 2 - len(labeled)
     if count > max_pairs:
         raise ValueError(f"cannot sample {count} negative pairs from {max_pairs} available")
-    pairs = sample_pairs(np.random.default_rng(seed), n, count, lambda i, j: (i, j) in labeled)
+    pairs = sample_pairs(np.random.default_rng(whole("seed", seed, 0)), n, count, lambda i, j: (i, j) in labeled)
     return [(doc_ids[i], doc_ids[j]) for i, j in pairs.tolist()]
 
 
@@ -371,10 +372,9 @@ def run_dedup_benchmark(
         error = _label_error(a, b, seen)
         if error:
             raise ValueError(f"label {index}: {error}")
-    if config.negatives < config.hits_k:
-        raise ValueError(
-            f"fewer negatives available than K ({config.negatives} < {config.hits_k})"
-        )
+    hits_k = whole("hits_k", config.hits_k, 1)
+    if whole("negatives", config.negatives) < hits_k:
+        raise ValueError(f"fewer negatives available than K ({config.negatives} < {hits_k})")
     t0 = time.perf_counter()
     sets = shingle_csr(corpus, config.shingle_width)
     metric = csr_idf(sets) if config.metric is DedupMetric.IDF else Metric.JACCARD
@@ -389,8 +389,8 @@ def run_dedup_benchmark(
         metric=config.metric.value,
         dims_or_k=config.dims_or_k or 0,
         shingle_width=config.shingle_width,
-        k=config.hits_k,
-        hits=hits_at_k(pos_scores, neg_scores, config.hits_k),
+        k=hits_k,
+        hits=hits_at_k(pos_scores, neg_scores, hits_k),
         build_seconds=t1 - t0,
         compare_seconds=t2 - t1,
     )

@@ -175,8 +175,8 @@ def slice_ids(buffer: bytes, starts: np.ndarray, stops: np.ndarray) -> np.ndarra
     long inputs cost no numpy call per word.  Memory is O(len(buffer) +
     len(starts)).
     """
-    starts = np.asarray(starts, dtype=np.int64)
-    stops = np.asarray(stops, dtype=np.int64)
+    starts = integer_array("starts", starts, np.int64)
+    stops = integer_array("stops", stops, np.int64)
     if starts.ndim != 1 or stops.shape != starts.shape:
         raise ValueError("starts and stops must be 1-D arrays of one length")
     lengths = stops - starts
@@ -221,26 +221,17 @@ def element_ids(items: Iterable[bytes | bytearray | memoryview | str]) -> np.nda
 
     Items are hashed by :func:`slice_ids` in batches of about
     ``_CHUNK_BYTES`` of items and per-item arrays, cut from the cumulative
-    item lengths, so the temporaries stay bounded whatever the count.  A
-    batch of text is encoded in one piece; when that adds no bytes it is
-    ASCII, and each item's length is its encoded size.  Any other batch is
-    encoded item by item, as :func:`element_id` encodes it.
+    item lengths, so the temporaries stay bounded whatever the count.  Each
+    item is encoded as :func:`element_id` encodes it.
     """
     items = list(items)
     sizes = np.fromiter(map(len, items), dtype=np.int64, count=len(items))
     pieces = [np.empty(0, dtype=np.uint64)]
     for lo, hi in chunk_ranges(sizes + _PER_INPUT_BYTES):
-        batch, lengths = items[lo:hi], sizes[lo:hi]
-        try:
-            buffer = "".join(batch).encode("utf-8")
-        except TypeError:  # not text only
-            buffer = None
-        if buffer is None or len(buffer) != lengths.sum():
-            batch = [item.encode("utf-8") if isinstance(item, str) else bytes(item) for item in batch]
-            lengths = np.fromiter(map(len, batch), dtype=np.int64, count=len(batch))
-            buffer = b"".join(batch)
+        batch = [item.encode("utf-8") if isinstance(item, str) else bytes(item) for item in items[lo:hi]]
+        lengths = np.fromiter(map(len, batch), dtype=np.int64, count=len(batch))
         stops = np.cumsum(lengths)
-        pieces.append(slice_ids(buffer, stops - lengths, stops))
+        pieces.append(slice_ids(b"".join(batch), stops - lengths, stops))
     return np.concatenate(pieces)
 
 
@@ -259,11 +250,41 @@ def chunk_ranges(costs: np.ndarray) -> list[tuple[int, int]]:
     return ranges
 
 
+def whole(name: str, value: object, minimum: int | None = None) -> int:
+    """``value`` as a Python int: the rule of every size, count, seed and index the library takes.
+
+    A bool or anything ``operator.index`` refuses, a float included, raises
+    TypeError, and a value below ``minimum`` ValueError, each naming ``name``.
+    """
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        value = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be a whole number, got {type(value).__name__}") from None
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
+    return value
+
+
+def u64(name: str, value: object) -> int:
+    """:func:`whole` modulo 2**64, as seeds and element ids are taken: -1 is 2**64 - 1."""
+    return whole(name, value) & _MASK64
+
+
+def integer_array(name: str, values: object, dtype: type) -> np.ndarray:
+    """``values``, of an integer dtype or empty, as ``dtype``, not copied if it can be; TypeError names ``name``."""
+    values = np.asarray(values)
+    if values.size and values.dtype.kind not in "iu":
+        raise TypeError(f"{name} must be an array of integers, got dtype {values.dtype}")
+    return values.astype(dtype, copy=False)
+
+
 def as_element_array(elements: Iterable[int] | np.ndarray) -> np.ndarray:
-    """Coerce element ids to a uint64 array, modulo 2**64, without copying when possible."""
-    if isinstance(elements, np.ndarray):
-        return elements.astype(np.uint64, copy=False)
-    return np.fromiter((operator.index(e) & _MASK64 for e in elements), dtype=np.uint64)
+    """Element ids as uint64: an :func:`integer_array` modulo 2**64, not copied if it can be, or each by :func:`u64`."""
+    if isinstance(elements, np.ndarray) and elements.dtype != object:
+        return integer_array("elements", elements, np.uint64)
+    return np.fromiter((u64("elements", e) for e in elements), dtype=np.uint64)
 
 
 def sorted_distinct(values: np.ndarray) -> np.ndarray:
@@ -325,8 +346,7 @@ class Codebook:
 
     Immutable and pure: every vector is a function of ``(seed, dims, e)``
     only, so codebooks are safe to share across workers.  The seed is kept
-    as a Python int modulo 2**64: -1, 2**64 - 1 and ``np.int64(-1)`` name
-    one codebook, and their sketches compare.
+    as :func:`u64` takes it, so the sketches of -1 and 2**64 - 1 compare.
     """
 
     seed: int
@@ -334,9 +354,8 @@ class Codebook:
     _root: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.dims < 1:
-            raise ValueError("codebook dims must be >= 1")
-        object.__setattr__(self, "seed", operator.index(self.seed) & _MASK64)
+        object.__setattr__(self, "dims", whole("dims", self.dims, 1))
+        object.__setattr__(self, "seed", u64("seed", self.seed))
         object.__setattr__(self, "_root", splitmix64(self.seed ^ _CODEBOOK_DOMAIN))
 
     @property
@@ -371,7 +390,7 @@ class Codebook:
 
     def vector_of(self, element: int) -> np.ndarray:
         """The element's codebook vector: dims entries in {-1/√d, +1/√d}."""
-        signs = self.sign_rows(np.array([element], dtype=np.uint64))[0]
+        signs = self.sign_rows([element])[0]
         return signs.astype(np.float64) / np.sqrt(self.dims)
 
 
@@ -382,9 +401,8 @@ def sign_sums(seeds: np.ndarray, elements: np.ndarray, dims: int, total: np.ndar
     Returns an int64 array of shape ``(len(seeds), dims)`` whose row ``s``
     equals ``Codebook(seeds[s], dims).sign_rows(elements).sum(axis=0)``.
     Used by Monte-Carlo sweeps that vary the codebook seed; the per-seed
-    result is identical to building sketches one seed at a time.  Seeds are
-    taken modulo 2**64, as :class:`Codebook` takes them.  :func:`_signed_sums`
-    counts the sums, a seed per column.
+    result is identical to building sketches one seed at a time.
+    :func:`_signed_sums` counts the sums, a seed per column.
 
     When `total` is given, an int64 array of that shape, the sums are added
     to it in place and it is returned, so the sums of a union of disjoint
@@ -394,8 +412,7 @@ def sign_sums(seeds: np.ndarray, elements: np.ndarray, dims: int, total: np.ndar
     elements as it holds; when not given, :func:`_sign_sums_buffer` makes
     one.
     """
-    if dims < 1:
-        raise ValueError("codebook dims must be >= 1")
+    dims = whole("dims", dims, 1)
     seeds = as_element_array(seeds)
     elements = as_element_array(elements)
     n = elements.shape[0]
@@ -534,8 +551,7 @@ class MinwiseFamily:
     """A family of k independently keyed 64-bit hash functions.
 
     The practical stand-in for min-wise independence: each function is a
-    full-avalanche mix of the element id under its own 64-bit key.  The
-    seed is kept modulo 2**64, as :class:`Codebook` keeps it.
+    full-avalanche mix of the element id under its own 64-bit key.
     """
 
     seed: int
@@ -543,18 +559,17 @@ class MinwiseFamily:
     _keys: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError("minwise family size k must be >= 1")
-        object.__setattr__(self, "seed", operator.index(self.seed) & _MASK64)
+        object.__setattr__(self, "k", whole("k", self.k, 1))
+        object.__setattr__(self, "seed", u64("seed", self.seed))
         keys = _stream_words(np.uint64(splitmix64(self.seed ^ _MINWISE_DOMAIN)), self.k)
         keys.setflags(write=False)
         object.__setattr__(self, "_keys", keys)
 
     def value(self, i: int, element: int) -> int:
         """64-bit hash of `element` under function `i`."""
-        if not 0 <= i < self.k:
+        if whole("i", i, 0) >= self.k:
             raise ValueError("hash index exceeds family size")
-        return splitmix64(int(self._keys[i]) ^ (element & _MASK64))
+        return splitmix64(int(self._keys[i]) ^ u64("element", element))
 
     def rows(
         self, elements: Iterable[int] | np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None

@@ -16,6 +16,8 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
+from .encoding import whole
+
 if TYPE_CHECKING:  # pragma: no cover
     from .sketches import WeightFn
 
@@ -27,12 +29,13 @@ class SortedSet:
     elements: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "elements", tuple(whole("elements", e) for e in self.elements))
         if any(map(operator.ge, self.elements, self.elements[1:])):
             raise ValueError("SortedSet elements must be strictly increasing")
 
     @classmethod
     def from_iterable(cls, elements: Iterable[int]) -> "SortedSet":
-        return cls(tuple(sorted(set(int(e) for e in elements))))
+        return cls(tuple(sorted(set(elements))))
 
     def __len__(self) -> int:
         return len(self.elements)

@@ -28,6 +28,7 @@ from typing import IO, Callable, Iterator, Sequence, Union
 
 import numpy as np
 
+from .encoding import integer_array, whole
 from .sketches import ESTIMATORS, DistinctSets, WeightFn, WeightKind, distinct_sets
 
 # Not called here; bench/spans.py wraps these names until ROADMAP item 1 moves its probes.
@@ -122,7 +123,8 @@ def graph_from_edges(
     ``row * n + column`` keys, sorted in place; the self-loops' keys are
     the ones that ``n + 1`` divides.
     """
-    pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    node_count = whole("node_count", node_count, 0)
+    pairs = integer_array("edges", edges, np.int64).reshape(-1, 2)
     if pairs.size and (pairs.min() < 0 or pairs.max() >= node_count):
         raise ValueError(f"edge endpoint outside 0..{node_count - 1}")
     n, (u, v) = max(node_count, 1), pairs.T
@@ -232,11 +234,10 @@ def load_edge_list(source: Union[str, Path, IO[bytes], IO[str]]) -> Graph:
 
 def erdos_renyi_graph(n: int, p: float, seed: int = 0) -> Graph:
     """G(n, p): each of the n*(n-1)/2 pairs is an edge independently with prob p."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = whole("n", n, 1)
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(whole("seed", seed, 0))
     rows, cols = np.triu_indices(n, k=1)
     mask = rng.random(len(rows)) < p
     return graph_from_edges(n, np.stack([rows[mask], cols[mask]], axis=1))
@@ -248,9 +249,9 @@ def preferential_attachment_graph(n: int, m: int, seed: int = 0) -> Graph:
     Produces the heavy-tailed degree distributions typical of social and
     citation networks.
     """
-    if not 1 <= m < n:
-        raise ValueError("need 1 <= m < n")
-    rng = np.random.default_rng(seed)
+    m = whole("m", m, 1)
+    n = whole("n", n, m + 1)
+    rng = np.random.default_rng(whole("seed", seed, 0))
     edges: list[tuple[int, int]] = []
     targets = list(range(m))
     repeated: list[int] = []
@@ -285,6 +286,7 @@ def sample_pairs(rng: np.random.Generator, n: int, count: int,
     drawn, in draw order, as a ``(count, 2)`` int64 array.  Raises
     ValueError when ``max(100 * count, 10_000)`` draws take fewer.
     """
+    count = whole("count", count, 0)
     budget = max(100 * count, 10_000)
     taken: dict[tuple[int, int], tuple[int, int]] = {}  # (min, max) -> the draw, in draw order
     draws = 0
@@ -313,9 +315,8 @@ def split_edges(g: Graph, test_fraction: float, neg_per_pos: int, seed: int = 0)
     """
     if not 0.0 < test_fraction < 1.0:
         raise ValueError("test_fraction must lie strictly in (0, 1)")
-    if neg_per_pos < 1:
-        raise ValueError("neg_per_pos must be >= 1")
-    rng = np.random.default_rng(seed)
+    neg_per_pos = whole("neg_per_pos", neg_per_pos, 1)
+    rng = np.random.default_rng(whole("seed", seed, 0))
     edges = g.edges()
     n_pos = math.ceil(test_fraction * len(edges))
     chosen = rng.choice(len(edges), size=n_pos, replace=False)
@@ -381,7 +382,7 @@ class NeighborhoodScorer:
     sizes: np.ndarray
 
     def score(self, u: int, v: int) -> float:
-        return float(self.score_pairs(np.array([(u, v)]))[0])
+        return float(self.score_pairs(np.array([(whole("u", u), whole("v", v))]))[0])
 
     def score_pairs(self, pairs: np.ndarray) -> np.ndarray:
         """Scores of the (u, v) rows of ``pairs``, as float64.
@@ -391,7 +392,7 @@ class NeighborhoodScorer:
         sketch files.  Raises ValueError on an index outside ``0..n-1`` for n
         sets.
         """
-        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        pairs = integer_array("pairs", pairs, np.int64).reshape(-1, 2)
         if np.any((pairs < 0) | (pairs >= len(self.sizes))):
             raise ValueError(f"pair index outside 0..{len(self.sizes) - 1}")
         u, v = pairs.T
@@ -428,7 +429,7 @@ def sketch_neighborhoods(
     name = metric.kind.value if isinstance(metric, WeightFn) else metric.value
     if not entry.weighted and metric is not Metric.JACCARD:
         raise ValueError(f"estimator cannot express metric: {estimator.value} / {name}")
-    if entry.size_flag is not None and (dims_or_k is None or dims_or_k < 1):
+    if entry.size_flag is not None and dims_or_k is None:
         raise ValueError("sketch estimators need a positive dims_or_k")
     if isinstance(sets, Graph):
         graph, sets = sets, distinct_sets(sets.indptr, sets.indices)
@@ -449,8 +450,7 @@ def hits_at_k(positive_scores: Sequence[float], negative_scores: Sequence[float]
     neg = np.asarray(negative_scores, dtype=np.float64)
     if len(pos) == 0 or len(neg) == 0:
         raise ValueError("score lists must be non-empty")
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    k = whole("k", k, 1)
     if k > len(neg):
         raise ValueError(f"k={k} exceeds the number of negatives ({len(neg)})")
     threshold = np.partition(neg, len(neg) - k)[len(neg) - k]
@@ -500,10 +500,9 @@ def run_linkpred_benchmark(
     :func:`sketch_neighborhoods` call.  A sketch repeat builds into the
     previous repeat's sketches, once that repeat is scored.
     hits_ci95 is the normal-approximation 95% half-width over repeats (0
-    when repeats == 1).  Raises ValueError unless ``repeats`` is at least 1.
+    when repeats == 1).
     """
-    if repeats < 1:
-        raise ValueError(f"repeats must be at least 1, got {repeats}")
+    repeats = whole("repeats", repeats, 1)
     split = split_edges(g, test_fraction, neg_per_pos, seed)
     sets = distinct_sets(split.train_graph.indptr, split.train_graph.indices)
     rows: list[BenchmarkRow] = []

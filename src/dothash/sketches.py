@@ -32,7 +32,6 @@ from __future__ import annotations
 import enum
 import json
 import math
-import operator
 import struct
 from dataclasses import dataclass
 from functools import partial
@@ -50,7 +49,10 @@ from .encoding import (
     _signed_sums,
     as_element_array,
     chunk_ranges,
+    integer_array,
     sorted_distinct,
+    u64,
+    whole,
 )
 
 MINHASH_EMPTY_SENTINEL = (1 << 64) - 1
@@ -213,7 +215,7 @@ def distinct_sets(indptr: np.ndarray, elements: Iterable[int] | np.ndarray) -> D
 
     Raises ValueError on a malformed ``indptr``.
     """
-    indptr = np.asarray(indptr, dtype=np.int64)
+    indptr = integer_array("indptr", indptr, np.int64)
     elements = as_element_array(elements)
     if (
         indptr.ndim != 1
@@ -685,11 +687,12 @@ def build_sketch(kind: str, seed: int, size: int, elements: Iterable[int] | np.n
                  w: WeightFn | None = None) -> Sketch:
     """The ``kind`` sketch of the distinct ``elements``, built by its table entry; its payload is read-only."""
     entry = ESTIMATORS[kind]
+    size = whole(entry.size_flag, size, 1)
     distinct = sorted_distinct(as_element_array(elements))
     sets = DistinctSets(distinct, np.array([0, distinct.size]), np.arange(distinct.size))
     row = entry.build_many(seed, size, sets, w)[0]
     row.setflags(write=False)
-    return entry.sketch(row, size, operator.index(seed) & _MASK64, distinct.size)
+    return entry.sketch(row, size, u64("seed", seed), distinct.size)
 
 
 def require_same_form(a: Sketch, b: Sketch) -> tuple[EstimatorEntry, int]:

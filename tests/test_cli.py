@@ -692,6 +692,20 @@ class TestExitCodes:
             "dothash: error: out of memory: Unable to allocate 37.3 GiB for an array\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [["linkpred", "--estimator", "exact", "--metric", "jaccard"],
+                                         ["dedup", "--estimator", "exact", "--metric", "jaccard"]])
+    def test_negative_sampling_seed_exits_two_naming_it(self, tmp_path, capsys, command):
+        # The seed of a random generator has no wrap-around; numpy once
+        # refused -1 with a bare "expected non-negative integer".
+        edges = _write_graph(tmp_path, erdos_renyi_graph(30, 0.3, seed=3))
+        corpus, labels = _write_corpus(tmp_path)
+        inputs = {"linkpred": ["--edges", str(edges)],
+                  "dedup": ["--corpus", str(corpus), "--labels", str(labels), "--negatives", "50"]}[command[0]]
+        out = tmp_path / "out.csv"
+        assert main([*command, *inputs, "--seed", "-1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "dothash: error: seed must be >= 0\n"
+        assert not out.exists()
+
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
         assert main(["sketch", "--help"]) == 0
