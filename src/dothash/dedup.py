@@ -387,8 +387,8 @@ def run_dedup_benchmark(
     return DedupResult(
         estimator=config.estimator.value,
         metric=config.metric.value,
-        dims_or_k=config.dims_or_k or 0,
-        shingle_width=config.shingle_width,
+        dims_or_k=whole("dims_or_k", config.dims_or_k or 0),
+        shingle_width=whole("shingle width", config.shingle_width),
         k=hits_k,
         hits=hits_at_k(pos_scores, neg_scores, hits_k),
         build_seconds=t1 - t0,

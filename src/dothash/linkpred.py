@@ -500,9 +500,10 @@ def run_linkpred_benchmark(
     :func:`sketch_neighborhoods` call.  A sketch repeat builds into the
     previous repeat's sketches, once that repeat is scored.
     hits_ci95 is the normal-approximation 95% half-width over repeats (0
-    when repeats == 1).
+    when repeats == 1).  A K listed twice gives two equal rows.
     """
     repeats = whole("repeats", repeats, 1)
+    k_values = [whole("k", k, 1) for k in k_values]
     split = split_edges(g, test_fraction, neg_per_pos, seed)
     sets = distinct_sets(split.train_graph.indptr, split.train_graph.indices)
     rows: list[BenchmarkRow] = []
@@ -526,7 +527,7 @@ def run_linkpred_benchmark(
             compare_times.append(t2 - t1)
             built = scorer.sets  # the next repeat overwrites these sketches
             del scorer  # so that the next point frees them before its first build
-            for k in k_values:
+            for k in hits:  # each distinct K once
                 hits[k].append(hits_at_k(pos_scores, neg_scores, k))
         for k in k_values:
             samples = np.array(hits[k] * (repeats // runs))
@@ -535,7 +536,7 @@ def run_linkpred_benchmark(
                 BenchmarkRow(
                     estimator=point.estimator.value,
                     metric=point.metric.value,
-                    dims_or_k=point.dims_or_k or 0,
+                    dims_or_k=whole("dims_or_k", point.dims_or_k or 0),
                     k=k,
                     hits_mean=float(samples.mean()),
                     hits_ci95=float(ci),

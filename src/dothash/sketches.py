@@ -720,27 +720,34 @@ def write_sketch(sketch: Sketch, fp: BinaryIO) -> None:
     cannot store (0, or more than ``MAX_SKETCH_SIZE``) and for any sketch
     :func:`read_sketch` would reject: both check it with :func:`_payload_row`.
     """
+    entry, size, seed, cardinality = _header_fields(sketch)
+    payload = getattr(sketch, entry.payload).astype(entry.dtype.newbyteorder("<")).tobytes()
+    _payload_row(entry, size, cardinality, payload)
+    fp.write(_HEADER.pack(_MAGIC, _VERSION, entry.code, seed, size, cardinality))
+    fp.write(payload)
+
+
+def _header_fields(sketch: Sketch) -> tuple[EstimatorEntry, int, int, int]:
+    """A sketch's table entry and its size, seed and cardinality as Python ints, as its file header holds them."""
     entry = sketch_entry(sketch)
-    size = getattr(sketch, entry.size_flag)
+    size = whole(entry.size_flag, getattr(sketch, entry.size_flag))
+    cardinality = whole("cardinality", sketch.cardinality)
     if not 1 <= size <= MAX_SKETCH_SIZE:
         raise ValueError(f"sketch size {size} does not fit the file header (1 to {MAX_SKETCH_SIZE})")
-    payload = getattr(sketch, entry.payload).astype(entry.dtype.newbyteorder("<")).tobytes()
-    _payload_row(entry, size, sketch.cardinality, payload)
-    fp.write(_HEADER.pack(_MAGIC, _VERSION, entry.code, sketch.seed & _MASK64, size, sketch.cardinality))
-    fp.write(payload)
+    _malformed_if(not 0 <= cardinality <= _MASK64, f"cardinality {cardinality} outside 0 to 2**64 - 1")
+    return entry, size, u64("seed", sketch.seed), cardinality
 
 
 def _payload_row(entry: EstimatorEntry, size: int, cardinality: int, payload: bytes) -> np.ndarray:
     """The read-only payload row of a sketch's file fields; ValueError for what a file must not hold.
 
     The size must be positive and the payload as long as it makes it, the
-    cardinality a u64, 0 only with the empty set's payload, and the payload
-    must pass ``entry.check``.
+    cardinality 0 only with the empty set's payload, and the payload must
+    pass ``entry.check``.
     """
     _malformed_if(size == 0, "size 0")
     nbytes = entry.width(size) * entry.dtype.itemsize
     _malformed_if(len(payload) != nbytes, f"payload of {len(payload)} bytes, not the {nbytes} of size {size}")
-    _malformed_if(not 0 <= cardinality <= _MASK64, f"cardinality {cardinality} outside 0 to 2**64 - 1")
     _malformed_if(cardinality == 0 and payload != entry.empty * len(payload),
                   "cardinality 0 with a non-empty payload")
     row = np.frombuffer(payload, dtype=entry.dtype.newbyteorder("<")).astype(entry.dtype)
@@ -783,14 +790,8 @@ def read_sketch(fp: BinaryIO) -> Sketch:
 
 def sketch_to_json(sketch: Sketch) -> str:
     """Human-readable debug form with the same fields as the binary layout."""
-    entry = sketch_entry(sketch)
+    entry, size, seed, cardinality = _header_fields(sketch)
     key, payload = entry.to_json(entry.payload, getattr(sketch, entry.payload))
-    record = {
-        "kind": entry.name,
-        "version": _VERSION,
-        "seed": sketch.seed,
-        "dims_or_k": getattr(sketch, entry.size_flag),
-        "cardinality": sketch.cardinality,
-        key: payload,
-    }
+    record = {"kind": entry.name, "version": _VERSION, "seed": seed, "dims_or_k": size, "cardinality": cardinality,
+              key: payload}
     return json.dumps(record, sort_keys=True)

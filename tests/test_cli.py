@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import random
 import struct
 import subprocess
 import sys
@@ -35,6 +36,14 @@ def _subprocess_env() -> dict[str, str]:
                 PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
+def _fresh_run(argv: list[str]) -> None:
+    """Run ``dothash <argv>`` to exit 0 in a new interpreter, with its own ``str`` hash seed."""
+    env = dict(_subprocess_env(), PYTHONHASHSEED="random")
+    result = subprocess.run([sys.executable, "-m", "dothash.cli", *argv], capture_output=True, text=True, env=env,
+                            timeout=120)
+    assert result.returncode == 0, result.stderr
+
+
 @pytest.fixture()
 def element_file(tmp_path):
     path = tmp_path / "elements.txt"
@@ -58,30 +67,81 @@ def _write_corpus(tmp_path, n_docs=40, n_dup_pairs=10, words_per_doc=60, **plant
     return corpus, labels
 
 
+@pytest.fixture(scope="module")
+def console_inputs(tmp_path_factory) -> Path:
+    """The input files of the console runs below: a few lines each, or just over one read window."""
+    root = tmp_path_factory.mktemp("console")
+    rng = random.Random(1)
+    crlf_edges = b"".join(b"%d %d\r\n" % (rng.randrange(300), min(rng.randrange(300) for _ in range(3)))
+                          for _ in range(10000))
+    documents = [("a", "the quick brown fox jumps over the lazy dog"),
+                 ("b", "the quick brown fox leaps over the lazy dog"),
+                 ("d", "lorem ipsum dolor sit amet consectetur"),
+                 ("c", "caf\u00e9 na\u00efve r\u00e9sum\u00e9, d\u00e9j\u00e0 vu encore")]
+    files = {
+        # CRLF lines, a comment and a non-ASCII label.
+        "edges.txt": b"a b\r\nb c\r\n# x y z\nc \xc3\xa9\n\xc3\xa9 a\n",
+        # Over one 64 KiB read window with CRLF lines on both sides of every cut, and its LF copy.
+        "crlf_edges.txt": crlf_edges,
+        "lf_edges.txt": crlf_edges.replace(b"\r", b""),
+        # A labeled duplicate pair and a non-ASCII document, in raw UTF-8.
+        "corpus.jsonl": "".join(f'{{"id": "{i}", "text": "{text}"}}\n' for i, text in documents).encode(),
+        "labels.csv": b"id_a,id_b\na,b\n",
+        # Over one 256 KiB read window, mixing ASCII and non-ASCII lines.
+        "mixed.txt": "".join(f"tok-{i}\n" if i % 3 else f"caf\u00e9-{i}\n" for i in range(30000)).encode(),
+        "tokens70k.txt": "".join(f"tok-{i}\n" for i in range(70000)).encode(),
+    }
+    for name, data in files.items():
+        (root / name).write_bytes(data)
+    return root
+
+
 class TestSketchCommand:
-    def test_empty_stdin(self, tmp_path, monkeypatch, capsys):
-        import io
-
-        monkeypatch.setattr("sys.stdin", io.StringIO(""))
-        out = tmp_path / "empty.bin"
-        assert main(["sketch", "--estimator", "dothash", "--dims", "32", "--out", str(out)]) == 0
+    @pytest.mark.parametrize("data, flags, cardinality", [
+        (None, ["--estimator", "dothash", "--dims", "32"], 0),
+        (b"a\rb\rc\r", ["--estimator", "simhash", "--dims", "64"], 3),
+    ], ids=["empty", "cr-line-ends"])
+    def test_stdin_cardinality(self, tmp_path, monkeypatch, capsys, data, flags, cardinality):
+        stdin = io.StringIO("") if data is None else io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", stdin)
+        out = tmp_path / "s.bin"
+        assert main(["sketch", *flags, "--out", str(out)]) == 0
         summary = json.loads(capsys.readouterr().out)
-        assert summary["cardinality"] == 0
+        assert summary["cardinality"] == cardinality
 
-    def test_deterministic_bytes(self, tmp_path, element_file):
+    @pytest.mark.parametrize("tokens, flags, digest", [
+        (None, ["--estimator", "minhash", "--k", "64", "--seed", "9"],
+         "f8252ed4460dc48ef599d75b5709cba8176e5207cbf536a3be93b25111c1e246"),
+        # The unit-sum counter takes 3 and 69 row chunks at d = 65 and 4096.
+        ("tokens70k.txt", ["--estimator", "dothash", "--dims", "65", "--seed", "7"],
+         "60d2bdc453454b488e11eef32c4373906815bd8cebc271b77392d3dd3ba3a51d"),
+        ("tokens70k.txt", ["--estimator", "dothash", "--dims", "4096", "--seed", "7"],
+         "faf59c7c8a8b1145ef5fc73df673e5760476f3fd1bb80ed743f355acf9100c0b"),
+        ("tokens70k.txt", ["--estimator", "simhash", "--dims", "65", "--seed", "7"],
+         "61d4a0caaff930674a0d909df2ab82f8b51cabf66fbf5f3c17035ef82bfe5176"),
+        ("tokens70k.txt", ["--estimator", "simhash", "--dims", "4096", "--seed", "7"],
+         "2df580cc3c48c39243be46dd1fd435391aa1ead0df7fce131c0d732bd1bb111f"),
+    ], ids=["minhash-64", "dothash-65", "dothash-4096", "simhash-65", "simhash-4096"])
+    def test_deterministic_bytes(self, tmp_path, element_file, console_inputs, tokens, flags, digest):
+        # Sketch files are the same bytes on every CPU.
         out1, out2 = tmp_path / "s1.bin", tmp_path / "s2.bin"
-        args = ["sketch", "--estimator", "minhash", "--k", "64", "--seed", "9",
-                "--input", str(element_file)]
+        args = ["sketch", *flags, "--input", str(console_inputs / tokens if tokens else element_file)]
         assert main(args + ["--out", str(out1)]) == 0
         assert main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+        assert hashlib.sha256(out1.read_bytes()).hexdigest() == digest
 
-    def test_summary_fields(self, tmp_path, element_file, capsys):
+    @pytest.mark.parametrize("tokens, flags, summary", [
+        (None, ["--estimator", "dothash", "--dims", "4096", "--seed", "3"],
+         {"kind": "dothash", "dims_or_k": 4096, "cardinality": 100, "seed": 3}),
+        ("mixed.txt", ["--estimator", "minhash", "--k", "16"],
+         {"kind": "minhash", "dims_or_k": 16, "cardinality": 30000, "seed": 0}),
+    ], ids=["items", "mixed-windows"])
+    def test_summary_fields(self, tmp_path, element_file, console_inputs, capsys, tokens, flags, summary):
         out = tmp_path / "s.bin"
-        assert main(["sketch", "--estimator", "dothash", "--dims", "4096", "--seed", "3",
-                     "--input", str(element_file), "--out", str(out)]) == 0
-        summary = json.loads(capsys.readouterr().out)
-        assert summary == {"kind": "dothash", "dims_or_k": 4096, "cardinality": 100, "seed": 3}
+        assert main(["sketch", *flags, "--input", str(console_inputs / tokens if tokens else element_file),
+                     "--out", str(out)]) == 0
+        assert json.loads(capsys.readouterr().out) == summary
 
     def test_summary_prints_the_seed_as_given(self, tmp_path, element_file, capsys):
         # The codebook keeps -1 as 2**64 - 1, so both seeds write one file.
@@ -132,10 +192,14 @@ class TestSketchCommand:
                      "--input", str(tmp_path / "missing.txt"), "--out", str(tmp_path / "x.bin")])
         assert code == 2
 
+    @pytest.mark.parametrize("data, dims, error", [
+        (b"a\n\xff\n", "32", "line 2: 'utf-8' codec can't decode byte 0xff"),
+        # After the first 256 KiB read window.
+        (b"tok\n" * 70000 + b"\xff\n", "64", "line 70001: 'utf-8' codec can't decode byte 0xff in position 280000"),
+    ], ids=["second-line", "past-a-window"])
     @pytest.mark.parametrize("source", ["file", "stdin"])
-    def test_undecodable_tokens_name_the_line(self, tmp_path, monkeypatch, capsys, source):
-        data = b"a\n\xff\n"
-        args = ["sketch", "--estimator", "dothash", "--dims", "32", "--out", str(tmp_path / "s.bin")]
+    def test_undecodable_tokens_name_the_line(self, tmp_path, monkeypatch, capsys, source, data, dims, error):
+        args = ["sketch", "--estimator", "dothash", "--dims", dims, "--out", str(tmp_path / "s.bin")]
         if source == "file":
             tokens = tmp_path / "tokens.txt"
             tokens.write_bytes(data)
@@ -143,7 +207,7 @@ class TestSketchCommand:
         else:
             monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
         assert main(args) == 2
-        assert "dothash: error: line 2: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
+        assert f"dothash: error: {error}" in capsys.readouterr().err
 
     def test_stdin_and_file_give_one_sketch(self, tmp_path, monkeypatch):
         # Both are read as UTF-8 bytes, whatever encoding stdin's text layer has.
@@ -378,23 +442,38 @@ class TestBoundsCommand:
                      "--dims", "64", "--trials", "0", "--out", str(out)]) == 2
         assert "trials" in capsys.readouterr().err
 
-    def test_byte_identical_reruns(self, tmp_path):
-        args = ["bounds", "--size-a", "50", "--size-b", "50", "--size-int", "20",
-                "--dims", "128", "--trials", "100", "--seed", "7"]
+    @pytest.mark.parametrize("flags", [
+        ["--size-a", "50", "--size-b", "50", "--size-int", "20", "--dims", "128", "--trials", "100", "--seed", "7"],
+        # 5 seed chunks, the last one partial.
+        ["--size-a", "60", "--size-b", "80", "--size-int", "30", "--dims", "8", "--trials", "70000"],
+    ], ids=["one-chunk", "partial-chunk"])
+    def test_byte_identical_reruns(self, tmp_path, flags):
         out1, out2 = tmp_path / "b1.csv", tmp_path / "b2.csv"
-        assert main(args + ["--out", str(out1)]) == 0
-        assert main(args + ["--out", str(out2)]) == 0
+        assert main(["bounds", *flags, "--out", str(out1)]) == 0
+        _fresh_run(["bounds", *flags, "--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_benchmark_flags_output_is_pinned(self, tmp_path):
-        # The benchmark's bounds-mc flags at seed 7; the digest was recorded
-        # before the sweep hashed once at the largest d.
+    @pytest.mark.parametrize("flags, columns, digest", [
+        # The benchmark's bounds-mc flags at seed 7, whose seed chunks count
+        # each set in one row chunk; the digest was recorded before the sweep
+        # hashed once at the largest d.
+        (["--size-a", "200", "--size-b", "200", "--size-int", "100", "--dims", "512", "1024", "2048",
+          "--trials", "1000", "--seed", "7"],
+         [0, 1, 2, 3, 4], "216c2b2b898997050bbbcba7fc2054076cbbd7646cc6534d45651c4a79157688"),
+        # Sets too large for one row chunk at any seed count.  Only the d,
+        # epsilon and empirical columns: they come from integer counts and
+        # linspace, and the chebyshev and clt columns from the C library's erf.
+        (["--size-a", "6000", "--size-b", "6000", "--size-int", "1000", "--dims", "2048", "64", "--trials", "20",
+          "--eps-points", "5", "--seed", "7"],
+         [0, 1, 4], "a5361c629394795c471eb0a6a14e4eaf90dcdb5ab1780272968761158dbcf688"),
+    ], ids=["benchmark-flags", "row-chunks"])
+    def test_output_is_pinned(self, tmp_path, flags, columns, digest):
         out = tmp_path / "bounds.csv"
-        assert main(["bounds", "--size-a", "200", "--size-b", "200", "--size-int", "100",
-                     "--dims", "512", "1024", "2048", "--trials", "1000", "--seed", "7",
-                     "--out", str(out)]) == 0
-        digest = hashlib.sha256(out.read_bytes()).hexdigest()
-        assert digest == "216c2b2b898997050bbbcba7fc2054076cbbd7646cc6534d45651c4a79157688"
+        assert main(["bounds", *flags, "--out", str(out)]) == 0
+        # The columns as ``cut -d, -f`` keeps them.
+        rows = [line.split(b",") for line in out.read_bytes().splitlines()]
+        kept = b"".join(b",".join(row[c] for c in columns) + b"\n" for row in rows)
+        assert hashlib.sha256(kept).hexdigest() == digest
 
     @pytest.mark.parametrize("dims, digest", [
         ("256", "8ecf2e7e51a70012d2c947b3e896b55945804671e8105136dda994d277700e77"),
@@ -484,34 +563,51 @@ class TestBoundsCommand:
 
 
 class TestLinkpredCommand:
-    def test_exact_run_and_rerun_identical(self, tmp_path):
-        graph = erdos_renyi_graph(40, 0.2, seed=30)
-        edges = _write_graph(tmp_path, graph)
-        args = ["linkpred", "--edges", str(edges), "--estimator", "exact",
-                "--metric", "adamic_adar", "--k-at", "5", "10", "--repeats", "3",
-                "--seed", "4"]
+    @pytest.mark.parametrize("edges, flags, rows", [
+        ((None, None), ["--metric", "adamic_adar", "--k-at", "5", "10", "--repeats", "3", "--seed", "4"],
+         ["exact,adamic_adar,0,5,", "exact,adamic_adar,0,10,"]),
+        (("edges.txt", "edges.txt"), ["--metric", "jaccard", "--k-at", "1", "--repeats", "1", "--neg-per-pos", "1"],
+         ["exact,jaccard,0,1,"]),
+        # The CRLF file's CSV must equal its LF copy's.
+        (("crlf_edges.txt", "lf_edges.txt"), ["--metric", "jaccard", "--k-at", "20", "--repeats", "1"],
+         ["exact,jaccard,0,20,0.051044"]),
+    ], ids=["generated", "crlf-comment-non-ascii", "crlf-then-lf-windows"])
+    def test_exact_run_and_rerun_identical(self, tmp_path, console_inputs, edges, flags, rows):
+        generated = _write_graph(tmp_path, erdos_renyi_graph(40, 0.2, seed=30))
+        first, second = (console_inputs / name if name else generated for name in edges)
+        args = ["linkpred", "--estimator", "exact", *flags]
         out1, out2 = tmp_path / "l1.csv", tmp_path / "l2.csv"
-        assert main(args + ["--out", str(out1)]) == 0
-        assert main(args + ["--out", str(out2)]) == 0
+        assert main([*args, "--edges", str(first), "--out", str(out1)]) == 0
+        _fresh_run([*args, "--edges", str(second), "--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
         lines = out1.read_text().strip().splitlines()
         assert lines[0].startswith("estimator,metric,dims_or_k,K,")
-        rows = [line.split(",") for line in lines[1:]]
-        assert len(rows) == 2
+        assert len(lines) == 1 + len(rows) and all(map(str.startswith, lines[1:], rows))
+        fields = [line.split(",") for line in lines[1:]]
         # exact scoring is repeat-invariant: zero confidence interval
-        assert all(float(r[5]) == 0.0 for r in rows)
+        assert all(float(r[5]) == 0.0 for r in fields)
         # timings zeroed by default for reproducible bytes
-        assert all(r[6] == "0.000000" and r[7] == "0.000000" for r in rows)
+        assert all(r[6] == "0.000000" and r[7] == "0.000000" for r in fields)
 
-    def test_dothash_with_dims(self, tmp_path):
-        graph = erdos_renyi_graph(30, 0.25, seed=31)
-        edges = _write_graph(tmp_path, graph)
-        out = tmp_path / "dh.csv"
-        assert main(["linkpred", "--edges", str(edges), "--estimator", "dothash",
-                     "--metric", "jaccard", "--dims", "256", "--k-at", "5",
-                     "--repeats", "2", "--seed", "1", "--out", str(out)]) == 0
-        row = out.read_text().strip().splitlines()[1].split(",")
-        assert row[0] == "dothash" and row[2] == "256"
+    @pytest.mark.parametrize("edges, flags", [
+        (None, ["--metric", "jaccard", "--dims", "256", "--k-at", "5", "--repeats", "2", "--seed", "1"]),
+        # Weighted over 3 repeats built into one output: at d = 256 = 4^4 the
+        # build folds the 2^-4 scale into its square-rooted weights, at d = 200
+        # it divides its sums by sqrt(200).
+        ("edges.txt", ["--metric", "adamic_adar", "--dims", "256", "--repeats", "3", "--k-at", "1",
+                       "--neg-per-pos", "1"]),
+        ("edges.txt", ["--metric", "resource_allocation", "--dims", "200", "--repeats", "3", "--k-at", "1",
+                       "--neg-per-pos", "1"]),
+    ], ids=["generated", "adamic-adar-256", "resource-allocation-200"])
+    def test_dothash_with_dims(self, tmp_path, console_inputs, edges, flags):
+        edges = console_inputs / edges if edges else _write_graph(tmp_path, erdos_renyi_graph(30, 0.25, seed=31))
+        args = ["linkpred", "--edges", str(edges), "--estimator", "dothash", *flags]
+        out1, out2 = tmp_path / "dh1.csv", tmp_path / "dh2.csv"
+        assert main([*args, "--out", str(out1)]) == 0
+        _fresh_run([*args, "--out", str(out2)])
+        assert out1.read_bytes() == out2.read_bytes()
+        row = out1.read_text().strip().splitlines()[1].split(",")
+        assert row[0] == "dothash" and row[2] == flags[flags.index("--dims") + 1]
 
     def test_zero_repeats_exits_two(self, tmp_path, capsys):
         edges = _write_graph(tmp_path, erdos_renyi_graph(20, 0.3, seed=34))
@@ -519,12 +615,19 @@ class TestLinkpredCommand:
                      "--metric", "jaccard", "--repeats", "0", "--out", str(tmp_path / "x.csv")]) == 2
         assert "repeats" in capsys.readouterr().err
 
-    def test_undecodable_edge_list_exits_two(self, tmp_path, capsys):
+    @pytest.mark.parametrize("data, flags, error", [
+        (b"1 2\n\xff 3\n", [], "line 2: 'utf-8' codec can't decode byte 0xff"),
+        (b"a b\nb c d\n", ["--k-at", "1", "--repeats", "1", "--neg-per-pos", "1"], "line 2: expected 2 tokens, got 3"),
+        # After the first 64 KiB read window.
+        (b"1 2\n" * 20000 + b"3 \xff\n", ["--k-at", "1", "--repeats", "1", "--neg-per-pos", "1"],
+         "line 20001: 'utf-8' codec can't decode byte 0xff in position 2"),
+    ], ids=["undecodable", "three-labels", "undecodable-past-a-window"])
+    def test_malformed_edge_list_exits_two(self, tmp_path, capsys, data, flags, error):
         edges = tmp_path / "edges.txt"
-        edges.write_bytes(b"1 2\n\xff 3\n")
+        edges.write_bytes(data)
         assert main(["linkpred", "--edges", str(edges), "--estimator", "exact",
-                     "--metric", "jaccard", "--out", str(tmp_path / "x.csv")]) == 2
-        assert "dothash: error: line 2: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
+                     "--metric", "jaccard", *flags, "--out", str(tmp_path / "x.csv")]) == 2
+        assert f"dothash: error: {error}" in capsys.readouterr().err
 
     def test_minhash_requires_k(self, tmp_path):
         graph = erdos_renyi_graph(20, 0.3, seed=32)
@@ -555,14 +658,18 @@ class TestLinkpredCommand:
 
 
 class TestDedupCommand:
-    def test_run_and_rerun_identical(self, tmp_path):
-        corpus, labels = _write_corpus(tmp_path)
+    @pytest.mark.parametrize("planted, flags", [
+        (True, ["--dims", "1024", "--k-at", "10", "--negatives", "200", "--seed", "8"]),
+        (False, ["--dims", "256", "--k-at", "1", "--negatives", "3"]),
+    ], ids=["planted", "non-ascii"])
+    def test_run_and_rerun_identical(self, tmp_path, console_inputs, planted, flags):
+        corpus, labels = (_write_corpus(tmp_path) if planted
+                          else (console_inputs / "corpus.jsonl", console_inputs / "labels.csv"))
         args = ["dedup", "--corpus", str(corpus), "--labels", str(labels),
-                "--estimator", "dothash", "--metric", "idf", "--dims", "1024",
-                "--k-at", "10", "--negatives", "200", "--seed", "8"]
+                "--estimator", "dothash", "--metric", "idf", *flags]
         out1, out2 = tmp_path / "d1.csv", tmp_path / "d2.csv"
         assert main(args + ["--out", str(out1)]) == 0
-        assert main(args + ["--out", str(out2)]) == 0
+        _fresh_run(args + ["--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
         header, row = out1.read_text().strip().splitlines()
         assert header == "estimator,metric,dims_or_k,shingle_width,K,hits,build_seconds,compare_seconds"

@@ -634,6 +634,18 @@ class TestPreparedOncePerRun:
                     for row in got]
         assert timeless == _rows_rebuilt_per_repeat(g, self.POINTS, [5, 20], 0.2, 2, 3, seed)
 
+    def test_a_repeated_k_counts_each_repeat_once(self):
+        # A K listed twice once took each repeat's hits twice: six samples
+        # for three repeats, and a narrower hits_ci95.
+        g = preferential_attachment_graph(150, 4, seed=5)
+        points = [SweepPoint(Estimator.DOTHASH, Metric.JACCARD, 64)]
+
+        def timeless(k_values):
+            rows = run_linkpred_benchmark(g, points, k_values=k_values, repeats=3, seed=5)
+            return [dataclasses.replace(row, build_seconds=0.0, compare_seconds=0.0) for row in rows]
+
+        assert timeless([5, 5]) == timeless([5]) * 2
+
     def test_build_seconds_time_only_the_build(self, monkeypatch):
         # A clock that moves only inside the wrapped calls: the build adds 1 s,
         # preparing sets or degree weights 1000 s, scoring 10 s per call.

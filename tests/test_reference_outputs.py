@@ -255,23 +255,36 @@ def _dedup_runs(draw) -> tuple[str, str, list[str]]:
     return corpus, "id_a,id_b\n" + "".join(f"{a},{b}\n" for a, b in labels), flags
 
 
-def _csv_runs(reference, directory: Path, flags: list[str]) -> list:
-    """Exit code, stdout and CSV bytes of ``flags`` in each tree, this one first."""
+def _csv_runs(reference, directory: Path, flags: list[str], reference_flags: list[str] | None = None) -> list:
+    """Exit code, stdout and CSV bytes of ``flags`` here, then of ``reference_flags`` or ``flags`` in the reference."""
     results = []
-    for tree, main in (("current", cli.main), ("reference", reference.main)):
+    for tree, main, argv in (("current", cli.main, flags), ("reference", reference.main, reference_flags or flags)):
         out = directory / f"{tree}.csv"
         out.unlink(missing_ok=True)
-        results.append((*_quiet_call(main, [*flags, "--out", str(out)]), out.read_bytes() if out.exists() else None))
+        results.append((*_quiet_call(main, [*argv, "--out", str(out)]), out.read_bytes() if out.exists() else None))
     return results
 
 
 @settings(max_examples=150, deadline=None)
 @given(run=_linkpred_runs())
+@example(run=("".join(f"{i} {(i * 7 + 3) % 12}\n{i} {(i + 1) % 12}\n" for i in range(12)),
+              ["linkpred", "--estimator", "dothash", "--metric", "jaccard", "--dims", "4", "--test-fraction", "0.5",
+               "--neg-per-pos", "3", "--k-at", "2", "4", "2", "--repeats", "3", "--seed", "1"]))
 def test_linkpred_csv_on_generated_graphs(reference, tmp_path_factory, run):
     edges, flags = run
     directory = tmp_path_factory.mktemp("linkpred")
     (directory / "edges.txt").write_text(edges)
-    current, ref = _csv_runs(reference, directory, [*flags, "--edges", str(directory / "edges.txt")])
+    flags = [*flags, "--edges", str(directory / "edges.txt")]
+    # The reference takes a K's hits once per listing, so a K listed twice
+    # reads a narrower hits_ci95 there.  It runs on the distinct Ks, and each
+    # listed K takes its row, in the order listed.
+    start, stop = flags.index("--k-at") + 1, flags.index("--repeats")
+    k_at = flags[start:stop]
+    current, ref = _csv_runs(reference, directory, flags, [*flags[:start], *dict.fromkeys(k_at), *flags[stop:]])
+    if ref[2] is not None:
+        header, *rows = ref[2].splitlines(keepends=True)
+        row_of = {row.split(b",")[3].decode(): row for row in rows}
+        ref = (*ref[:2], b"".join([header, *(row_of[k] for k in k_at)]))
     assert current == ref
 
 

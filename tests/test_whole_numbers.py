@@ -10,7 +10,9 @@ Codebook and hash-family seeds have no minimum; they are taken modulo
 """
 
 import ast
+import dataclasses
 import inspect
+import io
 import re
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -19,6 +21,7 @@ import numpy as np
 import pytest
 
 import dothash
+from dothash import linkpred
 from dothash.bounds import BoundsQuery, bounds_sweep, sample_intersection_estimates, weighted_variance
 from dothash.dedup import (
     DedupConfig,
@@ -45,7 +48,18 @@ from dothash.linkpred import (
     sketch_neighborhoods,
     split_edges,
 )
-from dothash.sketches import build_sketch, distinct_sets, dothash_build, minhash_build, simhash_build
+from dothash.sketches import (
+    DotHashSketch,
+    MinHashSketch,
+    SimHashSketch,
+    build_sketch,
+    distinct_sets,
+    dothash_build,
+    minhash_build,
+    simhash_build,
+    sketch_to_json,
+    write_sketch,
+)
 
 GRAPH = preferential_attachment_graph(40, 3, seed=2)
 SCORER = sketch_neighborhoods(GRAPH, Metric.JACCARD, Estimator.MINHASH, 16, seed=1)
@@ -76,15 +90,15 @@ def _split(split):
 
 def _linkpred(**kwargs):
     point = SweepPoint(Estimator.DOTHASH, Metric.JACCARD, kwargs.pop("dims_or_k", 64))
-    rows = run_linkpred_benchmark(GRAPH, [point], [5], **{"repeats": 2, "seed": 1, **kwargs})
-    return [(row.hits_mean, row.hits_ci95, row.k, row.repeats) for row in rows]
+    rows = run_linkpred_benchmark(GRAPH, [point], kwargs.pop("k_values", [5]), **{"repeats": 2, "seed": 1, **kwargs})
+    return [(row.hits_mean, row.hits_ci95, row.dims_or_k, row.k, row.repeats) for row in rows]
 
 
 def _dedup(**fields):
     config = DedupConfig(**{"estimator": Estimator.DOTHASH, "metric": DedupMetric.IDF, "dims_or_k": 256,
                             "hits_k": 5, "negatives": 40, "seed": 4, **fields})
     result = run_dedup_benchmark(DOCS, LABELS, config)
-    return result.hits, result.k
+    return result.hits, result.dims_or_k, result.shingle_width, result.k
 
 
 def _bounds(size_a=30, size_b=35, size_int=20, dims=100, trials=5, seed0=1):
@@ -93,6 +107,27 @@ def _bounds(size_a=30, size_b=35, size_int=20, dims=100, trials=5, seed0=1):
 
 def _sampler(size_a=30, size_b=35, size_int=20, dims=100, trials=3, seed0=1):
     return sample_intersection_estimates(size_a, size_b, size_int, dims, trials, seed0=seed0)
+
+
+def _written(sketch) -> bytes:
+    fp = io.BytesIO()
+    write_sketch(sketch, fp)
+    return fp.getvalue()
+
+
+def _sketch_fields() -> dict[str, Scalar]:
+    """Each sketch record's size, seed and cardinality, as write_sketch and sketch_to_json take them."""
+    rows = {}
+    for record, kind, size_flag, size in ((DotHashSketch, "dothash", "dims", 64), (MinHashSketch, "minhash", "k", 8),
+                                          (SimHashSketch, "simhash", "dims", 64)):
+        sketch = build_sketch(kind, 1, size, np.arange(5))
+        for field, good, minimum, error in ((size_flag, size, 1, "sketch size "), ("seed", 7, None, None),
+                                            ("cardinality", 5, 0, "malformed sketch file: cardinality ")):
+            for name, take in (("write_sketch", _written), ("sketch_to_json", sketch_to_json)):
+                rows[f"{record.__name__}.{field}-{name}"] = Scalar(
+                    lambda v, sketch=sketch, field=field, take=take: take(dataclasses.replace(sketch, **{field: v})),
+                    good, minimum, error)
+    return rows
 
 
 def _planted(n_docs=30, n_dup_pairs=5, words_per_doc=20, vocab_size=50, seed=3):
@@ -156,6 +191,7 @@ SCALARS = {
     "run_linkpred_benchmark.repeats": Scalar(lambda v: _linkpred(repeats=v), 2, 1),
     "run_linkpred_benchmark.neg_per_pos": Scalar(lambda v: _linkpred(neg_per_pos=v), 2, 1),
     "run_linkpred_benchmark.seed": Scalar(lambda v: _linkpred(seed=v), 1, 0),
+    "run_linkpred_benchmark.k": Scalar(lambda v: _linkpred(k_values=[v]), 5, 1),
     "SweepPoint.dims_or_k": Scalar(lambda v: _linkpred(dims_or_k=v), 64, 1, "dims must be >= 1"),
     "shingle.w": Scalar(lambda v: shingle(DOCS[0], v), 3, 1, "shingle width must be >= 1"),
     "shingle_csr.w": Scalar(lambda v: shingle_csr(DOCS, v), 3, 1, "shingle width must be >= 1"),
@@ -171,6 +207,7 @@ SCALARS = {
     "DedupConfig.negatives": Scalar(lambda v: _dedup(negatives=v), 40, 5, "fewer negatives available than K"),
     "DedupConfig.dims_or_k": Scalar(lambda v: _dedup(dims_or_k=v), 256, 1, "dims must be >= 1"),
     "DedupConfig.seed": Scalar(lambda v: _dedup(seed=v), 4, 0),
+    **_sketch_fields(),
 }
 
 ARRAYS = {
@@ -296,6 +333,15 @@ class TestMisreadBefore:
         with pytest.raises(TypeError):
             build()
 
+    def test_linkpred_checks_every_k_before_the_split(self, monkeypatch):
+        # k_values=[1.5] once ran one sketch_neighborhoods build before its TypeError.
+        def refuse(*args, **kwargs):
+            raise AssertionError("split before every K was checked")
+
+        monkeypatch.setattr(linkpred, "split_edges", refuse)
+        with pytest.raises(TypeError, match="^k must be a whole number"):
+            run_linkpred_benchmark(GRAPH, [SweepPoint(Estimator.DOTHASH, Metric.JACCARD, 64)], [5, 1.5])
+
     def test_float_ids_and_pairs_are_not_truncated(self):
         # [1.9, 1.2] once became the one-element set {1}, and the pair
         # (0.9, 1.2) scored as (0, 1).
@@ -312,9 +358,10 @@ def _size_parameters(name: str) -> set[str]:
     return sizes & set(inspect.signature(getattr(dothash, name)).parameters)
 
 
-# Plain records of what a build or a sketch file gave them; every entry
-# point that makes one checks its values first.
-RECORDS = {"DistinctSets", "DotHashSketch", "MinHashSketch", "SimHashSketch"}
+# A plain record of what a build gave it; every entry point that makes one
+# checks its values first.  The sketch records' rows are write_sketch's and
+# sketch_to_json's.
+RECORDS = {"DistinctSets"}
 
 
 @pytest.mark.parametrize("name", sorted(set(dothash.__all__) - RECORDS))
