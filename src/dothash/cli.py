@@ -11,11 +11,13 @@ Across CPUs, sketch files and MinHash, SimHash and unit or 1/degree exact
 scores stay identical; DotHash compare estimates and pair scores (BLAS
 dots) may differ in the last bits.  Adamic-Adar and IDF weights take the
 C library's ``log`` through ``math.log``.
-Wall-clock CSV columns are 0.000000 unless --timings is given.
+A CSV's columns are its row type's fields, and every ``*_seconds`` column
+is 0.000000 unless --timings is given.
 
 ``sketch`` and ``compare`` go through the estimator table of
 :mod:`dothash.sketches`: ``compare`` scores with the pair scorer that link
 prediction and dedup use, once kind, size and seed are found to match.
+Two empty sketches compare by the rule that module's docstring states.
 Each subcommand imports the pipeline module it runs when it runs, so
 ``sketch``, ``compare`` and ``bounds`` start without loading ``linkpred``
 or ``dedup``.  The argument parser is built once, when this module is
@@ -29,12 +31,12 @@ to stdout or reads stdin started with that stream closed), 3 internal error.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
+import dataclasses
 import json
 import os
 import sys
-from typing import Any, Iterator, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -189,12 +191,26 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-@contextlib.contextmanager
-def _csv_out(path: str) -> Iterator[Any]:
-    """A CSV writer on the file at ``path``, or on stdout for '-'."""
+# The CSV header's name for a row field, where it differs from the field's own.
+_COLUMNS = {"dims": "d", "k": "K"}
+
+
+def _write_rows(path: str, kind: type, rows: Sequence[Any], timings: bool = False) -> None:
+    """Write ``rows``, instances of the dataclass ``kind``, as CSV to ``path``, or to stdout for '-'.
+
+    The header is ``kind``'s field names, renamed by :data:`_COLUMNS`.  Each
+    value goes to ``csv.writer`` as it is, which writes a float as its
+    ``repr``; a ``*_seconds`` field reads 0.000000 unless ``timings``.
+    """
+    names = [field.name for field in dataclasses.fields(kind)]
     out = sys.stdout if path == "-" else open(path, "w", encoding="utf-8", newline="")
     try:
-        yield csv.writer(out, lineterminator="\n")
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow([_COLUMNS.get(name, name) for name in names])
+        for row in rows:
+            values = [getattr(row, name) for name in names]
+            writer.writerow([(f"{value:.6f}" if timings else "0.000000") if name.endswith("_seconds") else value
+                             for name, value in zip(names, values)])
     finally:
         if out is not sys.stdout:
             out.close()
@@ -210,16 +226,8 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         args.size_a, args.size_b, args.size_int,
         dims_list=args.dims, epsilons=epsilons, trials=args.trials, seed0=args.seed,
     )
-    with _csv_out(args.out) as writer:
-        writer.writerow(["d", "epsilon", "chebyshev", "clt", "empirical"])
-        for row in rows:
-            writer.writerow([row.dims, repr(row.epsilon), repr(row.chebyshev),
-                             repr(row.clt), repr(row.empirical)])
+    _write_rows(args.out, bounds_mod.BoundsRow, rows)
     return 0
-
-
-def _fmt_seconds(value: float, timings: bool) -> str:
-    return f"{value:.6f}" if timings else "0.000000"
 
 
 def _cmd_linkpred(args: argparse.Namespace) -> int:
@@ -237,17 +245,7 @@ def _cmd_linkpred(args: argparse.Namespace) -> int:
         test_fraction=args.test_fraction, neg_per_pos=args.neg_per_pos,
         repeats=args.repeats, seed=args.seed,
     )
-    with _csv_out(args.out) as writer:
-        writer.writerow(["estimator", "metric", "dims_or_k", "K", "hits_mean", "hits_ci95",
-                         "build_seconds", "compare_seconds", "repeats"])
-        for row in rows:
-            writer.writerow([
-                row.estimator, row.metric, row.dims_or_k, row.k,
-                repr(row.hits_mean), repr(row.hits_ci95),
-                _fmt_seconds(row.build_seconds, args.timings),
-                _fmt_seconds(row.compare_seconds, args.timings),
-                row.repeats,
-            ])
+    _write_rows(args.out, linkpred_mod.BenchmarkRow, rows, args.timings)
     return 0
 
 
@@ -267,15 +265,7 @@ def _cmd_dedup(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     result = dedup_mod.run_dedup_benchmark(corpus, pairs, config)
-    with _csv_out(args.out) as writer:
-        writer.writerow(["estimator", "metric", "dims_or_k", "shingle_width", "K", "hits",
-                         "build_seconds", "compare_seconds"])
-        writer.writerow([
-            result.estimator, result.metric, result.dims_or_k, result.shingle_width,
-            result.k, repr(result.hits),
-            _fmt_seconds(result.build_seconds, args.timings),
-            _fmt_seconds(result.compare_seconds, args.timings),
-        ])
+    _write_rows(args.out, dedup_mod.DedupResult, [result], args.timings)
     return 0
 
 

@@ -370,9 +370,8 @@ class NeighborhoodScorer:
     """Similarity of pairs of sets, all built once by the estimator's table entry.
 
     ``sets`` is what the entry's ``build_many`` returned and ``sizes[i]`` is set
-    ``i``'s number of distinct elements.  Pairs where both sets are empty score 0.0
-    for every estimator: empty sets carry no similarity evidence, and a
-    uniform convention keeps the rankings comparable.
+    ``i``'s number of distinct elements.  A pair of two empty sets scores 0.0,
+    by the both-empty rule of :mod:`dothash.sketches`.
     """
 
     estimator: Estimator

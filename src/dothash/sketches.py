@@ -8,6 +8,14 @@ similarity) and the exact oracle: its batch build, the one pair scorer that
 ``dothash compare`` and ``NeighborhoodScorer.score_pairs`` share, and a
 sketch's size flag and file form.  Every estimator choice reads this table.
 
+A pair of two empty sets scores by one of two rules.  ``score_pairs`` ranks it
+at 0.0 for every estimator, since empty sets carry no similarity evidence;
+the scorers' ``where=union > 0`` guards only keep 0/0 from warning, and
+their value for the pair is never read.  ``dothash compare`` prints the
+scalar compare functions' values, and null for an undefined Jaccard: DotHash
+``estimate`` 0.0 and ``jaccard`` null, MinHash ``estimate`` null, SimHash
+``estimate`` 1.0.
+
 Serialized sketch files use a little-endian binary layout::
 
     magic   4 bytes  b"SKCH"

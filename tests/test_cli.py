@@ -1,6 +1,8 @@
 """Tests for the command-line interface: wiring, formats, and exit codes."""
 
 import argparse
+import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -21,6 +23,8 @@ from hypothesis import strategies as st
 
 from dothash import bounds as bounds_mod
 from dothash import cli, sketches
+from dothash import dedup as dedup_mod
+from dothash import linkpred as linkpred_mod
 from dothash.bounds import BoundsQuery, clt_tail
 from dothash.cli import main
 from dothash.dedup import make_planted_corpus
@@ -37,8 +41,13 @@ def _subprocess_env() -> dict[str, str]:
 
 
 def _fresh_run(argv: list[str]) -> None:
-    """Run ``dothash <argv>`` to exit 0 in a new interpreter, with its own ``str`` hash seed."""
-    env = dict(_subprocess_env(), PYTHONHASHSEED="random")
+    """Run ``dothash <argv>`` to exit 0 in a new interpreter, with its own ``str`` hash seed.
+
+    glibc fills the interpreter's fresh allocations with 0x5a bytes, so an
+    output that reads unset ``np.empty`` memory differs from the first run's
+    even where a new page would hold zeros.
+    """
+    env = dict(_subprocess_env(), PYTHONHASHSEED="random", MALLOC_PERTURB_="165")
     result = subprocess.run([sys.executable, "-m", "dothash.cli", *argv], capture_output=True, text=True, env=env,
                             timeout=120)
     assert result.returncode == 0, result.stderr
@@ -51,9 +60,12 @@ def element_file(tmp_path):
     return path
 
 
-def _write_graph(tmp_path, graph, name="graph.txt"):
+def _write_graph(tmp_path, graph, name="graph.txt", shuffle_seed=None):
+    """The graph's edges as "u v" lines, sorted, or in a seeded random order."""
     path = tmp_path / name
     lines = [f"{u} {v}" for u, v in graph.edges().tolist()]
+    if shuffle_seed is not None:
+        random.Random(shuffle_seed).shuffle(lines)
     path.write_text("\n".join(lines) + "\n")
     return path
 
@@ -341,6 +353,23 @@ class TestCompareCommand:
         assert main(["compare", str(a), str(b)]) == 2
         assert capsys.readouterr().err == f"dothash: error: incompatible sketches: {error}\n"
 
+    @pytest.mark.parametrize("flags, views", [
+        (["--estimator", "dothash", "--dims", "8"], '"estimate": 0.0, "jaccard": null, "kind": "dothash", '
+                                                    '"metric": "intersection"'),
+        (["--estimator", "minhash", "--k", "8"], '"estimate": null, "kind": "minhash", "metric": "jaccard"'),
+        (["--estimator", "simhash", "--dims", "8"], '"estimate": 1.0, "kind": "simhash", "metric": "similarity"'),
+    ], ids=["dothash", "minhash", "simhash"])
+    def test_two_empty_sketches_print_the_scalar_compare(self, tmp_path, capsys, flags, views):
+        # compare's both-empty rule (the dothash.sketches docstring): what the
+        # scalar compare gives, and null where it is an undefined Jaccard.
+        empty, a, b = tmp_path / "empty.txt", tmp_path / "a.bin", tmp_path / "b.bin"
+        empty.write_text("")
+        assert main(["sketch", *flags, "--input", str(empty), "--out", str(a)]) == 0
+        assert main(["sketch", *flags, "--input", str(empty), "--out", str(b)]) == 0
+        capsys.readouterr()
+        assert main(["compare", str(a), str(b)]) == 0
+        assert capsys.readouterr().out == '{"cardinalities": [0, 0], "dims_or_k": 8, %s}\n' % views
+
     def test_malformed_sketch_files_exit_two(self, tmp_path, element_file, capsys):
         good = tmp_path / "d.bin"
         main(["sketch", "--estimator", "dothash", "--dims", "8", "--input", str(element_file),
@@ -592,18 +621,28 @@ class TestLinkpredCommand:
         # timings zeroed by default for reproducible bytes
         assert all(r[6] == "0.000000" and r[7] == "0.000000" for r in fields)
 
-    @pytest.mark.parametrize("edges, flags", [
-        (None, ["--metric", "jaccard", "--dims", "256", "--k-at", "5", "--repeats", "2", "--seed", "1"]),
+    @pytest.mark.parametrize("edges, flags, hits_inside", [
+        ((erdos_renyi_graph(30, 0.25, seed=31), None),
+         ["--metric", "jaccard", "--dims", "256", "--k-at", "5", "--repeats", "2", "--seed", "1"], True),
         # Weighted over 3 repeats built into one output: at d = 256 = 4^4 the
         # build folds the 2^-4 scale into its square-rooted weights, at d = 200
         # it divides its sums by sqrt(200).
         ("edges.txt", ["--metric", "adamic_adar", "--dims", "256", "--repeats", "3", "--k-at", "1",
-                       "--neg-per-pos", "1"]),
+                       "--neg-per-pos", "1"], False),
         ("edges.txt", ["--metric", "resource_allocation", "--dims", "200", "--repeats", "3", "--k-at", "1",
-                       "--neg-per-pos", "1"]),
-    ], ids=["generated", "adamic-adar-256", "resource-allocation-200"])
-    def test_dothash_with_dims(self, tmp_path, console_inputs, edges, flags):
-        edges = console_inputs / edges if edges else _write_graph(tmp_path, erdos_renyi_graph(30, 0.25, seed=31))
+                       "--neg-per-pos", "1"], False),
+        # Enough ranked pairs, and lines that name two new labels, that a CSV
+        # which depends on the process, such as one from labels numbered in
+        # str-hash order or from weighted sums started on np.empty rows,
+        # differs from the rerun's.
+        ((preferential_attachment_graph(300, 4, seed=3), 5),
+         ["--metric", "adamic_adar", "--dims", "256", "--repeats", "3", "--k-at", "20"], True),
+    ], ids=["generated", "adamic-adar-256", "resource-allocation-200", "shuffled-adamic-adar"])
+    def test_dothash_with_dims(self, tmp_path, console_inputs, edges, flags, hits_inside):
+        if isinstance(edges, str):
+            edges = console_inputs / edges
+        else:
+            edges = _write_graph(tmp_path, edges[0], shuffle_seed=edges[1])
         args = ["linkpred", "--edges", str(edges), "--estimator", "dothash", *flags]
         out1, out2 = tmp_path / "dh1.csv", tmp_path / "dh2.csv"
         assert main([*args, "--out", str(out1)]) == 0
@@ -611,6 +650,8 @@ class TestLinkpredCommand:
         assert out1.read_bytes() == out2.read_bytes()
         row = out1.read_text().strip().splitlines()[1].split(",")
         assert row[0] == "dothash" and row[2] == flags[flags.index("--dims") + 1]
+        if hits_inside:
+            assert 0.0 < float(row[4]) < 1.0
 
     def test_zero_repeats_exits_two(self, tmp_path, capsys):
         edges = _write_graph(tmp_path, erdos_renyi_graph(20, 0.3, seed=34))
@@ -661,12 +702,17 @@ class TestLinkpredCommand:
 
 
 class TestDedupCommand:
-    @pytest.mark.parametrize("planted, flags", [
-        (True, ["--dims", "1024", "--k-at", "10", "--negatives", "200", "--seed", "8"]),
-        (False, ["--dims", "256", "--k-at", "1", "--negatives", "3"]),
-    ], ids=["planted", "non-ascii"])
-    def test_run_and_rerun_identical(self, tmp_path, console_inputs, planted, flags):
-        corpus, labels = (_write_corpus(tmp_path) if planted
+    @pytest.mark.parametrize("planted, flags, hits_inside", [
+        ({}, ["--dims", "1024", "--k-at", "10", "--negatives", "200", "--seed", "8"], False),
+        (None, ["--dims", "256", "--k-at", "1", "--negatives", "3"], False),
+        # Heavy edits over a small vocabulary, so that duplicates rank among
+        # the negatives and a CSV which depends on the process, such as one
+        # from documents taken in str-hash order, differs from the rerun's.
+        (dict(n_docs=1000, n_dup_pairs=500, words_per_doc=30, vocab_size=30, edit_rate=0.65),
+         ["--dims", "128", "--k-at", "25", "--negatives", "50", "--seed", "8"], True),
+    ], ids=["planted", "non-ascii", "heavy-edits"])
+    def test_run_and_rerun_identical(self, tmp_path, console_inputs, planted, flags, hits_inside):
+        corpus, labels = (_write_corpus(tmp_path, **planted) if planted is not None
                           else (console_inputs / "corpus.jsonl", console_inputs / "labels.csv"))
         args = ["dedup", "--corpus", str(corpus), "--labels", str(labels),
                 "--estimator", "dothash", "--metric", "idf", *flags]
@@ -678,7 +724,7 @@ class TestDedupCommand:
         assert header == "estimator,metric,dims_or_k,shingle_width,K,hits,build_seconds,compare_seconds"
         fields = row.split(",")
         assert fields[0] == "dothash" and fields[1] == "idf"
-        assert 0.0 <= float(fields[5]) <= 1.0
+        assert 0.0 < float(fields[5]) < 1.0 if hits_inside else 0.0 <= float(fields[5]) <= 1.0
 
     def test_deeply_nested_corpus_line_exits_two(self, tmp_path, capsys):
         corpus, labels = _write_corpus(tmp_path)
@@ -729,6 +775,48 @@ class TestDedupCommand:
         assert main(["dedup", "--corpus", str(corpus), "--labels", str(tmp_path / "no.csv"),
                      "--estimator", "exact", "--metric", "jaccard",
                      "--out", str(tmp_path / "x.csv")]) == 2
+
+
+@dataclasses.dataclass
+class _Row:
+    score: float
+    count: int
+    dims: int
+    k: int
+    wait_seconds: float
+
+
+@pytest.mark.parametrize("timings, seconds", [(False, "0.000000"), (True, "12.345679")])
+def test_write_rows_takes_its_columns_from_the_row_type(tmp_path, timings, seconds):
+    # The header is the field names, with only dims and k renamed; a float is
+    # written as its repr; a *_seconds field is zeroed unless timings is set.
+    out = tmp_path / "rows.csv"
+    rows = [_Row(score, 3, 64, 8, 12.3456789) for score in (0.1 + 0.2, 1e-17, 2.5e300, -0.0, math.inf, 1 / 3)]
+    cli._write_rows(str(out), _Row, rows, timings)
+    assert out.read_bytes().decode() == "score,count,d,K,wait_seconds\n" + "".join(
+        f"{row.score!r},3,64,8,{seconds}\n" for row in rows)
+
+
+@pytest.mark.parametrize("timings", [False, True])
+@pytest.mark.parametrize("subcommand", ["linkpred", "dedup"])
+def test_timings_flag_reaches_the_seconds_columns(tmp_path, monkeypatch, subcommand, timings):
+    # The runner's row stands in for a measured one, so its seconds are known.
+    if subcommand == "linkpred":
+        edges = _write_graph(tmp_path, erdos_renyi_graph(30, 0.3, seed=3))
+        row = linkpred_mod.BenchmarkRow("exact", "jaccard", 0, 5, 0.5, 0.0, 1.25, 2.5, 1)
+        monkeypatch.setattr(linkpred_mod, "run_linkpred_benchmark", lambda *args, **kwargs: [row])
+        inputs = ["--edges", str(edges), "--metric", "jaccard"]
+    else:
+        corpus, labels = _write_corpus(tmp_path)
+        row = dedup_mod.DedupResult("exact", "jaccard", 0, 3, 25, 0.5, 1.25, 2.5)
+        monkeypatch.setattr(dedup_mod, "run_dedup_benchmark", lambda *args, **kwargs: row)
+        inputs = ["--corpus", str(corpus), "--labels", str(labels), "--metric", "jaccard"]
+    out = tmp_path / "out.csv"
+    flags = ["--timings"] if timings else []
+    assert main([subcommand, *inputs, "--estimator", "exact", *flags, "--out", str(out)]) == 0
+    (written,) = csv.DictReader(io.StringIO(out.read_text()))
+    expected = ("1.250000", "2.500000") if timings else ("0.000000", "0.000000")
+    assert (written["build_seconds"], written["compare_seconds"]) == expected
 
 
 # --k or --dims of each sketch estimator in the pinned runs.

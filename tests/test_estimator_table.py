@@ -13,24 +13,31 @@ import numpy as np
 import pytest
 
 from dothash import cli
-from dothash.linkpred import Estimator
+from dothash.dedup import DedupMetric
+from dothash.linkpred import Estimator, Metric
 from dothash.sketches import _HEADER, ESTIMATORS, build_sketch, read_sketch, sketch_to_json, write_sketch
 
 FILE_CODED = [name for name, entry in ESTIMATORS.items() if entry.code is not None]
 
 
-def _estimator_choices(subcommand: str) -> list[str]:
+def _choices(subcommand: str, dest: str = "estimator") -> list[str]:
     subparsers = next(action for action in cli._PARSER._actions if action.dest == "subcommand")
     parser = subparsers.choices[subcommand]
-    return next(action for action in parser._actions if action.dest == "estimator").choices
+    return next(action for action in parser._actions if action.dest == dest).choices
 
 
 def test_every_estimator_choice_is_a_table_name():
     assert list(ESTIMATORS) == ["dothash", "minhash", "simhash", "exact"]
     assert [estimator.value for estimator in Estimator] == list(ESTIMATORS)
-    assert _estimator_choices("linkpred") == list(ESTIMATORS)
-    assert _estimator_choices("dedup") == list(ESTIMATORS)
-    assert _estimator_choices("sketch") == FILE_CODED == ["dothash", "minhash", "simhash"]
+    assert _choices("linkpred") == list(ESTIMATORS)
+    assert _choices("dedup") == list(ESTIMATORS)
+    assert _choices("sketch") == FILE_CODED == ["dothash", "minhash", "simhash"]
+
+
+def test_every_metric_choice_is_an_enum_value():
+    # cli spells these out, since it must not import linkpred or dedup at start-up.
+    assert _choices("linkpred", "metric") == [metric.value for metric in Metric]
+    assert _choices("dedup", "metric") == [metric.value for metric in DedupMetric]
 
 
 def test_file_codes_are_distinct_and_only_sketches_take_a_size():
