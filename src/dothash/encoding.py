@@ -53,8 +53,8 @@ _U64_C2 = np.uint64(0x94D049BB133111EB)
 
 # Bytes of temporaries that one chunk of a batched computation may hold: the
 # text and per-input arrays of one batch of element ids, the looked-up table
-# values of one accumulation chunk in ``sketches._root_sums`` (and a quarter
-# of it for the 256-entry tables of one batch of groups), and the cap on
+# values of one lookup chunk in ``sketches._root_sums``, which lies inside one
+# batch of groups whose 256-entry tables fill a quarter of this, and the cap on
 # each of the two int64 sums arrays of one seed chunk in ``bounds``.  The one
 # sign counter, ``_signed_sums``, takes a row chunk's PRF words and scratch
 # in its caller's buffer: twice this for ``sign_sums`` (``_sign_sums_buffer``),

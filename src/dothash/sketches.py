@@ -199,12 +199,6 @@ def _sign_tables(roots: np.ndarray) -> np.ndarray:
     return np.add(tables.T, 0.0, out=np.empty(tables.shape[::-1]))
 
 
-def _table_rows(roots: np.ndarray, batch: int):
-    """Yield the :func:`_sign_tables` rows of (8, groups) ``roots``, built ``batch`` groups at a time."""
-    for lo in range(0, roots.shape[1], batch):
-        yield from _sign_tables(roots[:, lo : lo + batch])
-
-
 class DistinctSets(NamedTuple):
     """CSR sets with each set's duplicates skipped: the input of every batch build.
 
@@ -314,15 +308,14 @@ def _root_sums(
     multiplied by ``scale`` before their tables are built; the rows go to
     ``out``, an earlier build of the same shape, when it is given.
 
-    Groups are looked up a chunk at a time: a chunk's words, byte codes and
-    looked-up values fill about ``_CHUNK_BYTES``.  Their tables are built a
-    batch at a time, 128 groups whose tables fill ``_CHUNK_BYTES // 4``.
-    Element ids and zero-padded roots are gathered once per span of groups.
-    Where a batch holds more groups than a chunk, a span is one batch, whose
-    chunks share its tables (4 chunks of 32 groups at d=4096); otherwise a
-    span is one chunk, whose groups read batch after batch of tables (16
-    batches for a chunk of 2048 groups at d=64).  A chunk's codebook words
-    go into one buffer, reused by every chunk, and are hashed in place.
+    Groups are taken a batch at a time: 128 groups, whose element ids,
+    zero-padded roots and tables are gathered and built at once, the tables
+    filling ``_CHUNK_BYTES // 4``.  A batch is looked up a chunk at a time,
+    and every chunk lies inside one batch: a chunk is the batch, or as many
+    of its groups as keep the chunk's words, byte codes and looked-up values
+    within about ``_CHUNK_BYTES`` (4 chunks of 32 groups at d=4096).  A
+    chunk's codebook words go into one buffer, reused by every chunk, and
+    are hashed in place.
     """
     nsets = indptr.size - 1
     weights = w.weights_for(distinct)
@@ -347,13 +340,12 @@ def _root_sums(
     out = _reused(out, (nsets, dims), np.float64)
     out[groups == 0] = 0.0
     set_rows = list(out)
-    # _CHUNK_BYTES of float64 table values looked up per chunk (8 per group
-    # and coordinate) sizes the chunk's word and code temporaries.  About
-    # 1 MiB measured fastest; 256 KiB and 16 MiB were both slower.  A table
-    # is 256 float64 values, so at 1 MiB a batch of tables is 128 groups.
-    step = max(1, _CHUNK_BYTES // (8 * width))
+    # A table is 256 float64 values, so at 1 MiB a batch of tables is 128
+    # groups.  A chunk is at most a batch, and _CHUNK_BYTES of table values
+    # looked up per chunk (8 per group and coordinate) sizes its word and code
+    # temporaries; about 1 MiB measured fastest, 256 KiB and 16 MiB slower.
     batch = max(1, _CHUNK_BYTES // 4 // (8 * 256))
-    span = max(step, batch)
+    step = min(batch, max(1, _CHUNK_BYTES // (8 * width)))
     # A chunk's words, reused by every chunk.
     words = np.empty((_GROUP * min(step, owner.size), blocks), dtype=np.uint64)
     # Words of every distinct element up front, where elements recur and
@@ -371,14 +363,14 @@ def _root_sums(
             cb.sign_words(distinct[lo:hi], shared[lo:hi], words[: hi - lo])
     else:
         scratch = np.empty_like(words)
-    for base in range(0, owner.size, span):
-        end = min(owner.size, base + span)
-        # The span's groups as (group, 8) slots into members; past a set's
+    for base in range(0, owner.size, batch):
+        end = min(owner.size, base + batch)
+        # The batch's groups as (group, 8) slots into members; past a set's
         # end, slots are padding of zero weight.
         slots = start[base:end, None] + np.arange(_GROUP)
         real = slots < stop[base:end, None]
         ids = np.where(real, members[np.minimum(slots, max(members.size - 1, 0))], 0)
-        tables = _table_rows(np.where(real, roots[ids], 0.0).T, batch)
+        tables = _sign_tables(np.where(real, roots[ids], 0.0).T)
         for lo in range(base, end, step):
             hi = min(end, lo + step)
             chunk = ids[lo - base : hi - base].ravel()
@@ -389,8 +381,8 @@ def _root_sums(
                 cb.sign_words(distinct[chunk], words[: chunk.size], scratch[: chunk.size])
             grouped = words[: chunk.size].reshape(hi - lo, _GROUP, blocks)
             codes = _byte_columns(grouped.transpose(1, 0, 2))[:, :dims]
-            # zip stops at the chunk's last code before it takes another table.
-            for code, table, s, lead in zip(codes, tables, owner[lo:hi].tolist(), leads[lo:hi].tolist()):
+            chunk_tables = tables[lo - base : hi - base]
+            for code, table, s, lead in zip(codes, chunk_tables, owner[lo:hi].tolist(), leads[lo:hi].tolist()):
                 if lead:
                     # "clip" takes straight into the row; the codes are all below 256.
                     table.take(code, out=set_rows[s], mode="clip")

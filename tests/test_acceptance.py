@@ -1,7 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with ``pytest tests/test_acceptance.py -v`` — the per-criterion lines
-print outside pytest's capture, so they are visible either way.
+print outside pytest's capture, so they are visible either way.  The last
+test pins where DotHash wins and where it loses against the other
+estimators, as README states it.
 """
 
 import json
@@ -25,8 +27,10 @@ from dothash.exact import SortedSet, exact_intersection, sparse_basis_intersecti
 from dothash.linkpred import (
     Estimator,
     Metric,
+    SweepPoint,
     hits_at_k,
     preferential_attachment_graph,
+    run_linkpred_benchmark,
     sketch_neighborhoods,
     split_edges,
 )
@@ -302,3 +306,35 @@ def test_criterion_10_comparison_throughput(report):
     report(10, "comparison throughput (report-only)", ok,
            f"dothash {n_pairs / t_dh:,.0f} cmp/s; x{vs_minhash:.2f} vs minhash (limit 10x), "
            f"x{vs_simhash:.2f} vs simhash (same order)")
+
+
+def test_dothash_wins_link_prediction_and_loses_dedup_at_equal_slots():
+    """Where DotHash beats the other estimators at d = k = 256, and where MinHash beats it.
+
+    It pins the figures README's "Where DotHash wins and where it loses" quotes.
+    Link prediction: Hits@20 over 3 sketch repeats on two preferential
+    attachment graphs, where DotHash's Adamic-Adar ranks above every
+    estimator of Jaccard, the exact one included.  Dedup: Hits@10 against
+    300 negatives on two planted corpora whose duplicates share about 6 of
+    their 118 shingles, where MinHash's Jaccard ranks far above DotHash's
+    Jaccard and IDF and below only the exact IDF.
+    """
+    jaccard = [SweepPoint(e, Metric.JACCARD, None if e is Estimator.EXACT else 256) for e in Estimator]
+    for seed, (aa, best_jaccard) in {5: (0.109, 0.041), 6: (0.113, 0.018)}.items():
+        g = preferential_attachment_graph(600, 8, seed=seed)
+        rows = run_linkpred_benchmark(
+            g, [SweepPoint(Estimator.DOTHASH, Metric.ADAMIC_ADAR, 256), *jaccard], [20], repeats=3, seed=1)
+        assert (round(rows[0].hits_mean, 3), round(max(row.hits_mean for row in rows[1:]), 3)) == (aa, best_jaccard)
+        assert aa > 2 * best_jaccard  # the direction README states, whatever figures are pinned
+    dedup_runs = [(Estimator.MINHASH, DedupMetric.JACCARD), (Estimator.DOTHASH, DedupMetric.JACCARD),
+                  (Estimator.DOTHASH, DedupMetric.IDF), (Estimator.EXACT, DedupMetric.IDF)]
+    for seed, expected in {1: (0.68, 0.10, 0.10, 0.86), 2: (0.74, 0.10, 0.06, 0.94)}.items():
+        docs, pairs = make_planted_corpus(200, 50, 120, 30, 0.65, seed=seed)
+        hits = tuple(
+            round(run_dedup_benchmark(docs, pairs, DedupConfig(
+                estimator, metric, None if estimator is Estimator.EXACT else 256,
+                hits_k=10, negatives=300, seed=3)).hits, 3)
+            for estimator, metric in dedup_runs)
+        assert hits == expected
+        minhash, dothash_jaccard, dothash_idf, exact_idf = hits
+        assert max(dothash_jaccard, dothash_idf) < minhash / 5 and minhash < exact_idf
