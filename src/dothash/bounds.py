@@ -23,7 +23,6 @@ relative of scipy's ``ndtri`` from 5e-324 to 1 - 1e-16.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
@@ -219,10 +218,10 @@ def _estimate_chunks(
     largest = max(map(len, (only_a, both, only_b)))
     # The cap: one (seeds, d_max) int64 array of sums in about _CHUNK_BYTES.
     cap = max(1, min(trials, _CHUNK_BYTES // (8 * d_max)))
-    # The number of seeds from 1 to cap whose buffer holds the largest set
-    # in one row chunk; the rows a buffer holds fall as the seeds grow.
-    fits = bisect.bisect(range(1, cap + 1), False, key=lambda seeds: _sign_sums_rows(seeds, d_max) < largest)
-    chunk = fits or cap
+    # The most seeds, up to the cap, whose buffer holds the largest set in
+    # one row chunk: a buffer row takes words in proportion to the seeds,
+    # so s seeds hold floor(rows(1) / s) elements.
+    chunk = min(cap, _sign_sums_rows(1, d_max) // max(largest, 1)) or cap
     sums = np.empty((2, chunk, d_max), dtype=np.int64)
     # A shorter last chunk takes more elements at a time in the same words.
     buffer = _sign_sums_buffer(chunk, largest, d_max)

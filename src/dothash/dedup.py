@@ -88,14 +88,10 @@ def csr_idf(sets: DistinctSets) -> WeightFn:
     return WeightFn(WeightKind.IDF, scalar, batch)
 
 
-def normalize_text(text: str) -> str:
-    """Lowercase ``text``, turn each run of non-alphanumerics (``_`` too) into one space, trim the ends."""
-    return _normalized_utf8(text).decode("utf-8")
-
-
 def _normalized_utf8(text: str) -> bytes:
-    """:func:`normalize_text` as UTF-8: ASCII text on bytes, other text by the regex ``[\\W_]+``.
+    """``text`` lowercased, each run of non-alphanumerics (``_`` too) one space, ends trimmed, as UTF-8.
 
+    ASCII text is normalized on bytes, other text by the regex ``[\\W_]+``.
     On ASCII, ``[\\W_]`` is every character but ``[0-9A-Za-z]`` and
     ``bytes.lower`` is ``str.lower``.  So after the lowercased bytes go
     through ``_ASCII_WORD`` only letters, digits and spaces are left, and
@@ -274,6 +270,8 @@ def make_planted_corpus(
     n_docs = whole("n_docs", n_docs, 2 * n_dup_pairs)
     words_per_doc = whole("words_per_doc", words_per_doc, 0)
     vocab_size = whole("vocab_size", vocab_size, 1)
+    if not 0.0 <= edit_rate <= 1.0:
+        raise ValueError("edit_rate must lie in [0, 1]")
     rng = np.random.default_rng(whole("seed", seed, 0))
     vocab = [f"w{i:05d}" for i in range(vocab_size)]
     n_base = n_docs - n_dup_pairs

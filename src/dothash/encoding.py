@@ -388,11 +388,6 @@ class Codebook:
         bits = self.sign_bits(elements)
         return (bits.astype(np.int8) << 1) - 1
 
-    def vector_of(self, element: int) -> np.ndarray:
-        """The element's codebook vector: dims entries in {-1/√d, +1/√d}."""
-        signs = self.sign_rows([element])[0]
-        return signs.astype(np.float64) / np.sqrt(self.dims)
-
 
 def sign_sums(seeds: np.ndarray, elements: np.ndarray, dims: int, total: np.ndarray | None = None,
               buffer: np.ndarray | None = None) -> np.ndarray:

@@ -380,9 +380,6 @@ class NeighborhoodScorer:
     sets: np.ndarray | tuple
     sizes: np.ndarray
 
-    def score(self, u: int, v: int) -> float:
-        return float(self.score_pairs(np.array([(whole("u", u), whole("v", v))]))[0])
-
     def score_pairs(self, pairs: np.ndarray) -> np.ndarray:
         """Scores of the (u, v) rows of ``pairs``, as float64.
 

@@ -43,7 +43,7 @@ import math
 import struct
 from dataclasses import dataclass
 from functools import partial
-from typing import BinaryIO, Callable, Iterable, Mapping, NamedTuple, Union
+from typing import BinaryIO, Callable, Iterable, NamedTuple, Union
 
 import numpy as np
 
@@ -80,17 +80,18 @@ class WeightKind(enum.Enum):
 class WeightFn:
     """A nonnegative element weight f(x), the summand of the weighted family.
 
-    Construct with :meth:`unit`, :meth:`from_table`, :meth:`from_array`, or
-    :meth:`custom`.  Calling the instance evaluates one element; dense
-    batches go through :meth:`weights_for`.  Kind ``WeightKind.UNIT`` means
-    f = 1: builds count such sums without evaluating the function.
+    Construct with :meth:`unit`, :meth:`from_array`, or ``WeightFn(kind,
+    scalar, batch)``, where ``scalar`` evaluates one element and ``batch`` an
+    array of them.  Calling the instance evaluates one element; builds go
+    through :meth:`weights_for`.  Kind ``WeightKind.UNIT`` means f = 1:
+    builds count such sums without evaluating the function.
     """
 
     def __init__(
         self,
         kind: WeightKind,
         scalar: Callable[[int], float],
-        batch: Callable[[np.ndarray], np.ndarray] | None = None,
+        batch: Callable[[np.ndarray], np.ndarray],
     ) -> None:
         self.kind = kind
         self._scalar = scalar
@@ -101,9 +102,7 @@ class WeightFn:
 
     def weights_for(self, elements: np.ndarray) -> np.ndarray:
         """Weights for a batch of elements as a float64 array."""
-        if self._batch is not None:
-            return np.asarray(self._batch(elements), dtype=np.float64)
-        return np.array([self._scalar(int(e)) for e in elements], dtype=np.float64)
+        return np.asarray(self._batch(elements), dtype=np.float64)
 
     def __repr__(self) -> str:
         return f"WeightFn(kind={self.kind.value})"
@@ -112,18 +111,6 @@ class WeightFn:
     def unit(cls) -> "WeightFn":
         """f(x) = 1 for every element: the plain-intersection weighting."""
         return cls(WeightKind.UNIT, lambda element: 1.0, lambda arr: np.ones(len(arr)))
-
-    @classmethod
-    def from_table(cls, table: Mapping[int, float], kind: WeightKind = WeightKind.CUSTOM) -> "WeightFn":
-        """Weights from an explicit element -> weight mapping."""
-
-        def scalar(element: int) -> float:
-            try:
-                return float(table[element])
-            except KeyError:
-                raise ValueError(f"weight not defined for element {element}") from None
-
-        return cls(kind, scalar)
 
     @classmethod
     def from_array(cls, values: np.ndarray, kind: WeightKind = WeightKind.CUSTOM) -> "WeightFn":
@@ -138,10 +125,6 @@ class WeightFn:
             return values[ids]
 
         return cls(kind, lambda element: float(lookup([element])[0]), lookup)
-
-    @classmethod
-    def custom(cls, fn: Callable[[int], float]) -> "WeightFn":
-        return cls(WeightKind.CUSTOM, fn)
 
 
 @dataclass(frozen=True)

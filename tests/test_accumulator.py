@@ -120,7 +120,9 @@ def test_weighted_builds_match_reference(dims, pairs):
     weight = dict(pairs)
     elements = [e for e, _ in pairs]
     cb = Codebook(seed=5, dims=dims)
-    sketch = dothash_build(cb, elements, WeightFn.from_table(weight))
+    values = np.zeros(10_001)
+    values[list(weight)] = list(weight.values())
+    sketch = dothash_build(cb, elements, WeightFn.from_array(values))
     expected = reference_weighted(5, dims, elements, weight)
     np.testing.assert_allclose(sketch.values, expected, rtol=0, atol=1e-12)
     assert not has_negative_zero(sketch.values)
@@ -262,6 +264,9 @@ def _weight(element: int) -> float:
     return (element * 2654435761 % 1009) / 97.0
 
 
+WEIGHT = WeightFn(WeightKind.CUSTOM, _weight, lambda elements: np.array([_weight(int(e)) for e in elements]))
+
+
 @given(
     sets=set_lists,
     estimator=st.sampled_from(list(Estimator)),
@@ -273,7 +278,7 @@ def test_set_list_rows_equal_per_set_builds(sets, estimator, weighted, chunk_byt
     # Empty sets and duplicate ids within a set included; a 1-byte chunk
     # puts every group in a chunk of its own.
     dims = 130
-    w = WeightFn.custom(_weight) if weighted and estimator in (Estimator.DOTHASH, Estimator.EXACT) else None
+    w = WEIGHT if weighted and estimator in (Estimator.DOTHASH, Estimator.EXACT) else None
     csr = distinct_sets(np.cumsum([0] + [len(members) for members in sets]),
                         np.array(sum(sets, []), np.uint64))
     with pytest.MonkeyPatch.context() as patch:

@@ -487,6 +487,24 @@ class TestMonteCarloSampler:
         for dims, estimates in zip(dims_list, whole):
             assert np.array_equal(sample_intersection_estimates(*sizes, dims, trials, seed0=7), estimates)
 
+    @pytest.mark.parametrize("sizes, dims, trials", [
+        ((200, 200, 100), 2048, 100),  # the bounds-mc sets: 40 seeds
+        ((64, 64, 64), 2048, 64),  # 64 elements: exactly the cap
+        ((128, 128, 0), 4096, 40),  # 16 seeds, below a cap of 32
+        ((100, 0, 0), 64, 2000),  # 1,310 seeds, below a cap of 2,000
+        ((6000, 6000, 1000), 2048, 70),  # no seed count fits: the cap
+        ((3, 3, 1), 64, 10),  # the trials are the cap
+        ((0, 0, 0), 3000, 50),  # empty sets: the cap
+    ])
+    def test_seed_chunk_is_the_most_seeds_that_count_each_set_in_one_row_chunk(self, chunk_seeds, sizes, dims,
+                                                                             trials):
+        size_a, size_b, size_int = sizes
+        largest = max(size_a - size_int, size_int, size_b - size_int)
+        cap = max(1, min(trials, bounds._CHUNK_BYTES // (8 * dims)))
+        fits = [seeds for seeds in range(1, cap + 1) if encoding._sign_sums_rows(seeds, dims) >= largest]
+        bounds._sample_estimates(*sizes, [dims], trials, 0)
+        assert chunk_seeds[0] == max(fits, default=cap)
+
     @pytest.mark.parametrize("sizes, dims", [((30.7, 35, 20), 100), ((30, 35.0, 20), 100), ((30, 35, 20.5), 100),
                                              ((30, 35, 20), 100.5)])
     def test_sampler_rejects_a_size_or_dims_that_is_not_whole(self, sizes, dims):

@@ -23,7 +23,6 @@ from dothash.dedup import (
     load_corpus_jsonl,
     load_pairs_csv,
     make_planted_corpus,
-    normalize_text,
     run_dedup_benchmark,
     sample_negative_pairs,
     shingle,
@@ -55,7 +54,7 @@ def _csr_rows(sets) -> list[tuple[int, ...]]:
 
 
 def _regex_normalize(text: str) -> str:
-    """The regex normalizer, the reference for both of ``normalize_text``'s paths."""
+    """The regex normalizer, the reference for both of ``dedup._normalized_utf8``'s paths."""
     return re.sub(r"[\W_]+", " ", text.lower()).strip()
 
 
@@ -81,9 +80,7 @@ class TestNormalize:
     @example("a\ud800B \udfff")
     @settings(max_examples=500)
     def test_equals_the_regex(self, text):
-        expected = _regex_normalize(text)
-        assert normalize_text(text) == expected
-        assert dedup._normalized_utf8(text) == expected.encode("utf-8")
+        assert dedup._normalized_utf8(text) == _regex_normalize(text).encode("utf-8")
 
     def test_ascii_text_skips_the_regex(self, monkeypatch):
         class Refuse:
@@ -91,7 +88,7 @@ class TestNormalize:
                 raise AssertionError("the regex ran on ASCII text")
 
         monkeypatch.setattr(dedup, "_NON_WORD", Refuse())
-        assert normalize_text("It's A_b\tC-3!") == "it s a b c 3"
+        assert dedup._normalized_utf8("It's A_b\tC-3!") == b"it s a b c 3"
         assert _csr_rows(shingle_csr([Document("d", "One, two: THREE")], 3)) == [
             (element_id("one two three"),)]
 
@@ -121,23 +118,21 @@ class TestShingle:
     @given(st.text(max_size=120))
     @settings(max_examples=100)
     def test_normalization_idempotent(self, text):
-        once = normalize_text(text)
-        assert normalize_text(once) == once
+        once = dedup._normalized_utf8(text)
+        assert dedup._normalized_utf8(once.decode("utf-8")) == once
 
     @given(st.text(max_size=80))
     @settings(max_examples=50)
     def test_shingling_normalized_text_is_stable(self, text):
         doc = Document("d", text)
-        renorm = Document("d", normalize_text(text))
+        renorm = Document("d", dedup._normalized_utf8(text).decode("utf-8"))
         assert set(shingle(doc, 2).shingles) == set(shingle(renorm, 2).shingles)
 
 
     @given(st.text(max_size=120), st.integers(min_value=1, max_value=4))
     @settings(max_examples=200)
     def test_matches_scalar_shingling(self, text, w):
-        tokens = normalize_text(text).split()
-        expected = {element_id(" ".join(tokens[i : i + w])) for i in range(len(tokens) - w + 1)}
-        assert shingle(Document("d", text), w).shingles.elements == tuple(sorted(expected))
+        assert shingle(Document("d", text), w).shingles.elements == tuple(_reference_shingles(text, w))
 
     @given(st.lists(st.text(alphabet="ab é,\n", max_size=30), max_size=25), st.integers(1, 3))
     @settings(max_examples=100)
@@ -152,9 +147,7 @@ class TestShingle:
         rows = _csr_rows(shingle_csr(docs, 3))
         assert len(rows) == len(docs)
         for doc in docs[::97] + docs[-3:]:
-            tokens = normalize_text(doc.text).split()
-            expected = {element_id(" ".join(tokens[i : i + 3])) for i in range(len(tokens) - 2)}
-            assert rows[docs.index(doc)] == tuple(sorted(expected))
+            assert rows[docs.index(doc)] == tuple(_reference_shingles(doc.text, 3))
 
     def test_many_width_validation(self):
         with pytest.raises(ValueError, match="shingle width"):
@@ -173,10 +166,9 @@ class TestShingle:
         indptr, ids = sets.indptr, sets.distinct[sets.ranks]
         assert indptr.tolist()[0] == 0 and len(indptr) == len(docs) + 1 and ids.dtype == np.uint64
         for i, doc in enumerate(docs):
-            tokens = normalize_text(doc.text).split()
-            expected = {element_id(" ".join(tokens[j : j + w])) for j in range(len(tokens) - w + 1)}
-            assert ids[indptr[i] : indptr[i + 1]].tolist() == sorted(expected)
-            assert singles[i] == ShingleSet(doc.doc_id, SortedSet(tuple(sorted(expected))))
+            expected = _reference_shingles(doc.text, w)
+            assert ids[indptr[i] : indptr[i + 1]].tolist() == expected
+            assert singles[i] == ShingleSet(doc.doc_id, SortedSet(tuple(expected)))
 
     @given(st.lists(st.one_of(_TEXTS, st.sampled_from(["", "one", "Two words", "_ \t\r\n"])),
                     max_size=20),
@@ -414,6 +406,20 @@ class TestPlantedCorpus:
             b = by_id[dup].text.split()
             same = sum(1 for x, y in zip(a, b) if x == y)
             assert same >= 0.85 * len(a)
+
+    def test_edit_rate_must_lie_in_the_unit_interval(self):
+        # On 10-word documents -0.05 once gave the documents of 0.0, and 1.5,
+        # -0.1 and NaN raised numpy's or math's own errors, which named no
+        # argument.
+        for bad in (-0.05, 1.5, -0.1, float("nan")):
+            with pytest.raises(ValueError, match=r"^edit_rate must lie in \[0, 1\]$"):
+                make_planted_corpus(n_docs=20, n_dup_pairs=5, words_per_doc=10, edit_rate=bad, seed=6)
+        # The ends are taken: no word rewritten, and every word position drawn anew.
+        docs, pairs = make_planted_corpus(n_docs=20, n_dup_pairs=5, words_per_doc=10, edit_rate=0.0, seed=6)
+        by_id = {d.doc_id: d.text for d in docs}
+        assert all(by_id[orig] == by_id[dup] for orig, dup in pairs)
+        docs, pairs = make_planted_corpus(n_docs=20, n_dup_pairs=5, words_per_doc=10, edit_rate=1.0, seed=6)
+        assert len(docs) == 20 and len(pairs) == 5
 
 
 class TestNegativeSampling:

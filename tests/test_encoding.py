@@ -283,6 +283,11 @@ class TestSortedDistinct:
         assert np.array_equal(sorted_distinct(values), np.unique(values))
 
 
+def _vector(cb: Codebook, element: int) -> np.ndarray:
+    """The element's codebook vector: dims entries in {-1/√d, +1/√d}."""
+    return cb.sign_rows([element])[0] / np.sqrt(cb.dims)
+
+
 class TestCodebook:
     def test_dims_validation(self):
         with pytest.raises(ValueError):
@@ -291,27 +296,27 @@ class TestCodebook:
     def test_entries_at_dims_4(self):
         cb = Codebook(seed=3, dims=4)
         for e in (0, 1, 99, 2**63):
-            assert set(np.abs(cb.vector_of(e))) == {0.5}
+            assert set(np.abs(_vector(cb, e))) == {0.5}
 
     @given(U64, st.integers(min_value=1, max_value=300))
     @settings(max_examples=50)
     def test_vector_is_pure_function(self, e, dims):
         cb1 = Codebook(seed=11, dims=dims)
         cb2 = Codebook(seed=11, dims=dims)
-        assert np.array_equal(cb1.vector_of(e), cb2.vector_of(e))
+        assert np.array_equal(_vector(cb1, e), _vector(cb2, e))
 
     @pytest.mark.parametrize("dims", [1, 4, 63, 64, 65, 500, 1024])
     def test_unit_norm(self, dims):
         cb = Codebook(seed=8, dims=dims)
         for e in (0, 7, 123456789):
-            assert abs(np.linalg.norm(cb.vector_of(e)) - 1.0) < 1e-10
+            assert abs(np.linalg.norm(_vector(cb, e)) - 1.0) < 1e-10
 
-    def test_sign_rows_match_vector_of(self):
+    def test_sign_rows_match_single_element_rows(self):
         cb = Codebook(seed=5, dims=130)
         elements = np.array([3, 9, 2**40], dtype=np.uint64)
         rows = cb.sign_rows(elements)
         for row, e in zip(rows, elements):
-            assert np.array_equal(row / np.sqrt(130), cb.vector_of(int(e)))
+            assert np.array_equal(row, cb.sign_rows([int(e)])[0])
 
     def test_cross_element_dot_mean_near_zero(self):
         # E[psi(a) . psi(b)] = 0 for a != b: averaged over 10^5 disjoint pairs

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -140,37 +141,38 @@ class TestExactWeighted:
         # u - x - v: the sole common neighbor x has degree 2.
         gamma_u = SortedSet.from_iterable([1])  # {x}
         gamma_v = SortedSet.from_iterable([1])
-        weights = WeightFn.from_table({1: 1.0 / math.log(2.0)})
+        weights = WeightFn.from_array([0.0, 1.0 / math.log(2.0)])
         assert exact_weighted(gamma_u, gamma_v, weights) == pytest.approx(1.4426950408889634)
 
     def test_path_graph_resource_allocation(self):
         gamma_u = SortedSet.from_iterable([1])
         gamma_v = SortedSet.from_iterable([1])
-        weights = WeightFn.from_table({1: 0.5})
+        weights = WeightFn.from_array([0.0, 0.5])
         assert exact_weighted(gamma_u, gamma_v, weights) == 0.5
 
     def test_missing_weight_raises(self):
         a = SortedSet.from_iterable([1, 2])
         b = SortedSet.from_iterable([2, 3])
         with pytest.raises(ValueError, match="weight not defined for element"):
-            exact_weighted(a, b, WeightFn.from_table({1: 1.0}))
+            exact_weighted(a, b, WeightFn.from_array([0.0, 1.0]))
 
     def test_negative_weight_raises(self):
         a = SortedSet.from_iterable([2])
         b = SortedSet.from_iterable([2])
         with pytest.raises(ValueError, match="nonnegative"):
-            exact_weighted(a, b, WeightFn.from_table({2: -1.0}))
+            exact_weighted(a, b, WeightFn.from_array([0.0, 0.0, -1.0]))
 
     def test_weights_outside_intersection_not_required(self):
         a = SortedSet.from_iterable([1, 2])
         b = SortedSet.from_iterable([2, 3])
-        assert exact_weighted(a, b, WeightFn.from_table({2: 2.5})) == 2.5
+        # Element 1's weight is negative and element 3 has none: neither is read.
+        assert exact_weighted(a, b, WeightFn.from_array([0.0, -1.0, 2.5])) == 2.5
 
     @given(small_sets, small_sets)
     @settings(max_examples=50)
     def test_symmetric_for_symmetric_context(self, xs, ys):
         a, b = SortedSet.from_iterable(xs), SortedSet.from_iterable(ys)
-        weights = WeightFn.custom(lambda e: 1.0 + (e % 5))
+        weights = WeightFn.from_array(1.0 + np.arange(16) % 5)
         assert exact_weighted(a, b, weights) == exact_weighted(b, a, weights)
 
 

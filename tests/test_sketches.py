@@ -50,12 +50,6 @@ class TestWeightFn:
         assert w(123) == 1.0
         assert np.array_equal(w.weights_for(np.arange(5)), np.ones(5))
 
-    def test_from_table_missing_element(self):
-        w = WeightFn.from_table({1: 2.0})
-        assert w(1) == 2.0
-        with pytest.raises(ValueError, match="weight not defined for element"):
-            w(2)
-
     def test_from_array(self):
         w = WeightFn.from_array(np.array([0.5, 1.5]))
         assert w(1) == 1.5
@@ -85,10 +79,10 @@ class TestDotHash:
         assert sketch.cardinality == 0
         assert np.array_equal(sketch.values, np.zeros(16))
 
-    def test_singleton_equals_vector_of(self):
+    def test_singleton_equals_its_sign_row_over_root_d(self):
         cb = Codebook(seed=4, dims=257)
         sketch = dothash_build(cb, [77])
-        assert np.array_equal(sketch.values, cb.vector_of(77))
+        assert np.array_equal(sketch.values, cb.sign_rows([77])[0] / np.sqrt(257))
 
     def test_duplicates_skipped(self):
         cb = Codebook(seed=4, dims=64)
@@ -100,13 +94,13 @@ class TestDotHash:
     def test_negative_weight_rejected(self):
         cb = Codebook(seed=0, dims=8)
         with pytest.raises(ValueError, match="weight function must be nonnegative"):
-            dothash_build(cb, [1, 2], WeightFn.from_table({1: 1.0, 2: -0.5}))
+            dothash_build(cb, [1, 2], WeightFn.from_array([0.0, 1.0, -0.5]))
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_weight_rejected(self, bad):
         cb = Codebook(seed=0, dims=8)
         with pytest.raises(ValueError, match="weight function must be finite"):
-            dothash_build(cb, [1, 2], WeightFn.from_table({1: 1.0, 2: bad}))
+            dothash_build(cb, [1, 2], WeightFn.from_array([0.0, 1.0, bad]))
 
     def test_norm_squared_estimates_cardinality(self):
         # E ||a||^2 = |A|: mean over 1000 codebook seeds within 3 standard errors.
@@ -274,7 +268,7 @@ class TestSimHash:
         cb = Codebook(seed=9, dims=100)
         sketch = simhash_build(cb, [55])
         bits = np.unpackbits(sketch.bits, bitorder="little")[:100]
-        mask = (cb.vector_of(55) > 0).astype(np.uint8)
+        mask = (cb.sign_rows([55])[0] > 0).astype(np.uint8)
         assert np.array_equal(bits, mask)
 
     def test_empty_set_all_zero_bits(self):

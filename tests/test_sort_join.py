@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from dothash import encoding
 from dothash.exact import SortedSet, exact_intersection, exact_jaccard, exact_weighted
 from dothash.linkpred import Estimator, Metric, sketch_neighborhoods
-from dothash.sketches import WeightFn, distinct_sets
+from dothash.sketches import WeightFn, WeightKind, distinct_sets
 
 # Few distinct ids, so that sets overlap, among them the largest 64-bit ones.
 element_ids = st.one_of(st.integers(0, 12), st.sampled_from([2**63, 2**64 - 2, 2**64 - 1]))
@@ -26,6 +26,9 @@ set_lists = st.lists(st.lists(element_ids, unique=True, max_size=10).map(sorted)
 def _weight(element: int) -> float:
     """A nonnegative weight with many distinct values, so the order of additions shows."""
     return 1.0 / (1.0 + (element % 1009) / 7.0)
+
+
+WEIGHT = WeightFn(WeightKind.CUSTOM, _weight, lambda elements: np.array([_weight(int(e)) for e in elements]))
 
 
 def _csr(sets):
@@ -59,11 +62,10 @@ def test_sort_join_equals_the_merge(sets, data, metric, chunk_bytes):
     # (u, u) pairs and repeated pairs included; at small chunk sizes the
     # pairs span many chunks.
     pairs = data.draw(st.lists(st.tuples(index, index), min_size=1, max_size=30))
-    weights = WeightFn.custom(_weight)
-    expected = _merge_scores(sets, pairs, metric, weights)
+    expected = _merge_scores(sets, pairs, metric, WEIGHT)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(encoding, "_CHUNK_BYTES", chunk_bytes)
-        scorer = sketch_neighborhoods(_csr(sets), metric or weights, Estimator.EXACT)
+        scorer = sketch_neighborhoods(_csr(sets), metric or WEIGHT, Estimator.EXACT)
         got = scorer.score_pairs(np.array(pairs, dtype=np.int64))
     assert got.tobytes() == expected.tobytes()
 
@@ -82,7 +84,7 @@ def test_array_weights_give_the_merge_sums_over_many_chunks(monkeypatch):
 
 def test_negative_weight_on_an_intersecting_element_raises():
     sets = [[1, 2], [2, 3]]
-    weights = WeightFn.from_table({1: 1.0, 2: -0.5, 3: 1.0})
+    weights = WeightFn.from_array([0.0, 1.0, -0.5, 1.0])
     scorer = sketch_neighborhoods(_csr(sets), weights, Estimator.EXACT)
     with pytest.raises(ValueError, match="weight function must be nonnegative"):
         scorer.score_pairs(np.array([(0, 1)]))
@@ -92,7 +94,7 @@ def test_negative_weight_on_an_intersecting_element_raises():
 
 def test_negative_weight_outside_every_intersection_is_not_an_error():
     sets = [[1, 2], [2, 3]]
-    weights = WeightFn.from_table({1: -1.0, 2: 0.5, 3: -2.0})
+    weights = WeightFn.from_array([0.0, -1.0, 0.5, -2.0])
     scorer = sketch_neighborhoods(_csr(sets), weights, Estimator.EXACT)
     scores = scorer.score_pairs(np.array([(0, 1)]))
     assert scores.tolist() == [exact_weighted(SortedSet((1, 2)), SortedSet((2, 3)), weights)]

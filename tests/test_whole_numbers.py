@@ -141,7 +141,7 @@ SCALARS = {
     "MinwiseFamily.seed": Scalar(lambda v: MinwiseFamily(seed=v, k=8), 7, None),
     "MinwiseFamily.value.i": Scalar(lambda v: MinwiseFamily(3, 8).value(v, 5), 2, 0),
     "MinwiseFamily.value.element": Scalar(lambda v: MinwiseFamily(3, 8).value(2, v), 5, None),
-    "Codebook.vector_of.elements": Scalar(lambda v: Codebook(3, 64).vector_of(v), 5, None),
+    "Codebook.sign_rows.elements": Scalar(lambda v: Codebook(3, 64).sign_rows([v]), 5, None),
     "csr_idf.elements": Scalar(lambda v: csr_idf(shingle_csr(DOCS, 3))(v), 5, None),
     "sign_sums.dims": Scalar(lambda v: sign_sums(np.array([1, 2], dtype=np.uint64), np.arange(5), v), 70, 1),
     "BoundsQuery.size_a": Scalar(lambda v: BoundsQuery(v, 35, 20, 100), 30, 0),
@@ -185,8 +185,6 @@ SCALARS = {
     "sketch_neighborhoods.seed": Scalar(
         lambda v: sketch_neighborhoods(GRAPH, Metric.JACCARD, Estimator.SIMHASH, 64, seed=v).score_pairs(PAIRS),
         1, None),
-    "NeighborhoodScorer.score.u": Scalar(lambda v: SCORER.score(v, 3), 1, 0, "pair index outside"),
-    "NeighborhoodScorer.score.v": Scalar(lambda v: SCORER.score(1, v), 3, 0, "pair index outside"),
     "hits_at_k.k": Scalar(lambda v: hits_at_k([0.5, 0.9], [0.1, 0.7, 0.3], v), 2, 1),
     "run_linkpred_benchmark.repeats": Scalar(lambda v: _linkpred(repeats=v), 2, 1),
     "run_linkpred_benchmark.neg_per_pos": Scalar(lambda v: _linkpred(neg_per_pos=v), 2, 1),
