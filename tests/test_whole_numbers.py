@@ -308,6 +308,30 @@ def test_an_empty_array_of_any_dtype_is_taken():
     assert SCORER.score_pairs(np.array([])).size == 0
 
 
+# One pair given as a list of Python or numpy scalars, its u or v the value
+# under test: score_pairs checks the pair as it checks an array of them.
+PAIR_ROWS = {"u": lambda v: SCORER.score_pairs([(v, 3)]), "v": lambda v: SCORER.score_pairs([(1, v)])}
+
+
+@pytest.mark.parametrize("side", PAIR_ROWS)
+@pytest.mark.parametrize("bad", [1.5, "float64"])
+def test_a_fractional_index_in_a_list_of_pairs_raises_type_error(side, bad):
+    bad = np.float64(1) if bad == "float64" else bad
+    with pytest.raises(TypeError, match="^pairs must be an array of integers, got dtype float64"):
+        PAIR_ROWS[side](bad)
+
+
+@pytest.mark.parametrize("side", PAIR_ROWS)
+def test_a_negative_index_in_a_list_of_pairs_raises_value_error(side):
+    with pytest.raises(ValueError, match=r"^pair index outside 0\.\.39"):
+        PAIR_ROWS[side](-1)
+
+
+@pytest.mark.parametrize("side", PAIR_ROWS)
+def test_a_numpy_integer_in_a_list_of_pairs_gives_what_a_python_int_gives(side):
+    assert PAIR_ROWS[side](np.int64(2)).tolist() == PAIR_ROWS[side](2).tolist()
+
+
 class TestMisreadBefore:
     """Each value here was once stored, truncated or taken as part of itself."""
 
